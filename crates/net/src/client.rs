@@ -55,7 +55,7 @@ pub struct ClientReport {
     pub decisions: u64,
     /// Decisions with `admitted = true`.
     pub admitted: u64,
-    /// Router sheds observed (`admitted = false`, `seq = u64::MAX`).
+    /// Ingest-queue sheds observed (`admitted = false`, `seq = u64::MAX`).
     pub net_sheds: u64,
     /// Engine admission rejections observed (`admitted = false` with a
     /// real sequence number).

@@ -5,7 +5,7 @@
 //! engine behind a socket, closing the loop a real deployment needs:
 //!
 //! ```text
-//!  clients ──(eirsnp01 frames)──▶ listener ─▶ per-shard queues ─▶ ServeEngine
+//!  clients ──(eirsnp01 frames)──▶ readers ─▶ one ingest queue ─▶ engine loop
 //!     ▲                                                              │
 //!     └────────────── decision frames ◀── batched admissions ────────┘
 //!
@@ -15,15 +15,18 @@
 //! * [`protocol`] — the `eirsnp01` wire format: length-prefixed,
 //!   checksummed binary frames. Decoding is strict; corrupt streams are
 //!   torn down, never resynchronized or silently truncated.
-//! * [`queue`] — bounded hand-off queues between the connection router
-//!   and the engine loop; capacity is the backpressure/shed mechanism.
-//! * [`server`] — the accept loop, seq-assigning router, write-ahead
-//!   journaling, batched engine loop, and the **atomic policy
-//!   hot-swap**: control frames or CLI triggers install a freshly
-//!   compiled table at an exact arrival-sequence barrier, journaled so
-//!   replay reproduces the decision digest bit for bit. An
-//!   `optimize:<family>` swap re-runs the `eirs_opt` search against the
-//!   live engine's observed per-class arrival rates.
+//! * [`queue`] — the bounded FIFO between the connection readers and
+//!   the engine loop; its capacity (`--queue-cap`) is the
+//!   backpressure/shed mechanism.
+//! * [`server`] — the accept loop, one reader thread per connection,
+//!   and the engine loop that alone clamps the stream clock, journals
+//!   each batch write-ahead, ingests it, and writes the decisions back;
+//!   plus the **atomic policy hot-swap**: control frames (as in-band
+//!   queue markers) or CLI triggers install a freshly compiled table at
+//!   an exact arrival-sequence barrier, journaled so replay reproduces
+//!   the decision digest bit for bit. An `optimize:<family>` swap
+//!   re-runs the `eirs_opt` search against the live engine's observed
+//!   per-class arrival rates.
 //! * [`client`] — the load generator: N concurrent pipelined
 //!   connections, per-request wall-clock latency histograms.
 //!

@@ -97,11 +97,11 @@ pub enum Frame {
         /// The request id from the matching [`Frame::Arrival`].
         req_id: u64,
         /// Global arrival sequence number the server assigned
-        /// (`u64::MAX` when the arrival was shed at the router and
-        /// never entered the stream).
+        /// (`u64::MAX` when the arrival was shed at the ingest queue
+        /// and never entered the stream).
         seq: u64,
-        /// Route shard that served the arrival (`u32::MAX` on router
-        /// shed).
+        /// Route shard that served the arrival (`u32::MAX` on an
+        /// ingest-queue shed).
         shard: u32,
         /// Shard inelastic occupancy after the arrival.
         i: u32,
@@ -114,7 +114,7 @@ pub enum Frame {
         /// Elastic allocation served at `(i, j)`.
         alloc_elastic: f64,
         /// Whether the arrival was admitted (aux bit 0). `false` means
-        /// shed — either at the router (full queue) or by the engine's
+        /// shed — either at the full ingest queue or by the engine's
         /// degraded-mode admission control.
         admitted: bool,
     },

@@ -1,24 +1,23 @@
-//! Bounded FIFO hand-off queues between the connection router and the
-//! engine loop.
+//! The bounded FIFO between the connection readers and the engine loop.
 //!
-//! One queue per route shard. The router is the only pusher (it holds
-//! the router lock while pushing, so pushes are serialized and each
-//! queue sees strictly increasing sequence numbers); the engine loop is
-//! the only popper. Capacity is the backpressure mechanism: a full
-//! queue either blocks the router ([`BoundedQueue::push`]) or sheds the
-//! arrival ([`BoundedQueue::is_full`] checked first), per the server's
-//! `shed` setting.
+//! `serve --listen` runs exactly one of these: every reader pushes its
+//! decoded arrivals and in-band markers, and the engine loop is the only
+//! popper. Capacity is the backpressure mechanism: a full queue either
+//! blocks the pusher ([`BoundedQueue::push`]) or refuses the item
+//! ([`BoundedQueue::try_push`], the server's shed path). The popper
+//! sleeps in [`BoundedQueue::pop_into`] until an item arrives, so
+//! neither side polls.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 struct State<T> {
     items: VecDeque<T>,
     closed: bool,
 }
 
-/// A bounded multi-purpose FIFO with blocking push and draining pop.
+/// A bounded multi-producer FIFO with blocking and non-blocking push
+/// and batched pop.
 pub struct BoundedQueue<T> {
     cap: usize,
     state: Mutex<State<T>>,
@@ -41,33 +40,31 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// The capacity the queue was built with.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue poisoned").items.len()
-    }
-
-    /// Whether the queue holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether a push would block (or shed) right now.
-    pub fn is_full(&self) -> bool {
-        self.len() >= self.cap
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().expect("queue poisoned")
     }
 
     /// Pushes `item`, blocking while the queue is full. Returns the
     /// item back if the queue was closed.
     pub fn push(&self, item: T) -> Result<(), T> {
-        let mut s = self.state.lock().expect("queue poisoned");
+        let mut s = self.lock();
         while s.items.len() >= self.cap && !s.closed {
             s = self.not_full.wait(s).expect("queue poisoned");
         }
+        self.enqueue(s, item)
+    }
+
+    /// Pushes `item` without blocking. Returns the item back if the
+    /// queue is full or closed.
+    pub fn try_push(&self, item: T) -> Result<(), T> {
+        let s = self.lock();
+        if s.items.len() >= self.cap {
+            return Err(item);
+        }
+        self.enqueue(s, item)
+    }
+
+    fn enqueue(&self, mut s: MutexGuard<'_, State<T>>, item: T) -> Result<(), T> {
         if s.closed {
             return Err(item);
         }
@@ -80,33 +77,35 @@ impl<T> BoundedQueue<T> {
     /// Pops up to `max` items into `out` without blocking. Returns how
     /// many were taken.
     pub fn drain_into(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut s = self.state.lock().expect("queue poisoned");
+        let s = self.lock();
+        self.take(s, out, max)
+    }
+
+    /// Blocks until the queue holds an item or is closed, then pops up
+    /// to `max` items into `out`. Returns how many were taken: 0 only
+    /// once the queue is closed and empty.
+    pub fn pop_into(&self, out: &mut Vec<T>, max: usize) -> usize {
+        let mut s = self.lock();
+        while s.items.is_empty() && !s.closed {
+            s = self.not_empty.wait(s).expect("queue poisoned");
+        }
+        self.take(s, out, max)
+    }
+
+    fn take(&self, mut s: MutexGuard<'_, State<T>>, out: &mut Vec<T>, max: usize) -> usize {
         let take = max.min(s.items.len());
         out.extend(s.items.drain(..take));
+        drop(s);
         if take > 0 {
             self.not_full.notify_all();
         }
         take
     }
 
-    /// Blocks until the queue is nonempty, closed, or `timeout`
-    /// elapses. Returns whether items are available.
-    pub fn wait_nonempty(&self, timeout: Duration) -> bool {
-        let s = self.state.lock().expect("queue poisoned");
-        if !s.items.is_empty() || s.closed {
-            return !s.items.is_empty();
-        }
-        let (s, _) = self
-            .not_empty
-            .wait_timeout(s, timeout)
-            .expect("queue poisoned");
-        !s.items.is_empty()
-    }
-
     /// Closes the queue: pending items stay poppable, further pushes
-    /// fail, blocked pushers wake.
+    /// fail, blocked pushers and the popper wake.
     pub fn close(&self) {
-        self.state.lock().expect("queue poisoned").closed = true;
+        self.lock().closed = true;
         self.not_full.notify_all();
         self.not_empty.notify_all();
     }
@@ -116,6 +115,7 @@ impl<T> BoundedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn fifo_order_and_bounded_drain() {
@@ -126,9 +126,9 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(q.drain_into(&mut out, 3), 3);
         assert_eq!(out, vec![0, 1, 2]);
-        assert_eq!(q.drain_into(&mut out, 10), 2);
+        assert_eq!(q.pop_into(&mut out, 10), 2);
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
-        assert!(q.is_empty());
+        assert_eq!(q.drain_into(&mut out, 10), 0);
     }
 
     #[test]
@@ -136,7 +136,7 @@ mod tests {
         let q = Arc::new(BoundedQueue::new(2));
         q.push(1).unwrap();
         q.push(2).unwrap();
-        assert!(q.is_full());
+        assert_eq!(q.try_push(9), Err(9));
         let pusher = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.push(3))
@@ -157,11 +157,12 @@ mod tests {
         q.push("kept").unwrap();
         q.close();
         assert_eq!(q.push("dropped"), Err("dropped"));
+        assert_eq!(q.try_push("dropped"), Err("dropped"));
         let mut out = Vec::new();
-        assert_eq!(q.drain_into(&mut out, 10), 1);
+        assert_eq!(q.pop_into(&mut out, 10), 1);
         assert_eq!(out, vec!["kept"]);
-        // wait_nonempty on a closed empty queue returns immediately.
-        assert!(!q.wait_nonempty(Duration::from_secs(5)));
+        // pop_into on a closed empty queue returns immediately.
+        assert_eq!(q.pop_into(&mut out, 10), 0);
     }
 
     #[test]

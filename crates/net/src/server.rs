@@ -1,44 +1,65 @@
-//! The serving front end: a blocking TCP accept loop feeding per-shard
-//! bounded queues into a [`ServeEngine`], with atomic policy hot-swap.
+//! The serving front end: a blocking TCP accept loop whose connection
+//! readers feed one bounded FIFO into a [`ServeEngine`], with atomic
+//! policy hot-swap.
 //!
 //! ## Data path
 //!
 //! ```text
-//! conn 0 ─ reader ─┐                 ┌─ queue[0] ─┐
-//! conn 1 ─ reader ─┼─▶ router lock ──┼─ queue[1] ─┼─▶ engine loop ─▶ decision
-//! conn N ─ reader ─┘   (seq, WAL)    └─ queue[s] ─┘   (batched)       frames
+//! conn 0 ─ reader ─┐                                       ┌─▶ conn 0
+//! conn 1 ─ reader ─┼─▶ ingest queue ─▶ engine loop ────────┼─▶ conn 1
+//! conn N ─ reader ─┘   (one FIFO:      (clock clamp, WAL,  └─▶ conn N
+//!                       arrivals +      ingest, decisions     (one write
+//!                       markers)        per connection)       per batch)
 //! ```
 //!
-//! Reader threads decode [`Frame::Arrival`]s and hand them to the
-//! **router**: one mutex that assigns the global arrival sequence
-//! number, clamps the stream clock to its running maximum (multiple
-//! connections interleave arbitrary workload clocks), appends the
-//! arrival to the write-ahead journal, and pushes it onto the queue of
-//! the shard that owns the sequence number ([`route_for`]). Because
-//! assignment and push happen under one lock, each queue sees strictly
-//! increasing sequence numbers and the engine loop can merge the queues
-//! back into the exact global order by always taking the smallest head.
+//! Reader threads decode frames and push them, in order, onto one
+//! [`BoundedQueue`]: arrivals, plus two in-band markers — a swap
+//! requested by a control frame, and "this reader has exited". The
+//! engine loop is the queue's only consumer and the only thread that
+//! touches the engine and the journal. Per batch it clamps the stream
+//! clock to its running maximum (connections interleave arbitrary
+//! workload clocks), appends the batch to the write-ahead journal,
+//! ingests it ([`ServeEngine`] assigns the global sequence numbers),
+//! and buffers each decision frame for its connection; every
+//! connection's buffer goes out in one socket write when the batch
+//! ends.
 //!
-//! A full queue exerts **backpressure** (the router blocks, which
-//! blocks that reader's TCP stream) or, with [`NetConfig::shed`],
-//! **sheds**: the arrival is refused *before* a sequence number is
-//! assigned, a not-admitted decision frame goes straight back, and the
+//! A full queue exerts **backpressure** (the reader blocks in its push,
+//! which stalls that connection's TCP stream) or, with
+//! [`NetConfig::shed`], **sheds**: the reader's non-blocking push is
+//! refused, it answers with a not-admitted decision frame, and the
 //! engine/journal/digest never see the arrival — so accounting stays
 //! exact: `completions + engine rejections + net sheds = client
-//! arrivals`.
+//! arrivals`. No thread waits on the queue while holding another lock,
+//! and a connection's writer lock guards only that connection's socket.
 //!
 //! ## Hot swap
 //!
-//! A swap is requested by a [`Frame::Control`] `swap <spec>` command or
-//! scheduled up front (CLI `--swap-policy`/`--swap-at`). Each request
-//! pins a barrier sequence number; the engine loop never ingests across
-//! a barrier. At the barrier it builds the new table — compiling `spec`
-//! directly, or for `optimize:<family>` re-running the optimizer
-//! against the engine's live observed per-class arrival rates — then
-//! journals the [`SwapRecord`] (write-ahead: before any arrival is
-//! served under the new generation) and installs it. Replaying the
-//! journal reproduces the swap at the same sequence number and the
-//! decision digest bit for bit.
+//! A [`Frame::Control`] `swap <spec>` command travels through the queue
+//! as a marker, so its place in the FIFO is its barrier: arrivals
+//! queued before it are decided by the old generation, arrivals queued
+//! after it by the new one. Swaps scheduled up front (CLI
+//! `--swap-policy`/`--swap-at`, [`SwapTrigger`]) are a sorted list of
+//! sequence-number barriers the engine loop owns; it never ingests
+//! across one. At a barrier the engine loop builds the new table —
+//! compiling `spec` directly, or for `optimize:<family>` re-running the
+//! optimizer against the engine's live observed per-class arrival
+//! rates — then journals the [`SwapRecord`] (write-ahead: before any
+//! arrival is served under the new generation) and installs it.
+//! Replaying the journal reproduces the swap at the same sequence
+//! number and the decision digest bit for bit.
+//!
+//! ## Shutdown
+//!
+//! A reader's exit marker is the last item it pushes, so when the
+//! engine loop pops it, every arrival of that connection has been
+//! decided: the loop sends BYE and closes the socket. Once every
+//! accepted connection has exited, the loop stops — that decision and
+//! the accept thread's registration of a new connection share one lock,
+//! so a late connection is either served in full or refused — applies
+//! the swaps still scheduled past the end of the stream, and wakes the
+//! accept thread, which blocks in `accept`, with one loopback connect
+//! to itself.
 
 use crate::protocol::{encode_frame, read_frame, read_magic, write_magic, Frame};
 use crate::queue::BoundedQueue;
@@ -47,14 +68,12 @@ use eirs_opt::optim::Budget;
 use eirs_opt::reoptimize::{reoptimize, ObservedLoad};
 use eirs_opt::space::parse_family;
 use eirs_serve::metrics::ShardMetrics;
-use eirs_serve::{route_for, CompiledTable, JournalWriter, ServeEngine, SwapRecord};
+use eirs_serve::{CompiledTable, JournalWriter, ServeEngine, SwapRecord};
 use eirs_sim::Arrival;
-use std::collections::BTreeMap;
 use std::io::Write;
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 static NET_CONNECTIONS: LazyCounter = LazyCounter::new("net.connections");
 static NET_FRAMES_IN: LazyCounter = LazyCounter::new("net.frames_in");
@@ -76,13 +95,15 @@ pub type CompileFn = dyn Fn(&str) -> Result<CompiledTable, String> + Send + Sync
 /// and re-optimization parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
-    /// Per-shard ingest queue capacity (backpressure threshold).
+    /// Capacity of the one ingest queue between the connection readers
+    /// and the engine loop (the backpressure/shed threshold). Swap and
+    /// reader-exit markers count against it too.
     pub queue_cap: usize,
     /// Max arrivals per engine ingestion round.
     pub batch: usize,
-    /// `true`: a full shard queue sheds the arrival (not-admitted
-    /// decision, never enters the stream). `false`: the router blocks,
-    /// back-pressuring the client connection.
+    /// `true`: an arrival that finds the ingest queue full is shed
+    /// (not-admitted decision, never enters the stream). `false`: the
+    /// reader blocks, back-pressuring the client connection.
     pub shed: bool,
     /// Model parameters for `optimize:<family>` swaps.
     pub reopt: ReoptSettings,
@@ -91,7 +112,7 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         Self {
-            queue_cap: 1024,
+            queue_cap: 8192,
             batch: 256,
             shed: false,
             reopt: ReoptSettings::default(),
@@ -148,8 +169,8 @@ pub struct ServeReport {
     pub client_arrivals: u64,
     /// Arrivals that entered the stream (assigned a sequence number).
     pub ingested: u64,
-    /// Arrivals shed at the router (full queue under
-    /// [`NetConfig::shed`]); never entered the stream.
+    /// Arrivals shed at a full ingest queue (under [`NetConfig::shed`]);
+    /// never entered the stream.
     pub net_sheds: u64,
     /// Arrivals the engine's degraded-mode admission control rejected.
     pub engine_rejections: u64,
@@ -182,82 +203,83 @@ impl ServeReport {
     }
 }
 
-/// One arrival in flight between the router and the engine loop.
-struct Routed {
-    seq: u64,
-    arrival: Arrival,
-    conn: usize,
-    req_id: u64,
+/// One entry of the ingest queue, in the order its reader pushed it.
+enum Ingest {
+    Arrival {
+        conn: usize,
+        req_id: u64,
+        arrival: Arrival,
+    },
+    /// A control-frame swap; its place in the queue is its barrier.
+    Swap {
+        conn: usize,
+        request: Box<SwapRequest>,
+    },
+    /// A reader's last push: everything it queued is ahead of this.
+    Exit { conn: usize, tally: Tally },
 }
 
-/// A requested swap pinned to its barrier sequence number.
-struct PendingSwap {
-    at_seq: u64,
+/// A swap to install at its barrier.
+struct SwapRequest {
     spec: String,
-    /// Pre-compiled at request time for plain specs; `optimize:` swaps
+    /// Pre-compiled by the reader for plain specs; `optimize:` swaps
     /// compile at the barrier (they need the metrics observed *then*).
     table: Option<CompiledTable>,
 }
 
-/// Router state: everything that must change atomically per arrival.
-struct Router {
-    next_seq: u64,
-    time_max: f64,
-    client_arrivals: u64,
-    net_sheds: u64,
+/// One reader's accounting, handed over in its exit marker.
+#[derive(Default)]
+struct Tally {
+    arrivals: u64,
+    sheds: u64,
     protocol_errors: u64,
-    journal: Option<JournalWriter<Box<dyn Write + Send>>>,
-    journal_errors: Vec<String>,
-    swap_errors: Vec<String>,
-    pending: Vec<PendingSwap>,
 }
 
-/// One accepted connection's write half and accounting.
-struct Conn {
-    stream: TcpStream,
-    outstanding: u64,
-    reader_done: bool,
-    closed: bool,
+/// One accepted connection's write half (`None` once closed). The lock
+/// guards only this socket.
+struct Conn(Mutex<Option<TcpStream>>);
+
+impl Conn {
+    /// Writes `frames` already-encoded frames in one call; a failed
+    /// write closes the connection.
+    fn send(&self, bytes: &[u8], frames: u64) {
+        let mut out = self.0.lock().expect("connection writer poisoned");
+        let Some(stream) = out.as_mut() else { return };
+        if stream.write_all(bytes).is_ok() {
+            NET_FRAMES_OUT.add(frames);
+            NET_BYTES_OUT.add(bytes.len() as u64);
+        } else {
+            let _ = stream.shutdown(Shutdown::Both);
+            *out = None;
+        }
+    }
+
+    fn close(&self) {
+        if let Some(stream) = self.0.lock().expect("connection writer poisoned").take() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// Accepted connections by id. The lock is held only to register a
+/// connection, copy handles out, or decide shutdown — never across I/O
+/// or a queue wait.
+struct Registry {
+    conns: Vec<Arc<Conn>>,
+    stopped: bool,
 }
 
 struct Shared<'a> {
-    router: Mutex<Router>,
-    queues: Vec<BoundedQueue<Routed>>,
-    registry: Mutex<Vec<Conn>>,
-    conns_seen: AtomicUsize,
-    stop: AtomicBool,
+    queue: BoundedQueue<Ingest>,
+    registry: Mutex<Registry>,
     shed: bool,
     k: u32,
-    route_shards: usize,
     compile: &'a CompileFn,
 }
 
-/// Writes `frame` to connection `conn` (serialized by the registry
-/// lock); a failed write closes the connection.
-fn conn_write(shared: &Shared<'_>, conn: usize, frame: &Frame) {
-    let mut reg = shared.registry.lock().expect("registry poisoned");
-    let c = &mut reg[conn];
-    if c.closed {
-        return;
-    }
-    let bytes = encode_frame(frame);
-    NET_FRAMES_OUT.inc();
-    NET_BYTES_OUT.add(bytes.len() as u64);
-    if c.stream
-        .write_all(&bytes)
-        .and_then(|()| c.stream.flush())
-        .is_err()
-    {
-        c.closed = true;
-        let _ = c.stream.shutdown(Shutdown::Both);
-    }
-}
-
-/// Routes one decoded arrival: assign seq, clamp time, journal, queue.
-/// Returns the shed decision frame to send, if the arrival was shed.
 /// The not-admitted decision for an arrival refused before it entered
-/// the stream (full queue under `shed`, or the server is stopping):
-/// no sequence number, no shard, no journal line.
+/// the stream (full queue under `shed`): no sequence number, no shard,
+/// no journal line.
 fn shed_frame(req_id: u64) -> Frame {
     Frame::Decision {
         req_id,
@@ -272,293 +294,366 @@ fn shed_frame(req_id: u64) -> Frame {
     }
 }
 
-fn route_arrival(
-    shared: &Shared<'_>,
-    conn: usize,
-    req_id: u64,
-    mut arrival: Arrival,
-) -> Option<Frame> {
-    let mut r = shared.router.lock().expect("router poisoned");
-    r.client_arrivals += 1;
-    NET_ARRIVALS.inc();
-    // Shutdown is decided under this same lock (see the engine loop),
-    // so a set stop flag here means the queues are already closed: shed
-    // instead of journaling an arrival the engine will never ingest.
-    if shared.stop.load(Ordering::SeqCst) {
-        r.net_sheds += 1;
-        NET_SHEDS.inc();
-        return Some(shed_frame(req_id));
-    }
-    if arrival.time < r.time_max {
-        arrival.time = r.time_max;
-        NET_TIME_CLAMPED.inc();
-    } else {
-        r.time_max = arrival.time;
-    }
-    let seq = r.next_seq;
-    let shard = route_for(seq, shared.route_shards);
-    if shared.shed && shared.queues[shard].is_full() {
-        r.net_sheds += 1;
-        NET_SHEDS.inc();
-        return Some(shed_frame(req_id));
-    }
-    // Write-ahead: the journal line lands (and flushes) before the
-    // arrival can reach the engine.
-    if let Some(journal) = r.journal.as_mut() {
-        if let Err(e) = journal.append_batch(seq, &[arrival]) {
-            r.journal_errors
-                .push(format!("journal append at seq {seq}: {e}"));
-            r.journal = None;
-        }
-    }
-    {
-        let mut reg = shared.registry.lock().expect("registry poisoned");
-        reg[conn].outstanding += 1;
-    }
-    // Push while holding the router lock: queues see strictly
-    // increasing seqs with no gaps. A full queue blocks here — that is
-    // the backpressure path.
-    if shared.queues[shard]
-        .push(Routed {
-            seq,
-            arrival,
-            conn,
-            req_id,
-        })
-        .is_err()
-    {
-        // Only possible when the server is already shutting down.
-        let mut reg = shared.registry.lock().expect("registry poisoned");
-        reg[conn].outstanding -= 1;
-        return None;
-    }
-    r.next_seq += 1;
-    None
-}
-
-/// Handles a control command. Returns `false` when the command was
-/// invalid and the connection must be torn down.
-fn handle_control(shared: &Shared<'_>, conn: usize, cmd: &str) -> bool {
-    let reject = |why: String| {
-        NET_PROTOCOL_ERRORS.inc();
-        shared
-            .router
-            .lock()
-            .expect("router poisoned")
-            .protocol_errors += 1;
-        conn_write(shared, conn, &Frame::Error(why));
-        false
-    };
+/// Validates a `swap <spec>` control command. `Err` is the text of the
+/// ERROR frame that tears the connection down.
+fn swap_request(shared: &Shared<'_>, cmd: &str) -> Result<SwapRequest, String> {
     let Some(spec) = cmd.strip_prefix("swap ") else {
-        return reject(format!("unknown control command '{cmd}'"));
+        return Err(format!("unknown control command '{cmd}'"));
     };
     let spec = spec.trim().to_string();
-    let table = if let Some(family) = spec.strip_prefix("optimize:") {
-        if let Err(e) = parse_family(family, shared.k) {
-            return reject(format!("cannot re-optimize '{family}': {e}"));
+    let table = match spec.strip_prefix("optimize:") {
+        Some(family) => {
+            parse_family(family, shared.k)
+                .map_err(|e| format!("cannot re-optimize '{family}': {e}"))?;
+            None
         }
-        None
-    } else {
-        match (shared.compile)(&spec) {
-            Ok(table) => Some(table),
-            Err(e) => return reject(format!("cannot compile swap policy '{spec}': {e}")),
-        }
+        None => Some(
+            (shared.compile)(&spec)
+                .map_err(|e| format!("cannot compile swap policy '{spec}': {e}"))?,
+        ),
     };
-    let at_seq = {
-        let mut r = shared.router.lock().expect("router poisoned");
-        let at_seq = r.next_seq;
-        r.pending.push(PendingSwap {
-            at_seq,
-            spec: spec.clone(),
-            table,
-        });
-        at_seq
-    };
-    conn_write(
-        shared,
-        conn,
-        &Frame::ControlOk(format!(
-            "swap to '{spec}' scheduled at arrival seq {at_seq}"
-        )),
-    );
-    true
+    Ok(SwapRequest { spec, table })
 }
 
-/// One connection's read loop: handshake, then frames until BYE, EOF,
-/// or a protocol error (terminal — the stream is never resynchronized).
-fn run_reader(shared: &Shared<'_>, conn: usize, mut stream: TcpStream) {
+/// Queues one connection's frames until BYE or EOF. `Err` is the text
+/// of the ERROR frame that tears the connection down (a malformed
+/// stream is never resynchronized).
+fn read_frames(
+    shared: &Shared<'_>,
+    conn: usize,
+    out: &Conn,
+    stream: &mut TcpStream,
+    tally: &mut Tally,
+) -> Result<(), String> {
+    loop {
+        let frame = match read_frame(stream) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return Ok(()),
+            Err(e) => return Err(e.to_string()),
+        };
+        NET_FRAMES_IN.inc();
+        match frame {
+            Frame::Arrival {
+                req_id,
+                class,
+                time,
+                size,
+            } => {
+                tally.arrivals += 1;
+                NET_ARRIVALS.inc();
+                let item = Ingest::Arrival {
+                    conn,
+                    req_id,
+                    arrival: Arrival { time, class, size },
+                };
+                let queued = if shared.shed {
+                    shared.queue.try_push(item)
+                } else {
+                    shared.queue.push(item)
+                };
+                if queued.is_err() {
+                    tally.sheds += 1;
+                    NET_SHEDS.inc();
+                    out.send(&encode_frame(&shed_frame(req_id)), 1);
+                }
+            }
+            Frame::Control(cmd) => {
+                let request = Box::new(swap_request(shared, &cmd)?);
+                push_marker(shared, Ingest::Swap { conn, request });
+            }
+            Frame::Bye => return Ok(()),
+            other => return Err(format!("unexpected client frame {other:?}; closing")),
+        }
+    }
+}
+
+/// Markers are never shed: the engine loop needs every one of them.
+fn push_marker(shared: &Shared<'_>, marker: Ingest) {
+    if shared.queue.push(marker).is_err() {
+        unreachable!("the ingest queue is never closed");
+    }
+}
+
+/// One connection's reader: handshake, then frames until BYE, EOF, or
+/// a protocol error; always ends with the exit marker.
+fn run_reader(shared: &Shared<'_>, conn: usize, out: &Conn, mut stream: TcpStream) {
     NET_CONNECTIONS.inc();
-    // Echo the handshake before any other traffic can reach this
-    // connection (nothing is routed for it yet, so the write half is
-    // exclusively ours here).
-    let ok = read_magic(&mut stream).is_ok() && write_magic(&mut stream).is_ok();
-    if ok {
-        loop {
-            match read_frame(&mut stream) {
-                Ok(None) => break,
-                Ok(Some(frame)) => {
-                    NET_FRAMES_IN.inc();
-                    match frame {
-                        Frame::Arrival {
-                            req_id,
-                            class,
-                            time,
-                            size,
-                        } => {
-                            let shed =
-                                route_arrival(shared, conn, req_id, Arrival { time, class, size });
-                            if let Some(frame) = shed {
-                                conn_write(shared, conn, &frame);
-                            }
+    let mut tally = Tally::default();
+    // The handshake echo goes out before anything of this connection
+    // is queued, so nothing else can be writing to the socket yet.
+    let clean = read_magic(&mut stream).is_ok()
+        && write_magic(&mut stream).is_ok()
+        && match read_frames(shared, conn, out, &mut stream, &mut tally) {
+            Ok(()) => true,
+            Err(why) => {
+                out.send(&encode_frame(&Frame::Error(why)), 1);
+                false
+            }
+        };
+    if !clean {
+        tally.protocol_errors += 1;
+        NET_PROTOCOL_ERRORS.inc();
+    }
+    push_marker(shared, Ingest::Exit { conn, tally });
+}
+
+/// One connection as the engine loop sees it: the write half and the
+/// frames pending for it until the batch ends.
+struct Lane {
+    conn: Arc<Conn>,
+    bytes: Vec<u8>,
+    frames: u64,
+}
+
+/// The engine loop's write side, by connection id.
+#[derive(Default)]
+struct Lanes {
+    lanes: Vec<Lane>,
+    /// Lanes holding unsent frames.
+    dirty: Vec<usize>,
+}
+
+impl Lanes {
+    /// Appends `frame` to connection `conn`'s pending bytes.
+    fn queue(&mut self, registry: &Mutex<Registry>, conn: usize, frame: &Frame) {
+        if conn >= self.lanes.len() {
+            // A connection is registered before its reader starts, so
+            // every id in the queue is already here.
+            let reg = registry.lock().expect("registry poisoned");
+            let known = self.lanes.len();
+            self.lanes
+                .extend(reg.conns[known..].iter().map(|conn| Lane {
+                    conn: Arc::clone(conn),
+                    bytes: Vec::new(),
+                    frames: 0,
+                }));
+        }
+        let lane = &mut self.lanes[conn];
+        if lane.frames == 0 {
+            self.dirty.push(conn);
+        }
+        lane.bytes.extend_from_slice(&encode_frame(frame));
+        lane.frames += 1;
+    }
+
+    /// Sends every pending frame: one socket write per connection.
+    fn flush(&mut self) {
+        for conn in self.dirty.drain(..) {
+            let lane = &mut self.lanes[conn];
+            lane.conn.send(&lane.bytes, lane.frames);
+            lane.bytes.clear();
+            lane.frames = 0;
+        }
+    }
+}
+
+/// The engine loop: the ingest queue's only consumer and the only
+/// owner of the engine and the journal.
+struct EngineLoop<'s, 'a> {
+    shared: &'s Shared<'a>,
+    engine: ServeEngine,
+    journal: Option<JournalWriter<Box<dyn Write + Send>>>,
+    config: NetConfig,
+    /// CLI swap barriers, earliest first.
+    scheduled: std::iter::Peekable<std::vec::IntoIter<SwapTrigger>>,
+    lanes: Lanes,
+    /// The batch being assembled, and who sent each arrival.
+    arrivals: Vec<Arrival>,
+    senders: Vec<(usize, u64)>,
+    time_max: f64,
+    exited: usize,
+    tally: Tally,
+    journal_errors: Vec<String>,
+    swap_errors: Vec<String>,
+    swap_pauses: Vec<f64>,
+}
+
+impl EngineLoop<'_, '_> {
+    /// Serves the queue until every accepted connection has exited.
+    fn run(&mut self) {
+        let mut items = Vec::with_capacity(self.config.batch);
+        while self.shared.queue.pop_into(&mut items, self.config.batch) > 0 {
+            let exited = self.exited;
+            for item in items.drain(..) {
+                match item {
+                    Ingest::Arrival {
+                        conn,
+                        req_id,
+                        mut arrival,
+                    } => {
+                        self.apply_scheduled();
+                        if arrival.time < self.time_max {
+                            arrival.time = self.time_max;
+                            NET_TIME_CLAMPED.inc();
+                        } else {
+                            self.time_max = arrival.time;
                         }
-                        Frame::Control(cmd) => {
-                            if !handle_control(shared, conn, &cmd) {
-                                break;
-                            }
-                        }
-                        Frame::Bye => break,
-                        other => {
-                            NET_PROTOCOL_ERRORS.inc();
-                            shared
-                                .router
-                                .lock()
-                                .expect("router poisoned")
-                                .protocol_errors += 1;
-                            conn_write(
-                                shared,
-                                conn,
-                                &Frame::Error(format!(
-                                    "unexpected client frame {other:?}; closing"
-                                )),
-                            );
-                            break;
-                        }
+                        self.arrivals.push(arrival);
+                        self.senders.push((conn, req_id));
+                    }
+                    Ingest::Swap { conn, request } => {
+                        self.ingest();
+                        self.apply_scheduled();
+                        let reply = format!(
+                            "swap to '{}' scheduled at arrival seq {}",
+                            request.spec,
+                            self.engine.ingested()
+                        );
+                        self.swap(*request);
+                        self.lanes
+                            .queue(&self.shared.registry, conn, &Frame::ControlOk(reply));
+                    }
+                    Ingest::Exit { conn, tally } => {
+                        self.ingest();
+                        self.lanes.queue(&self.shared.registry, conn, &Frame::Bye);
+                        self.lanes.flush();
+                        self.lanes.lanes[conn].conn.close();
+                        self.tally.arrivals += tally.arrivals;
+                        self.tally.sheds += tally.sheds;
+                        self.tally.protocol_errors += tally.protocol_errors;
+                        self.exited += 1;
                     }
                 }
-                Err(e) => {
-                    NET_PROTOCOL_ERRORS.inc();
-                    shared
-                        .router
-                        .lock()
-                        .expect("router poisoned")
-                        .protocol_errors += 1;
-                    conn_write(shared, conn, &Frame::Error(e.to_string()));
+            }
+            self.ingest();
+            self.lanes.flush();
+            if self.exited > exited {
+                let mut reg = self.shared.registry.lock().expect("registry poisoned");
+                reg.stopped = self.exited == reg.conns.len();
+                if reg.stopped {
                     break;
                 }
             }
         }
-    } else {
-        NET_PROTOCOL_ERRORS.inc();
-        shared
-            .router
-            .lock()
-            .expect("router poisoned")
-            .protocol_errors += 1;
-    }
-    shared.registry.lock().expect("registry poisoned")[conn].reader_done = true;
-}
-
-/// Sends BYE to (and closes) every connection whose reader finished and
-/// whose decisions are all flushed.
-fn close_finished(shared: &Shared<'_>) {
-    let mut reg = shared.registry.lock().expect("registry poisoned");
-    for c in reg.iter_mut() {
-        if !c.closed && c.reader_done && c.outstanding == 0 {
-            let bytes = encode_frame(&Frame::Bye);
-            NET_FRAMES_OUT.inc();
-            NET_BYTES_OUT.add(bytes.len() as u64);
-            let _ = c.stream.write_all(&bytes).and_then(|()| c.stream.flush());
-            let _ = c.stream.shutdown(Shutdown::Both);
-            c.closed = true;
+        // End-of-stream barrier: swaps scheduled past the last arrival
+        // take effect here, in order.
+        while let Some(trigger) = self.scheduled.next() {
+            self.swap(SwapRequest {
+                spec: trigger.spec,
+                table: None,
+            });
         }
     }
-}
 
-/// Builds the table for a pending swap at the barrier (the engine's
-/// metrics are the ones observed *now*).
-fn swap_table(
-    shared: &Shared<'_>,
-    engine: &ServeEngine,
-    swap: PendingSwap,
-    reopt: &ReoptSettings,
-) -> Result<(CompiledTable, String), String> {
-    if let Some(table) = swap.table {
-        return Ok((table, swap.spec));
+    /// Installs every CLI swap whose barrier is the next sequence
+    /// number, landing a batch boundary exactly on it.
+    fn apply_scheduled(&mut self) {
+        let next = self.engine.ingested() + self.arrivals.len() as u64;
+        while let Some(trigger) = self.scheduled.next_if(|t| t.at_seq <= next) {
+            self.ingest();
+            self.swap(SwapRequest {
+                spec: trigger.spec,
+                table: None,
+            });
+        }
     }
-    if let Some(family) = swap.spec.strip_prefix("optimize:") {
-        let totals = engine.metrics_total();
-        let stream_time: f64 = engine.metrics_per_shard().iter().map(|m| m.sim_time).sum();
+
+    /// Journals (write-ahead), ingests, and answers the batch assembled
+    /// so far.
+    fn ingest(&mut self) {
+        if self.arrivals.is_empty() {
+            return;
+        }
+        let seq = self.engine.ingested();
+        if let Some(journal) = self.journal.as_mut() {
+            if let Err(e) = journal.append_batch(seq, &self.arrivals) {
+                self.journal_errors
+                    .push(format!("journal append at seq {seq}: {e}"));
+                self.journal = None;
+            }
+        }
+        let acks = self.engine.ingest_batch_admissions(&self.arrivals);
+        for (n, (&(conn, req_id), ack)) in self.senders.iter().zip(&acks).enumerate() {
+            let decision = Frame::Decision {
+                req_id,
+                seq: seq + n as u64,
+                shard: ack.shard as u32,
+                i: ack.i as u32,
+                j: ack.j as u32,
+                generation: ack.generation,
+                alloc_inelastic: ack.allocation.inelastic,
+                alloc_elastic: ack.allocation.elastic,
+                admitted: ack.admitted,
+            };
+            self.lanes.queue(&self.shared.registry, conn, &decision);
+        }
+        self.senders.clear();
+        self.arrivals.clear();
+    }
+
+    /// Builds the table for a swap at the barrier (the engine's metrics
+    /// are the ones observed *now*).
+    fn swap_table(&self, request: SwapRequest) -> Result<(CompiledTable, String), String> {
+        if let Some(table) = request.table {
+            return Ok((table, request.spec));
+        }
+        let compile = self.shared.compile;
+        let Some(family) = request.spec.strip_prefix("optimize:") else {
+            return Ok((compile(&request.spec)?, request.spec));
+        };
+        let totals = self.engine.metrics_total();
+        let stream_time: f64 = self
+            .engine
+            .metrics_per_shard()
+            .iter()
+            .map(|m| m.sim_time)
+            .sum();
         let load = ObservedLoad::from_counts(
             totals.arrivals_inelastic,
             totals.arrivals_elastic,
             stream_time,
         )?;
+        let reopt = &self.config.reopt;
         let budget = Budget {
             max_evals: reopt.max_evals,
             seed: reopt.seed,
         };
         let outcome = reoptimize(
             family,
-            shared.k,
+            self.shared.k,
             &load,
             reopt.mu_inelastic,
             reopt.mu_elastic,
             &budget,
         )?;
-        let table = (shared.compile)(&outcome.spec)?;
-        return Ok((table, outcome.spec));
+        Ok((compile(&outcome.spec)?, outcome.spec))
     }
-    let table = (shared.compile)(&swap.spec)?;
-    Ok((table, swap.spec))
-}
 
-/// Installs one pending swap at the current barrier: build the table,
-/// journal the record **write-ahead**, install. On failure the old
-/// policy keeps serving and the error is reported.
-fn perform_swap(
-    shared: &Shared<'_>,
-    engine: &mut ServeEngine,
-    swap: PendingSwap,
-    reopt: &ReoptSettings,
-    report_pauses: &mut Vec<f64>,
-) {
-    let started = Instant::now();
-    let requested = swap.spec.clone();
-    match swap_table(shared, engine, swap, reopt) {
-        Ok((table, spec)) => {
-            let record = SwapRecord {
-                seq: engine.ingested(),
-                generation: engine.generation() + 1,
-                hash: table.identity_hash(),
-                spec: spec.clone(),
-            };
-            {
-                let mut r = shared.router.lock().expect("router poisoned");
-                if let Some(journal) = r.journal.as_mut() {
+    /// Installs one swap at the current barrier: build the table,
+    /// journal the record **write-ahead**, install. On failure the old
+    /// policy keeps serving and the error is reported.
+    fn swap(&mut self, request: SwapRequest) {
+        let started = Instant::now();
+        let requested = request.spec.clone();
+        match self.swap_table(request) {
+            Ok((table, spec)) => {
+                let record = SwapRecord {
+                    seq: self.engine.ingested(),
+                    generation: self.engine.generation() + 1,
+                    hash: table.identity_hash(),
+                    spec: spec.clone(),
+                };
+                if let Some(journal) = self.journal.as_mut() {
                     if let Err(e) = journal.append_swap(&record) {
-                        r.journal_errors
+                        self.journal_errors
                             .push(format!("journal swap at seq {}: {e}", record.seq));
-                        r.journal = None;
+                        self.journal = None;
                     }
                 }
+                let installed = self.engine.install_table(table, &spec);
+                debug_assert_eq!(installed, record, "journaled swap differs from installed");
+                SWAP_COUNT.inc();
+                let pause = started.elapsed().as_secs_f64();
+                self.swap_pauses.push(pause);
+                let mut h = LatencyHistogram::new();
+                h.record_seconds(pause);
+                publish_histogram("swap.pause", &h);
             }
-            let installed = engine.install_table(table, &spec);
-            debug_assert_eq!(installed, record, "journaled swap differs from installed");
-            SWAP_COUNT.inc();
-            let pause = started.elapsed().as_secs_f64();
-            report_pauses.push(pause);
-            let mut h = LatencyHistogram::new();
-            h.record_seconds(pause);
-            publish_histogram("swap.pause", &h);
-        }
-        Err(e) => {
-            SWAP_FAILED.inc();
-            shared
-                .router
-                .lock()
-                .expect("router poisoned")
-                .swap_errors
-                .push(format!("swap to '{requested}' failed (policy kept): {e}"));
+            Err(e) => {
+                SWAP_FAILED.inc();
+                self.swap_errors
+                    .push(format!("swap to '{requested}' failed (policy kept): {e}"));
+            }
         }
     }
 }
@@ -573,235 +668,114 @@ fn perform_swap(
 /// runtime. `compile` turns a policy spec into a serving table.
 pub fn serve(
     listener: TcpListener,
-    mut engine: ServeEngine,
+    engine: ServeEngine,
     journal: Option<JournalWriter<Box<dyn Write + Send>>>,
-    swaps: Vec<SwapTrigger>,
+    mut swaps: Vec<SwapTrigger>,
     config: NetConfig,
     compile: &CompileFn,
 ) -> Result<ServeReport, String> {
     assert_eq!(engine.ingested(), 0, "serve() needs a fresh engine");
-    let route_shards = engine.config().route_shards;
+    // Where the shutdown connect reaches the accept thread.
+    let mut wake = listener
+        .local_addr()
+        .map_err(|e| format!("listener: {e}"))?;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
     let shared = Shared {
-        router: Mutex::new(Router {
-            next_seq: 0,
-            time_max: f64::NEG_INFINITY,
-            client_arrivals: 0,
-            net_sheds: 0,
-            protocol_errors: 0,
-            journal,
-            journal_errors: Vec::new(),
-            swap_errors: Vec::new(),
-            pending: swaps
-                .into_iter()
-                .map(|s| PendingSwap {
-                    at_seq: s.at_seq,
-                    spec: s.spec,
-                    table: None,
-                })
-                .collect(),
+        queue: BoundedQueue::new(config.queue_cap),
+        registry: Mutex::new(Registry {
+            conns: Vec::new(),
+            stopped: false,
         }),
-        queues: (0..route_shards)
-            .map(|_| BoundedQueue::new(config.queue_cap))
-            .collect(),
-        registry: Mutex::new(Vec::new()),
-        conns_seen: AtomicUsize::new(0),
-        stop: AtomicBool::new(false),
         shed: config.shed,
         k: engine.config().k,
-        route_shards,
         compile,
     };
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("listener: {e}"))?;
+    swaps.sort_by_key(|t| t.at_seq);
+    let mut lp = EngineLoop {
+        shared: &shared,
+        engine,
+        journal,
+        config,
+        scheduled: swaps.into_iter().peekable(),
+        lanes: Lanes::default(),
+        arrivals: Vec::with_capacity(config.batch),
+        senders: Vec::with_capacity(config.batch),
+        time_max: f64::NEG_INFINITY,
+        exited: 0,
+        tally: Tally::default(),
+        journal_errors: Vec::new(),
+        swap_errors: Vec::new(),
+        swap_pauses: Vec::new(),
+    };
 
-    let mut swap_pauses = Vec::new();
     std::thread::scope(|scope| {
         let shared = &shared;
         // Accept loop: registers the write half, hands the read half to
         // a reader thread.
-        scope.spawn(move || loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let reader = match stream.try_clone() {
-                        Ok(r) => r,
-                        Err(_) => continue,
-                    };
-                    let conn = {
-                        let mut reg = shared.registry.lock().expect("registry poisoned");
-                        reg.push(Conn {
-                            stream,
-                            outstanding: 0,
-                            reader_done: false,
-                            closed: false,
-                        });
-                        reg.len() - 1
-                    };
-                    shared.conns_seen.fetch_add(1, Ordering::SeqCst);
-                    scope.spawn(move || run_reader(shared, conn, reader));
+        scope.spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(stream) = stream else { break };
+                let Ok(reader) = stream.try_clone() else {
+                    continue;
+                };
+                let mut reg = shared.registry.lock().expect("registry poisoned");
+                if reg.stopped {
+                    break;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => break,
+                let conn = Arc::new(Conn(Mutex::new(Some(stream))));
+                reg.conns.push(Arc::clone(&conn));
+                let id = reg.conns.len() - 1;
+                drop(reg);
+                scope.spawn(move || run_reader(shared, id, &conn, reader));
             }
         });
-
-        // Engine loop: merge the shard queues back into global seq
-        // order and ingest in batches, honoring swap barriers.
-        let mut holdover: BTreeMap<u64, Routed> = BTreeMap::new();
-        let mut scratch: Vec<Routed> = Vec::new();
-        let mut next_expected: u64 = 0;
-        loop {
-            for q in &shared.queues {
-                q.drain_into(&mut scratch, usize::MAX);
-            }
-            for item in scratch.drain(..) {
-                holdover.insert(item.seq, item);
-            }
-
-            // Install every swap whose barrier is exactly here.
-            loop {
-                let due = {
-                    let mut r = shared.router.lock().expect("router poisoned");
-                    let idx = r.pending.iter().position(|p| p.at_seq <= next_expected);
-                    idx.map(|i| r.pending.remove(i))
-                };
-                match due {
-                    Some(swap) => {
-                        perform_swap(shared, &mut engine, swap, &config.reopt, &mut swap_pauses)
-                    }
-                    None => break,
-                }
-            }
-            // Never ingest across the earliest remaining barrier.
-            let barrier = {
-                let r = shared.router.lock().expect("router poisoned");
-                r.pending.iter().map(|p| p.at_seq).min().unwrap_or(u64::MAX)
-            };
-
-            let mut batch: Vec<Routed> = Vec::new();
-            while (batch.len() as u64) < config.batch as u64
-                && next_expected + batch.len() as u64 != barrier
-            {
-                match holdover.remove(&(next_expected + batch.len() as u64)) {
-                    Some(item) => batch.push(item),
-                    None => break,
-                }
-            }
-            if !batch.is_empty() {
-                let arrivals: Vec<Arrival> = batch.iter().map(|b| b.arrival).collect();
-                let acks = engine.ingest_batch_admissions(&arrivals);
-                next_expected += batch.len() as u64;
-                let mut reg = shared.registry.lock().expect("registry poisoned");
-                for (routed, ack) in batch.iter().zip(&acks) {
-                    let c = &mut reg[routed.conn];
-                    c.outstanding -= 1;
-                    if c.closed {
-                        continue;
-                    }
-                    let bytes = encode_frame(&Frame::Decision {
-                        req_id: routed.req_id,
-                        seq: routed.seq,
-                        shard: ack.shard as u32,
-                        i: ack.i as u32,
-                        j: ack.j as u32,
-                        generation: ack.generation,
-                        alloc_inelastic: ack.allocation.inelastic,
-                        alloc_elastic: ack.allocation.elastic,
-                        admitted: ack.admitted,
-                    });
-                    NET_FRAMES_OUT.inc();
-                    NET_BYTES_OUT.add(bytes.len() as u64);
-                    if c.stream
-                        .write_all(&bytes)
-                        .and_then(|()| c.stream.flush())
-                        .is_err()
-                    {
-                        c.closed = true;
-                        let _ = c.stream.shutdown(Shutdown::Both);
-                    }
-                }
-                continue;
-            }
-
-            close_finished(shared);
-            let all_closed = {
-                let reg = shared.registry.lock().expect("registry poisoned");
-                !reg.is_empty() && reg.iter().all(|c| c.closed)
-            };
-            if all_closed && holdover.is_empty() {
-                // Decide shutdown under the router lock: route_arrival
-                // holds that lock across its whole admit→journal→queue
-                // sequence, so nothing can land in a queue between this
-                // emptiness check and the close. A connection racing
-                // the stop from here on is shed, not journaled (see
-                // route_arrival), so the journal stays an exact record
-                // of what the engine ingested.
-                let decided = {
-                    let _r = shared.router.lock().expect("router poisoned");
-                    let empty = shared.queues.iter().all(|q| q.is_empty());
-                    if empty {
-                        shared.stop.store(true, Ordering::SeqCst);
-                        for q in &shared.queues {
-                            q.close();
-                        }
-                    }
-                    empty
-                };
-                if !decided {
-                    continue; // late arrivals landed; keep serving them
-                }
-                // End-of-stream barrier: remaining swaps (scheduled past
-                // the last arrival) take effect here, in order.
-                loop {
-                    let due = {
-                        let mut r = shared.router.lock().expect("router poisoned");
-                        if r.pending.is_empty() {
-                            None
-                        } else {
-                            Some(r.pending.remove(0))
-                        }
-                    };
-                    match due {
-                        Some(swap) => {
-                            perform_swap(shared, &mut engine, swap, &config.reopt, &mut swap_pauses)
-                        }
-                        None => break,
-                    }
-                }
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        shared.stop.store(true, Ordering::SeqCst);
+        lp.run();
+        // Wake the accept thread; it sees `stopped` and returns. A
+        // refused connect means it has already returned.
+        let _ = TcpStream::connect(wake);
     });
 
+    let EngineLoop {
+        mut engine,
+        journal,
+        tally,
+        journal_errors,
+        swap_errors,
+        swap_pauses,
+        ..
+    } = lp;
     engine.drain();
     let totals = engine.metrics_total();
-    let r = shared.router.into_inner().expect("router poisoned");
-    if let Some(journal) = r.journal {
+    if let Some(journal) = journal {
         journal
             .into_inner()
             .map_err(|e| format!("journal close: {e}"))?;
     }
+    let connections = shared
+        .registry
+        .into_inner()
+        .expect("registry poisoned")
+        .conns
+        .len();
     Ok(ServeReport {
-        connections: shared.conns_seen.load(Ordering::SeqCst),
-        client_arrivals: r.client_arrivals,
+        connections,
+        client_arrivals: tally.arrivals,
         ingested: engine.ingested(),
-        net_sheds: r.net_sheds,
+        net_sheds: tally.sheds,
         engine_rejections: totals.rejections,
         completions: totals.completions,
         digest: engine.decision_digest(),
         generation: engine.generation(),
         swaps: engine.swap_log().to_vec(),
         swap_pause_seconds: swap_pauses,
-        swap_errors: r.swap_errors,
-        protocol_errors: r.protocol_errors,
-        journal_errors: r.journal_errors,
+        swap_errors,
+        protocol_errors: tally.protocol_errors,
+        journal_errors,
         totals,
     })
 }

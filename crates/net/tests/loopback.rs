@@ -8,7 +8,10 @@ use eirs_serve::{
     replay_journal, CompiledTable, EngineConfig, Journal, JournalWriter, ServeEngine,
 };
 use eirs_sim::{Arrival, JobClass};
+use proptest::prelude::*;
 use std::net::TcpListener;
+use std::sync::mpsc;
+use std::time::Duration;
 
 const K: u32 = 3;
 const GRID: usize = 16;
@@ -273,4 +276,89 @@ fn bad_control_command_tears_the_connection_down_with_an_error_frame() {
     assert_eq!(report.protocol_errors, 1);
     assert_eq!(client.server_errors.len(), 1, "{:?}", client.server_errors);
     assert!(report.accounting_balanced(), "{report:?}");
+}
+
+/// Runs `case` on its own thread and returns its result, panicking with
+/// `what` if it takes longer than 20 s (a hung server never answers).
+fn within_20s<T: Send + 'static>(what: &str, case: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(case());
+    });
+    match rx.recv_timeout(Duration::from_secs(20)) {
+        Ok(result) => result,
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("{what}: hung for 20 s"),
+        Err(mpsc::RecvTimeoutError::Disconnected) => panic!("{what}: case panicked (above)"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Many clients, tiny queues, shed on or off, swaps at random
+    /// points: every case finishes, every request is decided exactly
+    /// once, accounting balances, and the journal replays to the live
+    /// digest.
+    #[test]
+    fn backpressure_and_shed_stress_keeps_exact_accounting(
+        clients in 1usize..=4,
+        cap_pick in 0usize..5,
+        shed_pick in 0u32..2,
+        swap_pick in 0u32..3,
+        swap_at in 0u64..1600,
+        n in 300usize..1500,
+    ) {
+        let queue_cap = [1, 2, 4, 64, NetConfig::default().queue_cap][cap_pick];
+        let shed = shed_pick == 1;
+        // 0: no swap; 1: control frame after request `swap_at` (or
+        // before BYE past the end); 2: scheduled at seq `swap_at`.
+        let control = (swap_pick == 1).then(|| (swap_at, "if".to_string()));
+        let scheduled: Vec<SwapTrigger> = (swap_pick == 2)
+            .then(|| SwapTrigger { at_seq: swap_at, spec: "threshold:2".into() })
+            .into_iter()
+            .collect();
+        let what = format!(
+            "clients={clients} queue_cap={queue_cap} shed={shed} \
+             control_swap={control:?} scheduled_swap={:?} n={n}",
+            scheduled.first().map(|t| t.at_seq)
+        );
+        let path = std::env::temp_dir().join(format!(
+            "eirs_net_stress_{}_{clients}_{queue_cap}_{shed}_{swap_pick}_{swap_at}_{n}.wal",
+            std::process::id()
+        ));
+        let wal = path.clone();
+        let (report, client) = within_20s(&what, move || {
+            loopback_run(
+                &workload(n),
+                NetConfig { queue_cap, shed, ..NetConfig::default() },
+                scheduled,
+                ClientConfig { clients, swap: control },
+                Some(&wal),
+            )
+        });
+        let n = n as u64;
+        assert!(report.accounting_balanced(), "{what}: {report:?}");
+        assert_eq!(report.client_arrivals, n, "{what}");
+        assert_eq!(report.ingested + report.net_sheds, n, "{what}");
+        assert_eq!(client.arrivals, n, "{what}");
+        assert_eq!(client.decisions, n, "{what}");
+        assert_eq!(client.latency.count(), n, "{what}");
+        assert_eq!(client.net_sheds, report.net_sheds, "{what}");
+        if !shed {
+            assert_eq!(report.net_sheds, 0, "{what}");
+        }
+        assert_eq!(report.protocol_errors, 0, "{what}");
+        assert!(report.journal_errors.is_empty(), "{what}: {:?}", report.journal_errors);
+        assert!(client.server_errors.is_empty(), "{what}: {:?}", client.server_errors);
+        let swapped = u32::from(swap_pick != 0);
+        assert_eq!(report.generation, swapped, "{what}: {:?}", report.swap_errors);
+
+        let journal = Journal::load(&path).expect("load journal");
+        let mut replayed =
+            replay_journal(config(), &journal, &|spec| compile(spec)).expect("replay");
+        replayed.drain();
+        assert_eq!(replayed.decision_digest(), report.digest, "{what}: replay drift");
+        assert_eq!(replayed.swap_log(), &report.swaps[..], "{what}");
+        std::fs::remove_file(&path).ok();
+    }
 }

@@ -23,9 +23,10 @@
 //!   with bounded relative error and an **exact associative merge**
 //!   (element-wise bucket addition), so per-shard/per-worker histograms
 //!   fold into one whole with no sketch error from the merge itself.
-//! * [`span`](mod@span) — wall-clock span timing into thread-local buffers (flushed
-//!   on thread exit), plus point events. When the layer is disabled a
-//!   span is a single relaxed atomic load and branch.
+//! * [`span`](mod@span) — wall-clock span timing into thread-local buffers
+//!   (flushed when a thread's outermost span closes), plus point events.
+//!   When the layer is disabled a span is a single relaxed atomic load and
+//!   branch.
 //!
 //! [`export`] renders the collected state as a Chrome trace-event JSON
 //! file (loadable in Perfetto / `chrome://tracing`), a JSONL event

@@ -6,12 +6,14 @@
 //! (phase `i`). Both are no-ops — one relaxed load and a branch — when
 //! the layer is disabled.
 //!
-//! Events accumulate in a per-thread buffer (no lock on the hot path)
-//! and migrate to a global list when the buffer fills or the thread
-//! exits; the workspace's worker threads are scoped, so they are gone —
-//! and flushed — before any exporter runs. [`take_events`] drains the
-//! global list plus the calling thread's buffer, sorted by timestamp so
-//! export order is stable.
+//! Events accumulate in a per-thread buffer (no lock inside a span) and
+//! migrate to a global list when the thread's outermost span closes,
+//! when the buffer fills, or when the thread exits. The first is the
+//! one exporters rely on: a scoped worker's thread-local destructor can
+//! run after `thread::scope` has returned, but its last span closed
+//! before the closure did. [`take_events`] drains the global list plus
+//! the calling thread's buffer, sorted by timestamp so export order is
+//! stable.
 //!
 //! Timestamps are wall-clock nanoseconds from a process-wide anchor.
 //! They are telemetry only: nothing computed from them flows back into
@@ -104,6 +106,8 @@ const SPILL_AT: usize = 1024;
 
 struct ThreadBuf {
     tid: u64,
+    /// Spans open on this thread.
+    open: usize,
     events: Vec<TraceEvent>,
 }
 
@@ -129,6 +133,7 @@ thread_local! {
         static NEXT_TID: AtomicU64 = AtomicU64::new(0);
         RefCell::new(ThreadBuf {
             tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
+            open: 0,
             events: Vec::new(),
         })
     };
@@ -138,8 +143,12 @@ fn push(mut ev: TraceEvent) {
     BUF.with(|b| {
         let mut b = b.borrow_mut();
         ev.tid = b.tid;
+        if ev.dur_ns.is_some() {
+            // A guard dropped on another thread than it opened on.
+            b.open = b.open.saturating_sub(1);
+        }
         b.events.push(ev);
-        if b.events.len() >= SPILL_AT {
+        if b.open == 0 || b.events.len() >= SPILL_AT {
             b.flush();
         }
     });
@@ -178,6 +187,7 @@ pub fn span(name: impl Into<String>, cat: &'static str) -> SpanGuard {
     if !crate::enabled() {
         return SpanGuard { inner: None };
     }
+    BUF.with(|b| b.borrow_mut().open += 1);
     SpanGuard {
         inner: Some(TraceEvent {
             name: name.into(),
@@ -210,9 +220,9 @@ pub fn event(name: impl Into<String>, cat: &'static str) -> SpanGuard {
 }
 
 /// Drains every buffered event (the global list plus the calling
-/// thread's buffer), sorted by timestamp then thread id. Worker threads
-/// flush automatically when they exit, so calling this after joining
-/// them observes everything.
+/// thread's buffer), sorted by timestamp then thread id. A thread
+/// flushes whenever its outermost span closes, so calling this after
+/// joining worker threads observes every span they closed.
 pub fn take_events() -> Vec<TraceEvent> {
     BUF.with(|b| b.borrow_mut().flush());
     let mut events =

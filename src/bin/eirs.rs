@@ -76,7 +76,8 @@ fn usage() {
     eprintln!("                  recovery: [--journal <path> --snapshot-at <n> --kill-after <n>");
     eprintln!("                  --recover true]");
     eprintln!("                  network:  [--listen <addr> --addr-file <path> --queue-cap <n>");
-    eprintln!("                  --shed true] hot-swap: [--swap-policy <spec|optimize:<family>>");
+    eprintln!("                  (bound of the one ingest queue, default 8192) --shed true]");
+    eprintln!("                  hot-swap: [--swap-policy <spec|optimize:<family>>");
     eprintln!("                  --swap-at <n>] replay: [--replay-journal <path> --drain true]");
     eprintln!("  client          load generator for a networked serve (--listen) front end");
     eprintln!("                  --connect <host:port> [--clients <n> --workload --duration");
@@ -171,6 +172,35 @@ fn workload_flag(args: &CliArgs) -> Result<eirs_repro::core::scenario::Workload,
         args.get("churn"),
     )
     .map_err(|e| spec_error("workload", &spec, &e))
+}
+
+/// The `--duration` horizon of `serve` and `client`. A trace-file
+/// workload defaults to the whole trace: truncating it at an arbitrary
+/// horizon and reporting complete-looking totals would silently
+/// misrepresent the replay. Live generators never exhaust, so they
+/// default to 500 and an explicit horizon must be finite.
+fn duration_flag(
+    args: &CliArgs,
+    workload: &eirs_repro::core::scenario::Workload,
+) -> Result<f64, String> {
+    let whole_trace = matches!(
+        workload.arrivals,
+        eirs_repro::core::scenario::ArrivalSpec::TraceFile { .. }
+    );
+    let duration = match args.get("duration") {
+        Some(_) => args.get_parsed_or("duration", 0.0f64).map_err(stringify)?,
+        None if whole_trace => f64::INFINITY,
+        None => 500.0,
+    };
+    if duration.is_nan()
+        || duration <= 0.0
+        || (args.get("duration").is_some() && !duration.is_finite())
+    {
+        return Err(format!(
+            "--duration must be a positive time, got {duration}"
+        ));
+    }
+    Ok(duration)
 }
 
 /// The `--family` flag (optimizer parameter spaces).
@@ -1121,39 +1151,15 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
                 .get_parsed_or("route-shards", 4usize)
                 .map_err(stringify)?;
             let batch = args.get_parsed_or("batch", 1024usize).map_err(stringify)?;
-            // A deterministic trace-file replay defaults to the whole
-            // trace: truncating it at an arbitrary horizon and reporting
-            // complete-looking totals would silently misrepresent the
-            // replay (the same discipline as PR 3's short-trace error).
-            // An explicit --duration still wins.
             // Trace replays default to the whole file even under --churn
             // (engine-side churn changes decisions, not which arrivals
             // exist) — which is why churned traces then *require* an
             // explicit --fault-horizon below.
-            let whole_trace = matches!(
-                workload.arrivals,
-                eirs_repro::core::scenario::ArrivalSpec::TraceFile { .. }
-            );
-            let duration = match args.get("duration") {
-                Some(_) => args.get_parsed_or("duration", 0.0f64).map_err(stringify)?,
-                None if whole_trace => f64::INFINITY,
-                None => 500.0,
-            };
+            let duration = duration_flag(&args, &workload)?;
             let seed = args.get_parsed_or("seed", 1u64).map_err(stringify)?;
             let grid = args.get_parsed_or("grid", 64usize).map_err(stringify)?;
             if workers < 1 || route < 1 || batch < 1 {
                 return Err("--shards, --route-shards, and --batch must be at least 1".into());
-            }
-            // Live generators never exhaust, so an explicit horizon must
-            // be finite; the infinite default above only arises for
-            // finite trace files.
-            if duration.is_nan()
-                || duration <= 0.0
-                || (args.get("duration").is_some() && !duration.is_finite())
-            {
-                return Err(format!(
-                    "--duration must be a positive time, got {duration}"
-                ));
             }
             // Capacity churn: the fault model is engine identity, seeded
             // separately from the workload so the same traffic can be
@@ -1390,12 +1396,13 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
             }
             // --listen: put the engine behind a socket. Clients drive the
             // arrival stream (the workload flags are unused); the accept
-            // loop, per-shard ingest queues, and the atomic hot-swap
-            // barrier live in crates/net.
+            // loop, the one ingest queue (bounded by --queue-cap) in front
+            // of the engine loop, and the atomic hot-swap barrier live in
+            // crates/net.
             if let Some(addr) = &listen {
                 use eirs_repro::net::{NetConfig, ReoptSettings, SwapTrigger};
                 let queue_cap = args
-                    .get_parsed_or("queue-cap", 1024usize)
+                    .get_parsed_or("queue-cap", NetConfig::default().queue_cap)
                     .map_err(stringify)?;
                 if queue_cap < 1 {
                     return Err("--queue-cap must be at least 1".into());
@@ -1969,25 +1976,7 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
                 return Err("--clients must be at least 1".into());
             }
             let seed = args.get_parsed_or("seed", 1u64).map_err(stringify)?;
-            // Same horizon convention as serve: trace files replay whole
-            // by default, live generators need a finite horizon.
-            let whole_trace = matches!(
-                workload.arrivals,
-                eirs_repro::core::scenario::ArrivalSpec::TraceFile { .. }
-            );
-            let duration = match args.get("duration") {
-                Some(_) => args.get_parsed_or("duration", 0.0f64).map_err(stringify)?,
-                None if whole_trace => f64::INFINITY,
-                None => 500.0,
-            };
-            if duration.is_nan()
-                || duration <= 0.0
-                || (args.get("duration").is_some() && !duration.is_finite())
-            {
-                return Err(format!(
-                    "--duration must be a positive time, got {duration}"
-                ));
-            }
+            let duration = duration_flag(&args, &workload)?;
             let swap_spec = args.get("swap").map(str::to_string);
             let swap_after = match args.get("swap-after") {
                 Some(_) => Some(args.get_parsed_or("swap-after", 0u64).map_err(stringify)?),

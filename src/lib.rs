@@ -26,9 +26,9 @@
 //!   replaying live event streams bit-identically to the DES, per-shard
 //!   ops metrics, and snapshot/restore;
 //! * [`net`] (`eirs-net`) — the networked serving front end: the
-//!   `eirsnp01` framed TCP protocol, bounded per-shard ingest queues,
-//!   the load-generating client, and atomic journaled policy hot-swap
-//!   (observe → re-optimize → redeploy);
+//!   `eirsnp01` framed TCP protocol, one bounded ingest queue in front
+//!   of the engine loop, the load-generating client, and atomic
+//!   journaled policy hot-swap (observe → re-optimize → redeploy);
 //! * [`bench`](mod@bench) (`eirs-bench`) — figure/table regeneration harnesses and
 //!   the `BENCH_*.json` writers (the CLI's `--json true` mode reuses its
 //!   JSON serializer);

@@ -479,6 +479,10 @@ fn network_flag_errors_fail_cleanly() {
             vec!["client", "--connect", "127.0.0.1:1", "--swap-after", "5"],
             "--swap-after needs --swap",
         ),
+        (
+            vec!["client", "--connect", "127.0.0.1:1", "--duration", "-5"],
+            "--duration must be a positive time",
+        ),
     ] {
         let (code, stderr) = run_eirs(&args);
         assert_ne!(code, 0, "{args:?} must be rejected");
