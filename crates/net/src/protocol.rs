@@ -1,28 +1,28 @@
-//! The `eirsnp01` wire protocol: length-prefixed, checksummed binary
-//! frames over a byte stream.
+//! The `eirsnp01` wire protocol: checksummed binary frames over a byte
+//! stream.
 //!
 //! A connection opens with an 8-byte magic handshake ([`MAGIC`]): the
 //! client sends it, the server echoes it back. Every subsequent message
-//! is one frame:
-//!
-//! ```text
-//! ┌──────┬──────┬──────────┬───────────────┬──────────────┐
-//! │ type │ aux  │ len (LE) │    payload    │ checksum(LE) │
-//! │ 1 B  │ 1 B  │   2 B    │   len bytes   │     8 B      │
-//! └──────┴──────┴──────────┴───────────────┴──────────────┘
-//! ```
-//!
-//! The checksum is a SplitMix64 fold over the header and payload
-//! ([`frame_checksum`]). Decoding is **strict**: an unknown type, a
-//! length outside the type's cap, a payload that does not parse, or a
-//! checksum mismatch is a hard [`ProtocolError`] — the connection is
-//! torn down rather than resynchronized, so a corrupt stream can never
-//! silently truncate into a shorter valid one. Clean EOF is only legal
-//! *between* frames ([`read_frame`] returns `Ok(None)` there); EOF
-//! inside a frame is [`ProtocolError::Truncated`].
+//! is one frame — a record of the workspace's one record codec,
+//! [`eirs_serve::record`]: type, aux byte, little-endian `u16` length,
+//! payload, and a SplitMix64 checksum over all of them. This module
+//! fixes the frame types, their payload length caps, and the payload
+//! layouts; the codec does the framing, so decoding is **strict**: an
+//! unknown type, a length outside the type's cap, a payload that does
+//! not parse, or a checksum mismatch is a hard [`ProtocolError`] — the
+//! connection is torn down rather than resynchronized, so a corrupt
+//! stream can never silently truncate into a shorter valid one. Clean
+//! EOF is only legal *between* frames ([`read_frame`] returns `Ok(None)`
+//! there); EOF inside a frame is [`ProtocolError::Truncated`].
 
-use eirs_sim::JobClass;
+use eirs_serve::record::{self, Caps, Fields};
+use eirs_sim::{Arrival, JobClass};
 use std::io::{Read, Write};
+
+/// Why a byte stream failed to decode: the record codec's error. Every
+/// variant is terminal — the reader must close the connection, never
+/// skip bytes and resume.
+pub use eirs_serve::record::RecordError as ProtocolError;
 
 /// Handshake magic: protocol name and version on the wire. Bump the
 /// trailing digits on any incompatible frame-format change.
@@ -48,32 +48,15 @@ pub mod frame_type {
 /// Hard cap on any payload length; per-type caps are tighter.
 pub const MAX_PAYLOAD: usize = 4096;
 
-const ARRIVAL_LEN: usize = 24;
-const DECISION_LEN: usize = 48;
-
-/// SplitMix64 finalizer (the same mix the serving engine digests with).
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Frame checksum: a SplitMix64 fold over the 4 header bytes followed
-/// by the payload in 8-byte little-endian chunks (last chunk
-/// zero-padded). Cheap, order-sensitive, and independent of framing
-/// state — flipping any bit anywhere in the frame changes it.
-pub fn frame_checksum(ty: u8, aux: u8, payload: &[u8]) -> u64 {
-    let header = (ty as u64) | ((aux as u64) << 8) | ((payload.len() as u64) << 16);
-    let mut h = mix64(header);
-    for chunk in payload.chunks(8) {
-        let mut buf = [0u8; 8];
-        buf[..chunk.len()].copy_from_slice(chunk);
-        h = mix64(h ^ u64::from_le_bytes(buf));
-    }
-    h
-}
+/// Payload length caps, indexed by frame type − 1.
+const CAPS: &Caps = &[
+    (record::ARRIVAL_LEN, record::ARRIVAL_LEN),
+    (48, 48),
+    (0, MAX_PAYLOAD),
+    (0, MAX_PAYLOAD),
+    (0, MAX_PAYLOAD),
+    (0, 0),
+];
 
 /// A decoded protocol frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,68 +111,6 @@ pub enum Frame {
     Bye,
 }
 
-/// Why a byte stream failed to decode. Every variant is terminal: the
-/// reader must close the connection, never skip bytes and resume.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ProtocolError {
-    /// The 8-byte handshake did not match [`MAGIC`].
-    BadMagic([u8; 8]),
-    /// Unknown frame type tag.
-    BadType(u8),
-    /// Payload length outside the cap for this frame type.
-    BadLength {
-        /// The offending frame type.
-        ty: u8,
-        /// The declared payload length.
-        len: usize,
-    },
-    /// Checksum mismatch: the frame was corrupted in flight.
-    BadChecksum {
-        /// Checksum computed over the received bytes.
-        computed: u64,
-        /// Checksum carried by the frame.
-        received: u64,
-    },
-    /// The payload did not decode (bad UTF-8, non-finite float, bad
-    /// class tag, ...).
-    BadPayload(String),
-    /// The stream ended inside a frame (or inside the handshake).
-    Truncated,
-    /// An I/O error from the underlying stream.
-    Io(String),
-}
-
-impl std::fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::BadMagic(got) => write!(f, "bad handshake magic {got:?}"),
-            Self::BadType(ty) => write!(f, "unknown frame type {ty}"),
-            Self::BadLength { ty, len } => {
-                write!(f, "frame type {ty} declares illegal payload length {len}")
-            }
-            Self::BadChecksum { computed, received } => write!(
-                f,
-                "frame checksum mismatch: computed {computed:#x}, received {received:#x}"
-            ),
-            Self::BadPayload(why) => write!(f, "bad frame payload: {why}"),
-            Self::Truncated => write!(f, "stream truncated mid-frame"),
-            Self::Io(e) => write!(f, "i/o error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ProtocolError {}
-
-impl From<std::io::Error> for ProtocolError {
-    fn from(e: std::io::Error) -> Self {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            Self::Truncated
-        } else {
-            Self::Io(e.to_string())
-        }
-    }
-}
-
 /// Sends the handshake magic.
 pub fn write_magic<W: Write>(w: &mut W) -> Result<(), ProtocolError> {
     w.write_all(&MAGIC)?;
@@ -199,32 +120,28 @@ pub fn write_magic<W: Write>(w: &mut W) -> Result<(), ProtocolError> {
 
 /// Reads and verifies the handshake magic.
 pub fn read_magic<R: Read>(r: &mut R) -> Result<(), ProtocolError> {
-    let mut got = [0u8; 8];
-    r.read_exact(&mut got)?;
-    if got != MAGIC {
-        return Err(ProtocolError::BadMagic(got));
-    }
-    Ok(())
+    record::read_magic(r, &MAGIC)
 }
 
 /// Serializes `frame` into wire bytes (header, payload, checksum).
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let (ty, aux, payload) = match frame {
+    let mut out = Vec::with_capacity(64);
+    let text = |out: &mut Vec<u8>, ty: u8, text: &str| {
+        record::encode(out, ty, 0, |p| p.extend_from_slice(text.as_bytes()));
+    };
+    match frame {
         Frame::Arrival {
             req_id,
             class,
             time,
             size,
         } => {
-            let mut p = Vec::with_capacity(ARRIVAL_LEN);
-            p.extend_from_slice(&req_id.to_le_bytes());
-            p.extend_from_slice(&time.to_le_bytes());
-            p.extend_from_slice(&size.to_le_bytes());
-            let aux = match class {
-                JobClass::Inelastic => 0,
-                JobClass::Elastic => 1,
+            let arrival = Arrival {
+                time: *time,
+                class: *class,
+                size: *size,
             };
-            (frame_type::ARRIVAL, aux, p)
+            record::encode_arrival(&mut out, frame_type::ARRIVAL, *req_id, &arrival);
         }
         Frame::Decision {
             req_id,
@@ -236,30 +153,20 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             alloc_inelastic,
             alloc_elastic,
             admitted,
-        } => {
-            let mut p = Vec::with_capacity(DECISION_LEN);
-            p.extend_from_slice(&req_id.to_le_bytes());
-            p.extend_from_slice(&seq.to_le_bytes());
-            p.extend_from_slice(&shard.to_le_bytes());
-            p.extend_from_slice(&i.to_le_bytes());
-            p.extend_from_slice(&j.to_le_bytes());
-            p.extend_from_slice(&generation.to_le_bytes());
-            p.extend_from_slice(&alloc_inelastic.to_le_bytes());
-            p.extend_from_slice(&alloc_elastic.to_le_bytes());
-            (frame_type::DECISION, u8::from(*admitted), p)
-        }
-        Frame::Control(text) => (frame_type::CONTROL, 0, text.as_bytes().to_vec()),
-        Frame::ControlOk(text) => (frame_type::CONTROL_OK, 0, text.as_bytes().to_vec()),
-        Frame::Error(text) => (frame_type::ERROR, 0, text.as_bytes().to_vec()),
-        Frame::Bye => (frame_type::BYE, 0, Vec::new()),
-    };
-    debug_assert!(payload.len() <= MAX_PAYLOAD);
-    let mut out = Vec::with_capacity(4 + payload.len() + 8);
-    out.push(ty);
-    out.push(aux);
-    out.extend_from_slice(&(payload.len() as u16).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&frame_checksum(ty, aux, &payload).to_le_bytes());
+        } => record::encode(&mut out, frame_type::DECISION, u8::from(*admitted), |p| {
+            p.extend(req_id.to_le_bytes());
+            p.extend(seq.to_le_bytes());
+            for v in [shard, i, j, generation] {
+                p.extend(v.to_le_bytes());
+            }
+            p.extend(alloc_inelastic.to_le_bytes());
+            p.extend(alloc_elastic.to_le_bytes());
+        }),
+        Frame::Control(t) => text(&mut out, frame_type::CONTROL, t),
+        Frame::ControlOk(t) => text(&mut out, frame_type::CONTROL_OK, t),
+        Frame::Error(t) => text(&mut out, frame_type::ERROR, t),
+        Frame::Bye => record::encode(&mut out, frame_type::BYE, 0, |_| {}),
+    }
     out
 }
 
@@ -270,79 +177,40 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), ProtocolErr
     Ok(())
 }
 
-/// Legal payload length range for a frame type (`None`: unknown type).
-fn length_cap(ty: u8) -> Option<(usize, usize)> {
-    match ty {
-        frame_type::ARRIVAL => Some((ARRIVAL_LEN, ARRIVAL_LEN)),
-        frame_type::DECISION => Some((DECISION_LEN, DECISION_LEN)),
-        frame_type::CONTROL | frame_type::CONTROL_OK | frame_type::ERROR => Some((0, MAX_PAYLOAD)),
-        frame_type::BYE => Some((0, 0)),
-        _ => None,
-    }
-}
-
-fn le_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b.try_into().expect("8-byte slice"))
-}
-
-fn le_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes(b.try_into().expect("4-byte slice"))
-}
-
-fn le_f64(field: &str, b: &[u8]) -> Result<f64, ProtocolError> {
-    let v = f64::from_le_bytes(b.try_into().expect("8-byte slice"));
+fn not_nan(field: &str, v: f64) -> Result<f64, ProtocolError> {
     if v.is_nan() {
         return Err(ProtocolError::BadPayload(format!("{field} is NaN")));
     }
     Ok(v)
 }
 
-fn utf8(payload: &[u8]) -> Result<String, ProtocolError> {
-    String::from_utf8(payload.to_vec())
-        .map_err(|_| ProtocolError::BadPayload("text payload is not UTF-8".into()))
-}
-
 /// Decodes a validated `(type, aux, payload)` triple into a [`Frame`].
 fn decode_payload(ty: u8, aux: u8, payload: &[u8]) -> Result<Frame, ProtocolError> {
+    let mut f = Fields::new(payload);
     match ty {
         frame_type::ARRIVAL => {
-            let class = match aux {
-                0 => JobClass::Inelastic,
-                1 => JobClass::Elastic,
-                other => {
-                    return Err(ProtocolError::BadPayload(format!(
-                        "unknown job class tag {other}"
-                    )))
-                }
-            };
-            let time = le_f64("arrival time", &payload[8..16])?;
-            let size = le_f64("arrival size", &payload[16..24])?;
-            if !time.is_finite() || !size.is_finite() || size <= 0.0 {
-                return Err(ProtocolError::BadPayload(format!(
-                    "arrival (time {time}, size {size}) is not a finite positive-size job"
-                )));
-            }
+            let (req_id, a) = record::decode_arrival(aux, payload)?;
             Ok(Frame::Arrival {
-                req_id: le_u64(&payload[0..8]),
-                class,
-                time,
-                size,
+                req_id,
+                class: a.class,
+                time: a.time,
+                size: a.size,
             })
         }
         frame_type::DECISION => Ok(Frame::Decision {
-            req_id: le_u64(&payload[0..8]),
-            seq: le_u64(&payload[8..16]),
-            shard: le_u32(&payload[16..20]),
-            i: le_u32(&payload[20..24]),
-            j: le_u32(&payload[24..28]),
-            generation: le_u32(&payload[28..32]),
-            alloc_inelastic: le_f64("inelastic allocation", &payload[32..40])?,
-            alloc_elastic: le_f64("elastic allocation", &payload[40..48])?,
+            req_id: f.u64()?,
+            seq: f.u64()?,
+            shard: f.u32()?,
+            i: f.u32()?,
+            j: f.u32()?,
+            generation: f.u32()?,
+            alloc_inelastic: not_nan("inelastic allocation", f.f64()?)?,
+            alloc_elastic: not_nan("elastic allocation", f.f64()?)?,
             admitted: aux & 1 == 1,
         }),
-        frame_type::CONTROL => Ok(Frame::Control(utf8(payload)?)),
-        frame_type::CONTROL_OK => Ok(Frame::ControlOk(utf8(payload)?)),
-        frame_type::ERROR => Ok(Frame::Error(utf8(payload)?)),
+        frame_type::CONTROL => Ok(Frame::Control(f.rest_str()?.to_owned())),
+        frame_type::CONTROL_OK => Ok(Frame::ControlOk(f.rest_str()?.to_owned())),
+        frame_type::ERROR => Ok(Frame::Error(f.rest_str()?.to_owned())),
         frame_type::BYE => Ok(Frame::Bye),
         other => Err(ProtocolError::BadType(other)),
     }
@@ -353,40 +221,17 @@ fn decode_payload(ty: u8, aux: u8, payload: &[u8]) -> Result<Frame, ProtocolErro
 /// validation failure is terminal — the caller must close the
 /// connection rather than resynchronize.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, ProtocolError> {
-    let mut header = [0u8; 4];
-    // Distinguish clean EOF (zero bytes before a frame) from truncation.
-    let mut filled = 0;
-    while filled < header.len() {
-        match r.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => return Err(ProtocolError::Truncated),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
+    let mut payload = Vec::new();
+    match record::read(r, CAPS, &mut payload)? {
+        Some((ty, aux)) => decode_payload(ty, aux, &payload).map(Some),
+        None => Ok(None),
     }
-    let (ty, aux) = (header[0], header[1]);
-    let len = u16::from_le_bytes([header[2], header[3]]) as usize;
-    let (min, max) = length_cap(ty).ok_or(ProtocolError::BadType(ty))?;
-    if len < min || len > max {
-        return Err(ProtocolError::BadLength { ty, len });
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let mut sum = [0u8; 8];
-    r.read_exact(&mut sum)?;
-    let received = u64::from_le_bytes(sum);
-    let computed = frame_checksum(ty, aux, &payload);
-    if computed != received {
-        return Err(ProtocolError::BadChecksum { computed, received });
-    }
-    // A payload failing semantic validation is terminal too.
-    decode_payload(ty, aux, &payload).map(Some)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eirs_serve::record::checksum;
 
     fn round_trip(frame: Frame) {
         let bytes = encode_frame(&frame);
@@ -419,6 +264,59 @@ mod tests {
         round_trip(Frame::ControlOk("generation 1".into()));
         round_trip(Frame::Error("boom".into()));
         round_trip(Frame::Bye);
+    }
+
+    /// One frame of every type, pinned to the bytes `eirsnp01` has put on
+    /// the wire since the protocol shipped: moving the framing into the
+    /// shared record codec must not change a single byte.
+    #[test]
+    fn encode_frame_matches_the_golden_wire_bytes() {
+        let golden = [
+            (
+                Frame::Arrival {
+                    req_id: 42,
+                    class: JobClass::Elastic,
+                    time: 1.25,
+                    size: 3.5,
+                },
+                "010118002a00000000000000000000000000f43f0000000000000c402abb4dfc8d8b98fd",
+            ),
+            (
+                Frame::Decision {
+                    req_id: 42,
+                    seq: 7,
+                    shard: 3,
+                    i: 2,
+                    j: 5,
+                    generation: 1,
+                    alloc_inelastic: 2.0,
+                    alloc_elastic: 1.5,
+                    admitted: true,
+                },
+                "020130002a00000000000000070000000000000003000000020000000500000001000000\
+                 0000000000000040000000000000f83fae910dc2b2293dcf",
+            ),
+            (
+                Frame::Control("swap threshold:3".into()),
+                "0300100073776170207468726573686f6c643a33bde099390533d2c1",
+            ),
+            (
+                Frame::ControlOk("generation 1".into()),
+                "04000c0067656e65726174696f6e203184da84d77eb88d4e",
+            ),
+            (
+                Frame::Error("boom".into()),
+                "05000400626f6f6d9cc3fde3afc7ae26",
+            ),
+            (Frame::Bye, "0600000000e0efadd9a564bd"),
+        ];
+        for (frame, hex) in golden {
+            let bytes: String = encode_frame(&frame)
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(bytes, hex, "{frame:?}");
+        }
     }
 
     #[test]
@@ -463,7 +361,7 @@ mod tests {
     fn oversized_and_malformed_declarations_are_rejected() {
         // Unknown type.
         let mut raw = vec![99u8, 0, 0, 0];
-        raw.extend_from_slice(&frame_checksum(99, 0, &[]).to_le_bytes());
+        raw.extend_from_slice(&checksum(99, 0, &[]).to_le_bytes());
         assert_eq!(
             read_frame(&mut &raw[..]),
             Err(ProtocolError::BadType(99)),
@@ -504,7 +402,7 @@ mod tests {
             p.extend_from_slice(&size.to_le_bytes());
             let mut raw = vec![frame_type::ARRIVAL, 0, p.len() as u8, 0];
             raw.extend_from_slice(&p);
-            raw.extend_from_slice(&frame_checksum(frame_type::ARRIVAL, 0, &p).to_le_bytes());
+            raw.extend_from_slice(&checksum(frame_type::ARRIVAL, 0, &p).to_le_bytes());
             assert!(
                 matches!(read_frame(&mut &raw[..]), Err(ProtocolError::BadPayload(_))),
                 "time {time} size {size} must be rejected"

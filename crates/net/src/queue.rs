@@ -6,7 +6,9 @@
 //! blocks the pusher ([`BoundedQueue::push`]) or refuses the item
 //! ([`BoundedQueue::try_push`], the server's shed path). The popper
 //! sleeps in [`BoundedQueue::pop_into`] until an item arrives, so
-//! neither side polls.
+//! neither side polls, and each side signals the other only when a
+//! thread is asleep there: while the engine loop keeps up, a push
+//! costs its reader a lock and no wakeup syscall.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -14,6 +16,11 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 struct State<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Threads asleep in `push` (on `not_full`) and in `pop_into` (on
+    /// `not_empty`). Counted under the lock, so a signal is skipped only
+    /// when nobody can be waiting for it.
+    full_waiters: usize,
+    empty_waiters: usize,
 }
 
 /// A bounded multi-producer FIFO with blocking and non-blocking push
@@ -34,6 +41,8 @@ impl<T> BoundedQueue<T> {
             state: Mutex::new(State {
                 items: VecDeque::new(),
                 closed: false,
+                full_waiters: 0,
+                empty_waiters: 0,
             }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
@@ -49,7 +58,9 @@ impl<T> BoundedQueue<T> {
     pub fn push(&self, item: T) -> Result<(), T> {
         let mut s = self.lock();
         while s.items.len() >= self.cap && !s.closed {
+            s.full_waiters += 1;
             s = self.not_full.wait(s).expect("queue poisoned");
+            s.full_waiters -= 1;
         }
         self.enqueue(s, item)
     }
@@ -69,8 +80,11 @@ impl<T> BoundedQueue<T> {
             return Err(item);
         }
         s.items.push_back(item);
+        let wake = s.empty_waiters > 0;
         drop(s);
-        self.not_empty.notify_one();
+        if wake {
+            self.not_empty.notify_one();
+        }
         Ok(())
     }
 
@@ -87,7 +101,9 @@ impl<T> BoundedQueue<T> {
     pub fn pop_into(&self, out: &mut Vec<T>, max: usize) -> usize {
         let mut s = self.lock();
         while s.items.is_empty() && !s.closed {
+            s.empty_waiters += 1;
             s = self.not_empty.wait(s).expect("queue poisoned");
+            s.empty_waiters -= 1;
         }
         self.take(s, out, max)
     }
@@ -95,8 +111,9 @@ impl<T> BoundedQueue<T> {
     fn take(&self, mut s: MutexGuard<'_, State<T>>, out: &mut Vec<T>, max: usize) -> usize {
         let take = max.min(s.items.len());
         out.extend(s.items.drain(..take));
+        let wake = take > 0 && s.full_waiters > 0;
         drop(s);
-        if take > 0 {
+        if wake {
             self.not_full.notify_all();
         }
         take
@@ -149,6 +166,31 @@ mod tests {
         pusher.join().unwrap().unwrap();
         q.drain_into(&mut out, 10);
         assert_eq!(out, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_sleeping_popper_wakes_on_push() {
+        let q = Arc::new(BoundedQueue::new(4));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let popper = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let mut out = Vec::new();
+                q.pop_into(&mut out, 10);
+                tx.send(out).unwrap();
+            })
+        };
+        // The popper counts itself and starts waiting under one lock
+        // hold, so once the count shows under the lock it is asleep.
+        while q.lock().empty_waiters == 0 {
+            std::thread::yield_now();
+        }
+        q.push(7).unwrap();
+        let got = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the push must wake the sleeping popper");
+        assert_eq!(got, vec![7]);
+        popper.join().unwrap();
     }
 
     #[test]

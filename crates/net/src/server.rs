@@ -12,17 +12,21 @@
 //!                       markers)        per connection)       per batch)
 //! ```
 //!
-//! Reader threads decode frames and push them, in order, onto one
+//! Reader threads decode frames from a buffered read half (one socket
+//! read per burst of frames) and push them, in order, onto one
 //! [`BoundedQueue`]: arrivals, plus two in-band markers — a swap
-//! requested by a control frame, and "this reader has exited". The
-//! engine loop is the queue's only consumer and the only thread that
-//! touches the engine and the journal. Per batch it clamps the stream
-//! clock to its running maximum (connections interleave arbitrary
-//! workload clocks), appends the batch to the write-ahead journal,
-//! ingests it ([`ServeEngine`] assigns the global sequence numbers),
-//! and buffers each decision frame for its connection; every
+//! requested by a control frame, and "this reader has exited". The engine loop is the queue's only consumer and the only
+//! thread that touches the engine and the journal. Per batch it clamps
+//! the stream clock to its running maximum (connections interleave
+//! arbitrary workload clocks), appends the batch to the write-ahead
+//! journal, ingests it ([`ServeEngine`] assigns the global sequence
+//! numbers), and buffers each decision frame for its connection; every
 //! connection's buffer goes out in one socket write when the batch
-//! ends.
+//! ends. Since replies are already coalesced per batch, accepted
+//! sockets set `TCP_NODELAY`: with Nagle's algorithm on, a batch's
+//! write could wait for the client's delayed ACK (40 ms on Linux)
+//! whenever an earlier write was still unacknowledged, so the last
+//! decisions of a burst would arrive late by that timer.
 //!
 //! A full queue exerts **backpressure** (the reader blocks in its push,
 //! which stalls that connection's TCP stream) or, with
@@ -70,7 +74,7 @@ use eirs_opt::space::parse_family;
 use eirs_serve::metrics::ShardMetrics;
 use eirs_serve::{CompiledTable, JournalWriter, ServeEngine, SwapRecord};
 use eirs_sim::Arrival;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -279,7 +283,7 @@ struct Shared<'a> {
 
 /// The not-admitted decision for an arrival refused before it entered
 /// the stream (full queue under `shed`): no sequence number, no shard,
-/// no journal line.
+/// no journal record.
 fn shed_frame(req_id: u64) -> Frame {
     Frame::Decision {
         req_id,
@@ -322,7 +326,7 @@ fn read_frames(
     shared: &Shared<'_>,
     conn: usize,
     out: &Conn,
-    stream: &mut TcpStream,
+    stream: &mut BufReader<TcpStream>,
     tally: &mut Tally,
 ) -> Result<(), String> {
     loop {
@@ -380,10 +384,12 @@ fn run_reader(shared: &Shared<'_>, conn: usize, out: &Conn, mut stream: TcpStrea
     NET_CONNECTIONS.inc();
     let mut tally = Tally::default();
     // The handshake echo goes out before anything of this connection
-    // is queued, so nothing else can be writing to the socket yet.
+    // is queued, so nothing else can be writing to the socket yet. The
+    // magic is read from the bare socket, exactly 8 bytes, so the
+    // buffered frame reader starts at the first frame.
     let clean = read_magic(&mut stream).is_ok()
         && write_magic(&mut stream).is_ok()
-        && match read_frames(shared, conn, out, &mut stream, &mut tally) {
+        && match read_frames(shared, conn, out, &mut BufReader::new(stream), &mut tally) {
             Ok(()) => true,
             Err(why) => {
                 out.send(&encode_frame(&Frame::Error(why)), 1);
@@ -720,6 +726,8 @@ pub fn serve(
         scope.spawn(move || {
             for stream in listener.incoming() {
                 let Ok(stream) = stream else { break };
+                // Best effort: without it replies are only slower.
+                let _ = stream.set_nodelay(true);
                 let Ok(reader) = stream.try_clone() else {
                     continue;
                 };

@@ -14,32 +14,57 @@
 //! `fault_tolerance` tests and the CI chaos gate assert exactly that,
 //! including under capacity churn.
 //!
-//! The format follows the trace/snapshot discipline: line-oriented text,
-//! `#` comments, floats in Rust's shortest round-trippable form. A header
-//! records the serving identity (policy, shape, churn); each entry is one
-//! arrival with its global sequence number:
+//! The format is a [record stream](crate::record): the magic `eirsjn02`,
+//! one header record with the serving identity, then one record per
+//! arrival and per policy hot-swap, in write order:
 //!
 //! ```text
-//! # eirs-serve-journal v1
-//! k 2 route_shards 4
-//! policy Compiled[Fair-Share]
-//! churn spec=crash:mtbf=50,mttr=5 seed=7 horizon=200
-//! a 0 0.3517 I 1.25
-//! a 1 0.9102 E 0.75
+//! header   k u32 | route_shards u64 | boot table identity hash u64 |
+//!          policy name | policy spec ("" = none) | churn identity ("" = none)
+//! arrival  seq u64 | time f64 | size f64                  class in aux
+//! swap     seq u64 | generation u32 | table hash u64 | policy spec
 //! ```
 //!
-//! There is no end marker: a journal is valid at every prefix of whole
-//! lines, because a crash can happen at any time (a torn final line is
-//! reported with its line number, and [`Journal::load_prefix`] recovers
-//! the longest whole-line prefix).
+//! There is no end record: a journal is valid at every record boundary,
+//! because a crash can happen at any time. [`Journal::load_prefix`] drops
+//! a truncated final record — the artifact of a kill mid-write — and
+//! [`Journal::from_reader`] refuses it. Any other malformed record (a
+//! checksum mismatch, an unknown type, an illegal length) is an error in
+//! both, so a recovered journal is always an exact prefix of what was
+//! written.
+//!
+//! One corruption looks exactly like a tear: a flipped bit that
+//! lengthens a swap record so that it runs past the end of the file.
+//! `load_prefix` then drops that swap and every record after it without
+//! an error — still an exact prefix, but records that were already
+//! served are lost. Header and arrival records cannot do this (the
+//! header is never dropped, and an arrival's length is fixed), and swap
+//! specs are capped at [`MAX_SPEC`] bytes, so a flip in the high bits of
+//! a swap's length is an illegal length; only a swap within a few KiB of
+//! the end of the file is exposed.
 
 use crate::engine::{ChurnConfig, EngineConfig, ServeEngine, SwapRecord};
-use crate::snapshot::{EngineSnapshot, SnapshotError};
+use crate::record::{self, Caps, Fields, RecordError};
+use crate::snapshot::{churn_field, put_churn, EngineSnapshot, SnapshotError};
 use crate::table::CompiledTable;
 use eirs_sim::arrivals::{Arrival, ArrivalSource};
-use eirs_sim::job::JobClass;
 use eirs_sim::policy::AllocationPolicy;
 use std::io::{BufRead, Write};
+
+/// Stream magic of the journal format.
+const MAGIC: [u8; 8] = *b"eirsjn02";
+const HEADER: u8 = 1;
+const ARRIVAL: u8 = 2;
+const SWAP: u8 = 3;
+/// Longest policy spec a swap record carries: the wire's control-frame
+/// payload cap, so every swap a client can request fits.
+pub const MAX_SPEC: usize = 4096;
+/// Payload length caps of the header, arrival and swap records.
+const CAPS: &Caps = &[
+    (24, u16::MAX as usize),
+    (record::ARRIVAL_LEN, record::ARRIVAL_LEN),
+    (20, 20 + MAX_SPEC),
+];
 
 /// One journaled arrival: the global routing sequence number it was
 /// ingested as, plus the arrival itself.
@@ -61,8 +86,9 @@ pub enum JournalError {
         /// Human-readable detail.
         message: String,
     },
-    /// A malformed line: `(1-based line number, message)`.
-    Line(usize, String),
+    /// A malformed record: `(record number, message)`. The header is
+    /// record 1; record 0 is the stream magic.
+    Record(usize, String),
     /// Structurally valid but inconsistent with the recovering engine
     /// (wrong policy, shape, churn identity, or a sequence gap).
     Mismatch(String),
@@ -74,7 +100,7 @@ impl std::fmt::Display for JournalError {
             JournalError::Io { kind, message } => {
                 write!(f, "journal I/O error ({kind}): {message}")
             }
-            JournalError::Line(n, msg) => write!(f, "journal line {n}: {msg}"),
+            JournalError::Record(n, msg) => write!(f, "journal record {n}: {msg}"),
             JournalError::Mismatch(msg) => write!(f, "journal mismatch: {msg}"),
         }
     }
@@ -95,17 +121,19 @@ impl From<SnapshotError> for JournalError {
     fn from(e: SnapshotError) -> Self {
         match e {
             SnapshotError::Io { kind, message } => JournalError::Io { kind, message },
-            SnapshotError::Line(n, m) => JournalError::Line(n, format!("snapshot: {m}")),
+            SnapshotError::Record(n, m) => JournalError::Record(n, format!("snapshot: {m}")),
             SnapshotError::Mismatch(m) => JournalError::Mismatch(m),
         }
     }
 }
 
-/// Appends journal lines ahead of ingestion (see the [module
+/// Appends journal records ahead of ingestion (see the [module
 /// docs](self) for the write-ahead contract).
 #[derive(Debug)]
 pub struct JournalWriter<W: Write> {
     w: W,
+    /// Records encoded but not yet written (reused across appends).
+    buf: Vec<u8>,
 }
 
 impl<W: Write> JournalWriter<W> {
@@ -115,63 +143,69 @@ impl<W: Write> JournalWriter<W> {
     }
 
     /// [`JournalWriter::create`], additionally recording the parseable
-    /// policy spec (the CLI `--policy` grammar) and the serving table's
-    /// [identity hash](CompiledTable::identity_hash) in the header.
-    /// Replay from the journal alone ([`replay_journal`]) needs the
-    /// spec to recompile the boot policy; plain crash recovery does
-    /// not, so `create` omits both lines and stays byte-compatible
-    /// with pre-hot-swap journals.
+    /// policy spec (the CLI `--policy` grammar) in the header. Replay
+    /// from the journal alone ([`replay_journal`]) needs the spec to
+    /// recompile the boot policy; plain crash recovery does not.
     pub fn create_with_spec(
-        mut w: W,
+        w: W,
         engine: &ServeEngine,
         spec: Option<&str>,
     ) -> std::io::Result<Self> {
-        writeln!(w, "# eirs-serve-journal v1")?;
-        let c = engine.config();
-        writeln!(w, "k {} route_shards {}", c.k, c.route_shards)?;
-        writeln!(w, "policy {}", engine.table().name())?;
-        if let Some(spec) = spec {
-            writeln!(w, "policy_spec {spec}")?;
-            writeln!(w, "policy_hash {}", engine.table().identity_hash())?;
-        }
-        if let Some(churn) = &c.churn {
-            writeln!(w, "churn {}", churn.identity())?;
-        }
-        w.flush()?;
-        Ok(Self { w })
+        let (c, table) = (engine.config(), engine.table());
+        let mut buf = MAGIC.to_vec();
+        record::encode(&mut buf, HEADER, 0, |p| {
+            p.extend(c.k.to_le_bytes());
+            p.extend((c.route_shards as u64).to_le_bytes());
+            p.extend(table.identity_hash().to_le_bytes());
+            record::put_str(p, &table.name());
+            record::put_str(p, spec.unwrap_or(""));
+            put_churn(p, c.churn);
+        });
+        let mut journal = Self { w, buf };
+        journal.write_buf()?;
+        Ok(journal)
     }
 
     /// Appends one batch starting at global sequence `start_seq` and
     /// flushes. Must be called **before** the batch is ingested — the
     /// flush is what makes the journal a write-ahead log.
     pub fn append_batch(&mut self, start_seq: u64, batch: &[Arrival]) -> std::io::Result<()> {
-        for (offset, a) in batch.iter().enumerate() {
-            let c = match a.class {
-                JobClass::Inelastic => 'I',
-                JobClass::Elastic => 'E',
-            };
-            writeln!(
-                self.w,
-                "a {} {} {c} {}",
-                start_seq + offset as u64,
-                a.time,
-                a.size
-            )?;
+        for (seq, a) in (start_seq..).zip(batch) {
+            record::encode_arrival(&mut self.buf, ARRIVAL, seq, a);
         }
-        self.w.flush()
+        self.write_buf()
     }
 
     /// Journals one policy hot-swap and flushes. Like arrival batches
     /// this is write-ahead: append the record **before** serving any
     /// arrival under the new generation, so a crash can never leave
-    /// served-but-unjournaled generations behind.
+    /// served-but-unjournaled generations behind. A spec longer than
+    /// [`MAX_SPEC`] bytes is refused with [`std::io::ErrorKind::InvalidInput`]
+    /// and nothing is written.
     pub fn append_swap(&mut self, rec: &SwapRecord) -> std::io::Result<()> {
-        writeln!(
-            self.w,
-            "g {} {} {} {}",
-            rec.seq, rec.generation, rec.hash, rec.spec
-        )?;
-        self.w.flush()
+        if rec.spec.len() > MAX_SPEC {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "swap spec of {} bytes exceeds the journal's {MAX_SPEC}-byte cap",
+                    rec.spec.len()
+                ),
+            ));
+        }
+        record::encode(&mut self.buf, SWAP, 0, |p| {
+            p.extend(rec.seq.to_le_bytes());
+            p.extend(rec.generation.to_le_bytes());
+            p.extend(rec.hash.to_le_bytes());
+            p.extend_from_slice(rec.spec.as_bytes());
+        });
+        self.write_buf()
+    }
+
+    /// Writes the encoded records and flushes.
+    fn write_buf(&mut self) -> std::io::Result<()> {
+        let written = self.w.write_all(&self.buf).and_then(|()| self.w.flush());
+        self.buf.clear();
+        written
     }
 
     /// Unwraps the underlying writer (flushing first).
@@ -196,8 +230,8 @@ pub struct Journal {
     /// journal was written with [`JournalWriter::create_with_spec`].
     /// Required by [`replay_journal`].
     pub policy_spec: Option<String>,
-    /// Identity hash of the boot table, when recorded.
-    pub policy_hash: Option<u64>,
+    /// [Identity hash](CompiledTable::identity_hash) of the boot table.
+    pub policy_hash: u64,
     /// Churn identity, if the engine ran under capacity faults.
     pub churn: Option<ChurnConfig>,
     /// The generation schedule: every journaled hot-swap, in order
@@ -209,22 +243,18 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Parses the text format of [`JournalWriter`]. Strict: a torn final
-    /// line (the normal crash artifact) is an error here — use
+    /// Decodes the format of [`JournalWriter`]. Strict: a torn final
+    /// record (the normal crash artifact) is an error here — use
     /// [`Journal::load_prefix`] to recover through it.
     pub fn from_reader(r: &mut dyn BufRead) -> Result<Self, JournalError> {
-        let mut parsed = Self::parse_lines(r)?;
-        if let Some((n, msg)) = parsed.torn.take() {
-            return Err(JournalError::Line(n, msg));
-        }
-        parsed.finish()
+        Self::decode(r, false)
     }
 
-    /// Parses a journal, silently dropping a torn **final** line — the
-    /// artifact of a crash mid-write. Malformed lines anywhere else are
+    /// Decodes a journal, dropping a truncated **final** record — the
+    /// artifact of a crash mid-write. Malformed records anywhere are
     /// still errors.
     pub fn load_prefix(r: &mut dyn BufRead) -> Result<Self, JournalError> {
-        Self::parse_lines(r)?.finish()
+        Self::decode(r, true)
     }
 
     /// Loads a journal file written by [`JournalWriter`], strictly.
@@ -233,100 +263,36 @@ impl Journal {
         Self::from_reader(&mut std::io::BufReader::new(file))
     }
 
-    fn parse_lines(r: &mut dyn BufRead) -> Result<ParsedJournal, JournalError> {
-        let mut header: Option<(u32, usize)> = None;
-        let mut policy: Option<String> = None;
-        let mut policy_spec: Option<String> = None;
-        let mut policy_hash: Option<u64> = None;
-        let mut churn: Option<ChurnConfig> = None;
-        let mut swaps: Vec<SwapRecord> = Vec::new();
-        let mut entries: Vec<JournalEntry> = Vec::new();
-        let mut torn: Option<(usize, String)> = None;
-        for (idx, line) in r.lines().enumerate() {
-            let line = line?;
-            let n = idx + 1;
-            if let Some(t) = torn.take() {
-                // The malformed line was not the last one — a real error,
-                // not a crash artifact.
-                return Err(JournalError::Line(t.0, t.1));
-            }
-            let body = line.trim();
-            if body.is_empty() || body.starts_with('#') {
-                continue;
-            }
-            let fields: Vec<&str> = body.split_whitespace().collect();
-            let result = match fields[0] {
-                "k" => parse_header(&fields).map(|h| header = Some(h)),
-                "policy" => {
-                    let name = body["policy".len()..].trim();
-                    if name.is_empty() {
-                        Err("empty policy name".to_string())
-                    } else {
-                        policy = Some(name.to_string());
-                        Ok(())
-                    }
-                }
-                "policy_spec" => {
-                    let spec = body["policy_spec".len()..].trim();
-                    if spec.is_empty() {
-                        Err("empty policy spec".to_string())
-                    } else {
-                        policy_spec = Some(spec.to_string());
-                        Ok(())
-                    }
-                }
-                "policy_hash" => match fields.get(1).and_then(|v| v.parse().ok()) {
-                    Some(h) => {
-                        policy_hash = Some(h);
-                        Ok(())
-                    }
-                    None => Err("unparsable policy_hash".to_string()),
-                },
-                "churn" => ChurnConfig::parse_identity(body["churn".len()..].trim())
-                    .map(|c| churn = Some(c)),
-                "g" => parse_swap(&fields).map(|s| swaps.push(s)),
-                "a" => parse_entry(&fields).map(|e| entries.push(e)),
-                other => Err(format!("unknown record '{other}'")),
+    fn decode(r: &mut dyn BufRead, torn_tail_ok: bool) -> Result<Self, JournalError> {
+        let at = |n: usize| move |e: RecordError| JournalError::Record(n, e.to_string());
+        record::read_magic(r, &MAGIC).map_err(at(0))?;
+        let mut payload = Vec::new();
+        let mut journal = match record::read(r, CAPS, &mut payload).map_err(at(1))? {
+            Some((HEADER, _)) => decode_header(&payload).map_err(at(1))?,
+            _ => return Err(JournalError::Record(1, "no header record".into())),
+        };
+        for n in 2.. {
+            let (ty, aux) = match record::read(r, CAPS, &mut payload) {
+                Ok(Some(head)) => head,
+                Ok(None) => break,
+                Err(RecordError::Truncated) if torn_tail_ok => break,
+                Err(e) => return Err(at(n)(e)),
             };
-            if let Err(msg) = result {
-                torn = Some((n, msg));
+            match ty {
+                ARRIVAL => {
+                    let (seq, arrival) = record::decode_arrival(aux, &payload).map_err(at(n))?;
+                    journal.entries.push(JournalEntry { seq, arrival });
+                }
+                SWAP => journal.swaps.push(decode_swap(&payload).map_err(at(n))?),
+                _ => return Err(JournalError::Record(n, "second header record".into())),
             }
         }
-        Ok(ParsedJournal {
-            header,
-            policy,
-            policy_spec,
-            policy_hash,
-            churn,
-            swaps,
-            entries,
-            torn,
-        })
+        journal.validate()?;
+        Ok(journal)
     }
-}
 
-/// Intermediate parse state shared by the strict and prefix loaders.
-struct ParsedJournal {
-    header: Option<(u32, usize)>,
-    policy: Option<String>,
-    policy_spec: Option<String>,
-    policy_hash: Option<u64>,
-    churn: Option<ChurnConfig>,
-    swaps: Vec<SwapRecord>,
-    entries: Vec<JournalEntry>,
-    torn: Option<(usize, String)>,
-}
-
-impl ParsedJournal {
-    fn finish(self) -> Result<Journal, JournalError> {
-        let (k, route_shards) = self.header.ok_or_else(|| JournalError::Io {
-            kind: std::io::ErrorKind::InvalidData,
-            message: "journal has no header".into(),
-        })?;
-        let policy = self.policy.ok_or_else(|| JournalError::Io {
-            kind: std::io::ErrorKind::InvalidData,
-            message: "journal has no policy".into(),
-        })?;
+    /// Checks sequence contiguity and the generation schedule.
+    fn validate(&self) -> Result<(), JournalError> {
         for pair in self.entries.windows(2) {
             if pair[1].seq != pair[0].seq + 1 {
                 return Err(JournalError::Mismatch(format!(
@@ -355,83 +321,33 @@ impl ParsedJournal {
                 )));
             }
         }
-        Ok(Journal {
-            k,
-            route_shards,
-            policy,
-            policy_spec: self.policy_spec,
-            policy_hash: self.policy_hash,
-            churn: self.churn,
-            swaps: self.swaps,
-            entries: self.entries,
-        })
+        Ok(())
     }
 }
 
-fn parse_swap(fields: &[&str]) -> Result<SwapRecord, String> {
-    // `g <seq> <generation> <hash> <spec>`
-    if fields.len() < 5 {
-        return Err("malformed swap (expected 'g <seq> <generation> <hash> <spec>')".into());
-    }
-    let seq = fields[1]
-        .parse()
-        .map_err(|_| format!("unparsable swap seq '{}'", fields[1]))?;
-    let generation = fields[2]
-        .parse()
-        .map_err(|_| format!("unparsable swap generation '{}'", fields[2]))?;
-    let hash = fields[3]
-        .parse()
-        .map_err(|_| format!("unparsable swap hash '{}'", fields[3]))?;
+fn decode_header(payload: &[u8]) -> Result<Journal, RecordError> {
+    let mut f = Fields::new(payload);
+    Ok(Journal {
+        k: f.u32()?,
+        route_shards: f.u64()? as usize,
+        policy_hash: f.u64()?,
+        policy: f.str()?.to_owned(),
+        policy_spec: Some(f.str()?).filter(|s| !s.is_empty()).map(str::to_owned),
+        churn: churn_field(f.rest_str()?)?,
+        swaps: Vec::new(),
+        entries: Vec::new(),
+    })
+}
+
+fn decode_swap(payload: &[u8]) -> Result<SwapRecord, RecordError> {
+    let mut f = Fields::new(payload);
     Ok(SwapRecord {
-        seq,
-        generation,
-        hash,
-        spec: fields[4..].join(" "),
+        seq: f.u64()?,
+        generation: f.u32()?,
+        hash: f.u64()?,
+        spec: f.rest_str()?.to_owned(),
     })
 }
-
-fn parse_header(fields: &[&str]) -> Result<(u32, usize), String> {
-    // `k <k> route_shards <r>`
-    if fields.len() != 4 || fields[2] != "route_shards" {
-        return Err("malformed header (expected 'k <k> route_shards <r>')".into());
-    }
-    let k = fields[1]
-        .parse()
-        .map_err(|_| format!("unparsable k '{}'", fields[1]))?;
-    let route = fields[3]
-        .parse()
-        .map_err(|_| format!("unparsable route_shards '{}'", fields[3]))?;
-    Ok((k, route))
-}
-
-fn parse_entry(fields: &[&str]) -> Result<JournalEntry, String> {
-    // `a <seq> <time> <I|E> <size>`
-    if fields.len() != 5 {
-        return Err("malformed entry (expected 'a <seq> <time> <I|E> <size>')".into());
-    }
-    let seq = fields[1]
-        .parse()
-        .map_err(|_| format!("unparsable seq '{}'", fields[1]))?;
-    let time: f64 = fields[2]
-        .parse()
-        .map_err(|_| format!("unparsable time '{}'", fields[2]))?;
-    let class = match fields[3] {
-        "I" => JobClass::Inelastic,
-        "E" => JobClass::Elastic,
-        other => return Err(format!("unknown class '{other}'")),
-    };
-    let size: f64 = fields[4]
-        .parse()
-        .map_err(|_| format!("unparsable size '{}'", fields[4]))?;
-    if !time.is_finite() || !size.is_finite() || size <= 0.0 {
-        return Err("non-finite time or non-positive size".into());
-    }
-    Ok(JournalEntry {
-        seq,
-        arrival: Arrival { time, class, size },
-    })
-}
-
 /// Knobs for a controlled (journaled, snapshot-taking, killable) run —
 /// the ingredients of the crash-recovery tests and the `eirs serve`
 /// `--journal`/`--snapshot-at`/`--kill-after` flags.
@@ -587,21 +503,17 @@ pub fn recover_with(
             )));
         }
     }
-    // When both sides pin an identity hash, the policy serving at the
-    // snapshot point must hash the same.
-    let effective_hash = journal
+    // The policy serving at the snapshot point must hash the same.
+    let hash = journal
         .swaps
         .iter()
         .rfind(|s| s.seq <= snap.seq)
-        .map(|s| Some(s.hash))
-        .unwrap_or(journal.policy_hash);
-    if let Some(h) = effective_hash {
-        if snap.policy_hash != 0 && h != snap.policy_hash {
-            return Err(JournalError::Mismatch(format!(
-                "journal pins policy hash {h:#018x} at seq {}, snapshot pins {:#018x}",
-                snap.seq, snap.policy_hash
-            )));
-        }
+        .map_or(journal.policy_hash, |s| s.hash);
+    if hash != snap.policy_hash {
+        return Err(JournalError::Mismatch(format!(
+            "journal pins policy hash {hash:#018x} at seq {}, snapshot pins {:#018x}",
+            snap.seq, snap.policy_hash
+        )));
     }
     if journal.churn != snap.churn {
         return Err(JournalError::Mismatch(
@@ -609,12 +521,7 @@ pub fn recover_with(
         ));
     }
     let mut engine = ServeEngine::from_snapshot(table, config, snap)?;
-    let suffix: Vec<&JournalEntry> = journal
-        .entries
-        .iter()
-        .filter(|e| e.seq >= snap.seq)
-        .collect();
-    if let Some(first) = suffix.first() {
+    if let Some(first) = journal.entries.iter().find(|e| e.seq >= snap.seq) {
         if first.seq != snap.seq {
             return Err(JournalError::Mismatch(format!(
                 "journal resumes at seq {}, snapshot ends at seq {} — the gap is unrecoverable",
@@ -622,41 +529,12 @@ pub fn recover_with(
             )));
         }
     }
-    let batch = engine.config().batch;
-    let mut pending: Vec<&SwapRecord> = journal.swaps.iter().filter(|s| s.seq > snap.seq).collect();
-    pending.reverse(); // pop() yields the earliest swap first
-    let mut buf: Vec<Arrival> = Vec::with_capacity(batch);
-    let install = |engine: &mut ServeEngine, rec: &SwapRecord| -> Result<(), JournalError> {
-        let table = compile(rec).map_err(JournalError::Mismatch)?;
-        let installed = engine.install_table(table, &rec.spec);
-        if installed.hash != rec.hash || installed.generation != rec.generation {
-            return Err(JournalError::Mismatch(format!(
-                "recompiled swap '{}' hashes to {:#018x} generation {}, journal recorded \
-                 {:#018x} generation {}",
-                rec.spec, installed.hash, installed.generation, rec.hash, rec.generation
-            )));
-        }
-        Ok(())
-    };
-    for e in suffix {
-        while pending.last().is_some_and(|s| s.seq == e.seq) {
-            engine.ingest_batch(&buf);
-            buf.clear();
-            let rec = pending.pop().expect("just checked");
-            install(&mut engine, rec)?;
-        }
-        buf.push(e.arrival);
-        if buf.len() >= batch {
-            engine.ingest_batch(&buf);
-            buf.clear();
-        }
-    }
-    engine.ingest_batch(&buf);
-    // Swaps recorded at the very end of the journal (at the crash
-    // point, after the last journaled arrival) still install.
-    while let Some(rec) = pending.pop() {
-        install(&mut engine, rec)?;
-    }
+    replay(
+        &mut engine,
+        journal.entries.iter().filter(|e| e.seq >= snap.seq),
+        journal.swaps.iter().filter(|s| s.seq > snap.seq),
+        compile,
+    )?;
     Ok(engine)
 }
 
@@ -698,19 +576,11 @@ pub fn replay_journal(
         )
     })?;
     let table = compile(spec).map_err(JournalError::Mismatch)?;
-    if let Some(h) = journal.policy_hash {
-        if table.identity_hash() != h {
-            return Err(JournalError::Mismatch(format!(
-                "boot spec '{spec}' recompiles to identity hash {:#018x}, journal recorded \
-                 {h:#018x}",
-                table.identity_hash()
-            )));
-        }
-    } else if table.name() != journal.policy {
+    if table.identity_hash() != journal.policy_hash {
         return Err(JournalError::Mismatch(format!(
-            "boot spec '{spec}' compiles to '{}', journal was serving '{}'",
-            table.name(),
-            journal.policy
+            "boot spec '{spec}' recompiles to identity hash {:#018x}, journal recorded {:#018x}",
+            table.identity_hash(),
+            journal.policy_hash
         )));
     }
     if let Some(first) = journal.entries.first() {
@@ -722,12 +592,24 @@ pub fn replay_journal(
         }
     }
     let mut engine = ServeEngine::new(table, config);
-    let batch = engine.config().batch;
-    let mut pending: Vec<&SwapRecord> = journal.swaps.iter().collect();
-    pending.reverse();
-    let mut buf: Vec<Arrival> = Vec::with_capacity(batch);
+    replay(&mut engine, &journal.entries, &journal.swaps, &|rec| {
+        compile(&rec.spec)
+    })?;
+    Ok(engine)
+}
+
+/// Ingests `entries` in engine-sized batches, cutting a batch at each
+/// swap's sequence point to install the recompiled table there, and
+/// checks that every installed table hashes and numbers its generation
+/// as journaled.
+fn replay<'a>(
+    engine: &mut ServeEngine,
+    entries: impl IntoIterator<Item = &'a JournalEntry>,
+    swaps: impl IntoIterator<Item = &'a SwapRecord>,
+    compile: &dyn Fn(&SwapRecord) -> Result<CompiledTable, String>,
+) -> Result<(), JournalError> {
     let install = |engine: &mut ServeEngine, rec: &SwapRecord| -> Result<(), JournalError> {
-        let table = compile(&rec.spec).map_err(JournalError::Mismatch)?;
+        let table = compile(rec).map_err(JournalError::Mismatch)?;
         let installed = engine.install_table(table, &rec.spec);
         if installed.hash != rec.hash || installed.generation != rec.generation {
             return Err(JournalError::Mismatch(format!(
@@ -738,12 +620,14 @@ pub fn replay_journal(
         }
         Ok(())
     };
-    for e in &journal.entries {
-        while pending.last().is_some_and(|s| s.seq == e.seq) {
+    let batch = engine.config().batch;
+    let mut swaps = swaps.into_iter().peekable();
+    let mut buf: Vec<Arrival> = Vec::with_capacity(batch);
+    for e in entries {
+        while let Some(rec) = swaps.next_if(|s| s.seq == e.seq) {
             engine.ingest_batch(&buf);
             buf.clear();
-            let rec = pending.pop().expect("just checked");
-            install(&mut engine, rec)?;
+            install(engine, rec)?;
         }
         buf.push(e.arrival);
         if buf.len() >= batch {
@@ -752,10 +636,12 @@ pub fn replay_journal(
         }
     }
     engine.ingest_batch(&buf);
-    while let Some(rec) = pending.pop() {
-        install(&mut engine, rec)?;
+    // Swaps recorded at the very end of the journal (at the crash
+    // point, after the last journaled arrival) still install.
+    for rec in swaps {
+        install(engine, rec)?;
     }
-    Ok(engine)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -793,7 +679,7 @@ mod tests {
     }
 
     #[test]
-    fn journal_text_round_trips() {
+    fn journal_records_round_trip() {
         let engine = ServeEngine::new(table(), churned_config());
         let mut w = JournalWriter::create(Vec::new(), &engine).unwrap();
         let t = trace();
@@ -815,22 +701,72 @@ mod tests {
     fn torn_final_lines_are_recoverable_but_strict_load_refuses() {
         let engine = ServeEngine::new(table(), churned_config());
         let mut w = JournalWriter::create(Vec::new(), &engine).unwrap();
-        w.append_batch(0, &trace().arrivals()[..4]).unwrap();
-        let full = String::from_utf8(w.into_inner().unwrap()).unwrap();
-        // Simulate a crash mid-write: the fourth entry's class and size
-        // never reached the disk.
-        let kept: String = full
-            .lines()
-            .take(full.lines().count() - 1)
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let torn = format!("{kept}a 3 0.51");
-        assert!(Journal::from_reader(&mut std::io::Cursor::new(&torn)).is_err());
-        let j = Journal::load_prefix(&mut std::io::Cursor::new(&torn)).unwrap();
+        let t = trace();
+        w.append_batch(0, &t.arrivals()[..4]).unwrap();
+        let full = w.into_inner().unwrap();
+        // Simulate a crash mid-write: the end of the fourth entry's size
+        // and its checksum never reached the disk.
+        let torn = &full[..full.len() - 12];
+        assert!(matches!(
+            Journal::from_reader(&mut &torn[..]),
+            Err(JournalError::Record(5, _))
+        ));
+        let j = Journal::load_prefix(&mut &torn[..]).unwrap();
         assert_eq!(j.entries.len(), 3, "the torn fourth entry is dropped");
-        // A malformed line that is NOT last stays an error either way.
-        let garbled = format!("{torn}\na 3 0.5 I 1.0\n");
-        assert!(Journal::load_prefix(&mut std::io::Cursor::new(&garbled)).is_err());
+        for (n, e) in j.entries.iter().enumerate() {
+            assert_eq!(e.arrival, t.arrivals()[n]);
+        }
+        // A malformed record that is NOT last stays an error either way:
+        // the torn record followed by a whole one, or one flipped bit in
+        // the second entry.
+        let garbled = [torn, &full[full.len() - 36..]].concat();
+        assert!(Journal::load_prefix(&mut &garbled[..]).is_err());
+        let mut flipped = full.clone();
+        flipped[full.len() - 3 * 36 + 20] ^= 0x10;
+        assert!(Journal::load_prefix(&mut &flipped[..]).is_err());
+        assert!(Journal::from_reader(&mut &flipped[..]).is_err());
+    }
+
+    #[test]
+    fn text_journals_are_refused_by_magic() {
+        let text = "# eirs-serve-journal v1\nk 2 route_shards 3\npolicy Compiled[Fair-Share]\n";
+        let err = Journal::load_prefix(&mut text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, JournalError::Record(0, m) if m.contains("bad magic")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn swap_specs_are_capped_so_high_length_flips_are_errors() {
+        let engine = ServeEngine::new(table(), EngineConfig::new(2).route_shards(3));
+        let mut w = JournalWriter::create(Vec::new(), &engine).unwrap();
+        let mut rec = SwapRecord {
+            seq: 0,
+            generation: 1,
+            hash: 7,
+            spec: "x".repeat(MAX_SPEC + 1),
+        };
+        let err = w.append_swap(&rec).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        rec.spec = "fs".into();
+        w.append_swap(&rec).unwrap();
+        let full = w.into_inner().unwrap();
+        let j = Journal::from_reader(&mut &full[..]).unwrap();
+        assert_eq!(j.swaps, vec![rec], "the refused swap wrote nothing");
+        // Flipping bit 12 or higher of the final swap's length pushes it
+        // past the cap: an error. A lower bit that makes it run past the
+        // end of the file looks exactly like a tear, and the swap is
+        // dropped (the documented exception); any other flip is an error.
+        let len_at = full.len() - 8 - 22 - 2;
+        for bit in 0..16 {
+            let mut bad = full.clone();
+            bad[len_at + bit / 8] ^= 1 << (bit % 8);
+            match Journal::load_prefix(&mut &bad[..]) {
+                Ok(j) => assert!(bit < 12 && j.swaps.is_empty(), "bit {bit} loaded {j:?}"),
+                Err(e) => assert!(matches!(e, JournalError::Record(2, _)), "bit {bit}: {e:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,333 @@
+//! The one checksummed record codec behind every binary stream the
+//! serving stack writes: `eirsnp01` wire frames (`eirs_net::protocol`),
+//! the write-ahead [journal](crate::journal), and engine
+//! [snapshots](crate::snapshot).
+//!
+//! A stream opens with an 8-byte magic naming its format and version,
+//! then carries records:
+//!
+//! ```text
+//! ┌──────┬──────┬──────────┬───────────────┬──────────────┐
+//! │ type │ aux  │ len (LE) │    payload    │ checksum(LE) │
+//! │ 1 B  │ 1 B  │   2 B    │   len bytes   │     8 B      │
+//! └──────┴──────┴──────────┴───────────────┴──────────────┘
+//! ```
+//!
+//! The checksum is a SplitMix64 fold over the header and payload
+//! ([`checksum`]). Each format passes its per-type payload length caps
+//! to [`read`], which checks the declared length against them **before**
+//! allocating. Decoding is strict: an unknown type, a length outside the
+//! type's cap, or a checksum mismatch is a hard [`RecordError`] — a
+//! reader stops rather than resynchronizes, so corruption can shorten a
+//! stream but never alter a record. Clean EOF is legal only *between*
+//! records ([`read`] returns `Ok(None)` there); EOF inside a record is
+//! [`RecordError::Truncated`].
+//!
+//! Payload fields are little-endian; floats travel as their raw IEEE-754
+//! bits, so every value round-trips exactly. [`Fields`] reads them back
+//! in order.
+
+use crate::engine::mix64;
+use eirs_sim::arrivals::Arrival;
+use eirs_sim::job::JobClass;
+use std::io::Read;
+
+/// Legal `(min, max)` payload length of record type `t` at index
+/// `t - 1`; a type past the end of a format's table is unknown.
+pub type Caps = [(usize, usize)];
+
+/// Payload bytes of an arrival record (see [`encode_arrival`]).
+pub const ARRIVAL_LEN: usize = 24;
+
+/// Why a record stream failed to decode. Every variant is terminal: the
+/// reader must stop, never skip bytes and resume.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RecordError {
+    /// The 8-byte stream magic did not match the format's.
+    BadMagic([u8; 8]),
+    /// Unknown record type tag.
+    BadType(u8),
+    /// Payload length outside the cap for this record type.
+    BadLength {
+        /// The offending record type.
+        ty: u8,
+        /// The declared payload length.
+        len: usize,
+    },
+    /// Checksum mismatch: the record was altered after it was written.
+    BadChecksum {
+        /// Checksum computed over the received bytes.
+        computed: u64,
+        /// Checksum carried by the record.
+        received: u64,
+    },
+    /// The payload did not decode (bad UTF-8, non-finite float, bad
+    /// class tag, short field, ...).
+    BadPayload(String),
+    /// The stream ended inside a record (or inside the magic).
+    Truncated,
+    /// An I/O error from the underlying stream.
+    Io(String),
+}
+
+impl std::fmt::Display for RecordError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::BadMagic(got) => write!(f, "bad magic \"{}\"", got.escape_ascii()),
+            Self::BadType(ty) => write!(f, "unknown record type {ty}"),
+            Self::BadLength { ty, len } => {
+                write!(f, "record type {ty} declares illegal payload length {len}")
+            }
+            Self::BadChecksum { computed, received } => write!(
+                f,
+                "record checksum mismatch: computed {computed:#x}, received {received:#x}"
+            ),
+            Self::BadPayload(why) => write!(f, "bad record payload: {why}"),
+            Self::Truncated => write!(f, "stream truncated mid-record"),
+            Self::Io(e) => write!(f, "i/o error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for RecordError {}
+
+impl From<std::io::Error> for RecordError {
+    fn from(e: std::io::Error) -> Self {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            Self::Truncated
+        } else {
+            Self::Io(e.to_string())
+        }
+    }
+}
+
+/// Record checksum: a SplitMix64 fold over the 4 header bytes followed
+/// by the payload in 8-byte little-endian chunks (last chunk
+/// zero-padded). Cheap, order-sensitive, and independent of framing
+/// state — flipping any bit anywhere in the record changes it.
+pub fn checksum(ty: u8, aux: u8, payload: &[u8]) -> u64 {
+    let header = (ty as u64) | ((aux as u64) << 8) | ((payload.len() as u64) << 16);
+    let mut h = mix64(header);
+    for chunk in payload.chunks(8) {
+        let mut buf = [0u8; 8];
+        buf[..chunk.len()].copy_from_slice(chunk);
+        h = mix64(h ^ u64::from_le_bytes(buf));
+    }
+    h
+}
+
+/// Appends one record to `out`: `payload` writes the payload bytes,
+/// then the length and checksum are filled in.
+///
+/// # Panics
+///
+/// If the payload exceeds the `u16` length field — a writer bug: long
+/// values must be split across records, never truncated.
+pub fn encode(out: &mut Vec<u8>, ty: u8, aux: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend([ty, aux, 0, 0]);
+    payload(out);
+    let len = u16::try_from(out.len() - start - 4).expect("record payload exceeds the u16 length");
+    out[start + 2..start + 4].copy_from_slice(&len.to_le_bytes());
+    let sum = checksum(ty, aux, &out[start + 4..]);
+    out.extend(sum.to_le_bytes());
+}
+
+/// Appends `s` to a payload as a `u16` byte length then its UTF-8 bytes
+/// (read back by [`Fields::str`]).
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    let len = u16::try_from(s.len()).expect("record string exceeds the u16 length");
+    out.extend(len.to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// The aux-byte tag of a job class: 0 = inelastic, 1 = elastic.
+pub fn class_tag(class: JobClass) -> u8 {
+    match class {
+        JobClass::Inelastic => 0,
+        JobClass::Elastic => 1,
+    }
+}
+
+/// Inverse of [`class_tag`].
+pub fn class_from_tag(tag: u8) -> Result<JobClass, RecordError> {
+    match tag {
+        0 => Ok(JobClass::Inelastic),
+        1 => Ok(JobClass::Elastic),
+        other => Err(RecordError::BadPayload(format!(
+            "unknown job class tag {other}"
+        ))),
+    }
+}
+
+/// Appends an arrival record of type `ty`: `id | time | size` (24
+/// bytes), class in aux. Wire arrival frames (`id` = request id) and
+/// journal arrival records (`id` = sequence number) share this layout.
+pub fn encode_arrival(out: &mut Vec<u8>, ty: u8, id: u64, a: &Arrival) {
+    encode(out, ty, class_tag(a.class), |p| {
+        p.extend(id.to_le_bytes());
+        p.extend(a.time.to_le_bytes());
+        p.extend(a.size.to_le_bytes());
+    });
+}
+
+/// Decodes an [`encode_arrival`] payload, refusing a non-finite time or
+/// a non-finite or non-positive size.
+pub fn decode_arrival(aux: u8, payload: &[u8]) -> Result<(u64, Arrival), RecordError> {
+    let class = class_from_tag(aux)?;
+    let mut f = Fields::new(payload);
+    let (id, time, size) = (f.u64()?, f.f64()?, f.f64()?);
+    if !time.is_finite() || !size.is_finite() || size <= 0.0 {
+        return Err(RecordError::BadPayload(format!(
+            "arrival (time {time}, size {size}) is not a finite positive-size job"
+        )));
+    }
+    Ok((id, Arrival { time, class, size }))
+}
+
+/// Reads and verifies an 8-byte stream magic.
+pub fn read_magic<R: Read + ?Sized>(r: &mut R, magic: &[u8; 8]) -> Result<(), RecordError> {
+    let mut got = [0u8; 8];
+    r.read_exact(&mut got)?;
+    if &got != magic {
+        return Err(RecordError::BadMagic(got));
+    }
+    Ok(())
+}
+
+/// Reads one record into `payload`, returning its `(type, aux)`.
+/// `Ok(None)` is a clean EOF **at a record boundary**; any EOF inside a
+/// record is [`RecordError::Truncated`], and any validation failure is
+/// terminal.
+pub fn read<R: Read + ?Sized>(
+    r: &mut R,
+    caps: &Caps,
+    payload: &mut Vec<u8>,
+) -> Result<Option<(u8, u8)>, RecordError> {
+    let mut header = [0u8; 4];
+    // Distinguish clean EOF (zero bytes before a record) from truncation.
+    let mut filled = 0;
+    while filled < header.len() {
+        match r.read(&mut header[filled..]) {
+            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) => return Err(RecordError::Truncated),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        }
+    }
+    let [ty, aux, lo, hi] = header;
+    let len = u16::from_le_bytes([lo, hi]) as usize;
+    let &(min, max) = caps
+        .get((ty as usize).wrapping_sub(1))
+        .ok_or(RecordError::BadType(ty))?;
+    if len < min || len > max {
+        return Err(RecordError::BadLength { ty, len });
+    }
+    payload.clear();
+    payload.resize(len, 0);
+    r.read_exact(payload)?;
+    let mut sum = [0u8; 8];
+    r.read_exact(&mut sum)?;
+    let received = u64::from_le_bytes(sum);
+    let computed = checksum(ty, aux, payload);
+    if computed != received {
+        return Err(RecordError::BadChecksum { computed, received });
+    }
+    Ok(Some((ty, aux)))
+}
+
+/// Reads little-endian fields from the front of a record payload, in
+/// the order the writer appended them.
+#[derive(Debug)]
+pub struct Fields<'a>(&'a [u8]);
+
+impl<'a> Fields<'a> {
+    /// A reader positioned at the start of `payload`.
+    pub fn new(payload: &'a [u8]) -> Self {
+        Self(payload)
+    }
+
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], RecordError> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk::<N>()
+            .ok_or_else(|| RecordError::BadPayload("payload ends mid-field".into()))?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    /// The next `u32`.
+    pub fn u32(&mut self) -> Result<u32, RecordError> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    /// The next `u64`.
+    pub fn u64(&mut self) -> Result<u64, RecordError> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    /// The next `f64`, bit-exact.
+    pub fn f64(&mut self) -> Result<f64, RecordError> {
+        self.take().map(f64::from_le_bytes)
+    }
+
+    /// The next [`put_str`] string.
+    pub fn str(&mut self) -> Result<&'a str, RecordError> {
+        let len = u16::from_le_bytes(self.take()?) as usize;
+        if len > self.0.len() {
+            return Err(RecordError::BadPayload(
+                "string runs past the payload".into(),
+            ));
+        }
+        let (text, rest) = self.0.split_at(len);
+        self.0 = rest;
+        utf8(text)
+    }
+
+    /// The rest of the payload as UTF-8 text.
+    pub fn rest_str(self) -> Result<&'a str, RecordError> {
+        utf8(self.0)
+    }
+}
+
+fn utf8(bytes: &[u8]) -> Result<&str, RecordError> {
+    std::str::from_utf8(bytes)
+        .map_err(|_| RecordError::BadPayload("text payload is not UTF-8".into()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const CAPS: &Caps = &[(0, 64), (ARRIVAL_LEN, ARRIVAL_LEN)];
+
+    #[test]
+    fn records_round_trip_and_reject_every_single_bit_flip() {
+        let mut bytes = Vec::new();
+        encode(&mut bytes, 1, 7, |p| put_str(p, "hello"));
+        let a = Arrival {
+            time: 0.1 + 0.2,
+            class: JobClass::Elastic,
+            size: 1e-300,
+        };
+        encode_arrival(&mut bytes, 2, 9, &a);
+        let mut r = &bytes[..];
+        let mut payload = Vec::new();
+        assert_eq!(read(&mut r, CAPS, &mut payload).unwrap(), Some((1, 7)));
+        assert_eq!(Fields::new(&payload).str().unwrap(), "hello");
+        assert_eq!(read(&mut r, CAPS, &mut payload).unwrap(), Some((2, 1)));
+        assert_eq!(decode_arrival(1, &payload).unwrap(), (9, a));
+        assert_eq!(read(&mut r, CAPS, &mut payload).unwrap(), None);
+        for bit in 0..bytes.len() * 8 {
+            let mut bad = bytes.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let mut r = &bad[..];
+            let outcome = (|| -> Result<(), RecordError> {
+                while read(&mut r, CAPS, &mut payload)?.is_some() {}
+                Ok(())
+            })();
+            assert!(outcome.is_err(), "bit {bit} flipped undetected");
+        }
+    }
+}

@@ -2,12 +2,33 @@
 //!
 //! Operationally a decision server must survive restarts without
 //! forgetting in-flight work: a snapshot freezes every shard's clock,
-//! queues (with per-job remaining work), digest, and counters into a
-//! line-oriented text format (the same discipline as the arrival-trace
-//! files: floats print in Rust's shortest round-trippable form, so a
-//! restored engine is **bit-identical** to the original — continuing
-//! both from the same point produces the same decision digest, which the
-//! `serve_layer` tests assert).
+//! queues (with per-job remaining work), digest, counters, and
+//! response-time telemetry into a [record stream](crate::record). Clocks,
+//! job sizes and other floats travel as raw bits; the response-telemetry
+//! records (`rhist`, `rtail`) carry the sketches' own text encodings
+//! ([`LatencyHistogram::encode`], [`TailStats::encode`]), which
+//! round-trip exactly. A restored engine is therefore **bit-identical**
+//! to the original — continuing both from the same point produces the
+//! same decision digest, which the `serve_layer` tests assert.
+//!
+//! The stream is the magic `eirssn02`, a header record, each shard's
+//! records in shard order, then an end record:
+//!
+//! ```text
+//! header  k u32 | route_shards u64 | seq u64 | generation u32 |
+//!         table identity hash u64 | policy name | churn identity ("" = none)
+//! shard   time f64 | digest u64 | next_id u64 | avail u32 | fault cursor u64 |
+//!         9 counters u64 | peak_i u64 | peak_j u64 | total_response f64 | sim_time f64
+//! hist    the busy histogram as u64s          ┐ each split across as many
+//! rhist   the response-histogram encoding     │ records as it needs
+//! rtail   the tail-sketch encoding            ┘
+//! job     id u64 | remaining f64 | size f64 | arrival f64    class in aux
+//! end     (empty)
+//! ```
+//!
+//! A snapshot is valid only whole: [`EngineSnapshot::from_reader`]
+//! refuses a stream that stops before the end record or continues past
+//! it, and any malformed record.
 //!
 //! The optional decision log ([`EngineConfig::record_decisions`]) is an
 //! audit/debug surface, not state — it is not snapshotted.
@@ -16,10 +37,35 @@
 
 use crate::engine::{ChurnConfig, ClusterShard, EngineConfig, ServeEngine};
 use crate::metrics::ShardMetrics;
+use crate::record::{self, Caps, Fields, RecordError};
 use crate::table::CompiledTable;
+use eirs_obs::LatencyHistogram;
 use eirs_sim::job::{Job, JobClass};
 use eirs_sim::policy::AllocationPolicy;
+use eirs_sim::quantile::TailStats;
 use std::io::{BufRead, Write};
+
+/// Stream magic of the snapshot format.
+const MAGIC: [u8; 8] = *b"eirssn02";
+const HEADER: u8 = 1;
+const SHARD: u8 = 2;
+const HIST: u8 = 3;
+const RHIST: u8 = 4;
+const RTAIL: u8 = 5;
+const JOB: u8 = 6;
+const END: u8 = 7;
+/// Payload bytes of one piece of a split value (hist, rhist, rtail).
+const PIECE: usize = 1 << 15;
+/// Payload length caps, indexed by record type − 1.
+const CAPS: &Caps = &[
+    (34, u16::MAX as usize),
+    (140, 140),
+    (1, PIECE),
+    (1, PIECE),
+    (1, PIECE),
+    (32, 32),
+    (0, 0),
+];
 
 /// One frozen job: class, remaining work, inherent size, arrival epoch,
 /// and id (ids keep restored queues byte-equal to the originals).
@@ -81,8 +127,7 @@ pub struct EngineSnapshot {
     pub generation: u32,
     /// [`CompiledTable::identity_hash`] of the serving table — a
     /// grid-size-independent behavioral fingerprint. Restore refuses a
-    /// table with a different hash (0 in pre-hot-swap snapshots, which
-    /// skips the check and falls back to the name comparison alone).
+    /// table with a different hash.
     pub policy_hash: u64,
     /// Per-shard state, in shard order.
     pub shards: Vec<ShardSnapshot>,
@@ -96,29 +141,24 @@ pub enum SnapshotError {
     /// unreadable one without string-matching.
     Io {
         /// The kind of the underlying I/O failure ([`std::io::ErrorKind::UnexpectedEof`]
-        /// for structurally truncated snapshots).
+        /// for truncated snapshots).
         kind: std::io::ErrorKind,
         /// Human-readable detail.
         message: String,
     },
-    /// A malformed line: `(1-based line number, message)`.
-    Line(usize, String),
+    /// A malformed record: `(record number, message)`. The header is
+    /// record 1; record 0 is the stream magic.
+    Record(usize, String),
     /// Structurally valid but inconsistent with the restoring engine.
     Mismatch(String),
 }
 
-impl SnapshotError {
-    fn io(kind: std::io::ErrorKind, message: impl Into<String>) -> Self {
-        SnapshotError::Io {
-            kind,
-            message: message.into(),
-        }
-    }
-}
-
 impl From<std::io::Error> for SnapshotError {
     fn from(e: std::io::Error) -> Self {
-        SnapshotError::io(e.kind(), e.to_string())
+        SnapshotError::Io {
+            kind: e.kind(),
+            message: e.to_string(),
+        }
     }
 }
 
@@ -128,7 +168,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::Io { kind, message } => {
                 write!(f, "snapshot I/O error ({kind}): {message}")
             }
-            SnapshotError::Line(n, msg) => write!(f, "snapshot line {n}: {msg}"),
+            SnapshotError::Record(n, msg) => write!(f, "snapshot record {n}: {msg}"),
             SnapshotError::Mismatch(msg) => write!(f, "snapshot mismatch: {msg}"),
         }
     }
@@ -136,289 +176,134 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+/// Appends an optional churn identity as the rest of a payload (`""` =
+/// no churn).
+pub(crate) fn put_churn(p: &mut Vec<u8>, churn: Option<ChurnConfig>) {
+    p.extend_from_slice(churn.map(|c| c.identity()).unwrap_or_default().as_bytes());
+}
+
+/// Decodes a [`put_churn`] field.
+pub(crate) fn churn_field(raw: &str) -> Result<Option<ChurnConfig>, RecordError> {
+    if raw.is_empty() {
+        return Ok(None);
+    }
+    ChurnConfig::parse_identity(raw)
+        .map(Some)
+        .map_err(RecordError::BadPayload)
+}
+
 impl EngineSnapshot {
-    /// Serializes as text: a header, one `shard` line per shard with its
-    /// scalars, a `hist` line, then one `job` line per queued job.
+    /// Serializes in the record format of the [module docs](self), with
+    /// one `write_all`.
     pub fn to_writer(&self, w: &mut dyn Write) -> std::io::Result<()> {
-        writeln!(w, "# eirs-serve-snapshot v1")?;
-        writeln!(
-            w,
-            "k {} route_shards {} seq {}",
-            self.k, self.route_shards, self.seq
-        )?;
-        writeln!(w, "policy {}", self.policy)?;
-        writeln!(
-            w,
-            "generation {} policy_hash {}",
-            self.generation, self.policy_hash
-        )?;
-        if let Some(churn) = &self.churn {
-            writeln!(w, "churn {}", churn.identity())?;
-        }
-        for (idx, s) in self.shards.iter().enumerate() {
+        let mut out = MAGIC.to_vec();
+        record::encode(&mut out, HEADER, 0, |p| {
+            p.extend(self.k.to_le_bytes());
+            p.extend((self.route_shards as u64).to_le_bytes());
+            p.extend(self.seq.to_le_bytes());
+            p.extend(self.generation.to_le_bytes());
+            p.extend(self.policy_hash.to_le_bytes());
+            record::put_str(p, &self.policy);
+            put_churn(p, self.churn);
+        });
+        for s in &self.shards {
             let m = &s.metrics;
-            writeln!(
-                w,
-                "shard {idx} time {} digest {} next_id {} avail {} fault_cursor {} arrivals {} \
-                 arr_i {} arr_e {} \
-                 completions {} decisions {} overflow {} degraded {} rejections {} preemptions {} \
-                 peak_i {} peak_j {} total_response {} sim_time {}",
-                s.time,
-                s.digest,
-                s.next_id,
-                s.avail,
-                s.fault_cursor,
-                m.arrivals,
-                m.arrivals_inelastic,
-                m.arrivals_elastic,
-                m.completions,
-                m.decisions,
-                m.overflow_lookups,
-                m.degraded_decisions,
-                m.rejections,
-                m.preemptions,
-                m.peak_inelastic,
-                m.peak_elastic,
-                m.total_response,
-                m.sim_time,
-            )?;
-            let hist: Vec<String> = m.busy_histogram.iter().map(u64::to_string).collect();
-            writeln!(w, "hist {}", hist.join(" "))?;
-            // Response-time telemetry state, written only once populated
-            // so pre-telemetry snapshots and fresh shards stay byte-for-
-            // byte in the v1 shape (absent lines restore as fresh).
-            if !m.response_hist.is_empty() {
-                writeln!(w, "rhist {}", m.response_hist.encode())?;
-            }
-            if m.response_tails.count() > 0 {
-                writeln!(w, "rtail {}", m.response_tails.encode())?;
+            record::encode(&mut out, SHARD, 0, |p| {
+                p.extend(s.time.to_le_bytes());
+                p.extend(s.digest.to_le_bytes());
+                p.extend(s.next_id.to_le_bytes());
+                p.extend(s.avail.to_le_bytes());
+                for v in [
+                    s.fault_cursor as u64,
+                    m.arrivals,
+                    m.arrivals_inelastic,
+                    m.arrivals_elastic,
+                    m.completions,
+                    m.decisions,
+                    m.overflow_lookups,
+                    m.degraded_decisions,
+                    m.rejections,
+                    m.preemptions,
+                    m.peak_inelastic as u64,
+                    m.peak_elastic as u64,
+                ] {
+                    p.extend(v.to_le_bytes());
+                }
+                p.extend(m.total_response.to_le_bytes());
+                p.extend(m.sim_time.to_le_bytes());
+            });
+            let hist: Vec<u8> = m
+                .busy_histogram
+                .iter()
+                .flat_map(|b| b.to_le_bytes())
+                .collect();
+            let rhist = m.response_hist.encode().into_bytes();
+            let rtail = m.response_tails.encode().into_bytes();
+            for (ty, value) in [(HIST, hist), (RHIST, rhist), (RTAIL, rtail)] {
+                for piece in value.chunks(PIECE) {
+                    record::encode(&mut out, ty, 0, |p| p.extend_from_slice(piece));
+                }
             }
             for job in &s.jobs {
-                let c = match job.class {
-                    JobClass::Inelastic => 'I',
-                    JobClass::Elastic => 'E',
-                };
-                writeln!(
-                    w,
-                    "job {} {c} {} {} {}",
-                    job.id, job.remaining, job.size, job.arrival
-                )?;
+                record::encode(&mut out, JOB, record::class_tag(job.class), |p| {
+                    p.extend(job.id.to_le_bytes());
+                    p.extend(job.remaining.to_le_bytes());
+                    p.extend(job.size.to_le_bytes());
+                    p.extend(job.arrival.to_le_bytes());
+                });
             }
         }
-        writeln!(w, "end")
+        record::encode(&mut out, END, 0, |_| {});
+        w.write_all(&out)
     }
 
-    /// Parses the text format of [`EngineSnapshot::to_writer`].
+    /// Decodes the format of [`EngineSnapshot::to_writer`].
     pub fn from_reader(r: &mut dyn BufRead) -> Result<Self, SnapshotError> {
-        let mut header: Option<(u32, usize, u64)> = None;
-        let mut policy: Option<String> = None;
-        let mut churn: Option<ChurnConfig> = None;
-        let mut generation = 0u32;
-        let mut policy_hash = 0u64;
-        let mut shards: Vec<ShardSnapshot> = Vec::new();
-        let mut saw_end = false;
-        for (idx, line) in r.lines().enumerate() {
-            let line = line?;
-            let n = idx + 1;
-            let body = line.trim();
-            if body.is_empty() || body.starts_with('#') {
-                continue;
+        let at = |n: usize| {
+            move |e: RecordError| match e {
+                RecordError::Truncated => SnapshotError::Io {
+                    kind: std::io::ErrorKind::UnexpectedEof,
+                    message: format!("snapshot truncated at record {n}, before its end record"),
+                },
+                e => SnapshotError::Record(n, e.to_string()),
             }
-            if saw_end {
-                return Err(SnapshotError::Line(n, "content after end marker".into()));
-            }
-            let fields: Vec<&str> = body.split_whitespace().collect();
-            let parse = |slot: usize, name: &str| -> Result<&str, SnapshotError> {
-                fields
-                    .get(slot)
-                    .copied()
-                    .ok_or_else(|| SnapshotError::Line(n, format!("missing {name} field")))
-            };
-            match fields[0] {
-                "k" => {
-                    // `k <k> route_shards <r> seq <s>`
-                    let k = num(parse(1, "k")?, n, "k")?;
-                    if parse(2, "route_shards")? != "route_shards" {
-                        return Err(SnapshotError::Line(n, "expected route_shards".into()));
-                    }
-                    let route = num(parse(3, "route_shards")?, n, "route_shards")?;
-                    if parse(4, "seq")? != "seq" {
-                        return Err(SnapshotError::Line(n, "expected seq".into()));
-                    }
-                    let seq = num(parse(5, "seq")?, n, "seq")?;
-                    header = Some((k as u32, route as usize, seq));
+        };
+        record::read_magic(r, &MAGIC).map_err(at(0))?;
+        let mut payload = Vec::new();
+        let mut snap: Option<Self> = None;
+        // The split values of the shard being read: hist, rhist, rtail.
+        let mut pieces: [Vec<u8>; 3] = Default::default();
+        for n in 1.. {
+            let (ty, aux) = record::read(r, CAPS, &mut payload)
+                .map_err(at(n))?
+                .ok_or_else(|| at(n)(RecordError::Truncated))?;
+            if decode(&mut snap, &mut pieces, ty, aux, &payload).map_err(at(n))? {
+                if record::read(r, CAPS, &mut payload)
+                    .map_err(at(n + 1))?
+                    .is_some()
+                {
+                    return Err(SnapshotError::Record(
+                        n + 1,
+                        "record after the end record".into(),
+                    ));
                 }
-                "policy" => {
-                    // The rest of the line verbatim (names contain spaces).
-                    let name = body["policy".len()..].trim();
-                    if name.is_empty() {
-                        return Err(SnapshotError::Line(n, "empty policy name".into()));
-                    }
-                    policy = Some(name.to_string());
-                }
-                "generation" => {
-                    // `generation <g> policy_hash <h>` (absent in
-                    // pre-hot-swap snapshots; defaults 0/0).
-                    generation = num(parse(1, "generation")?, n, "generation")? as u32;
-                    if parse(2, "policy_hash")? != "policy_hash" {
-                        return Err(SnapshotError::Line(n, "expected policy_hash".into()));
-                    }
-                    policy_hash = num(parse(3, "policy_hash")?, n, "policy_hash")?;
-                }
-                "churn" => {
-                    // The rest of the line verbatim (the identity string
-                    // has internal spaces).
-                    let raw = body["churn".len()..].trim();
-                    churn = Some(
-                        ChurnConfig::parse_identity(raw).map_err(|e| SnapshotError::Line(n, e))?,
-                    );
-                }
-                "shard" => {
-                    // Keyed `name value` pairs after the shard index.
-                    let mut time = 0.0f64;
-                    let mut digest = 0u64;
-                    let mut next_id = 0u64;
-                    // Pre-churn snapshots carry no `avail`; the sentinel
-                    // is replaced by the header `k` (healthy) after the
-                    // parse loop.
-                    let mut avail = u32::MAX;
-                    let mut fault_cursor = 0usize;
-                    let mut m = ShardMetrics::new(1);
-                    m.busy_histogram.clear();
-                    for pair in fields[2..].chunks(2) {
-                        let &[key, value] = pair else {
-                            return Err(SnapshotError::Line(n, "dangling shard field".into()));
-                        };
-                        match key {
-                            "time" => time = numf(value, n, key)?,
-                            "digest" => digest = num(value, n, key)?,
-                            "next_id" => next_id = num(value, n, key)?,
-                            "avail" => avail = num(value, n, key)? as u32,
-                            "fault_cursor" => fault_cursor = num(value, n, key)? as usize,
-                            "arrivals" => m.arrivals = num(value, n, key)?,
-                            "arr_i" => m.arrivals_inelastic = num(value, n, key)?,
-                            "arr_e" => m.arrivals_elastic = num(value, n, key)?,
-                            "completions" => m.completions = num(value, n, key)?,
-                            "decisions" => m.decisions = num(value, n, key)?,
-                            "overflow" => m.overflow_lookups = num(value, n, key)?,
-                            "degraded" => m.degraded_decisions = num(value, n, key)?,
-                            "rejections" => m.rejections = num(value, n, key)?,
-                            "preemptions" => m.preemptions = num(value, n, key)?,
-                            "peak_i" => m.peak_inelastic = num(value, n, key)? as usize,
-                            "peak_j" => m.peak_elastic = num(value, n, key)? as usize,
-                            "total_response" => m.total_response = numf(value, n, key)?,
-                            "sim_time" => m.sim_time = numf(value, n, key)?,
-                            other => {
-                                return Err(SnapshotError::Line(
-                                    n,
-                                    format!("unknown shard field '{other}'"),
-                                ))
-                            }
-                        }
-                    }
-                    shards.push(ShardSnapshot {
-                        time,
-                        digest,
-                        next_id,
-                        avail,
-                        fault_cursor,
-                        metrics: m,
-                        jobs: Vec::new(),
-                    });
-                }
-                "hist" => {
-                    let shard = shards
-                        .last_mut()
-                        .ok_or_else(|| SnapshotError::Line(n, "hist before any shard".into()))?;
-                    shard.metrics.busy_histogram = fields[1..]
-                        .iter()
-                        .map(|v| num(v, n, "hist"))
-                        .collect::<Result<_, _>>()?;
-                }
-                "rhist" => {
-                    let shard = shards
-                        .last_mut()
-                        .ok_or_else(|| SnapshotError::Line(n, "rhist before any shard".into()))?;
-                    shard.metrics.response_hist =
-                        eirs_obs::LatencyHistogram::decode(body["rhist".len()..].trim())
-                            .map_err(|e| SnapshotError::Line(n, e))?;
-                }
-                "rtail" => {
-                    let shard = shards
-                        .last_mut()
-                        .ok_or_else(|| SnapshotError::Line(n, "rtail before any shard".into()))?;
-                    shard.metrics.response_tails =
-                        eirs_sim::quantile::TailStats::decode(body["rtail".len()..].trim())
-                            .map_err(|e| SnapshotError::Line(n, e))?;
-                }
-                "job" => {
-                    let shard = shards
-                        .last_mut()
-                        .ok_or_else(|| SnapshotError::Line(n, "job before any shard".into()))?;
-                    let id = num(parse(1, "id")?, n, "id")?;
-                    let class = match parse(2, "class")? {
-                        "I" => JobClass::Inelastic,
-                        "E" => JobClass::Elastic,
-                        other => {
-                            return Err(SnapshotError::Line(n, format!("unknown class '{other}'")))
-                        }
-                    };
-                    let remaining = numf(parse(3, "remaining")?, n, "remaining")?;
-                    let size = numf(parse(4, "size")?, n, "size")?;
-                    let arrival = numf(parse(5, "arrival")?, n, "arrival")?;
-                    shard.jobs.push(JobSnapshot {
-                        id,
-                        class,
-                        remaining,
-                        size,
-                        arrival,
-                    });
-                }
-                "end" => saw_end = true,
-                other => {
-                    return Err(SnapshotError::Line(n, format!("unknown record '{other}'")));
-                }
+                break;
             }
         }
-        if !saw_end {
-            return Err(SnapshotError::io(
-                std::io::ErrorKind::UnexpectedEof,
-                "truncated snapshot (no end marker)",
-            ));
-        }
-        let (k, route_shards, seq) = header.ok_or_else(|| {
-            SnapshotError::io(std::io::ErrorKind::InvalidData, "snapshot has no header")
-        })?;
-        let policy = policy.ok_or_else(|| {
-            SnapshotError::io(std::io::ErrorKind::InvalidData, "snapshot has no policy")
-        })?;
-        if shards.len() != route_shards {
+        let snap = snap.expect("the end record follows a header");
+        if snap.shards.len() != snap.route_shards {
             return Err(SnapshotError::Mismatch(format!(
-                "header promises {route_shards} shards, found {}",
-                shards.len()
+                "header promises {} shards, found {}",
+                snap.route_shards,
+                snap.shards.len()
             )));
         }
-        for s in &mut shards {
-            if s.avail == u32::MAX {
-                s.avail = k;
-            }
-        }
-        Ok(Self {
-            k,
-            route_shards,
-            seq,
-            policy,
-            churn,
-            generation,
-            policy_hash,
-            shards,
-        })
+        Ok(snap)
     }
 
     /// Writes the snapshot to `path`.
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
-        self.to_writer(&mut file)
+        self.to_writer(&mut std::fs::File::create(path)?)
     }
 
     /// Loads a snapshot written by [`EngineSnapshot::save`].
@@ -428,14 +313,110 @@ impl EngineSnapshot {
     }
 }
 
-fn num(raw: &str, line: usize, name: &str) -> Result<u64, SnapshotError> {
-    raw.parse()
-        .map_err(|_| SnapshotError::Line(line, format!("unparsable {name} '{raw}'")))
+/// Applies one record to the snapshot being read; `Ok(true)` at the
+/// end record.
+fn decode(
+    snap: &mut Option<EngineSnapshot>,
+    pieces: &mut [Vec<u8>; 3],
+    ty: u8,
+    aux: u8,
+    payload: &[u8],
+) -> Result<bool, RecordError> {
+    let mut f = Fields::new(payload);
+    let misplaced = || RecordError::BadPayload(format!("record type {ty} out of place"));
+    let Some(s) = snap else {
+        if ty != HEADER {
+            return Err(misplaced());
+        }
+        *snap = Some(EngineSnapshot {
+            k: f.u32()?,
+            route_shards: f.u64()? as usize,
+            seq: f.u64()?,
+            generation: f.u32()?,
+            policy_hash: f.u64()?,
+            policy: f.str()?.to_owned(),
+            churn: churn_field(f.rest_str()?)?,
+            shards: Vec::new(),
+        });
+        return Ok(false);
+    };
+    match ty {
+        SHARD | END => {
+            if let Some(last) = s.shards.last_mut() {
+                finish_shard(&mut last.metrics, std::mem::take(pieces))?;
+            }
+            if ty == END {
+                return Ok(true);
+            }
+            let (time, digest, next_id, avail) = (f.f64()?, f.u64()?, f.u64()?, f.u32()?);
+            let fault_cursor = f.u64()? as usize;
+            let mut m = ShardMetrics::new(0);
+            for slot in [
+                &mut m.arrivals,
+                &mut m.arrivals_inelastic,
+                &mut m.arrivals_elastic,
+                &mut m.completions,
+                &mut m.decisions,
+                &mut m.overflow_lookups,
+                &mut m.degraded_decisions,
+                &mut m.rejections,
+                &mut m.preemptions,
+            ] {
+                *slot = f.u64()?;
+            }
+            m.peak_inelastic = f.u64()? as usize;
+            m.peak_elastic = f.u64()? as usize;
+            m.total_response = f.f64()?;
+            m.sim_time = f.f64()?;
+            s.shards.push(ShardSnapshot {
+                time,
+                digest,
+                next_id,
+                avail,
+                fault_cursor,
+                metrics: m,
+                jobs: Vec::new(),
+            });
+        }
+        HIST | RHIST | RTAIL if !s.shards.is_empty() => {
+            pieces[usize::from(ty - HIST)].extend_from_slice(payload);
+        }
+        JOB => s
+            .shards
+            .last_mut()
+            .ok_or_else(misplaced)?
+            .jobs
+            .push(JobSnapshot {
+                id: f.u64()?,
+                class: record::class_from_tag(aux)?,
+                remaining: f.f64()?,
+                size: f.f64()?,
+                arrival: f.f64()?,
+            }),
+        _ => return Err(misplaced()),
+    }
+    Ok(false)
 }
 
-fn numf(raw: &str, line: usize, name: &str) -> Result<f64, SnapshotError> {
-    raw.parse()
-        .map_err(|_| SnapshotError::Line(line, format!("unparsable {name} '{raw}'")))
+/// Decodes a shard's reassembled split values into its metrics.
+fn finish_shard(
+    m: &mut ShardMetrics,
+    [hist, rhist, rtail]: [Vec<u8>; 3],
+) -> Result<(), RecordError> {
+    if hist.len() % 8 != 0 {
+        return Err(RecordError::BadPayload(
+            "busy histogram is not whole u64s".into(),
+        ));
+    }
+    m.busy_histogram = hist
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+        .collect();
+    m.response_hist = LatencyHistogram::decode(Fields::new(&rhist).rest_str()?)
+        .map_err(RecordError::BadPayload)?;
+    m.response_tails =
+        TailStats::decode(Fields::new(&rtail).rest_str()?).map_err(RecordError::BadPayload)?;
+    Ok(())
 }
 
 impl ServeEngine {
@@ -505,7 +486,7 @@ impl ServeEngine {
                 table.name()
             )));
         }
-        if snap.policy_hash != 0 && table.identity_hash() != snap.policy_hash {
+        if table.identity_hash() != snap.policy_hash {
             return Err(SnapshotError::Mismatch(format!(
                 "snapshot pins policy identity hash {:#018x}, restoring table hashes to \
                  {:#018x} — same name, different decision behavior",
@@ -610,14 +591,52 @@ mod tests {
         (engine, trace)
     }
 
+    /// Re-encodes `bytes` with `edit` applied to the payload of the first
+    /// record of type `ty`, re-sealing its checksum so that only the
+    /// payload decoder can catch the edit.
+    fn reseal(bytes: &[u8], ty: u8, edit: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+        let (mut r, mut out) = (&bytes[8..], bytes[..8].to_vec());
+        let (mut payload, mut edited) = (Vec::new(), false);
+        while let Some((t, aux)) = record::read(&mut r, CAPS, &mut payload).unwrap() {
+            if t == ty && !edited {
+                edit(&mut payload);
+                edited = true;
+            }
+            record::encode(&mut out, t, aux, |p| p.extend_from_slice(&payload));
+        }
+        out
+    }
+
     #[test]
-    fn snapshot_round_trips_through_the_text_format() {
+    fn snapshot_round_trips_through_the_record_format() {
         let (engine, _) = running_engine();
         let snap = engine.snapshot();
         let mut buf = Vec::new();
         snap.to_writer(&mut buf).unwrap();
         let parsed = EngineSnapshot::from_reader(&mut std::io::Cursor::new(buf)).unwrap();
-        assert_eq!(parsed, snap, "text round trip must be lossless");
+        assert_eq!(parsed, snap, "the round trip must be lossless");
+    }
+
+    #[test]
+    fn values_too_long_for_one_record_are_split_not_truncated() {
+        let k = 10_000;
+        let table = || CompiledTable::compile(Box::new(FairShare), k, 4, 4);
+        let config = EngineConfig::new(k).route_shards(2);
+        let mut engine = ServeEngine::new(table(), config);
+        let (_, trace) = running_engine();
+        engine.ingest_batch(&trace.arrivals()[..40]);
+        let snap = engine.snapshot();
+        assert_eq!(snap.shards[0].metrics.busy_histogram.len(), 10_001);
+        let mut buf = Vec::new();
+        snap.to_writer(&mut buf).unwrap();
+        assert!(
+            buf.len() > 2 * 80_008,
+            "both busy histograms are written whole"
+        );
+        let parsed = EngineSnapshot::from_reader(&mut &buf[..]).unwrap();
+        assert_eq!(parsed, snap);
+        let restored = ServeEngine::from_snapshot(table(), config, &parsed).unwrap();
+        assert_eq!(restored.decision_digest(), engine.decision_digest());
     }
 
     #[test]
@@ -701,7 +720,7 @@ mod tests {
             snap.shards.iter().any(|s| s.fault_cursor > 0),
             "a 120-epoch run under mtbf=40 churn should have applied fault events"
         );
-        // Text round trip preserves the fault-replay position exactly.
+        // The round trip preserves the fault-replay position exactly.
         let mut buf = Vec::new();
         snap.to_writer(&mut buf).unwrap();
         let parsed = EngineSnapshot::from_reader(&mut std::io::Cursor::new(buf)).unwrap();
@@ -737,27 +756,17 @@ mod tests {
         assert!(populated, "drained engine must have recorded responses");
         let mut buf = Vec::new();
         snap.to_writer(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("\nrhist ") && text.contains("\nrtail "));
-        let parsed = EngineSnapshot::from_reader(&mut std::io::Cursor::new(text.clone())).unwrap();
+        let parsed = EngineSnapshot::from_reader(&mut &buf[..]).unwrap();
         assert_eq!(parsed, snap);
-        // A pre-telemetry snapshot (no rhist/rtail lines) still parses;
-        // the sketches restore fresh.
-        let stripped: String = text
-            .lines()
-            .filter(|l| !l.starts_with("rhist") && !l.starts_with("rtail"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let old = EngineSnapshot::from_reader(&mut std::io::Cursor::new(stripped)).unwrap();
-        assert!(old.shards.iter().all(|s| {
-            s.metrics.response_tails.count() == 0 && s.metrics.response_hist.is_empty()
-        }));
-        // But a corrupted telemetry line is an error, not a silent skip.
-        let bad = text.replacen("rtail ", "rtail x", 1);
-        assert!(matches!(
-            EngineSnapshot::from_reader(&mut std::io::Cursor::new(bad)),
-            Err(SnapshotError::Line(..))
-        ));
+        // A corrupted telemetry record is an error, not a silent skip —
+        // even one re-sealed with a valid checksum.
+        for ty in [RHIST, RTAIL] {
+            let bad = reseal(&buf, ty, |p| p[0] = b'x');
+            assert!(matches!(
+                EngineSnapshot::from_reader(&mut &bad[..]),
+                Err(SnapshotError::Record(..))
+            ));
+        }
     }
 
     #[test]
@@ -772,9 +781,7 @@ mod tests {
         assert_eq!(snap.policy_hash, engine.table().identity_hash());
         let mut buf = Vec::new();
         snap.to_writer(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("\ngeneration 1 policy_hash "));
-        let parsed = EngineSnapshot::from_reader(&mut std::io::Cursor::new(text.clone())).unwrap();
+        let parsed = EngineSnapshot::from_reader(&mut &buf[..]).unwrap();
         assert_eq!(parsed, snap);
         let table = CompiledTable::compile(Box::new(FairShare), 2, 16, 16);
         let restored = ServeEngine::from_snapshot(table, *engine.config(), &snap).unwrap();
@@ -798,17 +805,6 @@ mod tests {
             matches!(&err, SnapshotError::Mismatch(m) if m.contains("identity hash")),
             "{err:?}"
         );
-        // Pre-hot-swap snapshots (no generation line) parse with the
-        // defaults and restore without the hash check.
-        let stripped: String = text
-            .lines()
-            .filter(|l| !l.starts_with("generation"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let old = EngineSnapshot::from_reader(&mut std::io::Cursor::new(stripped)).unwrap();
-        assert_eq!((old.generation, old.policy_hash), (0, 0));
-        let table = CompiledTable::compile(Box::new(FairShare), 2, 16, 16);
-        assert!(ServeEngine::from_snapshot(table, *engine.config(), &old).is_ok());
     }
 
     #[test]
@@ -816,20 +812,16 @@ mod tests {
         let (engine, _) = running_engine();
         let mut buf = Vec::new();
         engine.snapshot().to_writer(&mut buf).unwrap();
-        // Chop the file anywhere before the end marker: structurally
-        // truncated, reported as UnexpectedEof (satellite: the error kind
-        // survives, callers need not string-match).
-        for cut in [buf.len() / 3, buf.len() / 2, buf.len() - 5] {
-            let err = EngineSnapshot::from_reader(&mut std::io::Cursor::new(&buf[..cut]))
+        // Chop the file anywhere before its end: structurally truncated,
+        // reported as UnexpectedEof (the error kind survives, callers
+        // need not string-match).
+        for cut in 0..buf.len() {
+            let err = EngineSnapshot::from_reader(&mut &buf[..cut])
                 .expect_err("truncated snapshot must fail");
-            match err {
-                SnapshotError::Io { kind, .. } => {
-                    assert_eq!(kind, std::io::ErrorKind::UnexpectedEof)
-                }
-                // A cut mid-line can also leave a half token behind.
-                SnapshotError::Line(..) => {}
-                other => panic!("unexpected error {other:?}"),
-            }
+            assert!(
+                matches!(err, SnapshotError::Io { kind, .. } if kind == std::io::ErrorKind::UnexpectedEof),
+                "cut at {cut}: {err:?}"
+            );
         }
     }
 
@@ -838,36 +830,84 @@ mod tests {
         let (engine, _) = running_engine();
         let mut buf = Vec::new();
         engine.snapshot().to_writer(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        // Garble one numeric field in the first shard line.
-        let corrupted = text.replacen("digest ", "digest x", 1);
-        let err = EngineSnapshot::from_reader(&mut std::io::Cursor::new(corrupted))
+        // Garble the digest of the first shard record (record 2): its
+        // checksum catches the change and names the record.
+        let header_len = u16::from_le_bytes([buf[10], buf[11]]) as usize;
+        let digest_at = 8 + (4 + header_len + 8) + 4 + 8;
+        let mut corrupted = buf.clone();
+        corrupted[digest_at] ^= 0x01;
+        let err = EngineSnapshot::from_reader(&mut &corrupted[..])
             .expect_err("corrupted snapshot must fail");
         assert!(
-            matches!(&err, SnapshotError::Line(_, m) if m.contains("digest")),
+            matches!(&err, SnapshotError::Record(2, m) if m.contains("checksum")),
             "{err:?}"
         );
-        // A bogus churn identity is rejected with its line, not ignored.
-        let with_churn = text.replacen("policy", "churn spec=bogus seed=1 horizon=1\npolicy", 1);
-        let err = EngineSnapshot::from_reader(&mut std::io::Cursor::new(with_churn))
+        // A bogus churn identity in a re-sealed header is rejected with
+        // its record, not ignored.
+        let bogus = reseal(&buf, HEADER, |p| {
+            let name_len = u16::from_le_bytes([p[32], p[33]]) as usize;
+            p.truncate(34 + name_len);
+            p.extend_from_slice(b"spec=bogus seed=1 horizon=1");
+        });
+        let err = EngineSnapshot::from_reader(&mut &bogus[..])
             .expect_err("bogus churn identity must fail");
-        assert!(matches!(err, SnapshotError::Line(..)), "{err:?}");
+        assert!(matches!(err, SnapshotError::Record(1, _)), "{err:?}");
     }
 
     #[test]
     fn parser_rejects_malformed_snapshots() {
-        for bad in [
-            "",                                        // no header, no end
-            "k 2 route_shards 1 seq 0\n",              // truncated (no end)
-            "k 2 route_shards 2 seq 0\nend\n",         // shard count mismatch
-            "hist 1 2\nend\n",                         // hist before shard
-            "job 0 I 1 1 0\nend\n",                    // job before shard
-            "k 2 route_shards 0 seq 0\nwhat 3\nend\n", // unknown record
+        let stream = |records: &[(u8, &[u8])]| {
+            let mut out = MAGIC.to_vec();
+            for (ty, payload) in records {
+                record::encode(&mut out, *ty, 0, |p| p.extend_from_slice(payload));
+            }
+            out
+        };
+        let header = |route: u64| {
+            let mut p = Vec::new();
+            p.extend(2u32.to_le_bytes());
+            p.extend(route.to_le_bytes());
+            p.extend([0; 8 + 4 + 8]);
+            record::put_str(&mut p, "Compiled[Fair-Share]");
+            p
+        };
+        let (one, two, none) = (header(1), header(2), header(0));
+        for (bad, why) in [
+            (Vec::new(), "no magic"),
+            (stream(&[(HEADER, &one)]), "truncated (no end)"),
+            (
+                stream(&[(HEADER, &two), (END, &[])]),
+                "shard count mismatch",
+            ),
+            (stream(&[(HIST, &[0; 8]), (END, &[])]), "hist before header"),
+            (
+                stream(&[(HEADER, &one), (HIST, &[0; 8]), (END, &[])]),
+                "hist before shard",
+            ),
+            (
+                stream(&[(HEADER, &one), (JOB, &[0; 32]), (END, &[])]),
+                "job before shard",
+            ),
+            (
+                stream(&[(HEADER, &none), (9, &[3]), (END, &[])]),
+                "unknown record",
+            ),
+            (
+                stream(&[(HEADER, &none), (END, &[]), (END, &[])]),
+                "record after end",
+            ),
+            (
+                b"# eirs-serve-snapshot v1\nk 2 route_shards 0 seq 0\nend\n".to_vec(),
+                "text snapshot",
+            ),
         ] {
             assert!(
-                EngineSnapshot::from_reader(&mut std::io::Cursor::new(bad)).is_err(),
-                "snapshot {bad:?} should fail"
+                EngineSnapshot::from_reader(&mut &bad[..]).is_err(),
+                "snapshot with {why} should fail"
             );
         }
+        assert!(
+            EngineSnapshot::from_reader(&mut &stream(&[(HEADER, &none), (END, &[])])[..]).is_ok()
+        );
     }
 }

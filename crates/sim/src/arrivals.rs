@@ -450,7 +450,9 @@ impl ArrivalTrace {
     /// Writes the trace to `path` in the [`ArrivalTrace::to_writer`] format.
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
         let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
-        self.to_writer(&mut file)
+        self.to_writer(&mut file)?;
+        // Dropping a `BufWriter` discards the last buffer's write error.
+        file.flush()
     }
 
     /// Loads a trace file written by [`ArrivalTrace::save`] (or by any

@@ -1,4 +1,4 @@
-//! Property tests of the fault-tolerance layer (PR 6 tentpole):
+//! Property tests of the fault-tolerance layer:
 //!
 //! 1. **Recovery at any index**: a journaled run snapshotted at *any*
 //!    arrival index and killed at *any* later one recovers to a
@@ -6,20 +6,34 @@
 //!    routing partitions, worker counts, batch sizes, and fault
 //!    schedules (the chaos harness asserts the serial / parallel /
 //!    kill-and-recover triple internally);
-//! 2. **Snapshot text round-trip mid-flight**: freezing a churned engine
-//!    at any prefix of the workload, serializing through the text
-//!    format, restoring, and finishing the workload equals the
+//! 2. **Snapshot round-trip mid-flight**: freezing a churned engine at
+//!    any prefix of the workload, serializing through the checksummed
+//!    record format, restoring, and finishing the workload equals the
 //!    uninterrupted run bit for bit — including fault cursors and
-//!    degraded-mode counters.
+//!    degraded-mode counters;
+//! 3. **Integrity under torn and flipped files**: a journal with a
+//!    mid-stream hot-swap and a churned engine's snapshot, truncated at
+//!    every byte offset and hit by seeded single-bit flips, load as an
+//!    exact prefix of what was written (`Journal::load_prefix`), exactly
+//!    what was written (the strict loaders), or an error — never as an
+//!    altered run — and every accepted prefix that reaches the snapshot
+//!    recovers to the engine that ingested that prefix directly;
+//! 4. **Saves report write errors** instead of dropping them with a
+//!    buffered writer.
 
 use eirs_repro::queueing::Exponential;
 use eirs_repro::serve::{
-    run_chaos, ChurnConfig, CompiledTable, EngineConfig, EngineSnapshot, ServeEngine,
+    recover_with, run_chaos, ChurnConfig, CompiledTable, EngineConfig, EngineSnapshot, Journal,
+    JournalWriter, ServeEngine, ShardMetrics,
 };
-use eirs_repro::sim::arrivals::ArrivalTrace;
+use eirs_repro::sim::arrivals::{Arrival, ArrivalTrace};
 use eirs_repro::sim::availability::FaultSpec;
-use eirs_repro::sim::policy::FairShare;
+use eirs_repro::sim::policy::{FairShare, InelasticFirst};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
+use std::io::Write;
 
 fn trace(seed: u64) -> ArrivalTrace {
     ArrivalTrace::record_poisson(
@@ -94,7 +108,7 @@ proptest! {
         );
     }
 
-    /// Snapshots taken at any workload prefix survive the text format:
+    /// Snapshots taken at any workload prefix survive the record format:
     /// restore + finish equals the uninterrupted run.
     #[test]
     fn snapshot_restore_at_any_prefix_continues_bit_identically(
@@ -127,4 +141,236 @@ proptest! {
         prop_assert_eq!(resumed.decision_digest(), reference.decision_digest());
         prop_assert_eq!(resumed.metrics_total(), reference.metrics_total());
     }
+}
+
+/// Arrivals journaled by the integrity gate; the snapshot is taken after
+/// `SNAP_AT` of them and the policy hot-swaps at `SWAP_AT`.
+const GATE_ARRIVALS: usize = 100;
+const SNAP_AT: usize = 30;
+const SWAP_AT: usize = 60;
+const FLIPS: usize = 1_000;
+
+fn compile_spec(spec: &str) -> Result<CompiledTable, String> {
+    match spec {
+        "fs" => Ok(make_table()),
+        "if" => Ok(CompiledTable::compile(Box::new(InelasticFirst), 3, 24, 24)),
+        other => Err(format!("unknown spec '{other}'")),
+    }
+}
+
+/// A byte sink that notes its length at every flush. The journal writer
+/// flushes once per append, so appending one record at a time marks
+/// every record boundary.
+#[derive(Default)]
+struct Boundaries {
+    bytes: Vec<u8>,
+    at: Vec<usize>,
+}
+
+impl Write for Boundaries {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        if self.at.last() != Some(&self.bytes.len()) {
+            self.at.push(self.bytes.len());
+        }
+        Ok(())
+    }
+}
+
+/// The gate's files, as written, with the intact parses they must
+/// reproduce.
+struct Written {
+    config: EngineConfig,
+    arrivals: Vec<Arrival>,
+    wal: Boundaries,
+    journal: Journal,
+    snap_bytes: Vec<u8>,
+    snap: EngineSnapshot,
+    /// Drained `(digest, totals)` of an engine that ingested the first
+    /// `m` arrivals directly, keyed by `(m, swapped)`.
+    direct: HashMap<(usize, bool), (u64, ShardMetrics)>,
+}
+
+impl Written {
+    fn new() -> Self {
+        let config = config(3, 1, 8, true);
+        let arrivals = trace(7).arrivals()[..GATE_ARRIVALS].to_vec();
+        let mut engine = ServeEngine::new(make_table(), config);
+        let mut w =
+            JournalWriter::create_with_spec(Boundaries::default(), &engine, Some("fs")).unwrap();
+        let mut snap = None;
+        for (seq, a) in arrivals.iter().enumerate() {
+            if seq == SNAP_AT {
+                snap = Some(engine.snapshot());
+            }
+            if seq == SWAP_AT {
+                let swap = engine.install_table(compile_spec("if").unwrap(), "if");
+                w.append_swap(&swap).unwrap();
+            }
+            w.append_batch(seq as u64, std::slice::from_ref(a)).unwrap();
+            engine.ingest_batch(std::slice::from_ref(a));
+        }
+        let wal = w.into_inner().unwrap();
+        assert_eq!(
+            wal.at.len(),
+            1 + GATE_ARRIVALS + 1,
+            "one boundary per record"
+        );
+        let journal = Journal::from_reader(&mut &wal.bytes[..]).expect("intact journal");
+        assert_eq!(journal.swaps.len(), 1);
+        assert_eq!(journal.swaps[0].seq, SWAP_AT as u64);
+        assert_eq!(journal.entries.len(), GATE_ARRIVALS);
+        for (n, e) in journal.entries.iter().enumerate() {
+            assert_eq!((e.seq, e.arrival), (n as u64, arrivals[n]));
+        }
+        let snap = snap.expect("the snapshot point lies inside the stream");
+        let mut snap_bytes = Vec::new();
+        snap.to_writer(&mut snap_bytes).unwrap();
+        assert_eq!(
+            EngineSnapshot::from_reader(&mut &snap_bytes[..]).unwrap(),
+            snap
+        );
+        Self {
+            config,
+            arrivals,
+            wal,
+            journal,
+            snap_bytes,
+            snap,
+            direct: HashMap::new(),
+        }
+    }
+
+    /// The journal as written up to record boundary `i` (0 = the header):
+    /// the swap record sits between entries `SWAP_AT - 1` and `SWAP_AT`.
+    fn prefix_at(&self, i: usize) -> Journal {
+        let (m, swaps) = if i <= SWAP_AT { (i, 0) } else { (i - 1, 1) };
+        Journal {
+            entries: self.journal.entries[..m].to_vec(),
+            swaps: self.journal.swaps[..swaps].to_vec(),
+            ..self.journal.clone()
+        }
+    }
+
+    /// Recovers the snapshot plus an accepted journal prefix and compares
+    /// it with an engine that ingested the same prefix directly.
+    fn check_recovery(&mut self, j: &Journal, what: &str) {
+        let (m, swapped) = (j.entries.len(), !j.swaps.is_empty());
+        if m < SNAP_AT {
+            return;
+        }
+        let mut recovered = recover_with(make_table(), self.config, &self.snap, j, &|rec| {
+            compile_spec(&rec.spec)
+        })
+        .unwrap_or_else(|e| panic!("{what}: recovery of a {m}-entry prefix failed: {e}"));
+        recovered.drain();
+        let (config, arrivals) = (self.config, &self.arrivals);
+        let direct = self.direct.entry((m, swapped)).or_insert_with(|| {
+            let mut engine = ServeEngine::new(make_table(), config);
+            if swapped {
+                engine.ingest_batch(&arrivals[..SWAP_AT]);
+                engine.install_table(compile_spec("if").unwrap(), "if");
+                engine.ingest_batch(&arrivals[SWAP_AT..m]);
+            } else {
+                engine.ingest_batch(&arrivals[..m]);
+            }
+            engine.drain();
+            (engine.decision_digest(), engine.metrics_total())
+        });
+        assert_eq!(
+            (recovered.decision_digest(), recovered.metrics_total()),
+            *direct,
+            "{what}: recovery diverged from the directly ingested prefix"
+        );
+    }
+}
+
+/// Flips one seeded bit of `bytes`.
+fn flip(bytes: &[u8], rng: &mut StdRng) -> (Vec<u8>, usize) {
+    let bit = (rng.random::<u64>() % (bytes.len() as u64 * 8)) as usize;
+    let mut out = bytes.to_vec();
+    out[bit / 8] ^= 1 << (bit % 8);
+    (out, bit)
+}
+
+#[test]
+fn torn_or_flipped_journals_and_snapshots_never_load_altered() {
+    let mut w = Written::new();
+    let wal = w.wal.bytes.clone();
+    // A cut keeps exactly the records wholly before it: `load_prefix`
+    // returns them, the strict loader only when nothing was torn.
+    for cut in 0..=wal.len() {
+        let what = format!("journal cut at byte {cut}");
+        let loaded = Journal::load_prefix(&mut &wal[..cut]);
+        let strict = Journal::from_reader(&mut &wal[..cut]);
+        match w.wal.at.iter().rposition(|&b| b <= cut) {
+            None => assert!(loaded.is_err(), "{what}: loaded without a whole header"),
+            Some(i) => assert_eq!(loaded.as_ref().ok(), Some(&w.prefix_at(i)), "{what}"),
+        }
+        if w.wal.at.contains(&cut) {
+            assert_eq!(
+                strict.ok(),
+                loaded.clone().ok(),
+                "{what}: strict load differs"
+            );
+        } else {
+            assert!(
+                strict.is_err(),
+                "{what}: strict load accepted a torn record"
+            );
+        }
+        if let Ok(j) = loaded {
+            w.check_recovery(&j, &what);
+        }
+    }
+    for cut in 0..w.snap_bytes.len() {
+        assert!(
+            EngineSnapshot::from_reader(&mut &w.snap_bytes[..cut]).is_err(),
+            "snapshot cut at byte {cut} loaded"
+        );
+    }
+    // A flipped bit is caught by its record's checksum, type or length
+    // check. The one flip a loader may survive is in a variable-length
+    // record's length field, here the swap's: a length running past the
+    // end reads as a torn tail, so `load_prefix` keeps the records before
+    // the swap.
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    for _ in 0..FLIPS {
+        let (bad, bit) = flip(&wal, &mut rng);
+        let what = format!("journal bit {bit} flipped");
+        assert!(
+            Journal::from_reader(&mut &bad[..]).is_err(),
+            "{what}: strict load accepted a damaged journal"
+        );
+        if let Ok(j) = Journal::load_prefix(&mut &bad[..]) {
+            let record = w.wal.at.partition_point(|&b| b <= bit / 8);
+            assert_eq!(record, SWAP_AT + 1, "{what}: a damaged record loaded");
+            assert_eq!(
+                j,
+                w.prefix_at(SWAP_AT),
+                "{what}: load_prefix altered the journal"
+            );
+            w.check_recovery(&j, &what);
+        }
+        let (bad, bit) = flip(&w.snap_bytes, &mut rng);
+        assert!(
+            EngineSnapshot::from_reader(&mut &bad[..]).is_err(),
+            "snapshot bit {bit} flipped: a damaged snapshot loaded"
+        );
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn saves_to_a_full_device_report_the_write_error() {
+    let full = std::path::Path::new("/dev/full");
+    let t = trace(3);
+    let mut engine = ServeEngine::new(make_table(), config(2, 1, 8, true));
+    engine.ingest_batch(&t.arrivals()[..40]);
+    assert!(engine.snapshot().save(full).is_err(), "snapshot save");
+    assert!(t.save(full).is_err(), "trace save");
 }

@@ -159,7 +159,7 @@ fn sharded_processing_is_bit_identical_to_serial() {
 }
 
 /// A snapshot taken mid-stream restores into an engine whose
-/// continuation is bit-identical — including through the text format.
+/// continuation is bit-identical — including through the record format.
 #[test]
 fn snapshot_restores_to_a_bit_identical_continuation() {
     let trace = poisson_trace(31, 200.0);
@@ -170,7 +170,7 @@ fn snapshot_restores_to_a_bit_identical_continuation() {
     let half = trace.len() / 2;
     original.ingest_batch(&trace.arrivals()[..half]);
 
-    // Round-trip the snapshot through its serialized text form.
+    // Round-trip the snapshot through its serialized form.
     let snap = original.snapshot();
     let mut buf = Vec::new();
     snap.to_writer(&mut buf).unwrap();
