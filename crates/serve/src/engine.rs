@@ -24,13 +24,16 @@
 //!
 //! # Exactness against the simulator
 //!
-//! Each shard's event mechanics deliberately mirror
-//! [`eirs_sim::des::Simulation`] step for step (same FCFS rate
-//! assignment, same float-operation order, same departure sweep, same
-//! arrival-admission tie-breaks). Replaying a recorded trace through a
-//! single-shard engine therefore reproduces the DES allocation sequence
-//! **exactly** — asserted by the `serve_layer` tests and recorded in
-//! `BENCH_serve.json`.
+//! Each shard is an [`eirs_sim::kernel::Cluster`] — the event loop
+//! [`eirs_sim::des::Simulation`] runs too — driven through serving hooks:
+//! the compiled table decides, and the hooks fold the digest, keep the
+//! metrics and the decision log, and shed. The event mechanics are
+//! therefore the DES's by construction, so replaying a recorded trace
+//! through a single-shard engine reproduces the DES allocation sequence
+//! **exactly**. What the `serve_layer` and `replay` tests still compare
+//! is the two drivers' wrappers: the table lookup against the raw policy
+//! call, and the engine's batched, routed admission against the DES's
+//! arrival loop.
 //!
 //! # Degraded mode (capacity churn)
 //!
@@ -38,14 +41,14 @@
 //! [`FaultSchedule`](eirs_sim::FaultSchedule) (derived from the shard
 //! *index*, so faults — like routing — are workload semantics, invariant
 //! to the worker count) and tracks an effective capacity `avail ≤ k`.
-//! The degraded-decision rule matches the DES exactly: at full capacity
-//! the compiled grid serves (the hot path); at zero capacity the shard
-//! idles without consulting the policy; in between, lookups are capped
-//! to the available count by delegating to the source policy
+//! The kernel's degraded-decision rule applies: at full capacity the
+//! compiled grid serves (the hot path); at zero capacity the shard idles
+//! without consulting the policy; in between, lookups are capped to the
+//! available count by delegating to the source policy
 //! ([`CompiledTable::lookup_capped`]). Capacity drops preempt-restart
 //! partially-served inelastic jobs that no longer fit (progress resets,
 //! the job re-enters at the back of its queue; see
-//! [`eirs_sim::des`]); elastic jobs shrink gracefully. Optional bounded
+//! [`eirs_sim::kernel`]); elastic jobs shrink gracefully. Optional bounded
 //! admission shedding ([`EngineConfig::shed_limit`]) rejects arrivals
 //! into an over-occupied degraded shard, accounted in
 //! [`ShardMetrics::rejections`].
@@ -55,9 +58,10 @@ use crate::table::CompiledTable;
 use eirs_sim::arrivals::{Arrival, ArrivalSource};
 use eirs_sim::availability::{CapacityEvent, FaultSpec};
 use eirs_sim::job::{Job, JobClass};
-use eirs_sim::policy::{assert_feasible, AllocationPolicy, ClassAllocation};
-use std::collections::VecDeque;
+use eirs_sim::kernel::{Cluster, Hooks, Step};
+use eirs_sim::policy::ClassAllocation;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// One allocation decision: the occupancy queried and the allocation
 /// served. The decision stream is the engine's product; digests, logs,
@@ -288,29 +292,109 @@ impl EngineConfig {
     }
 }
 
-/// One independent cluster shard: `k` servers, its own occupancy state
-/// and clock, advancing with the DES's exact event mechanics.
+/// One independent cluster shard: a kernel [`Cluster`] of `k` servers
+/// plus what the server records of it.
 pub(crate) struct ClusterShard {
-    pub(crate) k: u32,
-    pub(crate) time: f64,
-    pub(crate) next_id: u64,
-    pub(crate) inelastic: VecDeque<Job>,
-    pub(crate) elastic: VecDeque<Job>,
+    pub(crate) cluster: Cluster,
+    pub(crate) ledger: Ledger,
+}
+
+/// A shard's records: its decision digest, metrics, optional decision
+/// log and decision-latency telemetry, plus its shedding bound.
+pub(crate) struct Ledger {
     pub(crate) digest: u64,
     pub(crate) metrics: ShardMetrics,
     pub(crate) log: Option<Vec<Decision>>,
-    /// Servers currently available (`k` when the shard is healthy).
-    pub(crate) avail: u32,
-    /// This shard's capacity-change schedule (empty without churn).
-    pub(crate) faults: Vec<CapacityEvent>,
-    /// Index of the next unapplied event in `faults`.
-    pub(crate) fault_cursor: usize,
     shed_limit: Option<usize>,
     /// Wall-clock decision latency (nanoseconds), recorded only while
     /// the `eirs_obs` layer is enabled. Deliberately *not* part of
     /// [`ShardMetrics`]: wall time is nondeterministic, and the
     /// determinism gates compare per-shard metrics bit for bit.
     pub(crate) latency: eirs_obs::LatencyHistogram,
+}
+
+/// The hooks a shard's kernel runs under: the table decides, [`Ledger`]
+/// records.
+struct Serving<'a> {
+    table: &'a CompiledTable,
+    ledger: &'a mut Ledger,
+    /// Start of the decision being timed (telemetry only).
+    t0: Option<Instant>,
+}
+
+impl Hooks for Serving<'_> {
+    fn allocate(&mut self, i: usize, j: usize, servers: u32) -> ClassAllocation {
+        self.t0 = eirs_obs::enabled().then(Instant::now);
+        self.table.lookup_capped(i, j, servers)
+    }
+
+    fn name(&self) -> &str {
+        "compiled table"
+    }
+
+    fn on_decision(&mut self, cluster: &Cluster, allocation: ClassAllocation) {
+        // Telemetry is write-only: the timing never feeds back into any
+        // decision, so enabling it cannot perturb the digest.
+        let t0 = self
+            .t0
+            .take()
+            .or_else(|| eirs_obs::enabled().then(Instant::now));
+        let (i, j) = cluster.occupancy();
+        let degraded = cluster.avail() < cluster.k();
+        let ledger = &mut *self.ledger;
+        ledger
+            .metrics
+            .record_decision(i, j, allocation, degraded || self.table.in_grid(i, j));
+        ledger.metrics.degraded_decisions += u64::from(degraded);
+        ledger.digest = fold_decision(ledger.digest, i, j, allocation);
+        if let Some(log) = &mut ledger.log {
+            log.push(Decision { i, j, allocation });
+        }
+        if let Some(t0) = t0 {
+            ledger.latency.record(t0.elapsed().as_nanos() as u64);
+        }
+    }
+
+    fn on_advance(&mut self, cluster: &Cluster, _: ClassAllocation, _: f64, _: [f64; 2]) {
+        self.ledger.metrics.sim_time = cluster.now();
+    }
+
+    fn on_departure(&mut self, _: &Job, response: f64) {
+        self.ledger.metrics.record_response(response);
+    }
+
+    fn on_preempt(&mut self, _: &Job) {
+        self.ledger.metrics.preemptions += 1;
+    }
+
+    /// Counts the arrival, then applies degraded-mode admission shedding:
+    /// reject when below full capacity with `shed_limit` or more jobs
+    /// already present.
+    fn admit(&mut self, cluster: &Cluster, a: &Arrival) -> bool {
+        let m = &mut self.ledger.metrics;
+        m.arrivals += 1;
+        match a.class {
+            JobClass::Inelastic => m.arrivals_inelastic += 1,
+            JobClass::Elastic => m.arrivals_elastic += 1,
+        }
+        m.sim_time = cluster.now();
+        let (i, j) = cluster.occupancy();
+        let degraded = cluster.avail() < cluster.k();
+        let shed = degraded && self.ledger.shed_limit.is_some_and(|limit| i + j >= limit);
+        m.rejections += u64::from(shed);
+        !shed
+    }
+}
+
+impl Ledger {
+    /// The hooks that keep this ledger while `table` decides.
+    fn serving<'a>(&'a mut self, table: &'a CompiledTable) -> Serving<'a> {
+        Serving {
+            table,
+            ledger: self,
+            t0: None,
+        }
+    }
 }
 
 impl ClusterShard {
@@ -321,266 +405,43 @@ impl ClusterShard {
         shed_limit: Option<usize>,
     ) -> Self {
         Self {
-            k,
-            time: 0.0,
-            next_id: 0,
-            inelastic: VecDeque::with_capacity(16),
-            elastic: VecDeque::with_capacity(16),
-            digest: 0,
-            metrics: ShardMetrics::new(k),
-            log: record.then(Vec::new),
-            avail: k,
-            faults,
-            fault_cursor: 0,
-            shed_limit,
-            latency: eirs_obs::LatencyHistogram::new(),
-        }
-    }
-
-    /// One allocation decision at the current occupancy, under the
-    /// degraded-decision rule (see the [module docs](self)).
-    fn decide(&mut self, table: &CompiledTable) -> ClassAllocation {
-        // Telemetry is write-only: the timing never feeds back into any
-        // decision, so enabling it cannot perturb the digest.
-        let t0 = eirs_obs::enabled().then(std::time::Instant::now);
-        let (i, j) = (self.inelastic.len(), self.elastic.len());
-        let (allocation, in_grid) = if self.avail == self.k {
-            (table.lookup(i, j), table.in_grid(i, j))
-        } else if self.avail == 0 {
-            // Dark shard: idle without consulting the policy.
-            (ClassAllocation::IDLE, true)
-        } else {
-            (table.lookup_capped(i, j, self.avail), true)
-        };
-        assert_feasible(allocation, i, j, self.avail, "compiled table");
-        self.metrics.record_decision(i, j, allocation, in_grid);
-        if self.avail < self.k {
-            self.metrics.degraded_decisions += 1;
-        }
-        self.digest = fold_decision(self.digest, i, j, allocation);
-        if let Some(log) = &mut self.log {
-            log.push(Decision { i, j, allocation });
-        }
-        if let Some(t0) = t0 {
-            self.latency.record(t0.elapsed().as_nanos() as u64);
-        }
-        allocation
-    }
-
-    /// Time to the next capacity event (`∞` when the schedule is spent).
-    fn next_fault_dt(&self) -> f64 {
-        self.faults
-            .get(self.fault_cursor)
-            .map_or(f64::INFINITY, |e| e.time - self.time)
-    }
-
-    /// Applies every capacity event due at the current clock — the same
-    /// sequencing as [`eirs_sim::des::Simulation`]: after simultaneous
-    /// completions have been collected, before the next decision.
-    fn apply_due_capacity_events(&mut self) {
-        while let Some(&e) = self.faults.get(self.fault_cursor) {
-            if e.time <= self.time + 1e-12 {
-                self.fault_cursor += 1;
-                self.apply_capacity(e.available);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Sets available capacity, preempt-restarting partially-served
-    /// inelastic jobs beyond the surviving prefix (the DES's exact
-    /// rule: progress resets to full size, the job re-enters at the
-    /// back of the queue). Elastic jobs keep all progress.
-    fn apply_capacity(&mut self, available: u32) {
-        self.avail = available;
-        let keep = available as usize;
-        if keep >= self.inelastic.len() {
-            return;
-        }
-        let mut preempted: Vec<Job> = Vec::new();
-        let mut idx = keep;
-        while idx < self.inelastic.len() {
-            let job = &self.inelastic[idx];
-            if job.remaining < job.size {
-                let mut job = self.inelastic.remove(idx).expect("index in range");
-                job.remaining = job.size;
-                self.metrics.preemptions += 1;
-                preempted.push(job);
-            } else {
-                idx += 1;
-            }
-        }
-        self.inelastic.extend(preempted);
-    }
-
-    /// Degraded-mode admission shedding: reject when below full
-    /// capacity with `shed_limit` or more jobs already present.
-    fn should_shed(&self) -> bool {
-        match self.shed_limit {
-            Some(limit) => {
-                self.avail < self.k && self.inelastic.len() + self.elastic.len() >= limit
-            }
-            None => false,
-        }
-    }
-
-    /// Earliest completion under `alloc` (FCFS rate assignment, exactly
-    /// as the DES computes it).
-    fn next_completion_dt(&self, alloc: ClassAllocation) -> f64 {
-        let whole = alloc.inelastic.floor() as usize;
-        let frac = alloc.inelastic - whole as f64;
-        let mut dt = f64::INFINITY;
-        for (idx, job) in self.inelastic.iter().enumerate().take(whole + 1) {
-            let rate = if idx < whole { 1.0 } else { frac };
-            if rate > 0.0 {
-                dt = dt.min(job.remaining / rate);
-            }
-        }
-        if alloc.elastic > 0.0 {
-            if let Some(head) = self.elastic.front() {
-                dt = dt.min(head.remaining / alloc.elastic);
-            }
-        }
-        dt
-    }
-
-    /// Advances served jobs by `dt` (float-operation order matches the
-    /// DES bit for bit; no-op at `dt = 0`, like the DES).
-    fn advance(&mut self, alloc: ClassAllocation, dt: f64) {
-        if dt > 0.0 {
-            let whole = alloc.inelastic.floor() as usize;
-            let frac = alloc.inelastic - whole as f64;
-            for (idx, job) in self.inelastic.iter_mut().enumerate().take(whole + 1) {
-                let rate = if idx < whole { 1.0 } else { frac };
-                if rate > 0.0 {
-                    job.remaining = (job.remaining - rate * dt).max(0.0);
-                }
-            }
-            if alloc.elastic > 0.0 {
-                if let Some(head) = self.elastic.front_mut() {
-                    head.remaining = (head.remaining - alloc.elastic * dt).max(0.0);
-                }
-            }
-            self.time += dt;
-            self.metrics.sim_time = self.time;
-        }
-    }
-
-    fn complete(&mut self, job: Job) {
-        self.metrics.record_response(self.time - job.arrival);
-    }
-
-    /// Removes finished jobs, in the DES's sweep order (inelastic front
-    /// pops, then a positional sweep for fractionally-served stragglers,
-    /// then elastic front pops).
-    fn collect_departures(&mut self) {
-        while let Some(front) = self.inelastic.front() {
-            if front.is_done() {
-                let job = self.inelastic.pop_front().expect("front exists");
-                self.complete(job);
-            } else {
-                break;
-            }
-        }
-        let mut idx = 0;
-        while idx < self.inelastic.len() {
-            if self.inelastic[idx].is_done() {
-                let job = self.inelastic.remove(idx).expect("index in range");
-                self.complete(job);
-            } else {
-                idx += 1;
-            }
-        }
-        while let Some(front) = self.elastic.front() {
-            if front.is_done() {
-                let job = self.elastic.pop_front().expect("front exists");
-                self.complete(job);
-            } else {
-                break;
-            }
+            cluster: Cluster::new(k).with_faults(faults),
+            ledger: Ledger {
+                digest: 0,
+                metrics: ShardMetrics::new(k),
+                log: record.then(Vec::new),
+                shed_limit,
+                latency: eirs_obs::LatencyHistogram::new(),
+            },
         }
     }
 
     /// A pure read of the allocation the shard would serve at its
-    /// current occupancy — the same degraded-decision rule as `decide`,
-    /// but with **no** side effects (no digest fold, no metrics, no
-    /// log). Used to build [`Admission`] acknowledgments; because it
-    /// never mutates, acking cannot perturb the decision stream.
+    /// current occupancy — the kernel's degraded-decision rule with
+    /// **no** side effects (no digest fold, no metrics, no log). Used to
+    /// build [`Admission`] acknowledgments; because it never mutates,
+    /// acking cannot perturb the decision stream.
     pub(crate) fn peek(&self, table: &CompiledTable) -> (usize, usize, ClassAllocation) {
-        let (i, j) = (self.inelastic.len(), self.elastic.len());
-        let allocation = if self.avail == self.k {
-            table.lookup(i, j)
-        } else if self.avail == 0 {
-            ClassAllocation::IDLE
-        } else {
-            table.lookup_capped(i, j, self.avail)
-        };
-        (i, j, allocation)
+        self.cluster
+            .decision(|i, j, servers| table.lookup_capped(i, j, servers))
     }
 
-    /// Processes all completions up to `a.time`, then admits the arrival
-    /// — the incremental form of one-or-more DES loop iterations ending
-    /// in an arrival event. Returns `false` when degraded-mode admission
-    /// shedding rejected the arrival.
+    /// Steps the kernel until the arrival is due, then admits it.
+    /// Returns `false` when degraded-mode admission shedding rejected
+    /// the arrival.
     pub(crate) fn ingest(&mut self, table: &CompiledTable, a: Arrival) -> bool {
-        loop {
-            self.apply_due_capacity_events();
-            let alloc = self.decide(table);
-            let dt_completion = self.next_completion_dt(alloc);
-            let dt_arrival = a.time - self.time;
-            debug_assert!(dt_arrival >= -1e-9, "arrival in the past");
-            let dt = dt_completion
-                .min(dt_arrival.max(0.0))
-                .min(self.next_fault_dt().max(0.0));
-            self.advance(alloc, dt);
-            self.collect_departures();
-            if a.time <= self.time + 1e-12 && dt_arrival <= dt_completion {
-                self.time = self.time.max(a.time);
-                self.metrics.arrivals += 1;
-                match a.class {
-                    JobClass::Inelastic => self.metrics.arrivals_inelastic += 1,
-                    JobClass::Elastic => self.metrics.arrivals_elastic += 1,
-                }
-                self.metrics.sim_time = self.time;
-                if self.should_shed() {
-                    self.metrics.rejections += 1;
-                    return false;
-                }
-                let job = Job::new(self.next_id, a.class, a.size, a.time);
-                self.next_id += 1;
-                match a.class {
-                    JobClass::Inelastic => self.inelastic.push_back(job),
-                    JobClass::Elastic => self.elastic.push_back(job),
-                }
-                // Zero-size jobs depart immediately.
-                self.collect_departures();
-                return true;
-            }
-        }
+        let mut hooks = self.ledger.serving(table);
+        while self.cluster.step(&mut hooks, Some(a.time), f64::INFINITY) != Step::ArrivalDue {}
+        self.cluster.admit(&mut hooks, &a)
     }
 
     /// Runs remaining work to completion (no further arrivals; pending
     /// capacity events still fire, so an outage mid-drain degrades
     /// exactly as it would mid-stream).
     pub(crate) fn drain(&mut self, table: &CompiledTable) {
-        while !(self.inelastic.is_empty() && self.elastic.is_empty()) {
-            self.apply_due_capacity_events();
-            let alloc = self.decide(table);
-            let dt = self
-                .next_completion_dt(alloc)
-                .min(self.next_fault_dt().max(0.0));
-            assert!(
-                dt.is_finite(),
-                "{} idles forever with jobs present (state ({},{}), {}/{} servers available)",
-                table.name(),
-                self.inelastic.len(),
-                self.elastic.len(),
-                self.avail,
-                self.k
-            );
-            self.advance(alloc, dt);
-            self.collect_departures();
+        let mut hooks = self.ledger.serving(table);
+        while !self.cluster.is_empty() {
+            self.cluster.step(&mut hooks, None, f64::INFINITY);
         }
     }
 }
@@ -844,24 +705,29 @@ impl ServeEngine {
     /// shard order. Equal digests mean equal decision streams — this is
     /// the CI determinism gate's currency, invariant to the worker count.
     pub fn decision_digest(&self) -> u64 {
-        self.shards.iter().fold(0, |d, s| mix64(d ^ s.digest))
+        self.shards
+            .iter()
+            .fold(0, |d, s| mix64(d ^ s.ledger.digest))
     }
 
     /// Per-shard decision digests, in shard order.
     pub fn shard_digests(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.digest).collect()
+        self.shards.iter().map(|s| s.ledger.digest).collect()
     }
 
     /// Per-shard metrics, in shard order.
     pub fn metrics_per_shard(&self) -> Vec<ShardMetrics> {
-        self.shards.iter().map(|s| s.metrics.clone()).collect()
+        self.shards
+            .iter()
+            .map(|s| s.ledger.metrics.clone())
+            .collect()
     }
 
     /// Engine-wide metrics (all shards merged).
     pub fn metrics_total(&self) -> ShardMetrics {
         let mut total = ShardMetrics::new(self.config.k);
         for s in &self.shards {
-            total.merge(&s.metrics);
+            total.merge(&s.ledger.metrics);
         }
         total
     }
@@ -874,7 +740,7 @@ impl ServeEngine {
     pub fn decision_latency(&self) -> eirs_obs::LatencyHistogram {
         let mut total = eirs_obs::LatencyHistogram::new();
         for s in &self.shards {
-            total.merge(&s.latency);
+            total.merge(&s.ledger.latency);
         }
         total
     }
@@ -885,17 +751,14 @@ impl ServeEngine {
     pub fn response_histogram(&self) -> eirs_obs::LatencyHistogram {
         let mut total = eirs_obs::LatencyHistogram::new();
         for s in &self.shards {
-            total.merge(&s.metrics.response_hist);
+            total.merge(&s.ledger.metrics.response_hist);
         }
         total
     }
 
     /// Current occupancy `(i, j)` of every shard.
     pub fn occupancy(&self) -> Vec<(usize, usize)> {
-        self.shards
-            .iter()
-            .map(|s| (s.inelastic.len(), s.elastic.len()))
-            .collect()
+        self.shards.iter().map(|s| s.cluster.occupancy()).collect()
     }
 
     /// The recorded decision sequences concatenated in shard order
@@ -905,7 +768,7 @@ impl ServeEngine {
     pub fn decision_log(&self) -> Vec<Decision> {
         self.shards
             .iter()
-            .flat_map(|s| s.log.iter().flatten().copied())
+            .flat_map(|s| s.ledger.log.iter().flatten().copied())
             .collect()
     }
 }

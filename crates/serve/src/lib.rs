@@ -14,10 +14,10 @@
 //!   everywhere (not just on the grid);
 //! * [`engine::ServeEngine`] — a sharded cluster engine: the traffic is
 //!   hash-routed over [`EngineConfig::route_shards`] independent cluster
-//!   shards, each advancing its own occupancy state with the same event
-//!   mechanics as the discrete-event simulator, so replaying a recorded
-//!   trace through the server reproduces the DES allocation sequence
-//!   exactly. `--shards`-style worker parallelism follows the
+//!   shards, each advancing its own occupancy state in the simulator's
+//!   own event loop ([`eirs_sim::kernel::Cluster`]), so replaying a
+//!   recorded trace through the server reproduces the DES allocation
+//!   sequence exactly. `--shards`-style worker parallelism follows the
 //!   `sweep`/`replicate` discipline: parallel runs are bit-identical to
 //!   serial, and the [decision digest](engine::ServeEngine::decision_digest)
 //!   is invariant to the worker count;

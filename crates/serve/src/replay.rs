@@ -3,10 +3,15 @@
 //! The server's correctness claim is *exactness*: replaying a recorded
 //! trace through a single-shard engine makes the same allocation
 //! decisions, in the same order, as [`eirs_sim::des::Simulation`] running
-//! the raw policy. This module provides the reference side of that
-//! comparison: [`RecordingPolicy`] taps every `allocate` call the
-//! simulator makes, and [`des_decision_log`] packages a full drain-mode
-//! DES run into a [`Decision`] sequence.
+//! the raw policy. Both drive the same event loop
+//! ([`eirs_sim::kernel::Cluster`]), so the mechanics agree by
+//! construction; what the comparison checks is the two drivers'
+//! wrappers — the compiled-table lookup against the raw `allocate` call,
+//! and the engine's routed, batched admission against the DES's arrival
+//! loop. This module provides the reference side: [`RecordingPolicy`]
+//! taps every `allocate` call the simulator makes, and
+//! [`des_decision_log`] packages a full drain-mode DES run into a
+//! [`Decision`] sequence.
 
 use crate::engine::Decision;
 use eirs_sim::arrivals::ArrivalTrace;

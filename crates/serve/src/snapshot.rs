@@ -426,26 +426,25 @@ impl ServeEngine {
             .shards
             .iter()
             .map(|s| {
-                let jobs = s
-                    .inelastic
-                    .iter()
-                    .chain(s.elastic.iter())
-                    .map(|job| JobSnapshot {
-                        id: job.id,
-                        class: job.class,
-                        remaining: job.remaining,
-                        size: job.size,
-                        arrival: job.arrival,
-                    })
-                    .collect();
+                let c = &s.cluster;
+                let jobs = c
+                    .queue(JobClass::Inelastic)
+                    .chain(c.queue(JobClass::Elastic));
+                let jobs = jobs.map(|job| JobSnapshot {
+                    id: job.id,
+                    class: job.class,
+                    remaining: job.remaining,
+                    size: job.size,
+                    arrival: job.arrival,
+                });
                 ShardSnapshot {
-                    time: s.time,
-                    digest: s.digest,
-                    next_id: s.next_id,
-                    avail: s.avail,
-                    fault_cursor: s.fault_cursor,
-                    metrics: s.metrics.clone(),
-                    jobs,
+                    time: c.now(),
+                    digest: s.ledger.digest,
+                    next_id: c.next_id(),
+                    avail: c.avail(),
+                    fault_cursor: c.fault_cursor(),
+                    metrics: s.ledger.metrics.clone(),
+                    jobs: jobs.collect(),
                 }
             })
             .collect();
@@ -534,35 +533,23 @@ fn restore_shard(
             k + 1
         )));
     }
-    if frozen.avail > k {
-        return Err(SnapshotError::Mismatch(format!(
-            "shard claims {} available servers of {k}",
-            frozen.avail
-        )));
-    }
-    if frozen.fault_cursor > shard.faults.len() {
-        return Err(SnapshotError::Mismatch(format!(
-            "fault cursor {} beyond the {}-event schedule",
-            frozen.fault_cursor,
-            shard.faults.len()
-        )));
-    }
-    shard.time = frozen.time;
-    shard.digest = frozen.digest;
-    shard.next_id = frozen.next_id;
-    shard.avail = frozen.avail;
-    shard.fault_cursor = frozen.fault_cursor;
-    shard.metrics = frozen.metrics.clone();
-    shard.inelastic.clear();
-    shard.elastic.clear();
-    for js in &frozen.jobs {
+    let jobs = frozen.jobs.iter().map(|js| {
         let mut job = Job::new(js.id, js.class, js.size, js.arrival);
         job.remaining = js.remaining;
-        match js.class {
-            JobClass::Inelastic => shard.inelastic.push_back(job),
-            JobClass::Elastic => shard.elastic.push_back(job),
-        }
-    }
+        job
+    });
+    shard
+        .cluster
+        .restore(
+            frozen.time,
+            frozen.next_id,
+            frozen.avail,
+            frozen.fault_cursor,
+            jobs,
+        )
+        .map_err(SnapshotError::Mismatch)?;
+    shard.ledger.digest = frozen.digest;
+    shard.ledger.metrics = frozen.metrics.clone();
     Ok(())
 }
 

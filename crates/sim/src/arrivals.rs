@@ -404,7 +404,9 @@ impl ArrivalTrace {
     /// Parses the text format of [`ArrivalTrace::to_writer`]. Blank lines
     /// and `#` comments are skipped; classes accept `I`/`E` or the full
     /// `inelastic`/`elastic` words (case-insensitive); arrivals are sorted
-    /// by time on load.
+    /// by time on load. Times must be finite and nonnegative, sizes finite
+    /// and positive — the rule the journal applies, so every loadable
+    /// trace can be journaled and replayed.
     pub fn from_reader(r: &mut dyn BufRead) -> Result<Self, TraceError> {
         let mut arrivals = Vec::new();
         for (idx, line) in r.lines().enumerate() {
@@ -439,7 +441,7 @@ impl ArrivalTrace {
             if !(time.is_finite() && time >= 0.0) {
                 return Err(TraceError::Line(n, format!("invalid time {time}")));
             }
-            if !(size.is_finite() && size >= 0.0) {
+            if !(size.is_finite() && size > 0.0) {
                 return Err(TraceError::Line(n, format!("invalid size {size}")));
             }
             arrivals.push(Arrival { time, class, size });

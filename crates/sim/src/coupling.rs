@@ -3,8 +3,9 @@
 //!
 //! Theorem 3 couples Inelastic-First with an arbitrary class-P policy on a
 //! *fixed arrival sequence* and shows the total work `W(t)` and inelastic
-//! work `W_I(t)` are pointwise smaller under IF. This module records those
-//! trajectories from the simulator and checks dominance.
+//! work `W_I(t)` are pointwise smaller under IF. This module runs policies
+//! through the [cluster kernel](crate::kernel) — the event loop the DES
+//! runs too — samples those trajectories and checks dominance.
 //!
 //! The same coupling idea powers variance reduction for *steady-state
 //! policy comparisons*: [`paired_comparison`] runs two policies on the
@@ -24,14 +25,14 @@
 //! `t ≥ 0` reduces to dominance at the merged epochs of the two
 //! trajectories.
 
-use crate::arrivals::{Arrival, ArrivalSource, ArrivalTrace};
+use crate::arrivals::{ArrivalSource, ArrivalTrace};
 use crate::des::{DesConfig, SimReport, Simulation};
-use crate::job::{Job, JobClass};
-use crate::policy::{assert_feasible, AllocationPolicy};
+use crate::job::JobClass;
+use crate::kernel::{Cluster, Hooks, Step};
+use crate::policy::{AllocationPolicy, ClassAllocation};
 use crate::replicate::replication_seeds;
 use crate::stats::ReplicationStats;
 use eirs_numerics::parallel;
-use std::collections::VecDeque;
 
 /// One sampled point of a work trajectory.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,6 +43,31 @@ pub struct WorkSample {
     pub total: f64,
     /// Remaining inelastic work in system.
     pub inelastic: f64,
+}
+
+impl WorkSample {
+    fn of(cluster: &Cluster) -> Self {
+        let work = |class| -> f64 { cluster.queue(class).map(|j| j.remaining).sum() };
+        let (wi, we) = (work(JobClass::Inelastic), work(JobClass::Elastic));
+        Self {
+            time: cluster.now(),
+            total: wi + we,
+            inelastic: wi,
+        }
+    }
+}
+
+/// The coupling's only hook: the policy under test.
+struct Policy<'p>(&'p dyn AllocationPolicy, String);
+
+impl Hooks for Policy<'_> {
+    fn allocate(&mut self, i: usize, j: usize, servers: u32) -> ClassAllocation {
+        self.0.allocate(i, j, servers)
+    }
+
+    fn name(&self) -> &str {
+        &self.1
+    }
 }
 
 /// A recorded piecewise-linear work trajectory.
@@ -63,110 +89,28 @@ impl WorkTrajectory {
         source: &mut dyn ArrivalSource,
         k: u32,
     ) -> Self {
-        let name = policy.name();
-        let mut inelastic: VecDeque<Job> = VecDeque::new();
-        let mut elastic: VecDeque<Job> = VecDeque::new();
-        let mut time = 0.0f64;
-        let mut next_id = 0u64;
+        let mut hooks = Policy(policy, policy.name());
+        let mut cluster = Cluster::new(k);
         let mut pending = source.next_arrival();
-        let mut samples = Vec::new();
-
-        let snapshot = |time: f64, inel: &VecDeque<Job>, el: &VecDeque<Job>| {
-            let wi: f64 = inel.iter().map(|j| j.remaining).sum();
-            let we: f64 = el.iter().map(|j| j.remaining).sum();
-            WorkSample {
-                time,
-                total: wi + we,
-                inelastic: wi,
+        let mut samples = vec![WorkSample::of(&cluster)];
+        while pending.is_some() || !cluster.is_empty() {
+            let step = cluster.step(&mut hooks, pending.map(|a| a.time), f64::INFINITY);
+            let due = pending.filter(|_| step == Step::ArrivalDue);
+            if let Some(a) = due {
+                // Snap exactly onto the trace's arrival epoch: the
+                // accumulated clock can overshoot `a.time` by an ulp, and
+                // coupled trajectories must place the identical arrival
+                // jump at the identical epoch or the merged comparison
+                // reads one of them pre-jump.
+                cluster.snap_clock(a.time);
             }
-        };
-        samples.push(snapshot(0.0, &inelastic, &elastic));
-
-        loop {
-            if pending.is_none() && inelastic.is_empty() && elastic.is_empty() {
-                break;
-            }
-            let i = inelastic.len();
-            let j = elastic.len();
-            let alloc = policy.allocate(i, j, k);
-            assert_feasible(alloc, i, j, k, &name);
-
-            let whole = alloc.inelastic.floor() as usize;
-            let frac = alloc.inelastic - whole as f64;
-            let rate_of = |idx: usize| -> f64 {
-                if idx < whole {
-                    1.0
-                } else if idx == whole {
-                    frac
-                } else {
-                    0.0
-                }
-            };
-
-            let mut dt = f64::INFINITY;
-            for (idx, job) in inelastic.iter().enumerate().take(whole + 1) {
-                let r = rate_of(idx);
-                if r > 0.0 {
-                    dt = dt.min(job.remaining / r);
-                }
-            }
-            if alloc.elastic > 0.0 {
-                if let Some(head) = elastic.front() {
-                    dt = dt.min(head.remaining / alloc.elastic);
-                }
-            }
-            let dt_arr = pending.map_or(f64::INFINITY, |a: Arrival| (a.time - time).max(0.0));
-            let arrival_next = dt_arr <= dt;
-            dt = dt.min(dt_arr);
-            assert!(
-                dt.is_finite(),
-                "policy {name} idles forever with jobs present in state ({i},{j})"
-            );
-
-            if dt > 0.0 {
-                for (idx, job) in inelastic.iter_mut().enumerate().take(whole + 1) {
-                    let r = rate_of(idx);
-                    if r > 0.0 {
-                        job.remaining = (job.remaining - r * dt).max(0.0);
-                    }
-                }
-                if alloc.elastic > 0.0 {
-                    if let Some(head) = elastic.front_mut() {
-                        head.remaining = (head.remaining - alloc.elastic * dt).max(0.0);
-                    }
-                }
-                time += dt;
-            }
-            if arrival_next {
-                if let Some(a) = pending {
-                    // Snap exactly onto the trace's arrival epoch: the
-                    // accumulated clock can overshoot `a.time` by an ulp,
-                    // and coupled trajectories must place the identical
-                    // arrival jump at the identical epoch or the merged
-                    // comparison reads one of them pre-jump.
-                    debug_assert!((time - a.time).abs() <= 1e-9 * (1.0 + a.time.abs()));
-                    time = a.time;
-                }
-            }
-
-            inelastic.retain(|jb| !jb.is_done());
-            elastic.retain(|jb| !jb.is_done());
-
             // Pre-jump sample at this epoch.
-            samples.push(snapshot(time, &inelastic, &elastic));
-
-            if arrival_next {
-                if let Some(a) = pending {
-                    let job = Job::new(next_id, a.class, a.size, a.time);
-                    next_id += 1;
-                    match a.class {
-                        JobClass::Inelastic => inelastic.push_back(job),
-                        JobClass::Elastic => elastic.push_back(job),
-                    }
-                    pending = source.next_arrival();
-                    // Post-jump sample (same epoch, larger work).
-                    samples.push(snapshot(time, &inelastic, &elastic));
-                }
+            samples.push(WorkSample::of(&cluster));
+            if let Some(a) = due {
+                cluster.admit(&mut hooks, &a);
+                pending = source.next_arrival();
+                // Post-jump sample (same epoch, larger work).
+                samples.push(WorkSample::of(&cluster));
             }
         }
         Self { samples }
@@ -302,7 +246,7 @@ pub fn paired_diff(pairs: &[(SimReport, SimReport)]) -> ReplicationStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrivals::PoissonStream;
+    use crate::arrivals::{Arrival, PoissonStream};
     use crate::policy::{ElasticFirst, FairShare, InelasticFirst, TablePolicy};
     use eirs_queueing::Exponential;
 

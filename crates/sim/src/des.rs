@@ -1,45 +1,29 @@
-//! Job-level discrete-event simulator.
+//! Job-level discrete-event simulator: mean response time, occupancy and
+//! work statistics of a policy on an arrival stream.
 //!
-//! Tracks the remaining work of every job in the system and advances time to
-//! the next arrival or completion. Between events every allocation is
-//! constant, so each served job's completion time is `remaining / rate`;
-//! the engine is exact (no time discretization). Sizes are fixed at arrival,
-//! so the simulator works for arbitrary size distributions — which the
-//! distribution-free coupling experiments (Theorem 3) rely on.
+//! [`Simulation`] drives the [cluster kernel](crate::kernel), which owns
+//! the event mechanics — FCFS service, exact event times, capacity churn
+//! with its degraded-decision and preempt-restart rules, departures and
+//! admission; see its module docs. Sizes are fixed at arrival, so the
+//! simulator works for arbitrary size distributions, which the
+//! distribution-free coupling experiments (Theorem 3) rely on. The
+//! simulation watches the kernel through its hooks and keeps the
+//! statistics: Welford means and P² tails of response times, time
+//! averages of occupancy, work and busy servers, and per-class work
+//! totals kept incrementally.
 //!
-//! Within each class service is FCFS: the first `⌊π_I⌋` inelastic jobs get
-//! one server each, the next inelastic job gets the fractional remainder,
-//! and the head-of-line elastic job receives the entire elastic share (for
-//! linear-speedup jobs the split within the class does not affect the
-//! class-level completion rate, and head-of-line matches the paper's EF/IF
-//! definitions).
-//!
-//! # Capacity churn
-//!
-//! A simulation may carry a [`FaultSchedule`]
-//! ([`Simulation::with_faults`]): capacity-change events are first-class
-//! DES events, and between them only `avail ≤ k` servers exist. The
-//! degraded-decision rule is: at full capacity the policy is called with
-//! `k` (the hot path, bit-identical to the fault-free run); at zero
-//! capacity the allocation is [`ClassAllocation::IDLE`](crate::policy::ClassAllocation::IDLE) *without
-//! consulting the policy* (policies need not be defined on an empty
-//! cluster); otherwise the policy is called with the available count.
-//! Elastic jobs are malleable and simply shrink onto the surviving
-//! servers — no work is lost. Inelastic jobs use one server each and
-//! cannot migrate mid-flight: when capacity drops below the served
-//! prefix, every partially-served inelastic job beyond queue position
-//! `avail` is **preempt-restarted** — its remaining work resets to its
-//! full size and it re-enters at the back of the inelastic queue (it
-//! restarts from scratch, behind work that kept its server). Untouched
-//! jobs keep their position; capacity increases never disturb state.
+//! A simulation may carry a [`FaultSchedule`] ([`Simulation::with_faults`]):
+//! capacity changes are first-class events, and between them only
+//! `avail ≤ k` servers exist. At full capacity the policy is called with
+//! `k`, so a run with an empty schedule is bit-identical to one without.
 
 use crate::arrivals::{Arrival, ArrivalSource};
-use crate::availability::{CapacityEvent, FaultSchedule};
+use crate::availability::FaultSchedule;
 use crate::job::{Job, JobClass};
-use crate::policy::{assert_feasible, AllocationPolicy};
+use crate::kernel::{Cluster, Hooks, Step};
+use crate::policy::{AllocationPolicy, ClassAllocation};
 use crate::quantile::TailStats;
 use crate::stats::{TimeAverage, Welford};
-use std::collections::VecDeque;
 
 /// When a simulation run ends.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,31 +112,103 @@ pub struct SimReport {
 /// The discrete-event simulation engine.
 pub struct Simulation {
     config: DesConfig,
-    time: f64,
-    inelastic: VecDeque<Job>,
-    elastic: VecDeque<Job>,
-    next_id: u64,
-    total_departures: u64,
-    // Capacity churn: the remaining fault schedule, the cursor into it,
-    // and the currently available server count.
-    faults: Vec<CapacityEvent>,
-    fault_cursor: usize,
-    avail: u32,
-    preemptions: u64,
-    // Remaining work per class, maintained incrementally (O(1) per event
-    // instead of an O(n) queue scan): arrivals add their size, the advance
-    // loop subtracts exactly the work it removes from served jobs, and
+    cluster: Cluster,
+}
+
+impl Simulation {
+    /// A fresh simulation with the given configuration.
+    pub fn new(config: DesConfig) -> Self {
+        assert!(config.k >= 1, "need at least one server");
+        Self {
+            config,
+            cluster: Cluster::new(config.k),
+        }
+    }
+
+    /// Attaches a capacity-churn schedule (see the [kernel
+    /// docs](crate::kernel) for the degraded-decision and preempt-restart
+    /// semantics). The schedule's `k` must match the configuration.
+    pub fn with_faults(mut self, schedule: &FaultSchedule) -> Self {
+        assert_eq!(
+            schedule.k(),
+            self.config.k,
+            "fault schedule generated for k={}, simulation has k={}",
+            schedule.k(),
+            self.config.k
+        );
+        assert_eq!(self.now(), 0.0, "attach faults before running");
+        self.cluster = self.cluster.with_faults(schedule.events().to_vec());
+        self
+    }
+
+    /// Seeds the system with jobs present at time zero (arrival time 0).
+    pub fn preload(&mut self, jobs: impl IntoIterator<Item = (JobClass, f64)>) {
+        assert_eq!(self.now(), 0.0, "preload before running");
+        for (class, size) in jobs {
+            self.cluster.enqueue(class, size, 0.0);
+        }
+    }
+
+    /// Runs the simulation to completion under `policy` with arrivals from
+    /// `source`.
+    pub fn run(
+        mut self,
+        policy: &dyn AllocationPolicy,
+        source: &mut dyn ArrivalSource,
+    ) -> SimReport {
+        let mut m = Measure::new(policy, &self);
+        let mut pending: Option<Arrival> = source.next_arrival();
+        let until = match self.config.stop {
+            StopRule::SimTime(t_end) => t_end,
+            _ => f64::INFINITY,
+        };
+        loop {
+            let stop = match self.config.stop {
+                StopRule::Departures(n) => m.measuring && m.completed[0] + m.completed[1] >= n,
+                StopRule::SimTime(t_end) => self.now() >= t_end,
+                StopRule::Drain => pending.is_none() && self.cluster.is_empty(),
+            };
+            if stop {
+                break;
+            }
+            match self.cluster.step(&mut m, pending.map(|a| a.time), until) {
+                Step::Idle => break,
+                Step::ArrivalDue => {
+                    let a = pending.expect("a due arrival is pending");
+                    self.cluster.admit(&mut m, &a);
+                    pending = source.next_arrival();
+                }
+                Step::Advanced => {}
+            }
+        }
+        m.report(self.now())
+    }
+
+    /// Current simulated time.
+    pub fn now(&self) -> f64 {
+        self.cluster.now()
+    }
+}
+
+/// A run's measurements: the policy plus everything the simulation
+/// accumulates while it watches the kernel.
+struct Measure<'p> {
+    policy: &'p dyn AllocationPolicy,
+    name: String,
+    warmup: u64,
+    // Remaining work per class [inelastic, elastic], maintained
+    // incrementally (O(1) per event instead of an O(n) queue scan):
+    // arrivals add their size, advances subtract exactly the work they
+    // removed, preempt-restarts add back the lost progress, and
     // departures subtract the numerical residual of the departing job.
-    work_total_i: f64,
-    work_total_e: f64,
-    // Measurement state.
+    work_total: [f64; 2],
+    total_departures: u64,
+    preemptions: u64,
     measuring: bool,
-    resp_all: Welford,
-    resp_i: Welford,
-    resp_e: Welford,
-    tails_all: TailStats,
-    tails_i: TailStats,
-    tails_e: TailStats,
+    // Response-time statistics per class, then over both classes:
+    // [inelastic, elastic, all].
+    resp: [Welford; 3],
+    tails: [TailStats; 3],
     total_response: f64,
     completed: [u64; 2],
     num_jobs: TimeAverage,
@@ -163,30 +219,20 @@ pub struct Simulation {
     busy: TimeAverage,
 }
 
-impl Simulation {
-    /// A fresh simulation with the given configuration.
-    pub fn new(config: DesConfig) -> Self {
-        assert!(config.k >= 1, "need at least one server");
+impl<'p> Measure<'p> {
+    fn new(policy: &'p dyn AllocationPolicy, sim: &Simulation) -> Self {
+        // The work of the preloaded jobs, summed in queue order.
+        let work = |c| sim.cluster.queue(c).fold(0.0, |w, j| w + j.size);
         Self {
-            config,
-            time: 0.0,
-            inelastic: VecDeque::with_capacity(64),
-            elastic: VecDeque::with_capacity(64),
-            next_id: 0,
+            policy,
+            name: policy.name(),
+            warmup: sim.config.warmup_departures,
+            work_total: JobClass::ALL.map(work),
             total_departures: 0,
-            faults: Vec::new(),
-            fault_cursor: 0,
-            avail: config.k,
             preemptions: 0,
-            work_total_i: 0.0,
-            work_total_e: 0.0,
-            measuring: config.warmup_departures == 0,
-            resp_all: Welford::new(),
-            resp_i: Welford::new(),
-            resp_e: Welford::new(),
-            tails_all: TailStats::new(),
-            tails_i: TailStats::new(),
-            tails_e: TailStats::new(),
+            measuring: sim.config.warmup_departures == 0,
+            resp: Default::default(),
+            tails: [(); 3].map(|_| TailStats::new()),
             total_response: 0.0,
             completed: [0, 0],
             num_jobs: TimeAverage::new(),
@@ -198,333 +244,14 @@ impl Simulation {
         }
     }
 
-    /// Attaches a capacity-churn schedule (see the [module docs](self)
-    /// for the degraded-decision and preempt-restart semantics). The
-    /// schedule's `k` must match the configuration.
-    pub fn with_faults(mut self, schedule: &FaultSchedule) -> Self {
-        assert_eq!(
-            schedule.k(),
-            self.config.k,
-            "fault schedule generated for k={}, simulation has k={}",
-            schedule.k(),
-            self.config.k
-        );
-        assert_eq!(self.time, 0.0, "attach faults before running");
-        self.faults = schedule.events().to_vec();
-        self.fault_cursor = 0;
-        self
-    }
-
-    /// Seeds the system with jobs present at time zero (arrival time 0).
-    pub fn preload(&mut self, jobs: impl IntoIterator<Item = (JobClass, f64)>) {
-        assert_eq!(self.time, 0.0, "preload before running");
-        for (class, size) in jobs {
-            let job = Job::new(self.next_id, class, size, 0.0);
-            self.next_id += 1;
-            match class {
-                JobClass::Inelastic => {
-                    self.work_total_i += size;
-                    self.inelastic.push_back(job);
-                }
-                JobClass::Elastic => {
-                    self.work_total_e += size;
-                    self.elastic.push_back(job);
-                }
-            }
-        }
-    }
-
-    /// Runs the simulation to completion under `policy` with arrivals from
-    /// `source`.
-    pub fn run(
-        mut self,
-        policy: &dyn AllocationPolicy,
-        source: &mut dyn ArrivalSource,
-    ) -> SimReport {
-        let mut pending: Option<Arrival> = source.next_arrival();
-        let k = self.config.k;
-        let kf = k as f64;
-        let name = policy.name();
-
-        loop {
-            match self.config.stop {
-                StopRule::Departures(n) => {
-                    if self.measuring && self.completed[0] + self.completed[1] >= n {
-                        break;
-                    }
-                }
-                StopRule::SimTime(t_end) => {
-                    if self.time >= t_end {
-                        break;
-                    }
-                }
-                StopRule::Drain => {
-                    if pending.is_none() && self.inelastic.is_empty() && self.elastic.is_empty() {
-                        break;
-                    }
-                }
-            }
-
-            // Capacity changes due now take effect before the decision.
-            self.apply_due_capacity_events();
-
-            let i = self.inelastic.len();
-            let j = self.elastic.len();
-            let avail = self.avail;
-            let alloc = if avail == k {
-                policy.allocate(i, j, k)
-            } else if avail == 0 {
-                // Never consult the policy on an empty cluster.
-                crate::policy::ClassAllocation::IDLE
-            } else {
-                policy.allocate(i, j, avail)
-            };
-            assert_feasible(alloc, i, j, avail, &name);
-
-            // FCFS rate assignment within classes.
-            let whole = alloc.inelastic.floor() as usize;
-            let frac = alloc.inelastic - whole as f64;
-            let inelastic_rate = |idx: usize| -> f64 {
-                if idx < whole {
-                    1.0
-                } else if idx == whole {
-                    frac
-                } else {
-                    0.0
-                }
-            };
-
-            // Earliest completion among served jobs.
-            let mut dt_completion = f64::INFINITY;
-            for (idx, job) in self.inelastic.iter().enumerate().take(whole + 1) {
-                let rate = inelastic_rate(idx);
-                if rate > 0.0 {
-                    dt_completion = dt_completion.min(job.remaining / rate);
-                }
-            }
-            if alloc.elastic > 0.0 {
-                if let Some(head) = self.elastic.front() {
-                    dt_completion = dt_completion.min(head.remaining / alloc.elastic);
-                }
-            }
-
-            let dt_arrival = pending.map_or(f64::INFINITY, |a| a.time - self.time);
-            debug_assert!(dt_arrival >= -1e-9, "arrival in the past");
-            let dt_fault = self
-                .faults
-                .get(self.fault_cursor)
-                .map_or(f64::INFINITY, |e| e.time - self.time);
-            let mut dt = dt_completion
-                .min(dt_arrival.max(0.0))
-                .min(dt_fault.max(0.0));
-            if let StopRule::SimTime(t_end) = self.config.stop {
-                dt = dt.min(t_end - self.time);
-            }
-            if !dt.is_finite() {
-                // No arrivals left, nothing in service, and no capacity
-                // change ahead: with jobs present this would be a
-                // permanently idle (non-progressing) policy.
-                assert!(
-                    i == 0 && j == 0,
-                    "policy {name} idles forever with jobs present \
-                     (state ({i},{j}), {avail}/{k} servers available)"
-                );
-                break;
-            }
-
-            // Accumulate time-weighted statistics over [time, time+dt).
-            if self.measuring && dt > 0.0 {
-                let w_i = self.work_total_i;
-                let w_e = self.work_total_e;
-                let total_rate = alloc.total();
-                // Work decreases linearly at the service rate:
-                // ∫ W dt = W₀·dt − rate·dt²/2.
-                self.num_jobs.add((i + j) as f64, dt);
-                self.num_i.add(i as f64, dt);
-                self.num_e.add(j as f64, dt);
-                self.work.add(w_i + w_e - 0.5 * total_rate * dt, dt);
-                self.work_i.add(w_i - 0.5 * alloc.inelastic * dt, dt);
-                self.busy.add(total_rate / kf, dt);
-            }
-
-            // Advance remaining work of served jobs, keeping the class work
-            // totals in sync with exactly the work removed (clamps at zero
-            // included), so the totals never drift from the queue contents.
-            if dt > 0.0 {
-                let mut reduced_i = 0.0;
-                for (idx, job) in self.inelastic.iter_mut().enumerate().take(whole + 1) {
-                    let rate = inelastic_rate(idx);
-                    if rate > 0.0 {
-                        let before = job.remaining;
-                        job.remaining = (before - rate * dt).max(0.0);
-                        reduced_i += before - job.remaining;
-                    }
-                }
-                self.work_total_i -= reduced_i;
-                if alloc.elastic > 0.0 {
-                    if let Some(head) = self.elastic.front_mut() {
-                        let before = head.remaining;
-                        head.remaining = (before - alloc.elastic * dt).max(0.0);
-                        self.work_total_e -= before - head.remaining;
-                    }
-                }
-                self.time += dt;
-            }
-
-            // Departures (possibly several at once).
-            self.collect_departures();
-
-            // Arrival, if this event is one.
-            if let Some(a) = pending {
-                if a.time <= self.time + 1e-12 && dt_arrival <= dt_completion {
-                    let job = Job::new(self.next_id, a.class, a.size, a.time);
-                    self.next_id += 1;
-                    self.time = self.time.max(a.time);
-                    match a.class {
-                        JobClass::Inelastic => {
-                            self.work_total_i += a.size;
-                            self.inelastic.push_back(job);
-                        }
-                        JobClass::Elastic => {
-                            self.work_total_e += a.size;
-                            self.elastic.push_back(job);
-                        }
-                    }
-                    pending = source.next_arrival();
-                    // Zero-size jobs depart immediately.
-                    self.collect_departures();
-                }
-            }
-        }
-
-        self.report()
-    }
-
-    fn collect_departures(&mut self) {
-        let time = self.time;
-        let depart = |job: Job, stats: &mut Self| {
-            // Remove the numerical residual (is_done() tolerates ~1e-12) so
-            // the incremental work totals exactly track the queue contents.
-            match job.class {
-                JobClass::Inelastic => stats.work_total_i -= job.remaining,
-                JobClass::Elastic => stats.work_total_e -= job.remaining,
-            }
-            stats.total_departures += 1;
-            if !stats.measuring && stats.total_departures >= stats.config.warmup_departures {
-                stats.measuring = true;
-            } else if stats.measuring {
-                let t = time - job.arrival;
-                stats.resp_all.push(t);
-                stats.tails_all.push(t);
-                stats.total_response += t;
-                match job.class {
-                    JobClass::Inelastic => {
-                        stats.resp_i.push(t);
-                        stats.tails_i.push(t);
-                        stats.completed[0] += 1;
-                    }
-                    JobClass::Elastic => {
-                        stats.resp_e.push(t);
-                        stats.tails_e.push(t);
-                        stats.completed[1] += 1;
-                    }
-                }
-            }
-        };
-        // Completed jobs can only be among the FCFS-served prefix, but a
-        // retain-style sweep is simplest and queues are short-prefix-done.
-        while let Some(front) = self.inelastic.front() {
-            if front.is_done() {
-                let job = self.inelastic.pop_front().expect("front exists");
-                depart(job, self);
-            } else {
-                break;
-            }
-        }
-        // Fractionally-served inelastic job may complete while earlier jobs
-        // have not (only when sizes differ); sweep the rest once.
-        let mut idx = 0;
-        while idx < self.inelastic.len() {
-            if self.inelastic[idx].is_done() {
-                let job = self.inelastic.remove(idx).expect("index in range");
-                depart(job, self);
-            } else {
-                idx += 1;
-            }
-        }
-        while let Some(front) = self.elastic.front() {
-            if front.is_done() {
-                let job = self.elastic.pop_front().expect("front exists");
-                depart(job, self);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Applies every capacity event due at the current clock (changes
-    /// take effect at their timestamp, after any simultaneous
-    /// completion has been collected).
-    fn apply_due_capacity_events(&mut self) {
-        while let Some(&e) = self.faults.get(self.fault_cursor) {
-            if e.time <= self.time + 1e-12 {
-                self.fault_cursor += 1;
-                self.apply_capacity(e.available);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Sets the available capacity, preempt-restarting partially-served
-    /// inelastic jobs that no longer fit: FCFS progress lives only in
-    /// the queue prefix of length `avail`, so every job with progress at
-    /// position `>= available` lost its server — its remaining work
-    /// resets to its full size and it re-enters at the back of the
-    /// queue. Elastic jobs are malleable and keep all progress.
-    fn apply_capacity(&mut self, available: u32) {
-        self.avail = available;
-        let keep = available as usize;
-        if keep >= self.inelastic.len() {
-            return;
-        }
-        let mut preempted: Vec<Job> = Vec::new();
-        let mut idx = keep;
-        while idx < self.inelastic.len() {
-            let job = &self.inelastic[idx];
-            if job.remaining < job.size {
-                let mut job = self.inelastic.remove(idx).expect("index in range");
-                // The lost progress re-enters the work totals.
-                self.work_total_i += job.size - job.remaining;
-                job.remaining = job.size;
-                self.preemptions += 1;
-                preempted.push(job);
-            } else {
-                idx += 1;
-            }
-        }
-        self.inelastic.extend(preempted);
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> f64 {
-        self.time
-    }
-
-    fn report(self) -> SimReport {
+    fn report(self, end_time: f64) -> SimReport {
+        let class_mean = |w: &Welford| if w.count() > 0 { w.mean() } else { f64::NAN };
+        let [tails_i, tails_e, tails_all] = &self.tails;
         SimReport {
             completed: self.completed,
-            mean_response: self.resp_all.mean(),
-            mean_response_inelastic: if self.resp_i.count() > 0 {
-                self.resp_i.mean()
-            } else {
-                f64::NAN
-            },
-            mean_response_elastic: if self.resp_e.count() > 0 {
-                self.resp_e.mean()
-            } else {
-                f64::NAN
-            },
+            mean_response: self.resp[2].mean(),
+            mean_response_inelastic: class_mean(&self.resp[0]),
+            mean_response_elastic: class_mean(&self.resp[1]),
             total_response: self.total_response,
             mean_num_in_system: self.num_jobs.average(),
             mean_num_inelastic: self.num_i.average(),
@@ -532,13 +259,71 @@ impl Simulation {
             mean_work: self.work.average(),
             mean_work_inelastic: self.work_i.average(),
             utilization: self.busy.average(),
-            tail_response: self.tails_all.estimates(),
-            tail_response_inelastic: self.tails_i.estimates(),
-            tail_response_elastic: self.tails_e.estimates(),
+            tail_response: tails_all.estimates(),
+            tail_response_inelastic: tails_i.estimates(),
+            tail_response_elastic: tails_e.estimates(),
             measured_time: self.num_jobs.elapsed(),
-            end_time: self.time,
+            end_time,
             preemptions: self.preemptions,
         }
+    }
+}
+
+impl Hooks for Measure<'_> {
+    fn allocate(&mut self, i: usize, j: usize, servers: u32) -> ClassAllocation {
+        self.policy.allocate(i, j, servers)
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn on_advance(&mut self, cluster: &Cluster, alloc: ClassAllocation, dt: f64, served: [f64; 2]) {
+        // Time-weighted statistics over the interval just served, from the
+        // work present at its start.
+        if self.measuring {
+            let (i, j) = cluster.occupancy();
+            let [w_i, w_e] = self.work_total;
+            let total_rate = alloc.total();
+            // Work decreases linearly at the service rate:
+            // ∫ W dt = W₀·dt − rate·dt²/2.
+            self.num_jobs.add((i + j) as f64, dt);
+            self.num_i.add(i as f64, dt);
+            self.num_e.add(j as f64, dt);
+            self.work.add(w_i + w_e - 0.5 * total_rate * dt, dt);
+            self.work_i.add(w_i - 0.5 * alloc.inelastic * dt, dt);
+            self.busy.add(total_rate / cluster.k() as f64, dt);
+        }
+        self.work_total[0] -= served[0];
+        self.work_total[1] -= served[1];
+    }
+
+    fn on_departure(&mut self, job: &Job, t: f64) {
+        // Remove the numerical residual (is_done() tolerates ~1e-12) so
+        // the incremental work totals exactly track the queue contents.
+        self.work_total[job.class as usize] -= job.remaining;
+        self.total_departures += 1;
+        if !self.measuring && self.total_departures >= self.warmup {
+            self.measuring = true;
+        } else if self.measuring {
+            for idx in [2, job.class as usize] {
+                self.resp[idx].push(t);
+                self.tails[idx].push(t);
+            }
+            self.total_response += t;
+            self.completed[job.class as usize] += 1;
+        }
+    }
+
+    fn on_preempt(&mut self, job: &Job) {
+        // The lost progress re-enters the work totals.
+        self.work_total[0] += job.size - job.remaining;
+        self.preemptions += 1;
+    }
+
+    fn admit(&mut self, _: &Cluster, a: &Arrival) -> bool {
+        self.work_total[a.class as usize] += a.size;
+        true
     }
 }
 

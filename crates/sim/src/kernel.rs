@@ -1,0 +1,513 @@
+//! The cluster kernel: the one job-level event loop behind the DES
+//! ([`crate::des`]), the Theorem 3 coupling ([`crate::coupling`]) and the
+//! serving shards of `eirs_serve`.
+//!
+//! A [`Cluster`] owns `k` unit-speed servers, the two FCFS queues, the
+//! clock, the next job id, the available server count `avail ≤ k` and its
+//! cursor into a capacity-change schedule. [`Cluster::step`] applies the
+//! capacity changes that are due, makes one allocation decision, advances
+//! to the next event (a completion, a capacity change, the pending arrival
+//! or the caller's time limit) and sweeps departures; [`Cluster::admit`]
+//! then lets in an arrival the step found due. Drivers keep their own state
+//! — statistics, digests, work samples — and watch the loop through
+//! [`Hooks`], a generic parameter, so every hook call is statically
+//! dispatched. Because all drivers run this code, the DES and the serving
+//! engine agree by construction.
+//!
+//! # Service
+//!
+//! Between events every allocation is constant, so each served job's
+//! completion time is `remaining / rate` and the loop is exact (no time
+//! discretization). Within each class service is FCFS: the first `⌊π_I⌋`
+//! inelastic jobs get one server each, the next inelastic job gets the
+//! fractional remainder, and the head-of-line elastic job receives the
+//! whole elastic share (for linear-speedup jobs the split within the class
+//! does not change the class's completion rate, and head-of-line matches
+//! the paper's EF/IF definitions).
+//!
+//! # Capacity churn
+//!
+//! The degraded-decision rule: at full capacity the policy is asked with
+//! `k`, when degraded with `avail`, and at zero capacity the cluster idles
+//! without asking it (policies need not be defined on an empty cluster).
+//! Elastic jobs are malleable and shrink onto the surviving servers — no
+//! work is lost. Inelastic jobs use one server each and cannot migrate:
+//! when capacity drops, every inelastic job at queue position `≥ avail`
+//! that has progress is **preempt-restarted** — its remaining work resets
+//! to its full size and it re-enters at the back of the inelastic queue,
+//! the preempted jobs keeping their relative order. Untouched jobs keep
+//! their position; capacity increases never disturb state. Capacity
+//! changes take effect at their timestamp, after any simultaneous
+//! completion has been swept and before the next decision.
+//!
+//! # Jobs done at admission
+//!
+//! The departure sweep removes finished inelastic jobs anywhere in their
+//! queue but finished elastic jobs only from its head. So an admitted job
+//! whose size is already within the completion tolerance of zero leaves
+//! during [`Cluster::admit`] only if it is inelastic; an elastic one waits
+//! until every elastic job ahead of it has departed. Under Elastic-First
+//! with `k = 1`, a size-2 elastic job at `t = 0` and a size-0 elastic job
+//! at `t = 0.5` both leave at `t = 2`: total response 3.5, not 2.0.
+
+use crate::arrivals::Arrival;
+use crate::availability::CapacityEvent;
+use crate::job::{Job, JobClass};
+use crate::policy::{assert_feasible, ClassAllocation};
+use std::collections::{vec_deque, VecDeque};
+
+/// A driver's view of the event loop. Only the policy
+/// ([`Hooks::allocate`]) and its [`Hooks::name`] are required; every
+/// observer defaults to doing nothing.
+pub trait Hooks {
+    /// The policy: the allocation at occupancy `(i, j)` on `servers`
+    /// servers (`k` at full capacity, `avail` when degraded, never 0).
+    fn allocate(&mut self, i: usize, j: usize, servers: u32) -> ClassAllocation;
+
+    /// The policy's name, for the feasibility and idle-forever panics.
+    fn name(&self) -> &str;
+
+    /// Sees every decision once it passed the feasibility check, the idle
+    /// decision at zero capacity included; the cluster shows the
+    /// occupancy and capacity it was made at.
+    fn on_decision(&mut self, _cluster: &Cluster, _allocation: ClassAllocation) {}
+
+    /// Sees the clock advance by `dt > 0` under `allocation`, after the
+    /// fact: `served` is the work removed per class `[inelastic,
+    /// elastic]` (the inelastic entry summed job by job in queue order),
+    /// and the cluster shows the new clock with departures not yet swept.
+    fn on_advance(
+        &mut self,
+        _cluster: &Cluster,
+        _allocation: ClassAllocation,
+        _dt: f64,
+        _served: [f64; 2],
+    ) {
+    }
+
+    /// Sees a job leave, with its response time.
+    fn on_departure(&mut self, _job: &Job, _response: f64) {}
+
+    /// Sees an inelastic job just before a preempt-restart resets it.
+    fn on_preempt(&mut self, _job: &Job) {}
+
+    /// Decides whether a due arrival enters (`false` sheds it). The clock
+    /// is already at the arrival epoch.
+    fn admit(&mut self, _cluster: &Cluster, _arrival: &Arrival) -> bool {
+        true
+    }
+}
+
+/// What one [`Cluster::step`] reached.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// The clock reached a completion, a capacity change or the time
+    /// limit.
+    Advanced,
+    /// The pending arrival is due: let it in with [`Cluster::admit`].
+    ArrivalDue,
+    /// Nothing can happen any more: no arrival is pending, no capacity
+    /// change is ahead and the cluster is empty.
+    Idle,
+}
+
+/// `k` servers, two FCFS queues, a clock and a capacity-change schedule
+/// (see the [module docs](self)).
+#[derive(Debug)]
+pub struct Cluster {
+    k: u32,
+    time: f64,
+    next_id: u64,
+    inelastic: VecDeque<Job>,
+    elastic: VecDeque<Job>,
+    avail: u32,
+    faults: Vec<CapacityEvent>,
+    fault_cursor: usize,
+}
+
+impl Cluster {
+    /// An empty, fully available cluster of `k` servers at time zero.
+    pub fn new(k: u32) -> Self {
+        Self {
+            k,
+            time: 0.0,
+            next_id: 0,
+            inelastic: VecDeque::with_capacity(16),
+            elastic: VecDeque::with_capacity(16),
+            avail: k,
+            faults: Vec::new(),
+            fault_cursor: 0,
+        }
+    }
+
+    /// Replaces the capacity-change schedule (time-ordered events) and
+    /// rewinds its cursor.
+    pub fn with_faults(mut self, faults: Vec<CapacityEvent>) -> Self {
+        self.faults = faults;
+        self.fault_cursor = 0;
+        self
+    }
+
+    /// Servers when healthy.
+    pub fn k(&self) -> u32 {
+        self.k
+    }
+
+    /// The clock.
+    pub fn now(&self) -> f64 {
+        self.time
+    }
+
+    /// Servers currently available (`k` when healthy).
+    pub fn avail(&self) -> u32 {
+        self.avail
+    }
+
+    /// Occupancy `(i, j)`: inelastic and elastic jobs present.
+    pub fn occupancy(&self) -> (usize, usize) {
+        (self.inelastic.len(), self.elastic.len())
+    }
+
+    /// `true` when no job is present.
+    pub fn is_empty(&self) -> bool {
+        self.inelastic.is_empty() && self.elastic.is_empty()
+    }
+
+    /// The id the next enqueued job gets.
+    pub fn next_id(&self) -> u64 {
+        self.next_id
+    }
+
+    /// Capacity events applied so far.
+    pub fn fault_cursor(&self) -> usize {
+        self.fault_cursor
+    }
+
+    /// One class's queue, front to back.
+    pub fn queue(&self, class: JobClass) -> vec_deque::Iter<'_, Job> {
+        match class {
+            JobClass::Inelastic => self.inelastic.iter(),
+            JobClass::Elastic => self.elastic.iter(),
+        }
+    }
+
+    fn queue_mut(&mut self, class: JobClass) -> &mut VecDeque<Job> {
+        match class {
+            JobClass::Inelastic => &mut self.inelastic,
+            JobClass::Elastic => &mut self.elastic,
+        }
+    }
+
+    /// The allocation at the current occupancy under the degraded-decision
+    /// rule, as `(i, j, allocation)`: `allocate` is asked with `avail`
+    /// servers (`k` when healthy) and not at all at zero capacity. A pure
+    /// read — [`Cluster::step`] decides through it too.
+    pub fn decision(
+        &self,
+        allocate: impl FnOnce(usize, usize, u32) -> ClassAllocation,
+    ) -> (usize, usize, ClassAllocation) {
+        let (i, j) = self.occupancy();
+        let allocation = match self.avail {
+            0 => ClassAllocation::IDLE,
+            servers => allocate(i, j, servers),
+        };
+        (i, j, allocation)
+    }
+
+    /// Puts a job at the back of its class queue without sweeping
+    /// departures (jobs present before a run starts).
+    pub(crate) fn enqueue(&mut self, class: JobClass, size: f64, arrival: f64) {
+        let job = Job::new(self.next_id, class, size, arrival);
+        self.next_id += 1;
+        self.queue_mut(class).push_back(job);
+    }
+
+    /// One event-loop step toward the pending arrival at epoch `arrival`
+    /// (`None` when there is none), never past the time `until`: applies
+    /// due capacity changes, decides, advances to the next event and
+    /// sweeps departures. Panics when the policy idles forever with jobs
+    /// present.
+    pub fn step<H: Hooks>(&mut self, hooks: &mut H, arrival: Option<f64>, until: f64) -> Step {
+        while let Some(&e) = self.faults.get(self.fault_cursor) {
+            if e.time > self.time + 1e-12 {
+                break;
+            }
+            self.fault_cursor += 1;
+            self.set_capacity(hooks, e.available);
+        }
+        let (i, j, alloc) = self.decision(|i, j, servers| hooks.allocate(i, j, servers));
+        assert_feasible(alloc, i, j, self.avail, hooks.name());
+        hooks.on_decision(self, alloc);
+
+        // FCFS rates: one server each for the first `whole` inelastic
+        // jobs, the fractional rest for the next one.
+        let whole = alloc.inelastic.floor() as usize;
+        let frac = alloc.inelastic - whole as f64;
+        let rate = |idx: usize| if idx < whole { 1.0 } else { frac };
+        let mut dt_completion = f64::INFINITY;
+        for (idx, job) in self.inelastic.iter().enumerate().take(whole + 1) {
+            if rate(idx) > 0.0 {
+                dt_completion = dt_completion.min(job.remaining / rate(idx));
+            }
+        }
+        if alloc.elastic > 0.0 {
+            if let Some(head) = self.elastic.front() {
+                dt_completion = dt_completion.min(head.remaining / alloc.elastic);
+            }
+        }
+        let dt_arrival = arrival.map_or(f64::INFINITY, |t| t - self.time);
+        debug_assert!(dt_arrival >= -1e-9, "arrival in the past");
+        let dt_fault = self
+            .faults
+            .get(self.fault_cursor)
+            .map_or(f64::INFINITY, |e| e.time - self.time);
+        let dt = dt_completion
+            .min(dt_arrival.max(0.0))
+            .min(dt_fault.max(0.0))
+            .min(until - self.time);
+        if !dt.is_finite() {
+            assert!(
+                i == 0 && j == 0,
+                "policy {} idles forever with jobs present (state ({i},{j}), {}/{} servers \
+                 available)",
+                hooks.name(),
+                self.avail,
+                self.k
+            );
+            return Step::Idle;
+        }
+
+        if dt > 0.0 {
+            let mut served = [0.0; 2];
+            for (idx, job) in self.inelastic.iter_mut().enumerate().take(whole + 1) {
+                if rate(idx) > 0.0 {
+                    let before = job.remaining;
+                    job.remaining = (before - rate(idx) * dt).max(0.0);
+                    served[0] += before - job.remaining;
+                }
+            }
+            if alloc.elastic > 0.0 {
+                if let Some(head) = self.elastic.front_mut() {
+                    let before = head.remaining;
+                    head.remaining = (before - alloc.elastic * dt).max(0.0);
+                    served[1] = before - head.remaining;
+                }
+            }
+            self.time += dt;
+            hooks.on_advance(self, alloc, dt, served);
+        }
+        self.sweep(hooks);
+        match arrival {
+            Some(t) if t <= self.time + 1e-12 && dt_arrival <= dt_completion => Step::ArrivalDue,
+            _ => Step::Advanced,
+        }
+    }
+
+    /// Lets in the arrival a [`Cluster::step`] found due: moves the clock
+    /// onto its epoch (never backwards), asks [`Hooks::admit`], and if
+    /// that agrees enqueues the job and sweeps departures. Returns whether
+    /// the job entered.
+    pub fn admit<H: Hooks>(&mut self, hooks: &mut H, arrival: &Arrival) -> bool {
+        self.time = self.time.max(arrival.time);
+        if !hooks.admit(self, arrival) {
+            return false;
+        }
+        self.enqueue(arrival.class, arrival.size, arrival.time);
+        self.sweep(hooks);
+        true
+    }
+
+    /// Moves the clock onto `t`, an epoch within rounding of now (the
+    /// coupling snaps onto every trace arrival so coupled trajectories
+    /// jump at the identical instant).
+    pub(crate) fn snap_clock(&mut self, t: f64) {
+        debug_assert!((self.time - t).abs() <= 1e-9 * (1.0 + t.abs()));
+        self.time = t;
+    }
+
+    /// Restores saved state: the clock, the next job id, the capacity,
+    /// the fault cursor and the jobs (each class's queue front to back,
+    /// in any interleaving of the two classes). The fault schedule stays
+    /// the one this cluster was built with. Refuses an `avail` above `k`
+    /// or a cursor past the end of the schedule.
+    pub fn restore(
+        &mut self,
+        time: f64,
+        next_id: u64,
+        avail: u32,
+        fault_cursor: usize,
+        jobs: impl IntoIterator<Item = Job>,
+    ) -> Result<(), String> {
+        if avail > self.k {
+            return Err(format!(
+                "snapshot claims {avail} available servers of {}",
+                self.k
+            ));
+        }
+        if fault_cursor > self.faults.len() {
+            return Err(format!(
+                "fault cursor {fault_cursor} beyond the {}-event schedule",
+                self.faults.len()
+            ));
+        }
+        self.time = time;
+        self.next_id = next_id;
+        self.avail = avail;
+        self.fault_cursor = fault_cursor;
+        self.inelastic.clear();
+        self.elastic.clear();
+        for job in jobs {
+            self.queue_mut(job.class).push_back(job);
+        }
+        Ok(())
+    }
+
+    /// Removes finished jobs in order: inelastic jobs anywhere in their
+    /// queue, elastic jobs from the head only.
+    fn sweep<H: Hooks>(&mut self, hooks: &mut H) {
+        let time = self.time;
+        let mut depart = |job: Job| hooks.on_departure(&job, time - job.arrival);
+        let mut idx = 0;
+        while idx < self.inelastic.len() {
+            if self.inelastic[idx].is_done() {
+                depart(self.inelastic.remove(idx).expect("index in range"));
+            } else {
+                idx += 1;
+            }
+        }
+        while self.elastic.front().is_some_and(Job::is_done) {
+            depart(self.elastic.pop_front().expect("front exists"));
+        }
+    }
+
+    /// Sets the available capacity, preempt-restarting every inelastic
+    /// job with progress beyond the surviving prefix.
+    fn set_capacity<H: Hooks>(&mut self, hooks: &mut H, available: u32) {
+        self.avail = available;
+        let mut preempted = Vec::new();
+        let mut idx = available as usize;
+        while idx < self.inelastic.len() {
+            let job = &self.inelastic[idx];
+            if job.remaining < job.size {
+                let mut job = self.inelastic.remove(idx).expect("index in range");
+                hooks.on_preempt(&job);
+                job.remaining = job.size;
+                preempted.push(job);
+            } else {
+                idx += 1;
+            }
+        }
+        self.inelastic.extend(preempted);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::{AllocationPolicy, ElasticFirst, InelasticFirst};
+
+    /// `(time, avail, [(id, remaining)] of the inelastic queue)` at a
+    /// decision.
+    type Seen = (f64, u32, Vec<(u64, f64)>);
+
+    /// A policy plus a record of what the kernel showed it.
+    struct Watch<P> {
+        policy: P,
+        decisions: Vec<Seen>,
+        preemptions: u64,
+        total_response: f64,
+    }
+
+    impl<P: AllocationPolicy> Watch<P> {
+        fn new(policy: P) -> Self {
+            Self {
+                policy,
+                decisions: Vec::new(),
+                preemptions: 0,
+                total_response: 0.0,
+            }
+        }
+    }
+
+    impl<P: AllocationPolicy> Hooks for Watch<P> {
+        fn allocate(&mut self, i: usize, j: usize, servers: u32) -> ClassAllocation {
+            self.policy.allocate(i, j, servers)
+        }
+        fn name(&self) -> &str {
+            "watched"
+        }
+        fn on_decision(&mut self, cluster: &Cluster, _: ClassAllocation) {
+            let queue = cluster.queue(JobClass::Inelastic);
+            let jobs = queue.map(|j| (j.id, j.remaining)).collect();
+            self.decisions.push((cluster.now(), cluster.avail(), jobs));
+        }
+        fn on_departure(&mut self, _: &Job, response: f64) {
+            self.total_response += response;
+        }
+        fn on_preempt(&mut self, _: &Job) {
+            self.preemptions += 1;
+        }
+    }
+
+    #[test]
+    fn preempt_restart_requeues_displaced_jobs_in_order() {
+        // k = 3 under IF, four inelastic jobs A, B, C, D (ids 0..3) of
+        // size 5 at t = 0: A, B and C are served, D waits. Capacity drops
+        // to 1 at t = 1 and comes back to 3 at t = 2.
+        let events =
+            [(1.0, 1), (2.0, 3)].map(|(time, available)| CapacityEvent { time, available });
+        let mut cluster = Cluster::new(3).with_faults(events.to_vec());
+        for _ in 0..4 {
+            cluster.enqueue(JobClass::Inelastic, 5.0, 0.0);
+        }
+        let mut watch = Watch::new(InelasticFirst);
+        for _ in 0..3 {
+            assert_eq!(
+                cluster.step(&mut watch, None, f64::INFINITY),
+                Step::Advanced
+            );
+        }
+        let d = &watch.decisions;
+        assert_eq!(d[0], (0.0, 3, vec![(0, 5.0), (1, 5.0), (2, 5.0), (3, 5.0)]));
+        // B and C lost their servers at t = 1: reset to full size and sent
+        // to the back, behind D, which had no progress to lose. A keeps
+        // its server and its progress.
+        assert_eq!(d[1], (1.0, 1, vec![(0, 4.0), (3, 5.0), (1, 5.0), (2, 5.0)]));
+        assert_eq!(watch.preemptions, 2);
+        // The increase at t = 2 reorders nothing.
+        assert_eq!(d[2], (2.0, 3, vec![(0, 3.0), (3, 5.0), (1, 5.0), (2, 5.0)]));
+    }
+
+    #[test]
+    fn a_done_elastic_job_waits_for_the_head_and_a_done_inelastic_one_leaves() {
+        let run = |class: JobClass| {
+            let mut cluster = Cluster::new(1);
+            let mut watch = Watch::new(ElasticFirst);
+            let arrivals = [
+                Arrival {
+                    time: 0.0,
+                    class,
+                    size: 2.0,
+                },
+                Arrival {
+                    time: 0.5,
+                    class,
+                    size: 0.0,
+                },
+            ];
+            let mut pending = arrivals.iter().peekable();
+            while pending.peek().is_some() || !cluster.is_empty() {
+                let next = pending.peek().map(|a| a.time);
+                if cluster.step(&mut watch, next, f64::INFINITY) == Step::ArrivalDue {
+                    let a = pending.next().expect("a due arrival is pending");
+                    assert!(cluster.admit(&mut watch, a));
+                }
+            }
+            watch.total_response
+        };
+        // Elastic: the size-0 job sits behind the head until t = 2.
+        assert_eq!(run(JobClass::Elastic), 3.5);
+        // Inelastic: it leaves at its arrival, response 0.
+        assert_eq!(run(JobClass::Inelastic), 2.0);
+    }
+}

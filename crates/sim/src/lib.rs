@@ -10,16 +10,23 @@
 //!   state-dependent allocation `(i, j) ↦ (π_I, π_E)` exactly as in the
 //!   paper, with Inelastic-First, Elastic-First, class-P table policies, and
 //!   fair-share baselines.
-//! * [`des`] — a job-level discrete-event simulator that tracks every job's
-//!   remaining work. Sizes may come from *any* distribution, which lets the
-//!   tests exercise the distribution-free sample-path results (Theorem 3).
+//! * [`kernel`] — the cluster kernel: the one job-level event loop (FCFS
+//!   service, exact event times, capacity churn with preempt-restart,
+//!   departures, admission) that tracks every job's remaining work. The
+//!   DES, the coupling experiments and the `eirs_serve` shards are
+//!   drivers of it that observe it through hooks, so they agree by
+//!   construction.
+//! * [`des`] — a job-level discrete-event simulator over the kernel,
+//!   measuring response times, occupancy and work. Sizes may come from
+//!   *any* distribution, which lets the tests exercise the
+//!   distribution-free sample-path results (Theorem 3).
 //! * [`availability`] — seeded server-fault processes (per-server
 //!   crash/repair, scheduled maintenance drains, MMPP-modulated
 //!   reclamation bursts) expanded into deterministic capacity-change
-//!   schedules that the simulator consumes as first-class events.
-//! * [`coupling`] — runs several policies against one frozen arrival trace
-//!   and records total-work trajectories, the experimental twin of the
-//!   paper's coupling argument.
+//!   schedules that the kernel consumes as first-class events.
+//! * [`coupling`] — runs several policies through the kernel against one
+//!   frozen arrival trace and records total-work trajectories, the
+//!   experimental twin of the paper's coupling argument.
 //! * [`ctmc`] — a fast state-level simulator exploiting memorylessness for
 //!   mean-value validation of the analytic solver.
 //! * [`stats`] — time averages, replication confidence intervals.
@@ -61,6 +68,7 @@ pub mod coupling;
 pub mod ctmc;
 pub mod des;
 pub mod job;
+pub mod kernel;
 pub mod policy;
 pub mod quantile;
 pub mod replicate;

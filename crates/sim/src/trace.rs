@@ -74,7 +74,7 @@ fn decode_record(index: u64, raw: &[u8]) -> Result<Arrival, TraceError> {
     if !(time.is_finite() && time >= 0.0) {
         return Err(TraceError::Line(rec, format!("invalid time {time}")));
     }
-    if !(size.is_finite() && size >= 0.0) {
+    if !(size.is_finite() && size > 0.0) {
         return Err(TraceError::Line(rec, format!("invalid size {size}")));
     }
     Ok(Arrival { time, class, size })
@@ -108,14 +108,15 @@ impl BinaryTraceWriter {
         })
     }
 
-    /// Appends one arrival. Errors on negative/non-finite fields or a
-    /// time earlier than the previous record.
+    /// Appends one arrival. Errors on a negative or non-finite time, a
+    /// size that is not finite and positive, or a time earlier than the
+    /// previous record.
     pub fn push(&mut self, a: &Arrival) -> Result<(), TraceError> {
         let rec = self.count as usize + 1;
         if !(a.time.is_finite() && a.time >= 0.0) {
             return Err(TraceError::Line(rec, format!("invalid time {}", a.time)));
         }
-        if !(a.size.is_finite() && a.size >= 0.0) {
+        if !(a.size.is_finite() && a.size > 0.0) {
             return Err(TraceError::Line(rec, format!("invalid size {}", a.size)));
         }
         if a.time < self.last_time {
@@ -174,7 +175,8 @@ pub fn load_binary(path: &Path) -> Result<ArrivalTrace, TraceError> {
 /// Validation happens at [`BinaryTraceReader::open`]: the magic, the
 /// header/file-length agreement (every truncation is caught before the
 /// first record is served), and a full streaming pass over the records
-/// (class bytes, finite nonnegative fields, nondecreasing times). After
+/// (class bytes, finite nonnegative times, finite positive sizes,
+/// nondecreasing times). After
 /// `open` succeeds, replay itself can no longer fail — `next_arrival`
 /// simply refills a fixed 4096-record buffer, so peak memory is
 /// independent of trace length.
@@ -545,6 +547,36 @@ mod tests {
         w.push(&a(2.0)).unwrap();
         assert!(w.push(&a(1.0)).is_err());
         drop(w);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn writer_rejects_zero_size_jobs() {
+        let path = tmp("zero-push.bt");
+        let mut w = BinaryTraceWriter::create(&path).unwrap();
+        let err = w
+            .push(&Arrival {
+                time: 0.5,
+                class: JobClass::Elastic,
+                size: 0.0,
+            })
+            .unwrap_err();
+        assert_eq!(err, TraceError::Line(1, "invalid size 0".into()));
+        drop(w);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn zero_size_record_is_rejected_at_open() {
+        let trace = sample_trace(4, 9);
+        let path = tmp("zero-open.bt");
+        save_binary(&trace, &path).unwrap();
+        let mut raw = std::fs::read(&path).unwrap();
+        let at = BINARY_HEADER_BYTES + 2 * BINARY_RECORD_BYTES + 8;
+        raw[at..at + 8].copy_from_slice(&0.0f64.to_bits().to_le_bytes());
+        std::fs::write(&path, &raw).unwrap();
+        let err = BinaryTraceReader::open(&path).unwrap_err();
+        assert_eq!(err, TraceError::Line(3, "invalid size 0".into()));
         std::fs::remove_file(&path).unwrap();
     }
 

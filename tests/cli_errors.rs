@@ -376,6 +376,27 @@ fn corrupt_binary_traces_fail_cleanly_through_the_cli() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A zero-size job is refused where the trace is read, with its line
+/// number, under the rule the journal decoder applies: a trace that
+/// loads can always be journaled and replayed.
+#[test]
+fn zero_size_trace_jobs_are_refused_at_load() {
+    let path = std::env::temp_dir().join(format!("eirs-cli-zero-{}.trace", std::process::id()));
+    std::fs::write(&path, "0.1 E 2.0\n0.5 E 0\n0.7 I 1.0\n1.0 I 0.5\n").expect("write fixture");
+    let spec = format!("trace:{}", path.display());
+    let args = ["serve", "--policy", "curve:2+0.5i", "--workload", &spec];
+    let (code, stderr) = run_eirs(&args);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(
+        code, 2,
+        "a zero-size job must be refused; stderr:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("trace line 2: invalid size 0"),
+        "stderr missing the size error; got:\n{stderr}"
+    );
+}
+
 #[test]
 fn well_formed_serve_run_exits_zero_with_machine_output() {
     let out = Command::new(env!("CARGO_BIN_EXE_eirs"))

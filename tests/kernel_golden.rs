@@ -1,0 +1,104 @@
+//! Golden values of the cluster event loop, compared bit for bit.
+//!
+//! The DES (`sim::des`), the Theorem 3 coupling (`sim::coupling`) and the
+//! serving shards (`serve::engine`) all run one job-level event loop. The
+//! differential tests compare those drivers with each other, so they
+//! cannot see a change that moves all of them at once. These tests pin
+//! the loop's output on four fixed workloads — a plain DES run, a DES run
+//! under crash churn, two coupled work trajectories, and an engine run
+//! under churn with admission shedding — as `f64::to_bits` values, so any
+//! change to float-operation order, tie-breaking, preempt-restart or
+//! shedding shows up here.
+
+use eirs_queueing::Exponential;
+use eirs_serve::{ChurnConfig, CompiledTable, EngineConfig, ServeEngine};
+use eirs_sim::arrivals::{ArrivalTrace, PoissonStream};
+use eirs_sim::availability::FaultSpec;
+use eirs_sim::coupling::WorkTrajectory;
+use eirs_sim::des::{self, DesConfig, Simulation, StopRule};
+use eirs_sim::policy::{ElasticFirst, FairShare, InelasticFirst};
+
+fn exp(rate: f64) -> Box<Exponential> {
+    Box::new(Exponential::new(rate))
+}
+
+#[test]
+fn plain_des_run_is_pinned() {
+    let r = des::run_markovian(&InelasticFirst, 4, 1.5, 1.0, 1.0, 0.8, 3, 2_000, 20_000);
+    assert_eq!(r.completed, [12024, 7976]);
+    assert_eq!(r.total_response.to_bits(), 0x40d737902c028836);
+    assert_eq!(r.mean_work.to_bits(), 0x400a7620729aa618);
+    assert_eq!(r.mean_work_inelastic.to_bits(), 0x3ff8873084edeaa0);
+    assert_eq!(r.utilization.to_bits(), 0x3fe5f419629240d0);
+    assert_eq!(r.end_time.to_bits(), 0x40c141950dddfc0c);
+}
+
+#[test]
+fn des_under_churn_is_pinned() {
+    let config = DesConfig {
+        k: 4,
+        stop: StopRule::SimTime(3_000.0),
+        warmup_departures: 0,
+    };
+    let faults = FaultSpec::parse("crash:mtbf=30,mttr=10")
+        .unwrap()
+        .schedule(4, 9, 3_000.0);
+    let mut source = PoissonStream::new(1.2, 0.8, exp(1.0), exp(1.0), 21);
+    let r = Simulation::new(config)
+        .with_faults(&faults)
+        .run(&FairShare, &mut source);
+    assert_eq!(r.completed, [3588, 2441]);
+    assert_eq!(r.preemptions, 63);
+    assert_eq!(r.total_response.to_bits(), 0x40cdf79a86673706);
+    assert_eq!(r.mean_work.to_bits(), 0x4014b3eb67c744f2);
+    assert_eq!(r.mean_work_inelastic.to_bits(), 0x400927ead58509e7);
+    assert_eq!(r.utilization.to_bits(), 0x3fe010374ba55e6e);
+}
+
+/// FNV-1a-style fold of every sample's `[time, total, inelastic]` bits.
+fn fold(w: &WorkTrajectory) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for s in w.samples() {
+        for v in [s.time, s.total, s.inelastic] {
+            h ^= v.to_bits();
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn coupled_work_trajectories_are_pinned() {
+    let trace = ArrivalTrace::record_poisson(1.0, 0.8, exp(1.0), exp(0.5), 1, 60.0);
+    let wif = WorkTrajectory::record(&InelasticFirst, &trace, 4);
+    let wef = WorkTrajectory::record(&ElasticFirst, &trace, 4);
+    assert_eq!(wif.samples().len(), 334);
+    assert_eq!(fold(&wif), 0xa55c28bd479add59);
+    assert_eq!(wef.samples().len(), 334);
+    assert_eq!(fold(&wef), 0xe6a738ce74252a87);
+}
+
+#[test]
+fn engine_with_churn_and_shedding_is_pinned() {
+    let churn = ChurnConfig {
+        spec: FaultSpec::parse("mmpp:r01=0.2,r10=0.3,a0=0.05,a1=0.8,mttr=8").unwrap(),
+        seed: 17,
+        horizon: 600.0,
+    };
+    let table = CompiledTable::compile(Box::new(FairShare), 2, 24, 24);
+    let config = EngineConfig::new(2)
+        .route_shards(6)
+        .batch(32)
+        .shed_limit(4)
+        .churn(churn);
+    let mut engine = ServeEngine::new(table, config);
+    let trace = ArrivalTrace::record_poisson(0.9, 0.6, exp(1.0), exp(0.8), 29, 150.0);
+    engine.run(&mut trace.stream(), f64::INFINITY);
+    let m = engine.metrics_total();
+    assert_eq!(engine.decision_digest(), 0x4b4f19fca7786244);
+    assert_eq!(m.arrivals, 206);
+    assert_eq!(m.rejections, 59);
+    assert_eq!(m.preemptions, 17);
+    assert_eq!(m.decisions, 523);
+    assert_eq!(m.total_response.to_bits(), 0x409f5f019f8ee997);
+}
