@@ -8,8 +8,8 @@
 
 use crate::policy::{assert_feasible, MultiPolicy};
 use crate::spec::MultiSystem;
-use eirs_sim::quantile::TailStats;
-use eirs_sim::stats::{TimeAverage, Welford};
+use eirs_obs::LatencyHistogram;
+use eirs_sim::stats::{tail_quantiles, TimeAverage, Welford};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -34,7 +34,9 @@ pub struct ClassReport {
     pub completed: u64,
     /// Mean response time.
     pub mean_response: f64,
-    /// `(P50, P95, P99)` response-time estimates.
+    /// `(P50, P95, P99)` response times from a log-linear histogram:
+    /// within 2⁻⁵ relative of the exact quantiles, `NaN` with no
+    /// measured departures (see `eirs_sim::SimReport::tail_response`).
     pub tail_response: (f64, f64, f64),
     /// Time-average number in system.
     pub mean_in_system: f64,
@@ -88,7 +90,7 @@ pub fn simulate_multiclass(
     let mut measured = 0u64;
 
     let mut resp: Vec<Welford> = (0..m).map(|_| Welford::new()).collect();
-    let mut tails: Vec<TailStats> = (0..m).map(|_| TailStats::new()).collect();
+    let mut hists: Vec<LatencyHistogram> = (0..m).map(|_| LatencyHistogram::new()).collect();
     let mut resp_all = Welford::new();
     let mut in_system: Vec<TimeAverage> = (0..m).map(|_| TimeAverage::new()).collect();
     let mut busy = TimeAverage::new();
@@ -169,7 +171,7 @@ pub fn simulate_multiclass(
                     } else if measuring {
                         let t = time - job.arrival;
                         resp[class_idx].push(t);
-                        tails[class_idx].push(t);
+                        hists[class_idx].record_seconds(t);
                         resp_all.push(t);
                         completed[class_idx] += 1;
                         measured += 1;
@@ -209,7 +211,7 @@ pub fn simulate_multiclass(
                 } else {
                     f64::NAN
                 },
-                tail_response: tails[idx].estimates(),
+                tail_response: tail_quantiles(&hists[idx]),
                 mean_in_system: in_system[idx].average(),
             })
             .collect(),

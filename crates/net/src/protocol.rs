@@ -126,6 +126,13 @@ pub fn read_magic<R: Read>(r: &mut R) -> Result<(), ProtocolError> {
 /// Serializes `frame` into wire bytes (header, payload, checksum).
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
+    encode_frame_into(&mut out, frame);
+    out
+}
+
+/// Appends the wire bytes of `frame` to `out`, so a writer batching many
+/// frames into one buffer allocates nothing per frame.
+pub fn encode_frame_into(out: &mut Vec<u8>, frame: &Frame) {
     let text = |out: &mut Vec<u8>, ty: u8, text: &str| {
         record::encode(out, ty, 0, |p| p.extend_from_slice(text.as_bytes()));
     };
@@ -141,7 +148,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
                 class: *class,
                 size: *size,
             };
-            record::encode_arrival(&mut out, frame_type::ARRIVAL, *req_id, &arrival);
+            record::encode_arrival(out, frame_type::ARRIVAL, *req_id, &arrival);
         }
         Frame::Decision {
             req_id,
@@ -153,7 +160,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             alloc_inelastic,
             alloc_elastic,
             admitted,
-        } => record::encode(&mut out, frame_type::DECISION, u8::from(*admitted), |p| {
+        } => record::encode(out, frame_type::DECISION, u8::from(*admitted), |p| {
             p.extend(req_id.to_le_bytes());
             p.extend(seq.to_le_bytes());
             for v in [shard, i, j, generation] {
@@ -162,12 +169,11 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             p.extend(alloc_inelastic.to_le_bytes());
             p.extend(alloc_elastic.to_le_bytes());
         }),
-        Frame::Control(t) => text(&mut out, frame_type::CONTROL, t),
-        Frame::ControlOk(t) => text(&mut out, frame_type::CONTROL_OK, t),
-        Frame::Error(t) => text(&mut out, frame_type::ERROR, t),
-        Frame::Bye => record::encode(&mut out, frame_type::BYE, 0, |_| {}),
+        Frame::Control(t) => text(out, frame_type::CONTROL, t),
+        Frame::ControlOk(t) => text(out, frame_type::CONTROL_OK, t),
+        Frame::Error(t) => text(out, frame_type::ERROR, t),
+        Frame::Bye => record::encode(out, frame_type::BYE, 0, |_| {}),
     }
-    out
 }
 
 /// Writes one frame and flushes.

@@ -65,7 +65,9 @@
 //! accept thread, which blocks in `accept`, with one loopback connect
 //! to itself.
 
-use crate::protocol::{encode_frame, read_frame, read_magic, write_magic, Frame};
+use crate::protocol::{
+    encode_frame, encode_frame_into, read_frame, read_magic, write_magic, Frame,
+};
 use crate::queue::BoundedQueue;
 use eirs_obs::{publish_histogram, LatencyHistogram, LazyCounter};
 use eirs_opt::optim::Budget;
@@ -329,6 +331,7 @@ fn read_frames(
     stream: &mut BufReader<TcpStream>,
     tally: &mut Tally,
 ) -> Result<(), String> {
+    let mut reply = Vec::new();
     loop {
         let frame = match read_frame(stream) {
             Ok(Some(frame)) => frame,
@@ -358,7 +361,9 @@ fn read_frames(
                 if queued.is_err() {
                     tally.sheds += 1;
                     NET_SHEDS.inc();
-                    out.send(&encode_frame(&shed_frame(req_id)), 1);
+                    reply.clear();
+                    encode_frame_into(&mut reply, &shed_frame(req_id));
+                    out.send(&reply, 1);
                 }
             }
             Frame::Control(cmd) => {
@@ -438,7 +443,7 @@ impl Lanes {
         if lane.frames == 0 {
             self.dirty.push(conn);
         }
-        lane.bytes.extend_from_slice(&encode_frame(frame));
+        encode_frame_into(&mut lane.bytes, frame);
         lane.frames += 1;
     }
 

@@ -12,8 +12,10 @@
 //! associative and commutative, so per-shard histograms folded in any
 //! order — or a histogram of the concatenated stream recorded whole —
 //! produce bit-identical bucket vectors and therefore identical
-//! quantiles. (Contrast the P² sketches in `eirs_sim::quantile`, which
-//! are order-dependent and cannot be merged.) The `obs_layer` tests
+//! quantiles. That is why this is the workspace's one response-time tail
+//! estimator: the DES (`eirs_sim::SimReport`'s tails), the multi-class
+//! DES and the serve shards all read their P50/P95/P99 from it, and an
+//! empty histogram reports `NaN` in seconds. The `obs_layer` tests
 //! property-check associativity, shard-order invariance, and
 //! merged-equals-whole against a sorted reference.
 

@@ -747,7 +747,7 @@ impl ServeEngine {
 
     /// Cluster-wide response-time histogram (simulated seconds), merged
     /// exactly from the per-shard histograms — the source for merged
-    /// P50/P95/P99/P99.9, since the per-shard P² sketches cannot merge.
+    /// P50/P95/P99/P99.9.
     pub fn response_histogram(&self) -> eirs_obs::LatencyHistogram {
         let mut total = eirs_obs::LatencyHistogram::new();
         for s in &self.shards {

@@ -8,7 +8,7 @@
 
 use eirs_obs::LatencyHistogram;
 use eirs_sim::policy::ClassAllocation;
-use eirs_sim::quantile::TailStats;
+use eirs_sim::stats::tail_quantiles;
 
 /// Running counters for one cluster shard.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,14 +50,10 @@ pub struct ShardMetrics {
     /// Sum of response times over completed jobs (mean response =
     /// `total_response / completions`).
     pub total_response: f64,
-    /// Streaming P50/P95/P99 of per-job response time (simulated time,
-    /// so fully deterministic). P² sketches are order-dependent and
-    /// cannot be merged across shards — per-shard tails read this,
-    /// merged tails read [`response_hist`](Self::response_hist).
-    pub response_tails: TailStats,
-    /// Log-linear response-time histogram (seconds of simulated time).
-    /// Unlike the P² sketch this merges exactly across shards, so
-    /// cluster-wide quantiles (including P99.9) come from here.
+    /// Log-linear response-time histogram (seconds of simulated time, so
+    /// fully deterministic): quantiles within 2⁻⁵ relative error, and an
+    /// exact merge across shards, so per-shard and cluster-wide tails
+    /// (including P99.9) both come from here.
     pub response_hist: LatencyHistogram,
     /// The shard's simulated clock.
     pub sim_time: f64,
@@ -80,19 +76,17 @@ impl ShardMetrics {
             peak_elastic: 0,
             busy_histogram: vec![0; k as usize + 1],
             total_response: 0.0,
-            response_tails: TailStats::new(),
             response_hist: LatencyHistogram::new(),
             sim_time: 0.0,
         }
     }
 
     /// Records one job completion with response time `rt` (simulated
-    /// seconds), feeding the mean, the P² tail sketch, and the mergeable
-    /// histogram together so the three can never drift apart.
+    /// seconds), feeding the mean and the histogram together so the two
+    /// can never drift apart.
     pub(crate) fn record_response(&mut self, rt: f64) {
         self.completions += 1;
         self.total_response += rt;
-        self.response_tails.push(rt);
         self.response_hist.record_seconds(rt);
     }
 
@@ -129,13 +123,12 @@ impl ShardMetrics {
         self.arrivals - self.rejections
     }
 
-    /// Per-shard response-time quantile estimates `(P50, P95, P99)` in
-    /// simulated seconds (`NaN` before any completion). These come from
-    /// the P² sketch and survive [`merge`](Self::merge) only on the
-    /// receiving side; use [`response_hist`](Self::response_hist) for
-    /// cluster-merged quantiles.
+    /// Response-time quantiles `(P50, P95, P99)` in simulated seconds,
+    /// read from [`response_hist`](Self::response_hist): within 2⁻⁵
+    /// relative error, `NaN` before any completion. After
+    /// [`merge`](Self::merge) they cover every merged shard.
     pub fn response_quantiles(&self) -> (f64, f64, f64) {
-        self.response_tails.estimates()
+        tail_quantiles(&self.response_hist)
     }
 
     /// Folds `other` into `self` (histogram buckets must agree — all
@@ -150,12 +143,7 @@ impl ShardMetrics {
     /// Fallible [`merge`](Self::merge): rejects metrics whose busy
     /// histograms were sized for a different server count `k` instead of
     /// silently truncating the fold, leaving `self` untouched on error.
-    ///
-    /// The P² tail sketches are deliberately *not* folded (their update
-    /// is order-dependent, so a merged sketch would depend on merge
-    /// order); `self.response_tails` keeps whatever it had, and merged
-    /// quantiles should be read from the exactly-mergeable
-    /// [`response_hist`](Self::response_hist).
+    /// The response histograms merge exactly, in any order.
     pub fn try_merge(&mut self, other: &ShardMetrics) -> Result<(), String> {
         if self.busy_histogram.len() != other.busy_histogram.len() {
             return Err(format!(
@@ -243,19 +231,23 @@ mod tests {
     #[test]
     fn record_response_feeds_mean_tails_and_histogram_together() {
         let mut m = ShardMetrics::new(2);
+        assert!(m.response_quantiles().0.is_nan(), "no completion yet");
         for i in 1..=100 {
             m.record_response(i as f64 * 0.01);
         }
         assert_eq!(m.completions, 100);
         assert!((m.mean_response() - 0.505).abs() < 1e-12);
-        assert_eq!(m.response_tails.count(), 100);
         assert_eq!(m.response_hist.count(), 100);
+        // The quantiles read the histogram, within its bucket precision
+        // of the exact nearest-rank values 0.50, 0.95 and 0.99.
         let (p50, p95, p99) = m.response_quantiles();
-        assert!((p50 - 0.5).abs() < 0.05, "p50 = {p50}");
-        assert!(p95 > p50 && p99 >= p95, "({p50}, {p95}, {p99})");
-        // Histogram quantiles agree with the sketch to bucket precision.
-        let h50 = m.response_hist.quantile_seconds(0.5);
-        assert!((h50 - p50).abs() / p50 < 0.06, "{h50} vs {p50}");
+        for (got, exact) in [(p50, 0.5), (p95, 0.95), (p99, 0.99)] {
+            assert!(
+                (got - exact).abs() / exact <= 1.0 / 32.0,
+                "{got} vs {exact}"
+            );
+        }
+        assert_eq!(p50, m.response_hist.quantile_seconds(0.5));
     }
 
     #[test]
@@ -277,18 +269,22 @@ mod tests {
     }
 
     #[test]
-    fn merge_folds_histograms_but_not_sketches() {
+    fn merge_folds_histograms_in_any_order() {
         let mut a = ShardMetrics::new(2);
         let mut b = ShardMetrics::new(2);
         for i in 0..50 {
             a.record_response(0.1 + i as f64 * 0.001);
             b.record_response(0.5 + i as f64 * 0.001);
         }
-        let a_tail_count = a.response_tails.count();
+        let mut ba = b.clone();
+        ba.merge(&a);
         a.merge(&b);
         assert_eq!(a.completions, 100);
         assert_eq!(a.response_hist.count(), 100);
-        // The order-dependent sketch keeps the receiver's state only.
-        assert_eq!(a.response_tails.count(), a_tail_count);
+        // The fold is exact, so its order does not matter, and the
+        // merged quantiles span both shards.
+        assert_eq!(a.response_hist, ba.response_hist);
+        let (p50, _, p99) = a.response_quantiles();
+        assert!(p50 < 0.16 && p99 > 0.5, "({p50}, {p99})");
     }
 }

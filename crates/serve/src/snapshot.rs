@@ -4,14 +4,14 @@
 //! forgetting in-flight work: a snapshot freezes every shard's clock,
 //! queues (with per-job remaining work), digest, counters, and
 //! response-time telemetry into a [record stream](crate::record). Clocks,
-//! job sizes and other floats travel as raw bits; the response-telemetry
-//! records (`rhist`, `rtail`) carry the sketches' own text encodings
-//! ([`LatencyHistogram::encode`], [`TailStats::encode`]), which
-//! round-trip exactly. A restored engine is therefore **bit-identical**
-//! to the original — continuing both from the same point produces the
-//! same decision digest, which the `serve_layer` tests assert.
+//! job sizes and other floats travel as raw bits; the response-time
+//! histogram (`rhist`) carries its own text encoding
+//! ([`LatencyHistogram::encode`]), which round-trips exactly. A restored
+//! engine is therefore **bit-identical** to the original — continuing
+//! both from the same point produces the same decision digest, which the
+//! `serve_layer` tests assert.
 //!
-//! The stream is the magic `eirssn02`, a header record, each shard's
+//! The stream is the magic `eirssn03`, a header record, each shard's
 //! records in shard order, then an end record:
 //!
 //! ```text
@@ -20,15 +20,15 @@
 //! shard   time f64 | digest u64 | next_id u64 | avail u32 | fault cursor u64 |
 //!         9 counters u64 | peak_i u64 | peak_j u64 | total_response f64 | sim_time f64
 //! hist    the busy histogram as u64s          ┐ each split across as many
-//! rhist   the response-histogram encoding     │ records as it needs
-//! rtail   the tail-sketch encoding            ┘
+//! rhist   the response-histogram encoding     ┘ records as it needs
 //! job     id u64 | remaining f64 | size f64 | arrival f64    class in aux
 //! end     (empty)
 //! ```
 //!
 //! A snapshot is valid only whole: [`EngineSnapshot::from_reader`]
 //! refuses a stream that stops before the end record or continues past
-//! it, and any malformed record.
+//! it, and any malformed record. Snapshots of the older `eirssn02`
+//! format are refused by their magic.
 //!
 //! The optional decision log ([`EngineConfig::record_decisions`]) is an
 //! audit/debug surface, not state — it is not snapshotted.
@@ -42,25 +42,22 @@ use crate::table::CompiledTable;
 use eirs_obs::LatencyHistogram;
 use eirs_sim::job::{Job, JobClass};
 use eirs_sim::policy::AllocationPolicy;
-use eirs_sim::quantile::TailStats;
 use std::io::{BufRead, Write};
 
 /// Stream magic of the snapshot format.
-const MAGIC: [u8; 8] = *b"eirssn02";
+const MAGIC: [u8; 8] = *b"eirssn03";
 const HEADER: u8 = 1;
 const SHARD: u8 = 2;
 const HIST: u8 = 3;
 const RHIST: u8 = 4;
-const RTAIL: u8 = 5;
-const JOB: u8 = 6;
-const END: u8 = 7;
-/// Payload bytes of one piece of a split value (hist, rhist, rtail).
+const JOB: u8 = 5;
+const END: u8 = 6;
+/// Payload bytes of one piece of a split value (hist, rhist).
 const PIECE: usize = 1 << 15;
 /// Payload length caps, indexed by record type − 1.
 const CAPS: &Caps = &[
     (34, u16::MAX as usize),
     (140, 140),
-    (1, PIECE),
     (1, PIECE),
     (1, PIECE),
     (32, 32),
@@ -238,8 +235,7 @@ impl EngineSnapshot {
                 .flat_map(|b| b.to_le_bytes())
                 .collect();
             let rhist = m.response_hist.encode().into_bytes();
-            let rtail = m.response_tails.encode().into_bytes();
-            for (ty, value) in [(HIST, hist), (RHIST, rhist), (RTAIL, rtail)] {
+            for (ty, value) in [(HIST, hist), (RHIST, rhist)] {
                 for piece in value.chunks(PIECE) {
                     record::encode(&mut out, ty, 0, |p| p.extend_from_slice(piece));
                 }
@@ -271,8 +267,8 @@ impl EngineSnapshot {
         record::read_magic(r, &MAGIC).map_err(at(0))?;
         let mut payload = Vec::new();
         let mut snap: Option<Self> = None;
-        // The split values of the shard being read: hist, rhist, rtail.
-        let mut pieces: [Vec<u8>; 3] = Default::default();
+        // The split values of the shard being read: hist, rhist.
+        let mut pieces: [Vec<u8>; 2] = Default::default();
         for n in 1.. {
             let (ty, aux) = record::read(r, CAPS, &mut payload)
                 .map_err(at(n))?
@@ -317,7 +313,7 @@ impl EngineSnapshot {
 /// end record.
 fn decode(
     snap: &mut Option<EngineSnapshot>,
-    pieces: &mut [Vec<u8>; 3],
+    pieces: &mut [Vec<u8>; 2],
     ty: u8,
     aux: u8,
     payload: &[u8],
@@ -378,7 +374,7 @@ fn decode(
                 jobs: Vec::new(),
             });
         }
-        HIST | RHIST | RTAIL if !s.shards.is_empty() => {
+        HIST | RHIST if !s.shards.is_empty() => {
             pieces[usize::from(ty - HIST)].extend_from_slice(payload);
         }
         JOB => s
@@ -399,10 +395,7 @@ fn decode(
 }
 
 /// Decodes a shard's reassembled split values into its metrics.
-fn finish_shard(
-    m: &mut ShardMetrics,
-    [hist, rhist, rtail]: [Vec<u8>; 3],
-) -> Result<(), RecordError> {
+fn finish_shard(m: &mut ShardMetrics, [hist, rhist]: [Vec<u8>; 2]) -> Result<(), RecordError> {
     if hist.len() % 8 != 0 {
         return Err(RecordError::BadPayload(
             "busy histogram is not whole u64s".into(),
@@ -414,8 +407,6 @@ fn finish_shard(
         .collect();
     m.response_hist = LatencyHistogram::decode(Fields::new(&rhist).rest_str()?)
         .map_err(RecordError::BadPayload)?;
-    m.response_tails =
-        TailStats::decode(Fields::new(&rtail).rest_str()?).map_err(RecordError::BadPayload)?;
     Ok(())
 }
 
@@ -739,7 +730,7 @@ mod tests {
         let populated = snap
             .shards
             .iter()
-            .any(|s| s.metrics.response_tails.count() > 0);
+            .any(|s| s.metrics.response_hist.count() > 0);
         assert!(populated, "drained engine must have recorded responses");
         let mut buf = Vec::new();
         snap.to_writer(&mut buf).unwrap();
@@ -747,13 +738,24 @@ mod tests {
         assert_eq!(parsed, snap);
         // A corrupted telemetry record is an error, not a silent skip —
         // even one re-sealed with a valid checksum.
-        for ty in [RHIST, RTAIL] {
-            let bad = reseal(&buf, ty, |p| p[0] = b'x');
-            assert!(matches!(
-                EngineSnapshot::from_reader(&mut &bad[..]),
-                Err(SnapshotError::Record(..))
-            ));
-        }
+        let bad = reseal(&buf, RHIST, |p| p[0] = b'x');
+        assert!(matches!(
+            EngineSnapshot::from_reader(&mut &bad[..]),
+            Err(SnapshotError::Record(..))
+        ));
+    }
+
+    #[test]
+    fn v2_snapshots_are_refused_by_magic() {
+        let (engine, _) = running_engine();
+        let mut buf = Vec::new();
+        engine.snapshot().to_writer(&mut buf).unwrap();
+        buf[..8].copy_from_slice(b"eirssn02");
+        let err = EngineSnapshot::from_reader(&mut &buf[..]).unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Record(0, m) if m.contains("bad magic")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! simulator works for arbitrary size distributions, which the
 //! distribution-free coupling experiments (Theorem 3) rely on. The
 //! simulation watches the kernel through its hooks and keeps the
-//! statistics: Welford means and P² tails of response times, time
-//! averages of occupancy, work and busy servers, and per-class work
-//! totals kept incrementally.
+//! statistics: Welford means of response times and, per class, a
+//! mergeable log-linear histogram of them for the tails, time averages
+//! of occupancy, work and busy servers, and per-class work totals kept
+//! incrementally.
 //!
 //! A simulation may carry a [`FaultSchedule`] ([`Simulation::with_faults`]):
 //! capacity changes are first-class events, and between them only
@@ -22,8 +23,8 @@ use crate::availability::FaultSchedule;
 use crate::job::{Job, JobClass};
 use crate::kernel::{Cluster, Hooks, Step};
 use crate::policy::{AllocationPolicy, ClassAllocation};
-use crate::quantile::TailStats;
-use crate::stats::{TimeAverage, Welford};
+use crate::stats::{tail_quantiles, TimeAverage, Welford};
+use eirs_obs::LatencyHistogram;
 
 /// When a simulation run ends.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,7 +74,8 @@ impl DesConfig {
 pub struct SimReport {
     /// Measured departures per class `[inelastic, elastic]`.
     pub completed: [u64; 2],
-    /// Mean response time across measured jobs of both classes.
+    /// Mean response time across measured jobs of both classes (`NaN`
+    /// if none).
     pub mean_response: f64,
     /// Mean response time of measured inelastic jobs (`NaN` if none).
     pub mean_response_inelastic: f64,
@@ -93,12 +95,17 @@ pub struct SimReport {
     pub mean_work_inelastic: f64,
     /// Time-average fraction of busy servers.
     pub utilization: f64,
-    /// `(P50, P95, P99)` response-time estimates over all measured jobs
-    /// (P² streaming quantiles; `NaN` with no observations).
+    /// `(P50, P95, P99)` response times over all measured jobs, read from
+    /// a log-linear histogram (`eirs_obs::LatencyHistogram`, recorded at
+    /// nanosecond resolution of simulated time): each is the midpoint of
+    /// the bucket holding that rank, within 2⁻⁵ relative of the exact
+    /// nearest-rank quantile, clamped to the observed min/max, and `NaN`
+    /// with no observations. It is the exact merge of the two class
+    /// histograms below.
     pub tail_response: (f64, f64, f64),
-    /// `(P50, P95, P99)` for measured inelastic jobs.
+    /// `(P50, P95, P99)` for measured inelastic jobs, as above.
     pub tail_response_inelastic: (f64, f64, f64),
-    /// `(P50, P95, P99)` for measured elastic jobs.
+    /// `(P50, P95, P99)` for measured elastic jobs, as above.
     pub tail_response_elastic: (f64, f64, f64),
     /// Length of the measured window.
     pub measured_time: f64,
@@ -208,7 +215,9 @@ struct Measure<'p> {
     // Response-time statistics per class, then over both classes:
     // [inelastic, elastic, all].
     resp: [Welford; 3],
-    tails: [TailStats; 3],
+    // Response-time histograms per class [inelastic, elastic]; the tails
+    // over both classes come from their exact merge.
+    hists: [LatencyHistogram; 2],
     total_response: f64,
     completed: [u64; 2],
     num_jobs: TimeAverage,
@@ -232,7 +241,7 @@ impl<'p> Measure<'p> {
             preemptions: 0,
             measuring: sim.config.warmup_departures == 0,
             resp: Default::default(),
-            tails: [(); 3].map(|_| TailStats::new()),
+            hists: Default::default(),
             total_response: 0.0,
             completed: [0, 0],
             num_jobs: TimeAverage::new(),
@@ -245,13 +254,15 @@ impl<'p> Measure<'p> {
     }
 
     fn report(self, end_time: f64) -> SimReport {
-        let class_mean = |w: &Welford| if w.count() > 0 { w.mean() } else { f64::NAN };
-        let [tails_i, tails_e, tails_all] = &self.tails;
+        let mean = |w: &Welford| if w.count() > 0 { w.mean() } else { f64::NAN };
+        let [hist_i, hist_e] = &self.hists;
+        let mut hist_all = hist_i.clone();
+        hist_all.merge(hist_e);
         SimReport {
             completed: self.completed,
-            mean_response: self.resp[2].mean(),
-            mean_response_inelastic: class_mean(&self.resp[0]),
-            mean_response_elastic: class_mean(&self.resp[1]),
+            mean_response: mean(&self.resp[2]),
+            mean_response_inelastic: mean(&self.resp[0]),
+            mean_response_elastic: mean(&self.resp[1]),
             total_response: self.total_response,
             mean_num_in_system: self.num_jobs.average(),
             mean_num_inelastic: self.num_i.average(),
@@ -259,9 +270,9 @@ impl<'p> Measure<'p> {
             mean_work: self.work.average(),
             mean_work_inelastic: self.work_i.average(),
             utilization: self.busy.average(),
-            tail_response: tails_all.estimates(),
-            tail_response_inelastic: tails_i.estimates(),
-            tail_response_elastic: tails_e.estimates(),
+            tail_response: tail_quantiles(&hist_all),
+            tail_response_inelastic: tail_quantiles(hist_i),
+            tail_response_elastic: tail_quantiles(hist_e),
             measured_time: self.num_jobs.elapsed(),
             end_time,
             preemptions: self.preemptions,
@@ -308,8 +319,8 @@ impl Hooks for Measure<'_> {
         } else if self.measuring {
             for idx in [2, job.class as usize] {
                 self.resp[idx].push(t);
-                self.tails[idx].push(t);
             }
+            self.hists[job.class as usize].record_seconds(t);
             self.total_response += t;
             self.completed[job.class as usize] += 1;
         }
@@ -719,6 +730,89 @@ mod tests {
             faulted.mean_response,
             clean.mean_response
         );
+    }
+
+    #[test]
+    fn tails_are_histogram_quantiles_of_each_class_measured_responses() {
+        use eirs_queueing::Exponential;
+        // At ρ = 0.95 the queues build up from empty, so warm-up
+        // departures are faster than measured ones, and under IF the
+        // elastic class waits far longer than the inelastic one: a
+        // recorded warm-up departure or a response filed under the wrong
+        // class moves a quantile by much more than the histogram's error.
+        let trace = ArrivalTrace::record_poisson(
+            0.9,
+            0.5,
+            Box::new(Exponential::new(1.0)),
+            Box::new(Exponential::new(0.5)),
+            4,
+            1_500.0,
+        );
+        let (k, warmup) = (2, 600);
+        let config = DesConfig {
+            k,
+            stop: StopRule::Drain,
+            warmup_departures: warmup,
+        };
+        let r = Simulation::new(config).run(&InelasticFirst, &mut trace.stream());
+
+        /// Keeps each class's measured response times, under the
+        /// simulation's warm-up rule.
+        struct Collect {
+            warmup: u64,
+            departures: u64,
+            measured: [Vec<f64>; 2],
+        }
+        impl Hooks for Collect {
+            fn allocate(&mut self, i: usize, j: usize, servers: u32) -> ClassAllocation {
+                InelasticFirst.allocate(i, j, servers)
+            }
+            fn name(&self) -> &str {
+                "collect"
+            }
+            fn on_departure(&mut self, job: &Job, t: f64) {
+                self.departures += 1;
+                if self.departures > self.warmup {
+                    self.measured[job.class as usize].push(t);
+                }
+            }
+        }
+        let mut c = Collect {
+            warmup,
+            departures: 0,
+            measured: Default::default(),
+        };
+        let mut cluster = Cluster::new(k);
+        let mut arrivals = trace.arrivals().iter().peekable();
+        loop {
+            match cluster.step(&mut c, arrivals.peek().map(|a| a.time), f64::INFINITY) {
+                Step::Idle => break,
+                Step::ArrivalDue => {
+                    cluster.admit(&mut c, arrivals.next().expect("a due arrival"));
+                }
+                Step::Advanced => {}
+            }
+        }
+        let [inelastic, elastic] = c.measured;
+        assert_eq!(r.completed, [inelastic.len() as u64, elastic.len() as u64]);
+        let both = [inelastic.as_slice(), elastic.as_slice()].concat();
+        for (tails, mut xs) in [
+            (r.tail_response_inelastic, inelastic),
+            (r.tail_response_elastic, elastic),
+            (r.tail_response, both),
+        ] {
+            xs.sort_by(f64::total_cmp);
+            let (p50, p95, p99) = tails;
+            for (got, q) in [(p50, 0.5), (p95, 0.95), (p99, 0.99)] {
+                let rank = ((q * xs.len() as f64).ceil() as usize).clamp(1, xs.len());
+                let exact = xs[rank - 1];
+                assert!(
+                    (got - exact).abs() <= exact / 32.0,
+                    "P{}: reported {got}, exact {exact}",
+                    q * 100.0
+                );
+            }
+        }
     }
 
     #[test]

@@ -70,7 +70,6 @@ pub mod des;
 pub mod job;
 pub mod kernel;
 pub mod policy;
-pub mod quantile;
 pub mod replicate;
 pub mod stats;
 pub mod trace;
@@ -88,7 +87,6 @@ pub use policy::{
     InelasticFirst, ReservePolicy, SwitchingCurvePolicy, TablePolicy, TabularPolicy,
     WeightedWaterFilling,
 };
-pub use quantile::{P2Quantile, TailStats};
 pub use replicate::{replication_seeds, run_markovian_replications, run_replications};
 pub use stats::{BatchMeans, ConfidenceInterval, ReplicationStats, TimeAverage};
 pub use trace::{

@@ -1,7 +1,18 @@
-//! Simulation statistics: streaming moments, time averages, and replication
-//! confidence intervals.
+//! Simulation statistics: streaming moments, time averages, response-time
+//! tails and replication confidence intervals.
 
 use eirs_numerics::NeumaierSum;
+use eirs_obs::LatencyHistogram;
+
+/// `(P50, P95, P99)` in seconds of a histogram recorded with
+/// [`LatencyHistogram::record_seconds`]: each is the midpoint of the
+/// bucket holding that rank, within 2⁻⁵ relative of the exact
+/// nearest-rank quantile, clamped to the observed min/max, and `NaN`
+/// when the histogram is empty.
+pub fn tail_quantiles(h: &LatencyHistogram) -> (f64, f64, f64) {
+    let q = |p| h.quantile_seconds(p);
+    (q(0.5), q(0.95), q(0.99))
+}
 
 /// Streaming mean/variance via Welford's algorithm.
 #[derive(Debug, Clone, Default)]

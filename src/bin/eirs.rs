@@ -203,6 +203,19 @@ fn duration_flag(
     Ok(duration)
 }
 
+/// The `--departures` count of the DES-backed commands. A run that
+/// measures no departure has no response time to report, so 0 is
+/// refused rather than scored.
+fn departures_flag(args: &CliArgs, default: u64) -> Result<u64, String> {
+    let departures = args
+        .get_parsed_or("departures", default)
+        .map_err(stringify)?;
+    if departures == 0 {
+        return Err("--departures must be at least 1, got 0".into());
+    }
+    Ok(departures)
+}
+
 /// The `--family` flag (optimizer parameter spaces).
 fn family_flag(args: &CliArgs, k: u32) -> Result<Box<dyn opt::ParamSpace>, String> {
     let spec = args.get_or("family", "curve");
@@ -477,9 +490,7 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
                     "--reps {reps} is too few: confidence intervals need at least 2 replications"
                 ));
             }
-            let departures = args
-                .get_parsed_or("departures", 200_000u64)
-                .map_err(stringify)?;
+            let departures = departures_flag(&args, 200_000)?;
             let seed = args.get_parsed_or("seed", 1u64).map_err(stringify)?;
             let defaults = AnalyzeOptions::default();
             let opts = AnalyzeOptions {
@@ -609,9 +620,7 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
                     "--reps {reps} is too few: confidence intervals need at least 2 replications"
                 ));
             }
-            let departures = args
-                .get_parsed_or("departures", 100_000u64)
-                .map_err(stringify)?;
+            let departures = departures_flag(&args, 100_000)?;
             let cfg = ScenarioSweepConfig {
                 replications: reps,
                 departures,
@@ -751,9 +760,7 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
                 ..AnalyzeOptions::default()
             };
             let reps = args.get_parsed_or("reps", 6usize).map_err(stringify)?;
-            let departures = args
-                .get_parsed_or("departures", 50_000u64)
-                .map_err(stringify)?;
+            let departures = departures_flag(&args, 50_000)?;
             let des = opt::DesBudget {
                 base_seed: budget.seed,
                 replications: reps,
@@ -981,9 +988,7 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
         }
         "simulate" => {
             let p = parse_params(&args)?;
-            let departures = args
-                .get_parsed_or("departures", 200_000u64)
-                .map_err(stringify)?;
+            let departures = departures_flag(&args, 200_000)?;
             let seed = args.get_parsed_or("seed", 1u64).map_err(stringify)?;
             let policy = policy_flag(&args)?;
             let r = run_markovian(
@@ -1019,9 +1024,7 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
                 shrink: args.get_parsed_or("shrink", true).map_err(stringify)?,
                 threads: sweep::threads(),
                 replications: args.get_parsed_or("reps", 4usize).map_err(stringify)?,
-                departures: args
-                    .get_parsed_or("departures", 8000u64)
-                    .map_err(stringify)?,
+                departures: departures_flag(&args, 8000)?,
                 warmup: args.get_parsed_or("warmup", 800u64).map_err(stringify)?,
                 ..FuzzConfig::default()
             };
@@ -1753,8 +1756,6 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
             let wall = start.elapsed().as_secs_f64();
             let totals = engine.metrics_total();
             let per_shard = engine.metrics_per_shard();
-            // Merged response quantiles come from the exactly-mergeable
-            // histogram; per-shard ones from each shard's P² sketch.
             let response_hist = engine.response_histogram();
             if eirs_repro::obs::enabled() {
                 eirs_repro::obs::publish_histogram(

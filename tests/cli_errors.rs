@@ -285,6 +285,32 @@ fn recovery_refuses_identity_mismatches() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A run that measures no departure has no mean response time; every
+/// DES-backed command refuses `--departures 0` instead of reporting one.
+#[test]
+fn zero_departures_are_refused_by_every_des_command() {
+    let params = ["--k", "2", "--rho", "0.5", "--mu-i", "1", "--mu-e", "1"];
+    for command in [
+        vec!["policy", "--policy", "if"],
+        vec!["scenario", "--workload", "bursty", "--reps", "2"],
+        vec!["optimize", "--family", "threshold", "--workload", "bursty"],
+        vec!["simulate", "--policy", "if"],
+        vec!["fuzz", "--budget", "1"],
+    ] {
+        let mut args = command.clone();
+        if command[0] != "fuzz" {
+            args.extend(params);
+        }
+        args.extend(["--departures", "0"]);
+        let (code, stderr) = run_eirs(&args);
+        assert_eq!(code, 2, "{args:?} must exit 2; stderr:\n{stderr}");
+        assert!(
+            stderr.starts_with("error: --departures must be at least 1, got 0"),
+            "{args:?}: got:\n{stderr}"
+        );
+    }
+}
+
 #[test]
 fn fuzz_flag_errors_fail_cleanly() {
     for (args, needle) in [

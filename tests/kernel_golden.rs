@@ -8,18 +8,30 @@
 //! under crash churn, two coupled work trajectories, and an engine run
 //! under churn with admission shedding — as `f64::to_bits` values, so any
 //! change to float-operation order, tie-breaking, preempt-restart or
-//! shedding shows up here.
+//! shedding shows up here. The two DES runs also pin their response-time
+//! tails (histogram quantiles), so a change to how departures reach the
+//! class histograms shows up too.
 
 use eirs_queueing::Exponential;
 use eirs_serve::{ChurnConfig, CompiledTable, EngineConfig, ServeEngine};
 use eirs_sim::arrivals::{ArrivalTrace, PoissonStream};
 use eirs_sim::availability::FaultSpec;
 use eirs_sim::coupling::WorkTrajectory;
-use eirs_sim::des::{self, DesConfig, Simulation, StopRule};
+use eirs_sim::des::{self, DesConfig, SimReport, Simulation, StopRule};
 use eirs_sim::policy::{ElasticFirst, FairShare, InelasticFirst};
 
 fn exp(rate: f64) -> Box<Exponential> {
     Box::new(Exponential::new(rate))
+}
+
+/// The `(P50, P95, P99)` of all jobs, then inelastic, then elastic jobs.
+fn tail_bits(r: &SimReport) -> [[u64; 3]; 3] {
+    [
+        r.tail_response,
+        r.tail_response_inelastic,
+        r.tail_response_elastic,
+    ]
+    .map(|(p50, p95, p99)| [p50, p95, p99].map(f64::to_bits))
 }
 
 #[test]
@@ -31,6 +43,14 @@ fn plain_des_run_is_pinned() {
     assert_eq!(r.mean_work_inelastic.to_bits(), 0x3ff8873084edeaa0);
     assert_eq!(r.utilization.to_bits(), 0x3fe5f419629240d0);
     assert_eq!(r.end_time.to_bits(), 0x40c141950dddfc0c);
+    assert_eq!(
+        tail_bits(&r),
+        [
+            [0x3fe86d78ee17391b, 0x400dcbdca6a35c2a, 0x4018f6e94d586fd0],
+            [0x3fe75a982f94cbb2, 0x40086d78ee17391b, 0x401285a4d649df58],
+            [0x3fea933a6b1c13ee, 0x4013988594cc4cc2, 0x401e554d05e492df],
+        ]
+    );
 }
 
 #[test]
@@ -53,6 +73,14 @@ fn des_under_churn_is_pinned() {
     assert_eq!(r.mean_work.to_bits(), 0x4014b3eb67c744f2);
     assert_eq!(r.mean_work_inelastic.to_bits(), 0x400927ead58509e7);
     assert_eq!(r.utilization.to_bits(), 0x3fe010374ba55e6e);
+    assert_eq!(
+        tail_bits(&r),
+        [
+            [0x3ff421f5f40d8376, 0x402421f5f40d8376, 0x40310bafd05688e8],
+            [0x3ff647b771125e49, 0x4023988594cc4cc2, 0x40310bafd05688e8],
+            [0x3feff19e23a836fc, 0x402534d6b28ff0e0, 0x4031fc347708a8a4],
+        ]
+    );
 }
 
 /// FNV-1a-style fold of every sample's `[time, total, inelastic]` bits.

@@ -17,7 +17,8 @@
 //!    accounting and replays to the same digest.
 
 use eirs_net::protocol::{
-    encode_frame, frame_type, read_frame, write_magic, Frame, ProtocolError, MAGIC, MAX_PAYLOAD,
+    encode_frame_into, frame_type, read_frame, write_magic, Frame, ProtocolError, MAGIC,
+    MAX_PAYLOAD,
 };
 use eirs_repro::core::policy::parse_policy;
 use eirs_repro::serve::{
@@ -55,7 +56,8 @@ fn workload(n: usize) -> Vec<Arrival> {
         .collect()
 }
 
-/// A stream of valid frames of every type, as raw bytes (no magic).
+/// A stream of valid frames of every type, as raw bytes (no magic),
+/// appended into one buffer as the server's reply lanes do.
 fn valid_stream() -> Vec<u8> {
     let frames = [
         Frame::Arrival {
@@ -82,7 +84,7 @@ fn valid_stream() -> Vec<u8> {
     ];
     let mut bytes = Vec::new();
     for f in &frames {
-        bytes.extend_from_slice(&encode_frame(f));
+        encode_frame_into(&mut bytes, f);
     }
     bytes
 }

@@ -119,8 +119,8 @@ proptest! {
 }
 
 /// Serve: enabling telemetry must not move a single decision bit, and
-/// the deterministic per-shard metrics (now including the response-time
-/// sketches) must be identical too. Only the wall-clock latency
+/// the deterministic per-shard metrics (including the response-time
+/// histograms) must be identical too. Only the wall-clock latency
 /// histogram — which is not part of the metrics — may differ.
 #[test]
 fn serve_decisions_and_metrics_are_invariant_under_telemetry() {
