@@ -8,11 +8,11 @@
 //!    and the evaluations spent minimizing any flagged cell;
 //! 2. a large binary arrival trace (1.5M arrivals in the full run)
 //!    **streamed** to disk through [`BinaryTraceWriter`] — never held in
-//!    memory — then replayed through [`ServeEngine`] via the chunked
+//!    memory — then replayed through [`ServeEngine`] via the streaming
 //!    [`BinaryTraceReader`]. The bench reads `VmHWM` from
 //!    `/proc/self/status` before and after the long replay and asserts
 //!    peak RSS grew by far less than the trace's on-disk size: replay
-//!    memory is bounded by the chunk buffer, independent of trace
+//!    memory is bounded by the reader's buffer, independent of trace
 //!    length;
 //! 3. a format-agreement gate: the shared 50k-arrival prefix written to
 //!    both the binary and the text format replays to the **same decision
@@ -173,7 +173,7 @@ fn main() {
                 file_bytes as f64 / 1e6,
                 grew as f64 / 1e6
             );
-            // The chunk buffer is ~100 KB; allow generous allocator slack
+            // The reader buffers 8 KiB per handle; allow generous allocator slack
             // but stay far under the trace size, which is what loading
             // the file whole would cost.
             assert!(

@@ -303,21 +303,7 @@ impl Workload {
                 Ok(Box::new(parsed.into_stream()))
             }
             ArrivalSpec::TraceFile { path } => {
-                // Format-sniffing loader: binary traces stream through a
-                // bounded-memory chunked reader, text traces load whole.
-                if eirs_sim::trace::sniff_binary(path).map_err(|e| e.to_string())? {
-                    let reader = eirs_sim::trace::BinaryTraceReader::open(path)
-                        .map_err(|e| e.to_string())?;
-                    if reader.is_empty() {
-                        return Err(format!("trace {} has no arrivals", path.display()));
-                    }
-                    return Ok(Box::new(reader));
-                }
-                let trace = ArrivalTrace::load(path).map_err(|e| e.to_string())?;
-                if trace.is_empty() {
-                    return Err(format!("trace {} has no arrivals", path.display()));
-                }
-                Ok(Box::new(trace.into_stream()))
+                eirs_sim::trace::open_trace_source(path).map_err(|e| e.to_string())
             }
         }
     }

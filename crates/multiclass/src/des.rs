@@ -47,7 +47,8 @@ pub struct ClassReport {
 pub struct MultiReport {
     /// Per-class metrics, in spec order.
     pub per_class: Vec<ClassReport>,
-    /// Mean response time across all measured jobs.
+    /// Mean response time across all measured jobs; `NaN` with no
+    /// measured departures, like each class's mean.
     pub mean_response: f64,
     /// Time-average fraction of busy servers.
     pub utilization: f64,
@@ -215,7 +216,11 @@ pub fn simulate_multiclass(
                 mean_in_system: in_system[idx].average(),
             })
             .collect(),
-        mean_response: resp_all.mean(),
+        mean_response: if resp_all.count() > 0 {
+            resp_all.mean()
+        } else {
+            f64::NAN
+        },
         utilization: busy.average(),
         measured_time: in_system[0].elapsed(),
     }
@@ -355,6 +360,24 @@ mod tests {
             );
         }
         assert!(r.utilization > 0.0 && r.utilization <= 1.0);
+    }
+
+    #[test]
+    fn no_measured_departures_report_nan_means() {
+        let s = MultiSystem::two_class(2, 0.5, 0.5, 1.0, 1.0);
+        let r = simulate_multiclass(
+            &s,
+            &least_flexible_first(&s),
+            MultiSimConfig {
+                seed: 3,
+                warmup_departures: 100,
+                departures: 0,
+            },
+        );
+        assert!(r.mean_response.is_nan(), "{}", r.mean_response);
+        for class in &r.per_class {
+            assert!(class.mean_response.is_nan(), "{}", class.mean_response);
+        }
     }
 
     #[test]

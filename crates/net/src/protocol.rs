@@ -4,7 +4,7 @@
 //! A connection opens with an 8-byte magic handshake ([`MAGIC`]): the
 //! client sends it, the server echoes it back. Every subsequent message
 //! is one frame — a record of the workspace's one record codec,
-//! [`eirs_serve::record`]: type, aux byte, little-endian `u16` length,
+//! [`eirs_sim::record`]: type, aux byte, little-endian `u16` length,
 //! payload, and a SplitMix64 checksum over all of them. This module
 //! fixes the frame types, their payload length caps, and the payload
 //! layouts; the codec does the framing, so decoding is **strict**: an
@@ -15,14 +15,14 @@
 //! EOF is only legal *between* frames ([`read_frame`] returns `Ok(None)`
 //! there); EOF inside a frame is [`ProtocolError::Truncated`].
 
-use eirs_serve::record::{self, Caps, Fields};
+use eirs_sim::record::{self, Caps, Fields};
 use eirs_sim::{Arrival, JobClass};
 use std::io::{Read, Write};
 
 /// Why a byte stream failed to decode: the record codec's error. Every
 /// variant is terminal — the reader must close the connection, never
 /// skip bytes and resume.
-pub use eirs_serve::record::RecordError as ProtocolError;
+pub use eirs_sim::record::RecordError as ProtocolError;
 
 /// Handshake magic: protocol name and version on the wire. Bump the
 /// trailing digits on any incompatible frame-format change.
@@ -237,7 +237,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, ProtocolError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eirs_serve::record::checksum;
+    use eirs_sim::record::checksum;
 
     fn round_trip(frame: Frame) {
         let bytes = encode_frame(&frame);

@@ -60,6 +60,7 @@ use eirs_sim::availability::{CapacityEvent, FaultSpec};
 use eirs_sim::job::{Job, JobClass};
 use eirs_sim::kernel::{Cluster, Hooks, Step};
 use eirs_sim::policy::ClassAllocation;
+use eirs_sim::record::mix64;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -74,16 +75,6 @@ pub struct Decision {
     pub j: usize,
     /// The allocation served.
     pub allocation: ClassAllocation,
-}
-
-/// SplitMix64 finalizer: the engine's one hash, used for both shard
-/// routing and decision digests.
-#[inline]
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Folds one decision into a running digest.

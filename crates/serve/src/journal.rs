@@ -14,7 +14,7 @@
 //! `fault_tolerance` tests and the CI chaos gate assert exactly that,
 //! including under capacity churn.
 //!
-//! The format is a [record stream](crate::record): the magic `eirsjn02`,
+//! The format is a [record stream](eirs_sim::record): the magic `eirsjn02`,
 //! one header record with the serving identity, then one record per
 //! arrival and per policy hot-swap, in write order:
 //!
@@ -44,11 +44,11 @@
 //! the end of the file is exposed.
 
 use crate::engine::{ChurnConfig, EngineConfig, ServeEngine, SwapRecord};
-use crate::record::{self, Caps, Fields, RecordError};
 use crate::snapshot::{churn_field, put_churn, EngineSnapshot, SnapshotError};
 use crate::table::CompiledTable;
 use eirs_sim::arrivals::{Arrival, ArrivalSource};
 use eirs_sim::policy::AllocationPolicy;
+use eirs_sim::record::{self, Caps, Fields, RecordError};
 use std::io::{BufRead, Write};
 
 /// Stream magic of the journal format.

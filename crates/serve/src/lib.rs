@@ -30,10 +30,9 @@
 //!   preempt-restart, bounded admission shedding), a write-ahead decision
 //!   [`journal`] composing with snapshots for crash recovery, and the
 //!   [`chaos`] harness proving serial, parallel, and kill-and-recover
-//!   runs produce the same decision digest;
-//! * [`record`] — the one length-prefixed, checksummed record codec that
-//!   the journal, snapshots, and the `eirsnp01` wire protocol all frame
-//!   through.
+//!   runs produce the same decision digest. The journal and snapshots
+//!   frame through [`eirs_sim::record`], the workspace's one checksummed
+//!   record codec, as do binary traces and the `eirsnp01` wire protocol.
 //!
 //! The `eirs serve` CLI subcommand and the `serve_throughput` bench
 //! (`BENCH_serve.json`) are thin wrappers over these types.
@@ -66,7 +65,6 @@ pub mod chaos;
 pub mod engine;
 pub mod journal;
 pub mod metrics;
-pub mod record;
 pub mod replay;
 pub mod snapshot;
 pub mod table;

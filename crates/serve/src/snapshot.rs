@@ -3,7 +3,7 @@
 //! Operationally a decision server must survive restarts without
 //! forgetting in-flight work: a snapshot freezes every shard's clock,
 //! queues (with per-job remaining work), digest, counters, and
-//! response-time telemetry into a [record stream](crate::record). Clocks,
+//! response-time telemetry into a [record stream](eirs_sim::record). Clocks,
 //! job sizes and other floats travel as raw bits; the response-time
 //! histogram (`rhist`) carries its own text encoding
 //! ([`LatencyHistogram::encode`]), which round-trips exactly. A restored
@@ -37,11 +37,11 @@
 
 use crate::engine::{ChurnConfig, ClusterShard, EngineConfig, ServeEngine};
 use crate::metrics::ShardMetrics;
-use crate::record::{self, Caps, Fields, RecordError};
 use crate::table::CompiledTable;
 use eirs_obs::LatencyHistogram;
 use eirs_sim::job::{Job, JobClass};
 use eirs_sim::policy::AllocationPolicy;
+use eirs_sim::record::{self, Caps, Fields, RecordError};
 use std::io::{BufRead, Write};
 
 /// Stream magic of the snapshot format.

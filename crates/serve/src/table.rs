@@ -23,6 +23,7 @@
 //! [`ShardMetrics::overflow_lookups`]: crate::metrics::ShardMetrics::overflow_lookups
 
 use eirs_sim::policy::{AllocationPolicy, ClassAllocation};
+use eirs_sim::record::mix64;
 
 /// A policy compiled to a dense allocation table plus its source policy
 /// for the clamp region. Implements [`AllocationPolicy`] itself, so a
@@ -137,16 +138,16 @@ impl CompiledTable {
     /// size. Used by the hot-swap journal records and
     /// [`EngineSnapshot`](crate::EngineSnapshot) identity checks.
     pub fn identity_hash(&self) -> u64 {
-        let mut h = crate::engine::mix64(self.k as u64);
+        let mut h = mix64(self.k as u64);
         for b in self.source.name().as_bytes() {
-            h = crate::engine::mix64(h ^ *b as u64);
+            h = mix64(h ^ *b as u64);
         }
         for i in 0..=32usize {
             for j in 0..=32usize {
                 let a = self.lookup(i, j);
-                h = crate::engine::mix64(h ^ (((i as u64) << 32) | j as u64));
-                h = crate::engine::mix64(h ^ a.inelastic.to_bits());
-                h = crate::engine::mix64(h ^ a.elastic.to_bits());
+                h = mix64(h ^ (((i as u64) << 32) | j as u64));
+                h = mix64(h ^ a.inelastic.to_bits());
+                h = mix64(h ^ a.elastic.to_bits());
             }
         }
         h

@@ -337,6 +337,9 @@ pub enum TraceError {
     Io(String),
     /// A malformed line: `(1-based line number, message)`.
     Line(usize, String),
+    /// A trace with no arrivals where a workload needs at least one (the
+    /// path as given).
+    Empty(String),
 }
 
 impl std::fmt::Display for TraceError {
@@ -344,6 +347,7 @@ impl std::fmt::Display for TraceError {
         match self {
             TraceError::Io(msg) => write!(f, "trace I/O error: {msg}"),
             TraceError::Line(n, msg) => write!(f, "trace line {n}: {msg}"),
+            TraceError::Empty(path) => write!(f, "trace {path} has no arrivals"),
         }
     }
 }

@@ -30,8 +30,12 @@
 //! * [`ctmc`] — a fast state-level simulator exploiting memorylessness for
 //!   mean-value validation of the analytic solver.
 //! * [`stats`] — time averages, replication confidence intervals.
-//! * [`trace`] — streaming binary trace storage (bounded-memory chunked
-//!   replay, bit-exact with the text format) and a standard-workload-format
+//! * [`record`] — the one length-prefixed, checksummed record codec:
+//!   binary traces here, and the journal, snapshots and `eirsnp01` wire
+//!   frames of the serving stack, all frame through it.
+//! * [`trace`] — streaming binary traces on the record codec
+//!   (bounded-memory replay, bit-exact with the text format, every cut
+//!   or flipped bit refused at open) and a standard-workload-format
 //!   importer for real cluster logs.
 //!
 //! Reproducibility: every stochastic component takes an explicit seed, and
@@ -70,6 +74,7 @@ pub mod des;
 pub mod job;
 pub mod kernel;
 pub mod policy;
+pub mod record;
 pub mod replicate;
 pub mod stats;
 pub mod trace;

@@ -1,7 +1,7 @@
 //! The one checksummed record codec behind every binary stream the
-//! serving stack writes: `eirsnp01` wire frames (`eirs_net::protocol`),
-//! the write-ahead [journal](crate::journal), and engine
-//! [snapshots](crate::snapshot).
+//! workspace writes: binary arrival traces ([`crate::trace`]), and in
+//! `eirs_serve` and `eirs_net` the `eirsnp01` wire frames, the
+//! write-ahead journal and engine snapshots.
 //!
 //! A stream opens with an 8-byte magic naming its format and version,
 //! then carries records:
@@ -27,9 +27,8 @@
 //! bits, so every value round-trips exactly. [`Fields`] reads them back
 //! in order.
 
-use crate::engine::mix64;
-use eirs_sim::arrivals::Arrival;
-use eirs_sim::job::JobClass;
+use crate::arrivals::Arrival;
+use crate::job::JobClass;
 use std::io::Read;
 
 /// Legal `(min, max)` payload length of record type `t` at index
@@ -101,6 +100,17 @@ impl From<std::io::Error> for RecordError {
     }
 }
 
+/// SplitMix64 finalizer: the hash the record [`checksum`] folds with,
+/// and in `eirs_serve` the one behind shard routing, decision digests
+/// and table identity hashes.
+#[inline]
+pub fn mix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 /// Record checksum: a SplitMix64 fold over the 4 header bytes followed
 /// by the payload in 8-byte little-endian chunks (last chunk
 /// zero-padded). Cheap, order-sensitive, and independent of framing
@@ -161,8 +171,9 @@ pub fn class_from_tag(tag: u8) -> Result<JobClass, RecordError> {
 }
 
 /// Appends an arrival record of type `ty`: `id | time | size` (24
-/// bytes), class in aux. Wire arrival frames (`id` = request id) and
-/// journal arrival records (`id` = sequence number) share this layout.
+/// bytes), class in aux. Wire arrival frames (`id` = request id),
+/// journal arrival records (`id` = sequence number) and binary trace
+/// records (`id` = record index) share this layout.
 pub fn encode_arrival(out: &mut Vec<u8>, ty: u8, id: u64, a: &Arrival) {
     encode(out, ty, class_tag(a.class), |p| {
         p.extend(id.to_le_bytes());

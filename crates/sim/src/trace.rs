@@ -1,25 +1,36 @@
-//! Streaming binary trace storage and cluster-log import.
+//! Streaming binary traces and cluster-log import.
 //!
 //! [`crate::arrivals::ArrivalTrace`] is a text format that materializes
 //! every arrival in RAM — fine for test fixtures, wrong for the
 //! million-to-billion-arrival traces a production replay needs. This
 //! module adds the scale path:
 //!
-//! * **Binary trace format** (`eirs-bt v1`): a 16-byte header (8-byte
-//!   magic+version tag, 8-byte little-endian record count) followed by
-//!   fixed-width 24-byte records (`f64` time, `f64` size, class byte,
-//!   7 reserved zero bytes). Raw IEEE-754 bits are stored, so a binary ⇄
-//!   text round-trip is **bit-exact** (the text format prints shortest
-//!   round-trippable floats). The record count plus the fixed record
-//!   width make truncation detectable: a file whose length disagrees
-//!   with its header is rejected at open, never silently shortened —
-//!   the same contract the text parser enforces per line.
-//! * **[`BinaryTraceReader`]**: a chunked [`ArrivalSource`] that streams
-//!   records through a fixed-size buffer, so replay memory is
-//!   independent of trace length. [`open_trace_source`] sniffs the magic
-//!   and picks the streaming reader for binary files and the in-memory
-//!   text loader otherwise, which is how `trace:<path>` workload specs
-//!   transparently accept either format.
+//! * **Binary trace format** (`eirsbt02`): a stream of the workspace's
+//!   one checksummed [record codec](crate::record). The magic `eirsbt02`
+//!   opens it, one arrival record per job follows in the journal's
+//!   layout, and an end record carrying the count closes it:
+//!
+//!   ```text
+//!   arrival  index u64 | time f64 | size f64      class in aux
+//!   end      count u64
+//!   ```
+//!
+//!   Raw IEEE-754 bits are stored, so a binary ⇄ text round-trip is
+//!   **bit-exact** (the text format prints shortest round-trippable
+//!   floats). Each arrival takes 36 bytes.
+//! * **[`BinaryTraceReader`]**: a bounded-memory [`ArrivalSource`] over
+//!   a binary trace. [`BinaryTraceReader::open`] reads every record once
+//!   before serving the first. The codec checks each record's type,
+//!   length and checksum; the trace's own checks are that each record
+//!   carries its index, times are finite, non-negative and
+//!   non-decreasing, sizes are finite and positive, and the end record
+//!   carries the count and is the last record in the file. A cut at any
+//!   byte, an unfinished writer and any single flipped bit therefore fail
+//!   at open, and replay after a successful open cannot fail. Traces of
+//!   the older `eirsbt01` format are refused by their magic.
+//!   [`open_trace_source`] sniffs the magic and picks the streaming
+//!   reader for binary files and the in-memory text loader otherwise,
+//!   which is how `trace:<path>` workload specs accept either format.
 //! * **SWF import** ([`import_swf`]): maps the standard workload format
 //!   used by public cluster logs (and the malleable-HPC evaluations) to
 //!   elastic/inelastic arrivals — multi-processor jobs are elastic
@@ -28,81 +39,77 @@
 
 use crate::arrivals::{Arrival, ArrivalSource, ArrivalTrace, TraceError};
 use crate::job::JobClass;
+use crate::record::{self, Caps, Fields, RecordError};
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-/// Magic + version tag opening every binary trace file.
-pub const BINARY_TRACE_MAGIC: [u8; 8] = *b"eirsbt01";
-
-/// Bytes per fixed-width binary record.
-pub const BINARY_RECORD_BYTES: usize = 24;
-
-/// Bytes in the binary header (magic + record count).
-pub const BINARY_HEADER_BYTES: usize = 16;
-
-/// Records buffered per refill by [`BinaryTraceReader`]; bounds replay
-/// memory at `CHUNK_RECORDS * BINARY_RECORD_BYTES` bytes regardless of
-/// trace length.
-const CHUNK_RECORDS: usize = 4096;
+/// Stream magic of the binary trace format.
+pub const BINARY_TRACE_MAGIC: [u8; 8] = *b"eirsbt02";
+const ARRIVAL: u8 = 1;
+const END: u8 = 2;
+/// Payload length caps of the arrival and end records.
+const CAPS: &Caps = &[(record::ARRIVAL_LEN, record::ARRIVAL_LEN), (8, 8)];
 
 fn io_err(e: std::io::Error) -> TraceError {
     TraceError::Io(e.to_string())
 }
 
-fn encode_record(a: &Arrival, out: &mut [u8; BINARY_RECORD_BYTES]) {
-    out[0..8].copy_from_slice(&a.time.to_bits().to_le_bytes());
-    out[8..16].copy_from_slice(&a.size.to_bits().to_le_bytes());
-    out[16] = match a.class {
-        JobClass::Inelastic => 0,
-        JobClass::Elastic => 1,
-    };
-    out[17..].fill(0);
+/// Maps a codec error at 1-based record `rec` to a trace error.
+fn at(rec: usize) -> impl Fn(RecordError) -> TraceError {
+    move |e| TraceError::Line(rec, e.to_string())
 }
 
-fn decode_record(index: u64, raw: &[u8]) -> Result<Arrival, TraceError> {
-    let rec = index as usize + 1; // 1-based, like text line numbers
-    let time = f64::from_bits(u64::from_le_bytes(raw[0..8].try_into().expect("8 bytes")));
-    let size = f64::from_bits(u64::from_le_bytes(raw[8..16].try_into().expect("8 bytes")));
-    let class = match raw[16] {
-        0 => JobClass::Inelastic,
-        1 => JobClass::Elastic,
-        other => {
-            return Err(TraceError::Line(rec, format!("invalid class byte {other}")));
-        }
-    };
-    if !(time.is_finite() && time >= 0.0) {
-        return Err(TraceError::Line(rec, format!("invalid time {time}")));
+fn read_magic(r: &mut impl Read) -> Result<(), TraceError> {
+    record::read_magic(r, &BINARY_TRACE_MAGIC).map_err(|e| {
+        TraceError::Io(format!(
+            "binary trace header: {e} (expected \"{}\")",
+            BINARY_TRACE_MAGIC.escape_ascii()
+        ))
+    })
+}
+
+/// The trace's own rules for record `rec`: a finite non-negative time no
+/// earlier than `last_time`, and a finite positive size.
+fn check(rec: usize, a: &Arrival, last_time: f64) -> Result<(), TraceError> {
+    if !(a.time.is_finite() && a.time >= 0.0) {
+        return Err(TraceError::Line(rec, format!("invalid time {}", a.time)));
     }
-    if !(size.is_finite() && size > 0.0) {
-        return Err(TraceError::Line(rec, format!("invalid size {size}")));
+    if !(a.size.is_finite() && a.size > 0.0) {
+        return Err(TraceError::Line(rec, format!("invalid size {}", a.size)));
     }
-    Ok(Arrival { time, class, size })
+    if a.time < last_time {
+        return Err(TraceError::Line(
+            rec,
+            format!("out-of-order arrival at t={} after t={last_time}", a.time),
+        ));
+    }
+    Ok(())
 }
 
 /// Incremental writer for the binary trace format.
 ///
 /// Records must be pushed in nondecreasing time order (the reader streams
 /// and cannot sort); [`BinaryTraceWriter::push`] rejects out-of-order
-/// arrivals. The header's record count is back-filled by
-/// [`BinaryTraceWriter::finish`] — an unfinished file has count
-/// `u64::MAX` and fails validation at open, so a writer crash can never
+/// arrivals. [`BinaryTraceWriter::finish`] appends the end record — a
+/// file without one fails at open, so a writer crash can never
 /// masquerade as a complete trace.
 pub struct BinaryTraceWriter {
     out: BufWriter<File>,
+    /// The record being written (reused across pushes).
+    buf: Vec<u8>,
     count: u64,
     last_time: f64,
 }
 
 impl BinaryTraceWriter {
-    /// Creates `path` and writes the provisional header.
+    /// Creates `path` and writes the magic.
     pub fn create(path: &Path) -> Result<Self, TraceError> {
         let mut out = BufWriter::new(File::create(path).map_err(io_err)?);
         out.write_all(&BINARY_TRACE_MAGIC).map_err(io_err)?;
-        // Provisional count: u64::MAX never matches a real file length.
-        out.write_all(&u64::MAX.to_le_bytes()).map_err(io_err)?;
         Ok(Self {
             out,
+            buf: Vec::new(),
             count: 0,
             last_time: f64::NEG_INFINITY,
         })
@@ -112,39 +119,24 @@ impl BinaryTraceWriter {
     /// size that is not finite and positive, or a time earlier than the
     /// previous record.
     pub fn push(&mut self, a: &Arrival) -> Result<(), TraceError> {
-        let rec = self.count as usize + 1;
-        if !(a.time.is_finite() && a.time >= 0.0) {
-            return Err(TraceError::Line(rec, format!("invalid time {}", a.time)));
-        }
-        if !(a.size.is_finite() && a.size > 0.0) {
-            return Err(TraceError::Line(rec, format!("invalid size {}", a.size)));
-        }
-        if a.time < self.last_time {
-            return Err(TraceError::Line(
-                rec,
-                format!(
-                    "out-of-order arrival at t={} after t={}",
-                    a.time, self.last_time
-                ),
-            ));
-        }
+        check(self.count as usize + 1, a, self.last_time)?;
         self.last_time = a.time;
-        let mut raw = [0u8; BINARY_RECORD_BYTES];
-        encode_record(a, &mut raw);
-        self.out.write_all(&raw).map_err(io_err)?;
+        self.buf.clear();
+        record::encode_arrival(&mut self.buf, ARRIVAL, self.count, a);
+        self.out.write_all(&self.buf).map_err(io_err)?;
         self.count += 1;
         Ok(())
     }
 
-    /// Back-fills the header record count and flushes. Returns the number
-    /// of records written.
+    /// Appends the end record carrying the record count and flushes.
+    /// Returns the number of records written.
     pub fn finish(mut self) -> Result<u64, TraceError> {
+        let count = self.count;
+        self.buf.clear();
+        record::encode(&mut self.buf, END, 0, |p| p.extend(count.to_le_bytes()));
+        self.out.write_all(&self.buf).map_err(io_err)?;
         self.out.flush().map_err(io_err)?;
-        let file = self.out.get_mut();
-        file.seek(SeekFrom::Start(8)).map_err(io_err)?;
-        file.write_all(&self.count.to_le_bytes()).map_err(io_err)?;
-        file.flush().map_err(io_err)?;
-        Ok(self.count)
+        Ok(count)
     }
 }
 
@@ -170,106 +162,80 @@ pub fn load_binary(path: &Path) -> Result<ArrivalTrace, TraceError> {
     Ok(ArrivalTrace::new(arrivals))
 }
 
-/// A chunked, bounded-memory [`ArrivalSource`] over a binary trace file.
+/// A bounded-memory [`ArrivalSource`] over a binary trace file.
 ///
-/// Validation happens at [`BinaryTraceReader::open`]: the magic, the
-/// header/file-length agreement (every truncation is caught before the
-/// first record is served), and a full streaming pass over the records
-/// (class bytes, finite nonnegative times, finite positive sizes,
-/// nondecreasing times). After
-/// `open` succeeds, replay itself can no longer fail — `next_arrival`
-/// simply refills a fixed 4096-record buffer, so peak memory is
-/// independent of trace length.
+/// [`BinaryTraceReader::open`] validates the whole file (see the
+/// [module docs](self)); after it succeeds, replay cannot fail.
+/// `next_arrival` reads one record at a time through a [`BufReader`], so
+/// peak memory is independent of trace length.
+#[derive(Debug)]
 pub struct BinaryTraceReader {
     file: BufReader<File>,
     total: u64,
-    served: u64,
-    chunk: Vec<Arrival>,
-    chunk_pos: usize,
-}
-
-impl std::fmt::Debug for BinaryTraceReader {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BinaryTraceReader")
-            .field("total", &self.total)
-            .field("served", &self.served)
-            .finish()
-    }
+    payload: Vec<u8>,
 }
 
 impl BinaryTraceReader {
-    /// Opens and fully validates `path`, then rewinds to the first record.
+    /// Opens `path` and reads every record once, refusing the file on
+    /// the first record that fails a check, then rewinds to the first
+    /// record.
     pub fn open(path: &Path) -> Result<Self, TraceError> {
-        let file = File::open(path).map_err(io_err)?;
-        let actual_len = file.metadata().map_err(io_err)?.len();
-        let mut reader = BufReader::new(file);
-
-        let mut header = [0u8; BINARY_HEADER_BYTES];
-        if actual_len < BINARY_HEADER_BYTES as u64 {
-            return Err(TraceError::Io(format!(
-                "binary trace header truncated: {actual_len} bytes, need {BINARY_HEADER_BYTES}"
-            )));
-        }
-        reader.read_exact(&mut header).map_err(io_err)?;
-        if header[0..8] != BINARY_TRACE_MAGIC {
-            return Err(TraceError::Io(format!(
-                "bad binary trace magic {:02x?} (expected {:02x?} — not an eirs binary trace, \
-                 or an unsupported version)",
-                &header[0..8],
-                BINARY_TRACE_MAGIC
-            )));
-        }
-        let total = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-        let expect_len = BINARY_HEADER_BYTES as u64
-            + total
-                .checked_mul(BINARY_RECORD_BYTES as u64)
-                .ok_or_else(|| TraceError::Io(format!("absurd record count {total}")))?;
-        if actual_len != expect_len {
-            return Err(TraceError::Io(format!(
-                "binary trace length mismatch: header claims {total} records \
-                 ({expect_len} bytes), file is {actual_len} bytes \
-                 (truncated or unfinished write)"
-            )));
-        }
-
-        let mut me = Self {
-            file: reader,
-            total,
-            served: 0,
-            chunk: Vec::new(),
-            chunk_pos: 0,
-        };
-        // Validation pass: stream every record once (bounded memory),
-        // checking payloads and time ordering, then rewind. Replay after
-        // a successful open cannot hit a decode error.
+        // Two handles on the one file: the first is read through to the
+        // end record, the second replays from the first record.
+        let mut scan = BufReader::new(File::open(path).map_err(io_err)?);
+        let mut file = BufReader::new(File::open(path).map_err(io_err)?);
+        let mut payload = Vec::new();
+        read_magic(&mut scan)?;
+        let mut total = 0u64;
         let mut last_time = f64::NEG_INFINITY;
-        let mut index = 0u64;
         loop {
-            let batch = me.refill()?;
-            if batch == 0 {
-                break;
-            }
-            for a in &me.chunk {
-                if a.time < last_time {
-                    return Err(TraceError::Line(
-                        index as usize + 1,
-                        format!("out-of-order arrival at t={} after t={}", a.time, last_time),
-                    ));
+            let rec = total as usize + 1;
+            match record::read(&mut scan, CAPS, &mut payload).map_err(at(rec))? {
+                Some((ARRIVAL, aux)) => {
+                    let (id, a) = record::decode_arrival(aux, &payload).map_err(at(rec))?;
+                    if id != total {
+                        return Err(TraceError::Line(rec, format!("record carries index {id}")));
+                    }
+                    check(rec, &a, last_time)?;
+                    last_time = a.time;
+                    total += 1;
                 }
-                last_time = a.time;
-                index += 1;
+                Some(_) => {
+                    let count = Fields::new(&payload).u64().map_err(at(rec))?;
+                    if count != total {
+                        return Err(TraceError::Line(
+                            rec,
+                            format!("end record counts {count} arrivals, the trace holds {total}"),
+                        ));
+                    }
+                    if record::read(&mut scan, CAPS, &mut payload)
+                        .map_err(at(rec + 1))?
+                        .is_some()
+                    {
+                        return Err(TraceError::Line(
+                            rec + 1,
+                            "record after the end record".into(),
+                        ));
+                    }
+                    break;
+                }
+                None => {
+                    return Err(TraceError::Line(
+                        rec,
+                        "no end record (truncated or unfinished write)".into(),
+                    ))
+                }
             }
         }
-        me.file
-            .seek(SeekFrom::Start(BINARY_HEADER_BYTES as u64))
-            .map_err(io_err)?;
-        me.served = 0;
-        me.chunk.clear();
-        me.chunk_pos = 0;
-        Ok(me)
+        read_magic(&mut file)?;
+        Ok(Self {
+            file,
+            total,
+            payload,
+        })
     }
 
-    /// Total records in the trace (from the validated header).
+    /// Total records in the trace (from the validated end record).
     pub fn len(&self) -> u64 {
         self.total
     }
@@ -278,67 +244,59 @@ impl BinaryTraceReader {
     pub fn is_empty(&self) -> bool {
         self.total == 0
     }
-
-    /// Reads the next chunk into the buffer; returns records decoded.
-    fn refill(&mut self) -> Result<usize, TraceError> {
-        self.chunk.clear();
-        self.chunk_pos = 0;
-        let remaining = self.total - self.served;
-        let take = remaining.min(CHUNK_RECORDS as u64) as usize;
-        if take == 0 {
-            return Ok(0);
-        }
-        let mut raw = vec![0u8; take * BINARY_RECORD_BYTES];
-        self.file.read_exact(&mut raw).map_err(io_err)?;
-        for i in 0..take {
-            let a = decode_record(
-                self.served + i as u64,
-                &raw[i * BINARY_RECORD_BYTES..(i + 1) * BINARY_RECORD_BYTES],
-            )?;
-            self.chunk.push(a);
-        }
-        self.served += take as u64;
-        Ok(take)
-    }
 }
 
 impl ArrivalSource for BinaryTraceReader {
     fn next_arrival(&mut self) -> Option<Arrival> {
-        if self.chunk_pos >= self.chunk.len() {
-            // Open validated the whole file; a refill error here would
-            // mean the file changed underneath us mid-replay.
-            let n = self.refill().expect("binary trace validated at open");
-            if n == 0 {
-                return None;
-            }
+        // Open validated the whole file; a decode error here would mean
+        // the file changed underneath us mid-replay.
+        const VALIDATED: &str = "binary trace validated at open";
+        match record::read(&mut self.file, CAPS, &mut self.payload).expect(VALIDATED) {
+            Some((ARRIVAL, aux)) => Some(
+                record::decode_arrival(aux, &self.payload)
+                    .expect(VALIDATED)
+                    .1,
+            ),
+            _ => None,
         }
-        let a = self.chunk[self.chunk_pos];
-        self.chunk_pos += 1;
-        Some(a)
     }
 }
 
-/// `true` when `path` opens with [`BINARY_TRACE_MAGIC`] (i.e. is a
-/// binary trace rather than the text format). Only reads 8 bytes.
+/// `true` when `path` opens with the `eirsbt` tag of the binary trace
+/// magic, whatever its version: a binary trace rather than the text
+/// format. An unsupported version is then refused by
+/// [`BinaryTraceReader::open`]'s magic check instead of being parsed as
+/// text. Only reads 6 bytes.
 pub fn sniff_binary(path: &Path) -> Result<bool, TraceError> {
-    let mut probe = [0u8; 8];
+    let tag = &BINARY_TRACE_MAGIC[..6];
+    let mut probe = [0u8; 6];
     let mut file = File::open(path).map_err(io_err)?;
     match file.read(&mut probe) {
-        Ok(n) => Ok(n == 8 && probe == BINARY_TRACE_MAGIC),
+        Ok(n) => Ok(n == tag.len() && probe == tag),
         Err(e) => Err(io_err(e)),
     }
 }
 
-/// Opens `path` as an [`ArrivalSource`], sniffing the format: files
-/// opening with [`BINARY_TRACE_MAGIC`] stream through a
-/// [`BinaryTraceReader`] (bounded memory); anything else parses as the
-/// text [`ArrivalTrace`] format (in-memory). This is the loader behind
+/// Opens `path` as an [`ArrivalSource`], sniffing the format: binary
+/// traces ([`sniff_binary`]) stream through a [`BinaryTraceReader`]
+/// (bounded memory); anything else parses as the text [`ArrivalTrace`]
+/// format (in-memory). A trace of either format with no arrivals is
+/// refused ([`TraceError::Empty`]). This is the loader behind
 /// `trace:<path>` workload specs.
 pub fn open_trace_source(path: &Path) -> Result<Box<dyn ArrivalSource>, TraceError> {
+    let empty = || TraceError::Empty(path.display().to_string());
     if sniff_binary(path)? {
-        Ok(Box::new(BinaryTraceReader::open(path)?))
+        let reader = BinaryTraceReader::open(path)?;
+        if reader.is_empty() {
+            return Err(empty());
+        }
+        Ok(Box::new(reader))
     } else {
-        Ok(Box::new(ArrivalTrace::load(path)?.into_stream()))
+        let trace = ArrivalTrace::load(path)?;
+        if trace.is_empty() {
+            return Err(empty());
+        }
+        Ok(Box::new(trace.into_stream()))
     }
 }
 
@@ -446,6 +404,26 @@ mod tests {
         p
     }
 
+    /// Bytes of the magic, and of one arrival record.
+    const MAGIC_BYTES: usize = 8;
+    const RECORD_BYTES: usize = 4 + record::ARRIVAL_LEN + 8;
+
+    /// Replaces arrival record `index` of `raw` with one sealed around
+    /// `aux` and `payload` with a valid checksum, so that the bad value
+    /// reaches the trace's own checks.
+    fn reseal(raw: &mut Vec<u8>, index: usize, aux: u8, payload: &[u8]) {
+        let at = MAGIC_BYTES + index * RECORD_BYTES;
+        let mut sealed = Vec::new();
+        record::encode(&mut sealed, ARRIVAL, aux, |p| p.extend_from_slice(payload));
+        raw.splice(at..at + RECORD_BYTES, sealed);
+    }
+
+    /// The payload of arrival record `index` of `raw`.
+    fn payload_of(raw: &[u8], index: usize) -> Vec<u8> {
+        let at = MAGIC_BYTES + index * RECORD_BYTES + 4;
+        raw[at..at + record::ARRIVAL_LEN].to_vec()
+    }
+
     fn sample_trace(n: usize, seed: u64) -> ArrivalTrace {
         let mut s = PoissonStream::new(
             0.6,
@@ -494,7 +472,10 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 5]).unwrap();
         let err = BinaryTraceReader::open(&path).unwrap_err();
-        assert!(err.to_string().contains("length mismatch"), "{err}");
+        assert_eq!(
+            err,
+            TraceError::Line(11, RecordError::Truncated.to_string())
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -508,8 +489,9 @@ mod tests {
             size: 1.0,
         })
         .unwrap();
-        drop(w); // no finish(): header still claims u64::MAX records
-        assert!(BinaryTraceReader::open(&path).is_err());
+        drop(w); // no finish(): no end record
+        let err = BinaryTraceReader::open(&path).unwrap_err();
+        assert!(err.to_string().contains("no end record"), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -523,15 +505,37 @@ mod tests {
     }
 
     #[test]
+    fn eirsbt01_traces_are_refused_by_magic() {
+        let path = tmp("v1.bt");
+        let mut raw = b"eirsbt01".to_vec();
+        raw.extend(1u64.to_le_bytes());
+        raw.extend(0.5f64.to_le_bytes());
+        raw.extend(1.0f64.to_le_bytes());
+        raw.extend([1, 0, 0, 0, 0, 0, 0, 0]);
+        std::fs::write(&path, &raw).unwrap();
+        for err in [
+            BinaryTraceReader::open(&path).unwrap_err(),
+            open_trace_source(&path).err().unwrap(),
+        ] {
+            assert!(err.to_string().contains("bad magic \"eirsbt01\""), "{err}");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn corrupt_class_byte_is_rejected_at_open() {
         let trace = sample_trace(4, 9);
         let path = tmp("class.bt");
         save_binary(&trace, &path).unwrap();
         let mut raw = std::fs::read(&path).unwrap();
-        raw[BINARY_HEADER_BYTES + 2 * BINARY_RECORD_BYTES + 16] = 9;
+        let payload = payload_of(&raw, 2);
+        reseal(&mut raw, 2, 9, &payload);
         std::fs::write(&path, &raw).unwrap();
         let err = BinaryTraceReader::open(&path).unwrap_err();
-        assert!(err.to_string().contains("class byte"), "{err}");
+        assert!(
+            matches!(&err, TraceError::Line(3, m) if m.contains("class tag 9")),
+            "{err}"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -572,11 +576,46 @@ mod tests {
         let path = tmp("zero-open.bt");
         save_binary(&trace, &path).unwrap();
         let mut raw = std::fs::read(&path).unwrap();
-        let at = BINARY_HEADER_BYTES + 2 * BINARY_RECORD_BYTES + 8;
-        raw[at..at + 8].copy_from_slice(&0.0f64.to_bits().to_le_bytes());
+        let mut payload = payload_of(&raw, 2);
+        payload[16..].copy_from_slice(&0.0f64.to_le_bytes());
+        reseal(&mut raw, 2, 1, &payload);
         std::fs::write(&path, &raw).unwrap();
         let err = BinaryTraceReader::open(&path).unwrap_err();
-        assert_eq!(err, TraceError::Line(3, "invalid size 0".into()));
+        assert!(
+            matches!(&err, TraceError::Line(3, m) if m.contains("size 0")),
+            "{err}"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn resealed_index_order_and_count_are_checked_at_open() {
+        let trace = sample_trace(4, 9);
+        let path = tmp("reseal.bt");
+        save_binary(&trace, &path).unwrap();
+        let raw = std::fs::read(&path).unwrap();
+        // Record 3 re-sealed with record 2's index, then with a time
+        // before record 2's.
+        let mut dup = raw.clone();
+        reseal(&mut dup, 2, 1, &payload_of(&raw, 1));
+        let mut early = raw.clone();
+        let mut payload = payload_of(&raw, 2);
+        payload[8..16].copy_from_slice(&0.0f64.to_le_bytes());
+        reseal(&mut early, 2, 1, &payload);
+        // The end record re-sealed with one arrival too many.
+        let mut count = raw.clone();
+        let end = raw.len() - 20;
+        count.truncate(end);
+        record::encode(&mut count, END, 0, |p| p.extend(5u64.to_le_bytes()));
+        for (bad, needle) in [
+            (dup, "record carries index 1"),
+            (early, "out-of-order arrival at t=0"),
+            (count, "end record counts 5 arrivals, the trace holds 4"),
+        ] {
+            std::fs::write(&path, &bad).unwrap();
+            let err = BinaryTraceReader::open(&path).unwrap_err();
+            assert!(err.to_string().contains(needle), "{err}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -1359,9 +1359,10 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
             // alone, and report the reproduced digest.
             if let Some(jpath) = &replay_path {
                 let k = p.k;
-                // An offline `serve` reports its digest with jobs still in
-                // flight at the horizon; a networked serve drains before
-                // reporting. `--drain true` matches the latter.
+                // A finished run, offline or networked, drains before it
+                // reports, so `--drain true` reproduces it; without
+                // `--drain`, replay reproduces a run killed with
+                // `--kill-after`.
                 let drain = args.get_parsed_or("drain", false).map_err(stringify)?;
                 let journal = Journal::load(std::path::Path::new(jpath.as_str()))
                     .map_err(|e| format!("cannot replay journal {jpath}: {e}"))?;
@@ -1712,6 +1713,7 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
                         break;
                     }
                 }
+                engine.drain();
                 let n = engine.ingested();
                 (engine, n, false, None)
             } else {

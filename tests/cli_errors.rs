@@ -349,40 +349,54 @@ fn fuzz_flag_errors_fail_cleanly() {
 }
 
 /// Corrupt or truncated binary traces fed through `--workload trace:<p>`
-/// must hard-error — never be silently truncated to the readable prefix
-/// or reinterpreted as an empty trace.
+/// must hard-error — never be silently truncated to the readable prefix,
+/// loaded with an altered record, or reinterpreted as an empty trace.
 #[test]
 fn corrupt_binary_traces_fail_cleanly_through_the_cli() {
+    use eirs_repro::sim::arrivals::{Arrival, ArrivalTrace};
+    use eirs_repro::sim::JobClass;
+
     let dir = std::env::temp_dir().join(format!("eirs-cli-badtrace-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
+    let whole = dir.join("whole.bt");
+    let trace = ArrivalTrace::new(
+        [0.5, 1.0, 1.5]
+            .map(|time| Arrival {
+                time,
+                class: JobClass::Elastic,
+                size: 2.0,
+            })
+            .to_vec(),
+    );
+    eirs_repro::sim::trace::save_binary(&trace, &whole).expect("write trace");
+    // The magic, three 36-byte arrival records, a 20-byte end record.
+    let bytes = std::fs::read(&whole).expect("read trace");
+    assert_eq!(bytes.len(), 8 + 3 * 36 + 20);
 
-    // Truncated: header promises 5 records, body holds 4 stray bytes.
-    let truncated = dir.join("truncated.bt");
-    let mut bytes = b"eirsbt01".to_vec();
-    bytes.extend_from_slice(&5u64.to_le_bytes());
-    bytes.extend_from_slice(b"AAAA");
-    std::fs::write(&truncated, &bytes).expect("write fixture");
-
-    // Unfinished write: the provisional u64::MAX count a crashed
-    // `BinaryTraceWriter` leaves behind.
+    let cut = dir.join("cut.bt");
+    std::fs::write(&cut, &bytes[..8 + 36 + 10]).expect("write fixture");
+    // An unfinished write: every arrival record, no end record.
     let unfinished = dir.join("unfinished.bt");
-    let mut bytes = b"eirsbt01".to_vec();
-    bytes.extend_from_slice(&u64::MAX.to_le_bytes());
-    std::fs::write(&unfinished, &bytes).expect("write fixture");
-
-    // Corrupt record: length-consistent, but the class byte is garbage.
-    let badclass = dir.join("badclass.bt");
-    let mut bytes = b"eirsbt01".to_vec();
-    bytes.extend_from_slice(&1u64.to_le_bytes());
-    bytes.extend_from_slice(&1.0f64.to_le_bytes());
-    bytes.extend_from_slice(&2.0f64.to_le_bytes());
-    bytes.extend_from_slice(&[9u8, 0, 0, 0, 0, 0, 0, 0]);
-    std::fs::write(&badclass, &bytes).expect("write fixture");
+    std::fs::write(&unfinished, &bytes[..8 + 3 * 36]).expect("write fixture");
+    // One flipped bit in the second record's size.
+    let flipped = dir.join("flipped.bt");
+    let mut bad = bytes.clone();
+    bad[8 + 36 + 4 + 16] ^= 1;
+    std::fs::write(&flipped, &bad).expect("write fixture");
+    // The older format, whose records carry no checksum.
+    let v1 = dir.join("v1.bt");
+    let mut old = b"eirsbt01".to_vec();
+    old.extend_from_slice(&1u64.to_le_bytes());
+    old.extend_from_slice(&1.0f64.to_le_bytes());
+    old.extend_from_slice(&2.0f64.to_le_bytes());
+    old.extend_from_slice(&[1u8, 0, 0, 0, 0, 0, 0, 0]);
+    std::fs::write(&v1, &old).expect("write fixture");
 
     for (path, needle) in [
-        (&truncated, "length mismatch"),
-        (&unfinished, "absurd record count"),
-        (&badclass, "invalid class byte"),
+        (&cut, "trace line 2: stream truncated mid-record"),
+        (&unfinished, "trace line 4: no end record"),
+        (&flipped, "trace line 2: record checksum mismatch"),
+        (&v1, "bad magic \"eirsbt01\""),
     ] {
         let spec = format!("trace:{}", path.display());
         let args = ["scenario", "--workload", &spec, "--reps", "2"];

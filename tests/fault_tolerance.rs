@@ -17,7 +17,9 @@
 //!    exact prefix of what was written (`Journal::load_prefix`), exactly
 //!    what was written (the strict loaders), or an error — never as an
 //!    altered run — and every accepted prefix that reaches the snapshot
-//!    recovers to the engine that ingested that prefix directly;
+//!    recovers to the engine that ingested that prefix directly. A binary
+//!    trace cut or flipped the same way fails at open, whether read by
+//!    `BinaryTraceReader` or by the `trace:` loader;
 //! 4. **Saves report write errors** instead of dropping them with a
 //!    buffered writer.
 
@@ -29,6 +31,9 @@ use eirs_repro::serve::{
 use eirs_repro::sim::arrivals::{Arrival, ArrivalTrace};
 use eirs_repro::sim::availability::FaultSpec;
 use eirs_repro::sim::policy::{FairShare, InelasticFirst};
+use eirs_repro::sim::trace::{
+    load_binary, open_trace_source, BinaryTraceReader, BinaryTraceWriter,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -362,6 +367,36 @@ fn torn_or_flipped_journals_and_snapshots_never_load_altered() {
             "snapshot bit {bit} flipped: a damaged snapshot loaded"
         );
     }
+}
+
+#[test]
+fn torn_or_flipped_binary_traces_fail_at_open() {
+    let path = std::env::temp_dir().join(format!("eirs-ft-trace-{}.bt", std::process::id()));
+    let arrivals = trace(7).arrivals()[..GATE_ARRIVALS].to_vec();
+    let mut w = BinaryTraceWriter::create(&path).unwrap();
+    for a in &arrivals {
+        w.push(a).unwrap();
+    }
+    assert_eq!(w.finish().unwrap(), GATE_ARRIVALS as u64);
+    assert_eq!(load_binary(&path).unwrap().arrivals(), arrivals);
+    let bytes = std::fs::read(&path).unwrap();
+    let refused = |bad: &[u8], what: &str| {
+        std::fs::write(&path, bad).unwrap();
+        assert!(BinaryTraceReader::open(&path).is_err(), "{what}: opened");
+        assert!(
+            open_trace_source(&path).is_err(),
+            "{what}: opened as a trace: workload"
+        );
+    };
+    for cut in 0..bytes.len() {
+        refused(&bytes[..cut], &format!("trace cut at byte {cut}"));
+    }
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    for _ in 0..FLIPS {
+        let (bad, bit) = flip(&bytes, &mut rng);
+        refused(&bad, &format!("trace bit {bit} flipped"));
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[cfg(target_os = "linux")]

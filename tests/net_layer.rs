@@ -315,10 +315,11 @@ fn json_field<'a>(doc: &'a str, key: &str) -> &'a str {
         .trim_matches('"')
 }
 
-/// Satellite regression: the CLI's offline hot-swap loop must journal and
-/// ingest the trailing partial batch before shutdown. A trace whose length
-/// is not a multiple of the batch (201 arrivals, batch 64) plus a swap
-/// barrier off any batch boundary replays to the exact live digest.
+/// The CLI's offline hot-swap loop must journal and ingest the trailing
+/// partial batch before shutdown, then drain. A trace whose length is not
+/// a multiple of the batch (201 arrivals, batch 64) plus a swap barrier
+/// off any batch boundary replays with `--drain true` to the exact live
+/// digest.
 #[test]
 fn cli_offline_swap_flushes_the_final_partial_batch() {
     let dir = std::env::temp_dir().join("eirs_net_layer_cli");
@@ -347,6 +348,8 @@ fn cli_offline_swap_flushes_the_final_partial_batch() {
     ]);
     assert_eq!(code, 0, "serve failed: {err}");
     let live_digest = json_field(&out, "decision_digest").to_string();
+    // The finished run drains, like every other.
+    assert_eq!(json_field(&out, "completions"), "201");
     // All 201 trace arrivals must be journaled — including the final
     // partial batch (201 = 3*64 + 9).
     let journal = Journal::load(&wal).expect("journal parses");
@@ -357,6 +360,8 @@ fn cli_offline_swap_flushes_the_final_partial_batch() {
         "3",
         "--replay-journal",
         wal_s,
+        "--drain",
+        "true",
         "--json",
         "true",
     ]);
