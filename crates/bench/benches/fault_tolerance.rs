@@ -21,9 +21,9 @@
 //! Run: `cargo bench -p eirs-bench --bench fault_tolerance`
 
 use eirs_bench::harness::{pretty_seconds, Bench};
-use eirs_bench::json::Json;
 use eirs_bench::section;
 use eirs_core::SystemParams;
+use eirs_obs::Json;
 use eirs_queueing::Exponential;
 use eirs_serve::{
     recover, run_journaled, ChurnConfig, CompiledTable, EngineConfig, Journal, JournalWriter,

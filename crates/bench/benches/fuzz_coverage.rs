@@ -27,9 +27,9 @@
 //! Run: `cargo bench -p eirs-bench --bench fuzz_coverage`
 
 use eirs_bench::harness::{pretty_seconds, Bench};
-use eirs_bench::json::Json;
 use eirs_bench::section;
 use eirs_core::fuzz::{self, FuzzConfig};
+use eirs_obs::Json;
 use eirs_queueing::Exponential;
 use eirs_serve::{CompiledTable, EngineConfig, ServeEngine};
 use eirs_sim::arrivals::{ArrivalSource, ArrivalTrace, PoissonStream};
@@ -158,7 +158,9 @@ fn main() {
     // to the long trace itself.
     let prefix_digest_bin = replay_digest(&pre_bin, f64::INFINITY);
     let rss_before = peak_rss_bytes();
-    let mut bench = Bench::with_samples(if smoke { 1 } else { 3 });
+    // Eleven samples: on a shared host the median of three moved by
+    // half its value between runs of the same build.
+    let mut bench = Bench::with_samples(if smoke { 1 } else { 11 });
     let replay = bench
         .time("binary_replay_serve", 1, || {
             replay_digest(&big, horizon + 1.0)

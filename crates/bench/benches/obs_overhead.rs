@@ -22,10 +22,10 @@
 //! Run: `cargo bench -p eirs-bench --bench obs_overhead`
 
 use eirs_bench::harness::{pretty_seconds, Bench};
-use eirs_bench::json::Json;
 use eirs_bench::section;
 use eirs_core::experiments::{figure4_heatmap_warm_with_threads, HeatMapCell};
 use eirs_core::SystemParams;
+use eirs_obs::Json;
 use eirs_queueing::Exponential;
 use eirs_serve::{CompiledTable, EngineConfig, ServeEngine};
 use eirs_sim::arrivals::{Arrival, ArrivalTrace};

@@ -18,13 +18,14 @@
 //!
 //! Run: `cargo bench -p eirs-bench --bench policy_families`
 
-use eirs_bench::json::{run_metadata, Json};
+use eirs_bench::json::run_metadata;
 use eirs_bench::{row, section};
 use eirs_core::analysis::AnalyzeOptions;
 use eirs_core::experiments::policy_sweep;
 use eirs_core::policy::{parse_policy, AllocationPolicy};
 use eirs_core::SystemParams;
 use eirs_mdp::{evaluate_allocation_policy, solve_optimal, MdpConfig};
+use eirs_obs::Json;
 use eirs_sim::replicate::run_markovian_replications;
 use eirs_sim::stats::ReplicationStats;
 

@@ -20,11 +20,12 @@
 //!
 //! Run: `cargo bench -p eirs-bench --bench policy_optimizer`
 
-use eirs_bench::json::{run_metadata, Json};
+use eirs_bench::json::run_metadata;
 use eirs_bench::section;
 use eirs_core::analysis::{analyze_policy_with, AnalyzeOptions};
 use eirs_core::scenario::{ArrivalSpec, ServiceSpec, Workload};
 use eirs_core::SystemParams;
+use eirs_obs::Json;
 use eirs_opt::objective::{AnalyticObjective, DesObjective, Objective};
 use eirs_opt::optim::{optimize_refined, Budget, Method, OptReport};
 use eirs_opt::space::{ParamSpace, SwitchingCurveFamily, TabularFamily, ThresholdFamily};

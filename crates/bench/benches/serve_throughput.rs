@@ -25,9 +25,9 @@
 //! Run: `cargo bench -p eirs-bench --bench serve_throughput`
 
 use eirs_bench::harness::{pretty_seconds, Bench};
-use eirs_bench::json::Json;
 use eirs_bench::section;
 use eirs_core::SystemParams;
+use eirs_obs::Json;
 use eirs_queueing::Exponential;
 use eirs_serve::engine::digest_decisions;
 use eirs_serve::replay::des_decision_log;

@@ -26,7 +26,6 @@
 //! Run: `cargo bench -p eirs-bench --bench sweep_speedup`
 
 use eirs_bench::harness::{pretty_seconds, Bench, Measurement};
-use eirs_bench::json::Json;
 use eirs_bench::section;
 use eirs_core::experiments::{
     figure4_heatmap_serial, figure4_heatmap_warm_serial, figure4_heatmap_warm_with_threads,
@@ -35,6 +34,7 @@ use eirs_core::experiments::{
 use eirs_markov::{Qbd, QbdWorkspace, RSolver};
 use eirs_numerics::lu::LuDecomposition;
 use eirs_numerics::Matrix;
+use eirs_obs::Json;
 use eirs_sim::des::run_markovian;
 use eirs_sim::policy::InelasticFirst;
 use eirs_sim::replicate::run_replications_with_threads;

@@ -20,13 +20,14 @@
 //!
 //! Run: `cargo bench -p eirs-bench --bench workload_scenarios`
 
-use eirs_bench::json::{run_metadata, Json};
+use eirs_bench::json::run_metadata;
 use eirs_bench::{row, section};
 use eirs_core::analysis::AnalyzeOptions;
 use eirs_core::experiments::{scenario_sweep, ScenarioSweepConfig};
 use eirs_core::policy::parse_policy;
 use eirs_core::scenario;
 use eirs_core::SystemParams;
+use eirs_obs::Json;
 
 const K: u32 = 4;
 /// The open `µ_I < µ_E` regime (Section 6), where policies actually
@@ -117,15 +118,9 @@ fn main() {
             .set("tractability", format!("{:?}", pt.tractability))
             .set("des_mean_response", pt.des_mean_response)
             .set("des_ci_half_width", pt.des_ci_half_width)
-            .set("des_replications", pt.des_replications as u64);
-        r.set(
-            "analysis_mean_response",
-            pt.analysis_mean_response.map_or(Json::Null, Json::from),
-        );
-        r.set(
-            "analysis_inside_des_ci",
-            pt.analysis_inside_ci.map_or(Json::Null, Json::from),
-        );
+            .set("des_replications", pt.des_replications as u64)
+            .set("analysis_mean_response", pt.analysis_mean_response)
+            .set("analysis_inside_des_ci", pt.analysis_inside_ci);
         rows_json.push(r);
     }
 

@@ -1,166 +1,8 @@
-//! Minimal JSON writer for the `BENCH_*.json` perf-trajectory artifacts.
-//!
-//! The workspace has no serde; benchmark reports are shallow
-//! string/number/object/array structures, so a small value enum with a
-//! deterministic (insertion-ordered) serializer is all that is needed.
+//! The hardware and threading metadata block every `BENCH_*.json`
+//! artifact embeds. The artifacts themselves are [`Json`] values, the
+//! workspace's one JSON writer (`eirs_obs::json`).
 
-use std::fmt::Write as _;
-
-/// A JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// Boolean.
-    Bool(bool),
-    /// Any finite number (non-finite serializes as `null`).
-    Num(f64),
-    /// String.
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// An empty object.
-    pub fn object() -> Json {
-        Json::Obj(Vec::new())
-    }
-
-    /// Adds or replaces key `k` (objects only; panics otherwise).
-    pub fn set(&mut self, k: &str, v: impl Into<Json>) -> &mut Self {
-        let Json::Obj(entries) = self else {
-            panic!("Json::set on a non-object");
-        };
-        if let Some(slot) = entries.iter_mut().find(|(key, _)| key == k) {
-            slot.1 = v.into();
-        } else {
-            entries.push((k.to_string(), v.into()));
-        }
-        self
-    }
-
-    /// Serializes with two-space indentation.
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent + 1);
-        let close = "  ".repeat(indent);
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Num(x) => {
-                if !x.is_finite() {
-                    out.push_str("null");
-                } else if x.fract() == 0.0 && x.abs() < 1e15 {
-                    let _ = write!(out, "{}", *x as i64);
-                } else {
-                    let _ = write!(out, "{x}");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad);
-                    item.write(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&close);
-                out.push(']');
-            }
-            Json::Obj(entries) => {
-                if entries.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in entries.iter().enumerate() {
-                    out.push_str(&pad);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                    out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&close);
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Writes `s` as a quoted, escaped JSON string (shared by values and
-/// object keys).
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-impl From<bool> for Json {
-    fn from(v: bool) -> Json {
-        Json::Bool(v)
-    }
-}
-
-impl From<f64> for Json {
-    fn from(v: f64) -> Json {
-        Json::Num(v)
-    }
-}
-
-impl From<u64> for Json {
-    fn from(v: u64) -> Json {
-        Json::Num(v as f64)
-    }
-}
-
-impl From<usize> for Json {
-    fn from(v: usize) -> Json {
-        Json::Num(v as f64)
-    }
-}
-
-impl From<&str> for Json {
-    fn from(v: &str) -> Json {
-        Json::Str(v.to_string())
-    }
-}
-
-impl From<String> for Json {
-    fn from(v: String) -> Json {
-        Json::Str(v)
-    }
-}
-
-impl From<Vec<Json>> for Json {
-    fn from(v: Vec<Json>) -> Json {
-        Json::Arr(v)
-    }
-}
+use eirs_obs::Json;
 
 /// The standard machine/threading metadata block every `BENCH_*.json`
 /// artifact should embed: the thread count the bench **actually drove**
@@ -200,7 +42,7 @@ pub fn run_metadata_with_threads(bench_threads: usize) -> Json {
         .set("available_parallelism", cores)
         .set(
             "threads_env",
-            std::env::var(eirs_numerics::parallel::THREADS_ENV).map_or(Json::Null, Json::from),
+            std::env::var(eirs_numerics::parallel::THREADS_ENV).ok(),
         )
         .set("single_core", cores <= 1 || bench_threads <= 1)
         .set("degenerate_scaling", degenerate);
@@ -237,36 +79,6 @@ impl From<&crate::harness::Measurement> for Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn serializes_nested_structures_deterministically() {
-        let mut o = Json::object();
-        o.set("name", "sweep")
-            .set("speedup", 4.25)
-            .set("threads", 8u64)
-            .set("runs", vec![Json::Num(1.0), Json::Bool(true), Json::Null]);
-        let s = o.pretty();
-        assert!(s.contains("\"name\": \"sweep\""));
-        assert!(s.contains("\"speedup\": 4.25"));
-        assert!(s.contains("\"threads\": 8"));
-        assert!(s.ends_with("}\n"));
-        // Integral floats print without a fraction.
-        assert!(s.contains("1,"));
-    }
-
-    #[test]
-    fn escapes_strings() {
-        let s = Json::Str("a\"b\\c\nd".into()).pretty();
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\"\n");
-    }
-
-    #[test]
-    fn escapes_object_keys() {
-        let mut o = Json::object();
-        o.set("cfg \"fast\"\n", 1.0);
-        let s = o.pretty();
-        assert!(s.contains("\"cfg \\\"fast\\\"\\n\": 1"), "{s}");
-    }
 
     #[test]
     fn run_metadata_reports_threading_context() {
@@ -336,16 +148,5 @@ mod tests {
             .1
             .clone();
         assert!(matches!(v, Json::Bool(true)));
-    }
-
-    #[test]
-    fn set_replaces_existing_keys() {
-        let mut o = Json::object();
-        o.set("x", 1.0).set("x", 2.0);
-        assert_eq!(o, {
-            let mut e = Json::object();
-            e.set("x", 2.0);
-            e
-        });
     }
 }

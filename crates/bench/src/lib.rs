@@ -8,8 +8,9 @@
 //!
 //! Also here: [`harness`], the dependency-free micro-benchmark timer used
 //! by `perf_substrates` and `sweep_speedup` (the offline build environment
-//! rules out criterion), and [`json`], a minimal writer for the
-//! `BENCH_*.json` perf-trajectory artifacts.
+//! rules out criterion), and [`json`], the hardware/threading block the
+//! `BENCH_*.json` perf-trajectory artifacts embed. The artifacts are
+//! written with `eirs_obs::Json`, the workspace's one JSON writer.
 
 use eirs_numerics::parallel;
 

@@ -44,4 +44,6 @@ pub mod server;
 pub use client::{run_client, ClientConfig, ClientReport};
 pub use protocol::{Frame, ProtocolError};
 pub use queue::BoundedQueue;
-pub use server::{serve, CompileFn, NetConfig, ReoptSettings, ServeReport, SwapTrigger};
+pub use server::{
+    install_swap, serve, CompileFn, NetConfig, ReoptSettings, ServeReport, SwapError, SwapTrigger,
+};

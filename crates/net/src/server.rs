@@ -45,13 +45,15 @@
 //! after it by the new one. Swaps scheduled up front (CLI
 //! `--swap-policy`/`--swap-at`, [`SwapTrigger`]) are a sorted list of
 //! sequence-number barriers the engine loop owns; it never ingests
-//! across one. At a barrier the engine loop builds the new table —
-//! compiling `spec` directly, or for `optimize:<family>` re-running the
-//! optimizer against the engine's live observed per-class arrival
-//! rates — then journals the [`SwapRecord`] (write-ahead: before any
-//! arrival is served under the new generation) and installs it.
-//! Replaying the journal reproduces the swap at the same sequence
-//! number and the decision digest bit for bit.
+//! across one. At a barrier the engine loop calls [`install_swap`],
+//! which builds the new table — compiling `spec` directly, or for
+//! `optimize:<family>` re-running the optimizer against the engine's
+//! live observed per-class arrival rates — then journals the
+//! [`SwapRecord`] (write-ahead: before any arrival is served under the
+//! new generation) and installs it. The CLI's offline `--swap-policy`
+//! run swaps through the same function. Replaying the journal
+//! reproduces the swap at the same sequence number and the decision
+//! digest bit for bit.
 //!
 //! ## Shutdown
 //!
@@ -592,81 +594,117 @@ impl EngineLoop<'_, '_> {
         self.arrivals.clear();
     }
 
-    /// Builds the table for a swap at the barrier (the engine's metrics
-    /// are the ones observed *now*).
-    fn swap_table(&self, request: SwapRequest) -> Result<(CompiledTable, String), String> {
-        if let Some(table) = request.table {
-            return Ok((table, request.spec));
-        }
-        let compile = self.shared.compile;
-        let Some(family) = request.spec.strip_prefix("optimize:") else {
-            return Ok((compile(&request.spec)?, request.spec));
-        };
-        let totals = self.engine.metrics_total();
-        let stream_time: f64 = self
-            .engine
-            .metrics_per_shard()
-            .iter()
-            .map(|m| m.sim_time)
-            .sum();
-        let load = ObservedLoad::from_counts(
-            totals.arrivals_inelastic,
-            totals.arrivals_elastic,
-            stream_time,
-        )?;
-        let reopt = &self.config.reopt;
-        let budget = Budget {
-            max_evals: reopt.max_evals,
-            seed: reopt.seed,
-        };
-        let outcome = reoptimize(
-            family,
-            self.shared.k,
-            &load,
-            reopt.mu_inelastic,
-            reopt.mu_elastic,
-            &budget,
-        )?;
-        Ok((compile(&outcome.spec)?, outcome.spec))
-    }
-
-    /// Installs one swap at the current barrier: build the table,
-    /// journal the record **write-ahead**, install. On failure the old
-    /// policy keeps serving and the error is reported.
+    /// Installs one swap at the current barrier through [`install_swap`].
+    /// A swap that cannot be resolved leaves the old policy serving and
+    /// is reported; a swap whose record cannot be journaled still stands,
+    /// and journaling stops there.
     fn swap(&mut self, request: SwapRequest) {
         let started = Instant::now();
-        let requested = request.spec.clone();
-        match self.swap_table(request) {
-            Ok((table, spec)) => {
-                let record = SwapRecord {
-                    seq: self.engine.ingested(),
-                    generation: self.engine.generation() + 1,
-                    hash: table.identity_hash(),
-                    spec: spec.clone(),
-                };
-                if let Some(journal) = self.journal.as_mut() {
-                    if let Err(e) = journal.append_swap(&record) {
-                        self.journal_errors
-                            .push(format!("journal swap at seq {}: {e}", record.seq));
-                        self.journal = None;
-                    }
-                }
-                let installed = self.engine.install_table(table, &spec);
-                debug_assert_eq!(installed, record, "journaled swap differs from installed");
-                SWAP_COUNT.inc();
-                let pause = started.elapsed().as_secs_f64();
-                self.swap_pauses.push(pause);
-                let mut h = LatencyHistogram::new();
-                h.record_seconds(pause);
-                publish_histogram("swap.pause", &h);
+        let installed = install_swap(
+            &mut self.engine,
+            self.journal.as_mut(),
+            &request.spec,
+            request.table,
+            &self.config.reopt,
+            self.shared.compile,
+        );
+        match installed {
+            Ok(_) => {}
+            Err(SwapError::Journal(e)) => {
+                let seq = self.engine.ingested();
+                self.journal_errors
+                    .push(format!("journal swap at seq {seq}: {e}"));
+                self.journal = None;
             }
-            Err(e) => {
+            Err(SwapError::Resolve(e)) => {
                 SWAP_FAILED.inc();
+                let requested = request.spec;
                 self.swap_errors
                     .push(format!("swap to '{requested}' failed (policy kept): {e}"));
+                return;
             }
         }
+        SWAP_COUNT.inc();
+        let pause = started.elapsed().as_secs_f64();
+        self.swap_pauses.push(pause);
+        let mut h = LatencyHistogram::new();
+        h.record_seconds(pause);
+        publish_histogram("swap.pause", &h);
     }
+}
+
+/// Why [`install_swap`] did not complete cleanly.
+#[derive(Debug)]
+pub enum SwapError {
+    /// The spec could not be resolved or compiled (a bad spec, an
+    /// infeasible observed load, a failed search); nothing changed.
+    Resolve(String),
+    /// The new table is installed, but its [`SwapRecord`] could not be
+    /// journaled, so the journal no longer covers the run.
+    Journal(std::io::Error),
+}
+
+/// Installs one policy hot-swap at the engine's current barrier (its
+/// next arrival sequence number): the one swap resolver of the server's
+/// engine loop and the CLI's offline `--swap-policy` run.
+///
+/// The table is `compiled` if the caller built it already; otherwise
+/// `spec` is compiled, or, for `optimize:<family>`, re-optimized first
+/// against the per-class arrival rates the engine has observed so far,
+/// with `reopt`'s service rates and search budget. The [`SwapRecord`]
+/// is journaled **write-ahead**, before any arrival is served under the
+/// new generation, and the table is installed. Each caller keeps its own
+/// error policy.
+pub fn install_swap<W: Write>(
+    engine: &mut ServeEngine,
+    journal: Option<&mut JournalWriter<W>>,
+    spec: &str,
+    compiled: Option<CompiledTable>,
+    reopt: &ReoptSettings,
+    compile: &CompileFn,
+) -> Result<SwapRecord, SwapError> {
+    let resolved = match spec.strip_prefix("optimize:") {
+        Some(family) if compiled.is_none() => {
+            let totals = engine.metrics_total();
+            let stream_time: f64 = engine.metrics_per_shard().iter().map(|m| m.sim_time).sum();
+            let load = ObservedLoad::from_counts(
+                totals.arrivals_inelastic,
+                totals.arrivals_elastic,
+                stream_time,
+            )
+            .map_err(SwapError::Resolve)?;
+            let budget = Budget {
+                max_evals: reopt.max_evals,
+                seed: reopt.seed,
+            };
+            reoptimize(
+                family,
+                engine.config().k,
+                &load,
+                reopt.mu_inelastic,
+                reopt.mu_elastic,
+                &budget,
+            )
+            .map_err(SwapError::Resolve)?
+            .spec
+        }
+        _ => spec.to_string(),
+    };
+    let table = match compiled {
+        Some(table) => table,
+        None => compile(&resolved).map_err(SwapError::Resolve)?,
+    };
+    let record = SwapRecord {
+        seq: engine.ingested(),
+        generation: engine.generation() + 1,
+        hash: table.identity_hash(),
+        spec: resolved.clone(),
+    };
+    let journaled = journal.map_or(Ok(()), |journal| journal.append_swap(&record));
+    let installed = engine.install_table(table, &resolved);
+    debug_assert_eq!(installed, record, "journaled swap differs from installed");
+    journaled.map_err(SwapError::Journal)?;
+    Ok(installed)
 }
 
 /// Serves connections on `listener` until at least one client has

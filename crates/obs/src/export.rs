@@ -6,35 +6,10 @@
 //! [`TraceEvent`]s, so they can run after the instrumented work is done
 //! and never touch a hot path.
 
+use crate::json::{escape_json, json_num};
 use crate::registry::Snapshot;
 use crate::span::{ArgValue, TraceEvent};
 use std::fmt::Write as _;
-
-/// Escapes `s` as the contents of a JSON string literal.
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Renders a finite `f64` (JSON has no NaN/inf; those become `null`).
-fn json_num(v: f64, out: &mut String) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
 
 fn write_args(args: &[(&'static str, ArgValue)], out: &mut String) {
     out.push('{');

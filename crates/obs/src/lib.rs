@@ -30,7 +30,10 @@
 //!
 //! [`export`] renders the collected state as a Chrome trace-event JSON
 //! file (loadable in Perfetto / `chrome://tracing`), a JSONL event
-//! stream, or a Prometheus text-format snapshot. See
+//! stream, or a Prometheus text-format snapshot. [`Json`] is the
+//! workspace's one JSON writer: every `eirs --json true` document and
+//! `BENCH_*.json` artifact is built with it, and the exporters share its
+//! string escaper and number rule. See
 //! `docs/OBSERVABILITY.md` for the metric catalog and a Perfetto
 //! walkthrough.
 //!
@@ -56,10 +59,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 pub mod export;
 pub mod hist;
+pub mod json;
 pub mod registry;
 pub mod span;
 
 pub use hist::LatencyHistogram;
+pub use json::Json;
 pub use registry::{publish_histogram, snapshot, Counter, Gauge, LazyCounter, LazyGauge, Snapshot};
 pub use span::{event, span, take_events, SpanGuard, TraceEvent};
 

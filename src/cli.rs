@@ -2,8 +2,10 @@
 //!
 //! Deliberately minimal (the approved dependency set has no argument
 //! parser): flags are `--key value` pairs collected into a map, with typed
-//! accessors and defaults. The binary in `src/bin/eirs.rs` stays a thin
-//! wiring layer over the library.
+//! accessors and defaults. The binary in `src/bin/eirs/` (one module per
+//! command, sharing the flag helpers of its `flags` module) stays a thin
+//! wiring layer over the library; its commands return `Result<(),
+//! String>`, so a [`CliError`] converts into `String` and `?` carries it.
 
 use std::collections::BTreeMap;
 
@@ -45,6 +47,12 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+impl From<CliError> for String {
+    fn from(e: CliError) -> String {
+        e.to_string()
+    }
+}
+
 impl CliArgs {
     /// Parses `args` (without the program name).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, CliError> {
@@ -80,13 +88,19 @@ impl CliArgs {
         name: &str,
         default: T,
     ) -> Result<T, CliError> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| CliError::BadValue {
-                flag: name.to_string(),
-                value: raw.to_string(),
-            }),
-        }
+        Ok(self.get_parsed(name)?.unwrap_or(default))
+    }
+
+    /// Typed flag without a default: `None` when absent.
+    pub fn get_parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        self.get(name)
+            .map(|raw| {
+                raw.parse().map_err(|_| CliError::BadValue {
+                    flag: name.to_string(),
+                    value: raw.to_string(),
+                })
+            })
+            .transpose()
     }
 
     /// The global `--threads N` flag: the sweep worker count, as an
@@ -94,15 +108,12 @@ impl CliArgs {
     /// `None` when absent; zero is rejected (a sweep needs at least one
     /// worker).
     pub fn threads(&self) -> Result<Option<usize>, CliError> {
-        match self.get("threads") {
-            None => Ok(None),
-            Some(raw) => match raw.parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(Some(n)),
-                _ => Err(CliError::BadValue {
-                    flag: "threads".to_string(),
-                    value: raw.to_string(),
-                }),
-            },
+        match self.get_parsed("threads")? {
+            Some(0) => Err(CliError::BadValue {
+                flag: "threads".to_string(),
+                value: self.get_or("threads", ""),
+            }),
+            n => Ok(n),
         }
     }
 }
@@ -160,6 +171,19 @@ mod tests {
                 "--threads {bad} should be rejected"
             );
         }
+    }
+
+    #[test]
+    fn optional_typed_flags_are_none_when_absent() {
+        let a = parse(&["serve", "--swap-at", "12", "--kill-after", "x"]).unwrap();
+        assert_eq!(a.get_parsed::<u64>("swap-at"), Ok(Some(12)));
+        assert_eq!(a.get_parsed::<u64>("snapshot-at"), Ok(None));
+        assert!(matches!(
+            a.get_parsed::<u64>("kill-after"),
+            Err(CliError::BadValue { .. })
+        ));
+        let message: String = a.get_parsed::<u64>("kill-after").unwrap_err().into();
+        assert_eq!(message, "cannot parse --kill-after value 'x'");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Workspace façade for the reproduction of Berg, Harchol-Balter, Moseley,
 //! Wang & Whitehouse, *"Optimal Resource Allocation for Elastic and
-//! Inelastic Jobs"* (SPAA 2020). Re-exports every sub-crate under one roof
-//! so examples and downstream users can depend on a single package:
+//! Inelastic Jobs"* (SPAA 2020). Re-exports every library crate under one
+//! roof so examples and downstream users can depend on a single package:
 //!
 //! * [`core`] (`eirs-core`) — model parameters, the shared policy layer
 //!   (`core::policy`), the policy-generic response-time analysis
@@ -29,20 +29,24 @@
 //!   `eirsnp01` framed TCP protocol, one bounded ingest queue in front
 //!   of the engine loop, the load-generating client, and atomic
 //!   journaled policy hot-swap (observe → re-optimize → redeploy);
-//! * [`bench`](mod@bench) (`eirs-bench`) — figure/table regeneration harnesses and
-//!   the `BENCH_*.json` writers (the CLI's `--json true` mode reuses its
-//!   JSON serializer);
+//! * [`obs`] (`eirs-obs`) — deterministic, write-only telemetry (metrics,
+//!   latency histograms, span traces, exporters) and [`obs::Json`], the
+//!   one JSON writer behind every `eirs --json true` document;
 //! * [`srpt`] (`eirs-srpt`) — Appendix A batch scheduling and dual fitting;
 //! * [`multiclass`] (`eirs-multiclass`) — the Section 6 extension: many
 //!   classes with bounded elasticity;
 //! * [`numerics`] (`eirs-numerics`) — the dense linear-algebra substrate.
+//!
+//! The `eirs` binary (`src/bin/eirs/`, one module per command) is a thin
+//! wiring layer over these crates. The figure harnesses and the
+//! `BENCH_*.json` writers live in `eirs-bench` (`cargo bench -p
+//! eirs-bench`); this package does not depend on it.
 //!
 //! See `README.md` for a tour and `EXPERIMENTS.md` for paper-vs-measured
 //! results of every figure.
 
 pub mod cli;
 
-pub use eirs_bench as bench;
 pub use eirs_core as core;
 pub use eirs_markov as markov;
 pub use eirs_mdp as mdp;

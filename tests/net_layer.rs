@@ -11,7 +11,8 @@
 //! 3. **Batch-boundary regression** (satellite of the same PR): the CLI's
 //!    offline hot-swap loop journals and ingests the trailing partial
 //!    batch before shutdown — replay of a stream whose length is not a
-//!    batch multiple still matches exactly;
+//!    batch multiple still matches exactly — and its `optimize:` swaps
+//!    search within `--budget`, through the resolver `--listen` uses;
 //! 4. **CLI loopback smoke**: `eirs serve --listen` driven by
 //!    `eirs client` over 127.0.0.1 with a mid-stream swap keeps exact
 //!    accounting and replays to the same digest.
@@ -373,6 +374,47 @@ fn cli_offline_swap_flushes_the_final_partial_batch() {
     );
     assert_eq!(json_field(&out, "generation"), "1");
     std::fs::remove_file(&wal).ok();
+}
+
+/// The offline `--swap-policy optimize:<family>` run resolves its swap
+/// through `eirs_net::install_swap`, so `--budget` bounds its search as
+/// it does under `--listen`: a budget of 4 runs fewer optimizer
+/// evaluations than the default 60.
+#[test]
+fn cli_offline_optimize_swap_reads_the_budget() {
+    let dir = std::env::temp_dir().join(format!("eirs_net_layer_budget_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let evaluations = |budget: &str| -> u64 {
+        let metrics = dir.join(format!("budget_{budget}.prom"));
+        let (code, _, err) = run_eirs(&[
+            "serve",
+            "--policy",
+            "curve:2+0.5i",
+            "--workload",
+            "trace:crates/serve/testdata/smoke.trace",
+            "--swap-policy",
+            "optimize:threshold",
+            "--swap-at",
+            "117",
+            "--budget",
+            budget,
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ]);
+        assert_eq!(code, 0, "serve failed: {err}");
+        let text = std::fs::read_to_string(&metrics).unwrap();
+        text.lines()
+            .find_map(|line| line.strip_prefix("eirs_opt_evaluations "))
+            .unwrap_or_else(|| panic!("no eirs_opt_evaluations in:\n{text}"))
+            .parse()
+            .unwrap()
+    };
+    let (small, default) = (evaluations("4"), evaluations("60"));
+    assert!(
+        small < default,
+        "--budget 4 ran {small} optimizer evaluations, --budget 60 ran {default}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// CLI loopback smoke: serve --listen driven by client over 127.0.0.1,

@@ -4,10 +4,11 @@
 //!    arrivals round-trips through *both* on-disk formats with every
 //!    `f64` bit preserved, and the two formats agree with each other —
 //!    including the empty and single-arrival edge cases;
-//! 2. **Streaming reader fidelity**: pulling a binary trace through the
-//!    chunked [`BinaryTraceReader`] yields the same arrival sequence as
-//!    loading it whole, so bounded-memory replay cannot drift from
-//!    in-memory replay.
+//! 2. **Streaming reader fidelity**: [`BinaryTraceReader::open`] reads
+//!    and checks every record once, then rewinds; replay then pulls one
+//!    record at a time through a buffered reader and yields the same
+//!    arrival sequence as loading the trace whole, so bounded-memory
+//!    replay cannot drift from in-memory replay.
 
 use eirs_repro::sim::arrivals::{Arrival, ArrivalSource, ArrivalTrace};
 use eirs_repro::sim::trace::{load_binary, save_binary, sniff_binary, BinaryTraceReader};
