@@ -6,7 +6,8 @@
 //! 1. full replay of a prerecorded Poisson stream through the sharded
 //!    engine, single worker vs all-core workers — events/sec and
 //!    decisions/sec, with the sharded digest asserted **bit-identical**
-//!    to the single-worker digest;
+//!    to the single-worker digest; then 1 vs 2 workers at batches of 64,
+//!    256 and 1,024 in alternating pairs, digests asserted equal;
 //! 2. amortized per-decision latency percentiles (p50/p99 over
 //!    1024-event batch means — see the inline note on why decisions are
 //!    not timed individually);
@@ -42,6 +43,11 @@ const RHO_PER_SHARD: f64 = 0.7;
 const GRID: usize = 64;
 /// Simulated horizon of the prerecorded stream (~450k arrivals).
 const HORIZON: f64 = 20_000.0;
+/// Batch sizes of the worker-scaling rows: small, the networked engine
+/// loop's cap (256), and the engine default (1,024).
+const SCALING_BATCHES: [usize; 3] = [64, 256, 1024];
+/// Alternating 1-worker / 2-worker replay pairs per scaling row.
+const SCALING_PAIRS: usize = 9;
 
 fn policy() -> Box<dyn AllocationPolicy> {
     Box::new(SwitchingCurvePolicy {
@@ -163,6 +169,53 @@ fn main() {
         .set("sharded_events_per_sec", events / multi.median_s)
         .set("sustains_1m_decisions_per_sec", sustained >= 1e6);
     report.set("replay", replay_json);
+
+    // ---- 1b. One worker vs two by batch size ---------------------------
+    // The two arms alternate, and so does which of them runs first, so
+    // both see the same stretches of the host. Each time covers the
+    // engine's build, every batch and the drain; the pool thread starts
+    // inside it.
+    section(&format!(
+        "worker scaling: 1 vs 2 workers by batch ({SCALING_PAIRS} alternating pairs)"
+    ));
+    let mut scaling_rows = Vec::new();
+    for batch in SCALING_BATCHES {
+        let mut times: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+        for pair in 0..SCALING_PAIRS {
+            for arm in [pair % 2, 1 - pair % 2] {
+                let start = std::time::Instant::now();
+                let engine = replay(&arrivals, arm + 1, batch);
+                times[arm].push(start.elapsed().as_secs_f64());
+                assert_eq!(
+                    engine.decision_digest(),
+                    reference.decision_digest(),
+                    "{} worker(s) at batch {batch} diverged from the reference replay",
+                    arm + 1
+                );
+            }
+        }
+        let [one, two] = times.map(|mut t| {
+            t.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+            percentile(&t, 0.5)
+        });
+        println!(
+            "  batch {batch:>5}: 1 worker {:.2}M, 2 workers {:.2}M decisions/sec ({:.2}x)",
+            decisions / one / 1e6,
+            decisions / two / 1e6,
+            one / two
+        );
+        let mut row = Json::object();
+        row.set("batch", batch)
+            .set("pairs", SCALING_PAIRS)
+            .set("one_worker_median_s", one)
+            .set("two_worker_median_s", two)
+            .set("one_worker_decisions_per_sec", decisions / one)
+            .set("two_worker_decisions_per_sec", decisions / two)
+            .set("two_worker_speedup", one / two)
+            .set("digests_equal", true);
+        scaling_rows.push(row);
+    }
+    report.set("worker_scaling", scaling_rows);
 
     // ---- 2. Per-decision latency over batch ingestion -----------------
     // Timed at batch granularity: each sample is one 1024-event batch's

@@ -22,6 +22,23 @@
 //! worker count. The CI determinism gate replays the bundled trace with
 //! 1 and 4 workers and asserts equal digests.
 //!
+//! # Shard workers
+//!
+//! With `workers > 1` the engine owns `min(workers, route_shards) − 1`
+//! worker threads, and the engine thread is the last worker. The threads
+//! start the first time a batch runs in parallel (never in
+//! [`ServeEngine::new`]) and live until the engine drops. Each batch
+//! queues every shard, with its routed arrivals, beside the current
+//! table; the engine thread takes shards from the front of the queue and
+//! the worker threads take them from the back, one at a time, until none
+//! is left. The engine thread then waits for the shards still being
+//! worked and takes all of them back in shard order before the call
+//! returns, so between batches every shard sits in the engine, where
+//! snapshot, metrics, digests and swaps read them. No thread waits for
+//! another to wake: a worker that wakes late finds fewer shards, or none,
+//! left to take. A panic on any shard is resumed on the caller once every
+//! shard is back.
+//!
 //! # Exactness against the simulator
 //!
 //! Each shard is an [`eirs_sim::kernel::Cluster`] — the event loop
@@ -61,7 +78,11 @@ use eirs_sim::job::{Job, JobClass};
 use eirs_sim::kernel::{Cluster, Hooks, Step};
 use eirs_sim::policy::ClassAllocation;
 use eirs_sim::record::mix64;
-use std::sync::Arc;
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// One allocation decision: the occupancy queried and the allocation
@@ -214,7 +235,10 @@ pub struct EngineConfig {
     /// serves which job (and hence the decisions).
     pub route_shards: usize,
     /// Shard workers advancing the partition in parallel (`1` is the
-    /// serial reference path; results are bit-identical either way).
+    /// serial reference path; results are bit-identical either way). The
+    /// engine thread is one of them; the other `min(workers,
+    /// route_shards) − 1` threads start at the first parallel batch and
+    /// live until the engine drops.
     pub workers: usize,
     /// Arrivals per ingestion round in [`ServeEngine::run`].
     pub batch: usize,
@@ -283,11 +307,27 @@ impl EngineConfig {
     }
 }
 
-/// One independent cluster shard: a kernel [`Cluster`] of `k` servers
-/// plus what the server records of it.
+/// One independent cluster shard: a kernel [`Cluster`] of `k` servers,
+/// what the server records of it, and its share of the current batch.
 pub(crate) struct ClusterShard {
     pub(crate) cluster: Cluster,
     pub(crate) ledger: Ledger,
+    /// The arrivals routed here in the current batch, each with its
+    /// position in the batch.
+    inbox: Vec<(usize, Arrival)>,
+    /// One acknowledgment per `inbox` entry ([`Task::Admit`] only).
+    acks: Vec<Admission>,
+}
+
+/// What a batch asks of every shard.
+#[derive(Clone, Copy)]
+enum Task {
+    /// Ingest the routed arrivals.
+    Ingest,
+    /// Ingest them and acknowledge each under policy `generation`.
+    Admit { generation: u32 },
+    /// Run the remaining work to completion.
+    Drain,
 }
 
 /// A shard's records: its decision digest, metrics, optional decision
@@ -404,6 +444,8 @@ impl ClusterShard {
                 shed_limit,
                 latency: eirs_obs::LatencyHistogram::new(),
             },
+            inbox: Vec::new(),
+            acks: Vec::new(),
         }
     }
 
@@ -435,36 +477,152 @@ impl ClusterShard {
             self.cluster.step(&mut hooks, None, f64::INFINITY);
         }
     }
+
+    /// Does the batch's `task` on this shard, whose index is `index`.
+    fn work(&mut self, index: usize, table: &CompiledTable, task: Task) {
+        let inbox = std::mem::take(&mut self.inbox);
+        match task {
+            Task::Ingest => {
+                for &(_, a) in &inbox {
+                    self.ingest(table, a);
+                }
+            }
+            Task::Admit { generation } => {
+                self.acks.clear();
+                for &(_, a) in &inbox {
+                    let admitted = self.ingest(table, a);
+                    let (i, j, allocation) = self.peek(table);
+                    self.acks.push(Admission {
+                        shard: index,
+                        i,
+                        j,
+                        allocation,
+                        admitted,
+                        generation,
+                    });
+                }
+            }
+            Task::Drain => self.drain(table),
+        }
+        self.inbox = inbox;
+    }
 }
 
-/// Runs `f(item_index, item)` for every item (a shard, or a shard
-/// zipped with its per-shard output buffer), fanned over `workers`
-/// scoped threads in fixed index chunks (`workers <= 1` runs inline —
-/// the serial reference path). Items are independent, so parallel
-/// execution is bit-identical to serial.
-fn fan_out<T, F>(items: &mut [T], workers: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let workers = workers.max(1).min(items.len().max(1));
-    if workers <= 1 {
-        for (idx, item) in items.iter_mut().enumerate() {
-            f(idx, item);
+/// A panic caught while working a shard, resumed on the engine thread.
+type Panic = Box<dyn Any + Send>;
+
+/// Works `shard`, whose index is `index`, catching a panic.
+fn work_caught(
+    index: usize,
+    shard: &mut ClusterShard,
+    table: &CompiledTable,
+    task: Task,
+) -> Option<Panic> {
+    panic::catch_unwind(AssertUnwindSafe(|| shard.work(index, table, task))).err()
+}
+
+/// The shards of the batch in progress, shared by the engine thread and
+/// the pool's workers.
+#[derive(Default)]
+struct Batch {
+    /// Shards no thread has taken yet, each with its index, in index
+    /// order: the engine thread takes from the front, workers from the
+    /// back.
+    todo: VecDeque<(usize, ClusterShard)>,
+    /// Shards worked, in the order they were finished.
+    done: Vec<(usize, ClusterShard)>,
+    /// The batch's table and task (`None` between batches).
+    job: Option<(Arc<CompiledTable>, Task)>,
+    /// The panic caught on the lowest-index shard, if any.
+    panic: Option<(usize, Panic)>,
+    /// Set when the engine drops: every worker returns.
+    closed: bool,
+}
+
+impl Batch {
+    /// Files a worked shard and the panic, if any, that cut it short.
+    fn finish(&mut self, index: usize, shard: ClusterShard, panicked: Option<Panic>) {
+        self.done.push((index, shard));
+        if let Some(payload) = panicked {
+            if self.panic.as_ref().is_none_or(|&(first, _)| index < first) {
+                self.panic = Some((index, payload));
+            }
         }
-        return;
     }
-    let per = items.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (chunk_no, chunk) in items.chunks_mut(per).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (off, item) in chunk.iter_mut().enumerate() {
-                    f(chunk_no * per + off, item);
-                }
-            });
+}
+
+/// What the engine thread and its workers share.
+#[derive(Default)]
+struct Shared {
+    batch: Mutex<Batch>,
+    /// Signalled when a batch is queued and when the engine drops.
+    queued: Condvar,
+}
+
+impl Shared {
+    /// Locks the batch. Shard work runs unlocked and under
+    /// `catch_unwind`, so no thread panics while it holds the lock, and
+    /// a poisoned lock would still guard a consistent batch.
+    fn lock(&self) -> MutexGuard<'_, Batch> {
+        self.batch.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One worker thread: takes shards from the back of each batch and
+    /// files them worked, until the engine drops.
+    fn serve(&self) {
+        let mut batch = self.lock();
+        loop {
+            if batch.closed {
+                return;
+            }
+            let Some((index, mut shard)) = batch.todo.pop_back() else {
+                batch = self
+                    .queued
+                    .wait(batch)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            let (table, task) = batch.job.clone().expect("a queued batch has a job");
+            drop(batch);
+            let panicked = work_caught(index, &mut shard, &table, task);
+            batch = self.lock();
+            batch.finish(index, shard, panicked);
         }
-    });
+    }
+}
+
+/// The engine's worker threads and the batch they share.
+struct Pool {
+    shared: Arc<Shared>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Pool {
+    /// Starts `threads` workers.
+    fn start(threads: usize) -> Self {
+        let shared = Arc::new(Shared::default());
+        let threads = (1..=threads)
+            .map(|n| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("eirs-shard-{n}"))
+                    .spawn(move || shared.serve())
+                    .expect("spawn a shard worker thread")
+            })
+            .collect();
+        Self { shared, threads }
+    }
+}
+
+impl Drop for Pool {
+    /// Closes the batch, which ends every worker's loop, and joins them.
+    fn drop(&mut self) {
+        self.shared.lock().closed = true;
+        self.shared.queued.notify_all();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+    }
 }
 
 /// The online allocation server: a compiled table shared across a fixed
@@ -480,7 +638,8 @@ pub struct ServeEngine {
     pub(crate) generation: u32,
     /// Ordered swap history (the generation schedule).
     pub(crate) swap_log: Vec<SwapRecord>,
-    scratch: Vec<Vec<Arrival>>,
+    /// The worker threads, once a batch has run in parallel.
+    pool: Option<Pool>,
 }
 
 impl ServeEngine {
@@ -510,7 +669,6 @@ impl ServeEngine {
                 ClusterShard::new(config.k, config.record_decisions, faults, config.shed_limit)
             })
             .collect();
-        let scratch = (0..config.route_shards).map(|_| Vec::new()).collect();
         Self {
             config,
             table: Arc::new(table),
@@ -518,7 +676,7 @@ impl ServeEngine {
             seq: 0,
             generation: 0,
             swap_log: Vec::new(),
-            scratch,
+            pool: None,
         }
     }
 
@@ -586,21 +744,72 @@ impl ServeEngine {
     /// `config.workers > 1`). Completions are produced by the shards
     /// themselves as their clocks pass the completion epochs.
     pub fn ingest_batch(&mut self, arrivals: &[Arrival]) {
-        for bucket in &mut self.scratch {
-            bucket.clear();
+        if arrivals.is_empty() {
+            return;
         }
-        for &a in arrivals {
+        self.route_batch(arrivals);
+        self.work(Task::Ingest);
+    }
+
+    /// Empties every shard's inbox, then routes `arrivals` into them,
+    /// one sequence number each.
+    fn route_batch(&mut self, arrivals: &[Arrival]) {
+        for shard in &mut self.shards {
+            shard.inbox.clear();
+        }
+        for (n, &a) in arrivals.iter().enumerate() {
             let s = self.route(self.seq);
             self.seq += 1;
-            self.scratch[s].push(a);
+            self.shards[s].inbox.push((n, a));
         }
+    }
+
+    /// Does `task` on every shard. With one worker the engine thread
+    /// works them in order. Otherwise it queues them all for the pool
+    /// (started here on first need), works shards from the front of the
+    /// queue while the workers take them from the back, waits for the
+    /// shards still being worked, and takes all of them back in index
+    /// order. A panic on any shard is resumed once every shard is back,
+    /// so the engine still holds them all when it unwinds.
+    fn work(&mut self, task: Task) {
+        let n = self.shards.len();
+        let threads = self.config.workers.clamp(1, n) - 1;
         let table = &*self.table;
-        let scratch = &self.scratch;
-        fan_out(&mut self.shards, self.config.workers, |idx, shard| {
-            for &a in &scratch[idx] {
-                shard.ingest(table, a);
+        if threads == 0 {
+            for (index, shard) in self.shards.iter_mut().enumerate() {
+                shard.work(index, table, task);
             }
-        });
+            return;
+        }
+        let shared = &self.pool.get_or_insert_with(|| Pool::start(threads)).shared;
+        {
+            let mut batch = shared.lock();
+            batch.todo.extend(self.shards.drain(..).enumerate());
+            batch.job = Some((Arc::clone(&self.table), task));
+        }
+        shared.queued.notify_all();
+        let mut batch = shared.lock();
+        while let Some((index, mut shard)) = batch.todo.pop_front() {
+            drop(batch);
+            let panicked = work_caught(index, &mut shard, table, task);
+            batch = shared.lock();
+            batch.finish(index, shard, panicked);
+        }
+        // Every shard not yet filed is in a worker's hands, mid-work, so
+        // the wait is short: yield rather than park.
+        while batch.done.len() < n {
+            drop(batch);
+            std::thread::yield_now();
+            batch = shared.lock();
+        }
+        batch.job = None;
+        batch.done.sort_unstable_by_key(|&(index, _)| index);
+        self.shards
+            .extend(batch.done.drain(..).map(|(_, shard)| shard));
+        if let Some((_, payload)) = batch.panic.take() {
+            drop(batch);
+            panic::resume_unwind(payload);
+        }
     }
 
     /// [`ServeEngine::ingest_batch`] with per-arrival acknowledgments:
@@ -611,50 +820,17 @@ impl ServeEngine {
     /// ack collection is side-effect-free, so a run through this path
     /// is bit-identical to one through `ingest_batch`.
     pub fn ingest_batch_admissions(&mut self, arrivals: &[Arrival]) -> Vec<Admission> {
-        let mut buckets: Vec<Vec<(u32, Arrival)>> =
-            (0..self.config.route_shards).map(|_| Vec::new()).collect();
-        for (n, &a) in arrivals.iter().enumerate() {
-            let s = self.route(self.seq);
-            self.seq += 1;
-            buckets[s].push((n as u32, a));
+        if arrivals.is_empty() {
+            return Vec::new();
         }
-        let generation = self.generation;
-        let table = &*self.table;
-        type AckWork<'a> = (
-            usize,
-            &'a mut ClusterShard,
-            Vec<(u32, Arrival)>,
-            Vec<(u32, Admission)>,
-        );
-        let mut work: Vec<AckWork<'_>> = self
-            .shards
-            .iter_mut()
-            .zip(buckets)
-            .enumerate()
-            .map(|(idx, (shard, bucket))| (idx, shard, bucket, Vec::new()))
-            .collect();
-        fan_out(&mut work, self.config.workers, |_, item| {
-            let (idx, shard, bucket, out) = item;
-            for &(n, a) in bucket.iter() {
-                let admitted = shard.ingest(table, a);
-                let (i, j, allocation) = shard.peek(table);
-                out.push((
-                    n,
-                    Admission {
-                        shard: *idx,
-                        i,
-                        j,
-                        allocation,
-                        admitted,
-                        generation,
-                    },
-                ));
-            }
+        self.route_batch(arrivals);
+        self.work(Task::Admit {
+            generation: self.generation,
         });
         let mut acks: Vec<Option<Admission>> = vec![None; arrivals.len()];
-        for (_, _, _, out) in &work {
-            for &(n, adm) in out {
-                acks[n as usize] = Some(adm);
+        for shard in &self.shards {
+            for (&(n, _), &ack) in shard.inbox.iter().zip(&shard.acks) {
+                acks[n] = Some(ack);
             }
         }
         acks.into_iter()
@@ -664,10 +840,7 @@ impl ServeEngine {
 
     /// Runs every shard's remaining work to completion.
     pub fn drain(&mut self) {
-        let table = &*self.table;
-        fan_out(&mut self.shards, self.config.workers, |_, shard| {
-            shard.drain(table);
-        });
+        self.work(Task::Drain);
     }
 
     /// Pulls arrivals from `source` up to simulated time `until`,
@@ -1042,6 +1215,148 @@ mod tests {
                 allocation: a
             }]
         );
+    }
+
+    #[test]
+    fn admissions_match_plain_ingest_at_every_worker_count() {
+        let trace = poisson_trace(43, 300.0);
+        let churn = ChurnConfig {
+            spec: FaultSpec::parse("drain:period=20,down=10,servers=2").unwrap(),
+            seed: 0,
+            horizon: 1200.0,
+        };
+        let config = |workers: usize| {
+            EngineConfig::new(3)
+                .route_shards(6)
+                .workers(workers)
+                .churn(churn)
+                .shed_limit(2)
+        };
+        let state = |engine: &ServeEngine| {
+            (
+                engine.decision_digest(),
+                engine.shard_digests(),
+                engine.metrics_per_shard(),
+            )
+        };
+        let mut reference = engine_for(Box::new(FairShare), config(1));
+        reference.ingest_batch(trace.arrivals());
+        let ingested = state(&reference);
+        assert!(reference.metrics_total().rejections > 0, "must shed");
+        reference.drain();
+        let drained = state(&reference);
+
+        let mut first_acks: Option<Vec<Admission>> = None;
+        for workers in [1, 2, 3, 8] {
+            for batch in [1, 7, 256] {
+                let label = format!("{workers} workers, batch {batch}");
+                let mut engine = engine_for(Box::new(FairShare), config(workers));
+                let mut acks = Vec::new();
+                for chunk in trace.arrivals().chunks(batch) {
+                    acks.extend(engine.ingest_batch_admissions(chunk));
+                }
+                assert_eq!(acks.len(), trace.len(), "{label}");
+                for (seq, ack) in acks.iter().enumerate() {
+                    assert_eq!(ack.shard, route_for(seq as u64, 6), "{label}: ack {seq}");
+                    assert_eq!(ack.generation, 0, "{label}: ack {seq}");
+                }
+                let shed = acks.iter().filter(|a| !a.admitted).count() as u64;
+                assert_eq!(shed, engine.metrics_total().rejections, "{label}");
+                assert_eq!(state(&engine), ingested, "{label}: after ingest");
+                engine.drain();
+                assert_eq!(state(&engine), drained, "{label}: after drain");
+                // Each ack is a function of its shard's substream alone.
+                match &first_acks {
+                    Some(first) => assert_eq!(&acks, first, "{label}: acks differ"),
+                    None => first_acks = Some(acks),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_and_the_engine_still_drops() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::thread::ThreadId;
+        use std::time::Duration;
+
+        /// Panics when a worker thread asks it with fewer than all 2
+        /// servers. Asked so on the engine thread, it first waits until
+        /// a worker has been asked, so the panic must come from a worker.
+        struct PanicsOnWorkers {
+            engine_thread: ThreadId,
+            worker_asked: AtomicBool,
+        }
+        impl AllocationPolicy for PanicsOnWorkers {
+            fn allocate(&self, i: usize, j: usize, k: u32) -> ClassAllocation {
+                if k < 2 {
+                    if std::thread::current().id() != self.engine_thread {
+                        self.worker_asked.store(true, Ordering::SeqCst);
+                        panic!("policy asked with {k} of 2 servers on a worker");
+                    }
+                    let start = Instant::now();
+                    while !self.worker_asked.load(Ordering::SeqCst)
+                        && start.elapsed() < Duration::from_secs(60)
+                    {
+                        std::thread::yield_now();
+                    }
+                }
+                FairShare.allocate(i, j, k)
+            }
+            fn name(&self) -> String {
+                "PanicsOnWorkers".into()
+            }
+        }
+        // One server drains over [20, 30). Only shards 0 and 5 have
+        // arrivals past 20. The engine thread takes shard 0 first and
+        // waits in it until a worker is asked, and the first shard a
+        // worker takes is the last one, 5.
+        let churn = ChurnConfig {
+            spec: FaultSpec::parse("drain:period=20,down=10,servers=1").unwrap(),
+            seed: 0,
+            horizon: 200.0,
+        };
+        let late = |seq: u64| matches!(route_for(seq, 6), 0 | 5);
+        let arrivals: Vec<Arrival> = (0..60u64)
+            .map(|seq| Arrival {
+                time: if late(seq) { 21.0 } else { 1.0 } + seq as f64 * 0.01,
+                class: JobClass::Inelastic,
+                size: 1.0,
+            })
+            .collect();
+        assert!((0..60).any(|seq| route_for(seq, 6) == 0));
+        assert!((0..60).any(|seq| route_for(seq, 6) == 5));
+        for workers in [2, 4] {
+            let cfg = EngineConfig::new(2)
+                .route_shards(6)
+                .workers(workers)
+                .churn(churn);
+            let policy = PanicsOnWorkers {
+                engine_thread: std::thread::current().id(),
+                worker_asked: AtomicBool::new(false),
+            };
+            let mut engine = engine_for(Box::new(policy), cfg);
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| engine.ingest_batch(&arrivals)));
+            let payload = caught.expect_err("the worker's panic must reach the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert_eq!(
+                message, "policy asked with 1 of 2 servers on a worker",
+                "{workers} workers"
+            );
+            assert_eq!(engine.shard_digests().len(), 6, "every shard came back");
+            let (done, dropped) = std::sync::mpsc::channel();
+            let dropper = std::thread::spawn(move || {
+                drop(engine);
+                done.send(()).expect("the test waits for the drop");
+            });
+            dropped
+                .recv_timeout(Duration::from_secs(60))
+                .expect("dropping the engine returns");
+            dropper.join().expect("dropping the engine does not panic");
+        }
     }
 
     #[test]
