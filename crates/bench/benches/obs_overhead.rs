@@ -10,10 +10,9 @@
 //!    decision digests asserted **bit-identical** both ways (the
 //!    observability-invariance contract), and the enabled-path cost
 //!    per decision;
-//! 3. a figure-4 warm sweep with telemetry on: the exported Chrome
-//!    trace must be well-formed JSON carrying the warm-route counters,
-//!    and the sweep's cells must be bit-identical to the telemetry-off
-//!    run.
+//! 3. a figure-4 sweep with telemetry on: the exported Chrome trace must
+//!    be well-formed JSON carrying the solver's `R`-solve counter, and the
+//!    sweep's cells must be bit-identical to the telemetry-off run.
 //!
 //! Results print as text and are written to `BENCH_obs.json` at the
 //! workspace root. Set `EIRS_BENCH_SMOKE=1` for a tiny smoke pass (CI):
@@ -23,7 +22,7 @@
 
 use eirs_bench::harness::{pretty_seconds, Bench};
 use eirs_bench::section;
-use eirs_core::experiments::{figure4_heatmap_warm_with_threads, HeatMapCell};
+use eirs_core::experiments::{figure4_heatmap_with_threads, HeatMapCell};
 use eirs_core::SystemParams;
 use eirs_obs::Json;
 use eirs_queueing::Exponential;
@@ -89,7 +88,7 @@ fn main() {
     eirs_obs::reset();
     let smoke = smoke();
     let mut report = Json::object();
-    report.set("schema", "eirs-bench-obs/v1");
+    report.set("schema", "eirs-bench-obs/v2");
     report.set("hardware", eirs_bench::json::run_metadata());
 
     // ---- 1. The disabled-path probe -----------------------------------
@@ -191,41 +190,33 @@ fn main() {
         );
     report.set("serve", serve_json);
 
-    // ---- 3. Figure-4 warm sweep: trace export + bit-identity -----------
-    section("figure-4 warm sweep: exported trace validates, output is invariant");
+    // ---- 3. Figure-4 sweep: trace export + bit-identity ----------------
+    section("figure-4 sweep: exported trace validates, output is invariant");
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let reference = figure4_heatmap_warm_with_threads(K, RHO, threads).expect("analysis succeeds");
+    let reference = figure4_heatmap_with_threads(K, RHO, threads).expect("analysis succeeds");
     eirs_obs::reset();
     eirs_obs::set_enabled(true);
-    let traced = figure4_heatmap_warm_with_threads(K, RHO, threads).expect("analysis succeeds");
+    let traced = figure4_heatmap_with_threads(K, RHO, threads).expect("analysis succeeds");
     eirs_obs::set_enabled(false);
     let events = eirs_obs::take_events();
     let snap = eirs_obs::snapshot();
     let identical = cells_identical(&reference, &traced);
     println!("  sweep output bit-identical with telemetry on: {identical}");
-    assert!(identical, "telemetry perturbed the warm sweep");
+    assert!(identical, "telemetry perturbed the sweep");
 
     let trace_json = eirs_obs::export::chrome_trace_json(&events, &snap);
     eirs_obs::export::validate_json(&trace_json)
         .expect("exported Chrome trace must be well-formed JSON");
-    let warm_attempts = snap.counter("markov.warm.attempts");
-    let warm_accepted =
-        snap.counter("markov.warm.rank1_accepted") + snap.counter("markov.warm.refine_accepted");
+    let solves = snap.counter("markov.solve.cold");
+    assert!(solves > 0, "sweep must count its R solves");
     assert!(
-        warm_attempts > 0,
-        "warm sweep must exercise the warm solver route"
+        trace_json.contains("markov.solve.cold"),
+        "trace must carry the R-solve counter"
     );
-    assert!(
-        trace_json.contains("markov.warm.attempts"),
-        "trace must carry the warm-route counters"
-    );
-    let hit_rate = warm_accepted as f64 / warm_attempts as f64;
     println!(
-        "  trace: {} events, {} bytes, valid JSON; warm hit rate {warm_accepted}/{warm_attempts} \
-         ({:.1}%)",
+        "  trace: {} events, {} bytes, valid JSON; {solves} R solves",
         events.len(),
-        trace_json.len(),
-        100.0 * hit_rate
+        trace_json.len()
     );
     let mut sweep_json = Json::object();
     sweep_json
@@ -234,10 +225,8 @@ fn main() {
         .set("trace_events", events.len())
         .set("trace_bytes", trace_json.len())
         .set("trace_valid_json", true)
-        .set("warm_attempts", warm_attempts)
-        .set("warm_accepted", warm_accepted)
-        .set("warm_hit_rate", hit_rate);
-    report.set("figure4_warm", sweep_json);
+        .set("r_solves", solves);
+    report.set("figure4_sweep", sweep_json);
 
     if smoke {
         section("EIRS_BENCH_SMOKE: tiny smoke pass, artifact will not be rewritten");

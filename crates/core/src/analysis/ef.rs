@@ -16,22 +16,13 @@
 //! allocation map, bit-identically to the old hand-built construction
 //! (kept in [`super::reference`] for the differential tests).
 
-use super::{AnalysisCache, AnalysisError, PolicyAnalysis};
+use super::{AnalysisError, PolicyAnalysis};
 use crate::params::SystemParams;
 use eirs_sim::policy::ElasticFirst;
 
 /// Mean response time (and class means) under **Elastic-First**.
 pub fn analyze_elastic_first(params: &SystemParams) -> Result<PolicyAnalysis, AnalysisError> {
     super::generator::analyze_elastic_priority(&ElasticFirst, params)
-}
-
-/// [`analyze_elastic_first`] warm-started from (and refreshing) the EF
-/// slot of `cache` — for chains of nearby parameter points.
-pub fn analyze_elastic_first_warm(
-    params: &SystemParams,
-    cache: &mut AnalysisCache,
-) -> Result<PolicyAnalysis, AnalysisError> {
-    super::generator::analyze_elastic_priority_cached(&ElasticFirst, params, &mut cache.ef_r)
 }
 
 #[cfg(test)]

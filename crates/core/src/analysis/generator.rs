@@ -36,39 +36,10 @@
 
 use super::{AnalysisError, AnalyzeOptions, PolicyAnalysis};
 use crate::params::SystemParams;
-use eirs_markov::qbd::{Qbd, QbdError, QbdSolution};
-use eirs_numerics::Matrix;
+use eirs_markov::qbd::Qbd;
 use eirs_queueing::coxian::fit_busy_period;
 use eirs_queueing::{MMk, MM1};
 use eirs_sim::policy::AllocationPolicy;
-
-/// Solves `qbd`, warm-started from the R matrix cached in `slot` when one
-/// is present, and refreshes the slot with the solved R for the next cell
-/// in the chain. With an empty slot this is exactly `qbd.solve()`, so
-/// cache-less callers and the first cell of every warm chain share one
-/// code path. A cached R of the wrong dimension (the chain shape changed
-/// mid-chain) falls back to the cold solve inside
-/// [`Qbd::solve_warm`] — callers never need to invalidate.
-fn solve_maybe_warm(qbd: &Qbd, slot: &mut Option<Matrix>) -> Result<QbdSolution, QbdError> {
-    // Warm-chain hit-rate telemetry: how many solves rode a cached
-    // neighbor R vs started a fresh chain. (Whether the *warm solver*
-    // then accepted the seed is counted one layer down, in
-    // `eirs_markov::qbd::telemetry`.)
-    static CHAINED: eirs_obs::LazyCounter = eirs_obs::LazyCounter::new("core.solve.warm_chained");
-    static STARTS: eirs_obs::LazyCounter = eirs_obs::LazyCounter::new("core.solve.chain_starts");
-    let sol = match slot.take() {
-        Some(prev) => {
-            CHAINED.inc();
-            qbd.solve_warm(&prev)
-        }
-        None => {
-            STARTS.inc();
-            qbd.solve()
-        }
-    }?;
-    *slot = Some(sol.r().clone());
-    Ok(sol)
-}
 
 /// The chain shape [`super::analyze_policy`] selected for a policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,16 +103,6 @@ pub(crate) fn analyze_elastic_priority(
     policy: &dyn AllocationPolicy,
     params: &SystemParams,
 ) -> Result<PolicyAnalysis, AnalysisError> {
-    analyze_elastic_priority_cached(policy, params, &mut None)
-}
-
-/// [`analyze_elastic_priority`] with a warm-start cache slot: the QBD
-/// solve seeds from the previous cell's R (see [`solve_maybe_warm`]).
-pub(crate) fn analyze_elastic_priority_cached(
-    policy: &dyn AllocationPolicy,
-    params: &SystemParams,
-    r_cache: &mut Option<Matrix>,
-) -> Result<PolicyAnalysis, AnalysisError> {
     let kf = params.k as f64;
 
     // Elastic class: exact M/M/1 at service rate kµ_E.
@@ -192,7 +153,7 @@ pub(crate) fn analyze_elastic_priority_cached(
             }
         },
     )?;
-    let sol = solve_maybe_warm(&qbd, r_cache)?;
+    let sol = qbd.solve()?;
     debug_assert!((sol.total_probability() - 1.0).abs() < 1e-8);
     Ok(PolicyAnalysis::from_class_means(
         params,
@@ -210,15 +171,6 @@ pub(crate) fn analyze_elastic_priority_cached(
 pub(crate) fn analyze_inelastic_priority(
     policy: &dyn AllocationPolicy,
     params: &SystemParams,
-) -> Result<PolicyAnalysis, AnalysisError> {
-    analyze_inelastic_priority_cached(policy, params, &mut None)
-}
-
-/// [`analyze_inelastic_priority`] with a warm-start cache slot.
-pub(crate) fn analyze_inelastic_priority_cached(
-    policy: &dyn AllocationPolicy,
-    params: &SystemParams,
-    r_cache: &mut Option<Matrix>,
 ) -> Result<PolicyAnalysis, AnalysisError> {
     let kf = params.k as f64;
 
@@ -278,7 +230,7 @@ pub(crate) fn analyze_inelastic_priority_cached(
             }
         },
     )?;
-    let sol = solve_maybe_warm(&qbd, r_cache)?;
+    let sol = qbd.solve()?;
     debug_assert!((sol.total_probability() - 1.0).abs() < 1e-8);
     Ok(PolicyAnalysis::from_class_means(
         params,
@@ -313,17 +265,15 @@ fn find_level_cut(
     cut_cap
 }
 
-/// Truncated-phase analysis of an arbitrary policy, with a warm-start
-/// cache slot (pass `&mut None` for a cold solve).
+/// Truncated-phase analysis of an arbitrary policy.
 ///
 /// Level = inelastic count `i`, phase = elastic count `j ≤ phase_cap`
 /// (elastic arrivals at the cap are rejected). Levels at or beyond the
 /// homogenization cut reuse the cut level's allocation.
-pub(crate) fn analyze_general_cached(
+pub(crate) fn analyze_general(
     policy: &dyn AllocationPolicy,
     params: &SystemParams,
     opts: &AnalyzeOptions,
-    r_cache: &mut Option<Matrix>,
 ) -> Result<PolicyAnalysis, AnalysisError> {
     let k = params.k;
     let jmax = if params.lambda_e > 0.0 {
@@ -362,7 +312,7 @@ pub(crate) fn analyze_general_cached(
             }
         },
     )?;
-    let sol = solve_maybe_warm(&qbd, r_cache)?;
+    let sol = qbd.solve()?;
     debug_assert!((sol.total_probability() - 1.0).abs() < 1e-8);
     let n_i = sol.mean_level();
     let n_e: f64 = sol
@@ -399,17 +349,6 @@ pub(crate) fn analyze_general_map(
     params: &SystemParams,
     map: &eirs_queueing::MapProcess,
     opts: &AnalyzeOptions,
-) -> Result<PolicyAnalysis, AnalysisError> {
-    analyze_general_map_cached(policy, params, map, opts, &mut None)
-}
-
-/// [`analyze_general_map`] with a warm-start cache slot.
-pub(crate) fn analyze_general_map_cached(
-    policy: &dyn AllocationPolicy,
-    params: &SystemParams,
-    map: &eirs_queueing::MapProcess,
-    opts: &AnalyzeOptions,
-    r_cache: &mut Option<Matrix>,
 ) -> Result<PolicyAnalysis, AnalysisError> {
     let total = params.total_lambda();
     let map_rate = map.arrival_rate();
@@ -480,7 +419,7 @@ pub(crate) fn analyze_general_map_cached(
             }
         },
     )?;
-    let sol = solve_maybe_warm(&qbd, r_cache)?;
+    let sol = qbd.solve()?;
     debug_assert!((sol.total_probability() - 1.0).abs() < 1e-8);
     let n_i = sol.mean_level();
     let n_e: f64 = sol
@@ -568,7 +507,7 @@ mod tests {
     #[test]
     fn general_path_reproduces_mmk_without_elastic_traffic() {
         let params = SystemParams::new(4, 3.0, 0.0, 1.0, 1.0).unwrap();
-        let a = analyze_general_cached(&InelasticFirst, &params, &opts(), &mut None).unwrap();
+        let a = analyze_general(&InelasticFirst, &params, &opts()).unwrap();
         let want = MMk::new(3.0, 1.0, 4).mean_number_in_system();
         assert!(
             (a.mean_num_inelastic - want).abs() < 1e-9,
@@ -587,7 +526,7 @@ mod tests {
             ..opts()
         };
         for policy in [&FairShare as &dyn AllocationPolicy, &InelasticFirst] {
-            let general = analyze_general_cached(policy, &params, &o, &mut None).unwrap();
+            let general = analyze_general(policy, &params, &o).unwrap();
             let via_map = analyze_general_map(policy, &params, &map, &o).unwrap();
             assert_eq!(
                 general.mean_response.to_bits(),
@@ -612,7 +551,7 @@ mod tests {
             phase_cap: 32,
             ..opts()
         };
-        let poisson = analyze_general_cached(&FairShare, &params, &o, &mut None).unwrap();
+        let poisson = analyze_general(&FairShare, &params, &o).unwrap();
         let bursty = MapProcess::mmpp2(1.0, 1.0, 9.0, 1.0).scaled_to_rate(params.total_lambda());
         let modulated = analyze_general_map(&FairShare, &params, &bursty, &o).unwrap();
         assert!(
@@ -629,7 +568,7 @@ mod tests {
         // chain: truncation error at this load is far below 0.1%.
         let params = SystemParams::with_equal_lambdas(4, 2.0, 1.0, 0.6).unwrap();
         let exact = analyze_inelastic_priority(&InelasticFirst, &params).unwrap();
-        let general = analyze_general_cached(&InelasticFirst, &params, &opts(), &mut None).unwrap();
+        let general = analyze_general(&InelasticFirst, &params, &opts()).unwrap();
         let rel = (general.mean_response - exact.mean_response).abs() / exact.mean_response;
         assert!(
             rel < 1e-3,

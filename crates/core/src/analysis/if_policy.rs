@@ -20,18 +20,9 @@
 //! allocation map, bit-identically to the old hand-built construction
 //! (kept in [`super::reference`] for the differential tests).
 
-use super::{AnalysisCache, AnalysisError, PolicyAnalysis};
+use super::{AnalysisError, PolicyAnalysis};
 use crate::params::SystemParams;
 use eirs_sim::policy::InelasticFirst;
-
-/// [`analyze_inelastic_first`] warm-started from (and refreshing) the IF
-/// slot of `cache` — for chains of nearby parameter points.
-pub fn analyze_inelastic_first_warm(
-    params: &SystemParams,
-    cache: &mut AnalysisCache,
-) -> Result<PolicyAnalysis, AnalysisError> {
-    super::generator::analyze_inelastic_priority_cached(&InelasticFirst, params, &mut cache.if_r)
-}
 
 /// Mean response time (and class means) under **Inelastic-First**.
 pub fn analyze_inelastic_first(params: &SystemParams) -> Result<PolicyAnalysis, AnalysisError> {

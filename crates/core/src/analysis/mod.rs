@@ -48,9 +48,9 @@ pub mod generator;
 mod if_policy;
 pub mod reference;
 
-pub use ef::{analyze_elastic_first, analyze_elastic_first_warm};
+pub use ef::analyze_elastic_first;
 pub use generator::{detect_structure, PolicyStructure};
-pub use if_policy::{analyze_inelastic_first, analyze_inelastic_first_warm};
+pub use if_policy::analyze_inelastic_first;
 
 use crate::params::SystemParams;
 use eirs_markov::qbd::QbdError;
@@ -107,55 +107,15 @@ pub fn analyze_policy_with(
     params: &SystemParams,
     opts: &AnalyzeOptions,
 ) -> Result<PolicyAnalysis, AnalysisError> {
-    analyze_policy_warm(policy, params, opts, &mut AnalysisCache::default())
-}
-
-/// Warm-start state for a *chain* of related analyses — e.g. one row of a
-/// sweep grid where consecutive cells differ by one parameter step.
-///
-/// Holds the last solved R matrix per chain shape; the next analysis of
-/// the same shape seeds its R iteration from it (`Qbd::solve_warm`), which
-/// converges in a handful of refinement steps when the cells are close.
-/// Correctness never depends on the cache: a stale, wrong-dimension, or
-/// far-away seed is either refined to the same solution (validated by the
-/// residual and sp(R) guards) or discarded for a cold solve.
-///
-/// Chains are a *scheduling unit*: to keep parallel sweeps bit-identical
-/// to serial, give each worker item (e.g. each grid row) its own fresh
-/// cache so the cell→cell seeding order is a pure function of the item,
-/// never of which worker solved what before.
-#[derive(Debug, Clone, Default)]
-pub struct AnalysisCache {
-    ef_r: Option<eirs_numerics::Matrix>,
-    if_r: Option<eirs_numerics::Matrix>,
-    general_r: Option<eirs_numerics::Matrix>,
-    map_r: Option<eirs_numerics::Matrix>,
-}
-
-/// [`analyze_policy_with`] seeding the QBD solve from `cache` and
-/// refreshing it for the next call — the per-cell entry point of warm
-/// sweep chains.
-pub fn analyze_policy_warm(
-    policy: &dyn AllocationPolicy,
-    params: &SystemParams,
-    opts: &AnalyzeOptions,
-    cache: &mut AnalysisCache,
-) -> Result<PolicyAnalysis, AnalysisError> {
     let structure = if opts.force_general {
         PolicyStructure::General
     } else {
         detect_structure(policy, params.k, opts)
     };
     match structure {
-        PolicyStructure::ElasticPriority => {
-            generator::analyze_elastic_priority_cached(policy, params, &mut cache.ef_r)
-        }
-        PolicyStructure::InelasticPriority => {
-            generator::analyze_inelastic_priority_cached(policy, params, &mut cache.if_r)
-        }
-        PolicyStructure::General => {
-            generator::analyze_general_cached(policy, params, opts, &mut cache.general_r)
-        }
+        PolicyStructure::ElasticPriority => generator::analyze_elastic_priority(policy, params),
+        PolicyStructure::InelasticPriority => generator::analyze_inelastic_priority(policy, params),
+        PolicyStructure::General => generator::analyze_general(policy, params, opts),
     }
 }
 
@@ -176,18 +136,6 @@ pub fn analyze_policy_map(
     opts: &AnalyzeOptions,
 ) -> Result<PolicyAnalysis, AnalysisError> {
     generator::analyze_general_map(policy, params, map, opts)
-}
-
-/// [`analyze_policy_map`] seeding from / refreshing a warm-start cache,
-/// mirroring [`analyze_policy_warm`] for the MAP-arrival chain.
-pub fn analyze_policy_map_warm(
-    policy: &dyn AllocationPolicy,
-    params: &SystemParams,
-    map: &eirs_queueing::MapProcess,
-    opts: &AnalyzeOptions,
-    cache: &mut AnalysisCache,
-) -> Result<PolicyAnalysis, AnalysisError> {
-    generator::analyze_general_map_cached(policy, params, map, opts, &mut cache.map_r)
 }
 
 /// Mean-value results of an analytic policy evaluation.

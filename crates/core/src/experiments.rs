@@ -11,10 +11,7 @@
 //! output the workspace tests require to be **bit-identical** to the
 //! parallel path.
 
-use crate::analysis::{
-    analyze_elastic_first, analyze_elastic_first_warm, analyze_inelastic_first,
-    analyze_inelastic_first_warm, AnalysisCache, AnalysisError,
-};
+use crate::analysis::{analyze_elastic_first, analyze_inelastic_first, AnalysisError};
 use crate::params::SystemParams;
 use crate::sweep;
 
@@ -75,34 +72,6 @@ pub fn compare(params: &SystemParams) -> Result<Comparison, AnalysisError> {
     })
 }
 
-/// [`compare`] warm-started from `cache`: both the IF and EF chains seed
-/// their R iterations from the previous call's solutions (each chain
-/// shape has its own cache slot). For chains of nearby parameter points —
-/// one row of a Figure 4 grid — this replaces most of the QBD iteration
-/// work with a few refinement steps; results agree with [`compare`] to
-/// the solver tolerance (asserted by the workspace property tests).
-pub fn compare_warm(
-    params: &SystemParams,
-    cache: &mut AnalysisCache,
-) -> Result<Comparison, AnalysisError> {
-    let a_if = analyze_inelastic_first_warm(params, cache)?;
-    let a_ef = analyze_elastic_first_warm(params, cache)?;
-    let (mrt_if, mrt_ef) = (a_if.mean_response, a_ef.mean_response);
-    let winner = if (mrt_if - mrt_ef).abs() <= 1e-9 * mrt_if.max(mrt_ef) {
-        Winner::Tie
-    } else if mrt_if < mrt_ef {
-        Winner::InelasticFirst
-    } else {
-        Winner::ElasticFirst
-    };
-    Ok(Comparison {
-        params: *params,
-        mrt_if,
-        mrt_ef,
-        winner,
-    })
-}
-
 /// The µ grid of Figure 4: `0.25, 0.50, …, 3.50`.
 pub fn figure4_mu_grid() -> Vec<f64> {
     (1..=14).map(|i| i as f64 * 0.25).collect()
@@ -145,6 +114,9 @@ pub fn figure4_heatmap_with_threads(
         .flat_map(|&mu_e| grid.iter().map(move |&mu_i| (mu_i, mu_e)))
         .collect();
     sweep::sweep_with_threads(&points, threads, |&(mu_i, mu_e)| {
+        let mut cell_span = eirs_obs::span("figure4.cell", "sweep");
+        cell_span.arg("mu_i", mu_i);
+        cell_span.arg("mu_e", mu_e);
         let params = SystemParams::with_equal_lambdas(k, mu_i, mu_e, rho)
             .expect("grid parameters are stable by construction");
         Ok(HeatMapCell {
@@ -155,56 +127,6 @@ pub fn figure4_heatmap_with_threads(
     })
     .into_iter()
     .collect()
-}
-
-/// Warm-started Figure 4 heat map: same grid and cell order as
-/// [`figure4_heatmap`], but each **row** (fixed `µ_E`, `µ_I` ascending) is
-/// one scheduling unit carrying its own [`AnalysisCache`], so consecutive
-/// cells seed their QBD solves from their left neighbor's R matrices.
-/// Because the warm chain is confined to a row and each row's cache is
-/// fresh, the cell→cell seeding order is a pure function of the row —
-/// parallel output is bit-identical to serial no matter how rows are
-/// scheduled onto workers.
-pub fn figure4_heatmap_warm(k: u32, rho: f64) -> Result<Vec<HeatMapCell>, AnalysisError> {
-    figure4_heatmap_warm_with_threads(k, rho, sweep::threads())
-}
-
-/// The serial reference path of [`figure4_heatmap_warm`].
-pub fn figure4_heatmap_warm_serial(k: u32, rho: f64) -> Result<Vec<HeatMapCell>, AnalysisError> {
-    figure4_heatmap_warm_with_threads(k, rho, 1)
-}
-
-/// [`figure4_heatmap_warm`] with an explicit worker-thread count.
-pub fn figure4_heatmap_warm_with_threads(
-    k: u32,
-    rho: f64,
-    threads: usize,
-) -> Result<Vec<HeatMapCell>, AnalysisError> {
-    let grid = figure4_mu_grid();
-    let rows = sweep::sweep_with_threads(&grid, threads, |&mu_e| {
-        let mut row_span = eirs_obs::span("figure4.row", "sweep");
-        row_span.arg("mu_e", mu_e);
-        let mut cache = AnalysisCache::default();
-        grid.iter()
-            .map(|&mu_i| {
-                let mut cell_span = eirs_obs::span("figure4.cell", "sweep");
-                cell_span.arg("mu_i", mu_i);
-                cell_span.arg("mu_e", mu_e);
-                let params = SystemParams::with_equal_lambdas(k, mu_i, mu_e, rho)
-                    .expect("grid parameters are stable by construction");
-                Ok(HeatMapCell {
-                    mu_i,
-                    mu_e,
-                    comparison: compare_warm(&params, &mut cache)?,
-                })
-            })
-            .collect::<Result<Vec<_>, AnalysisError>>()
-    });
-    let mut cells = Vec::with_capacity(grid.len() * grid.len());
-    for row in rows {
-        cells.extend(row?);
-    }
-    Ok(cells)
 }
 
 /// One point of a Figure 5 curve.

@@ -63,8 +63,7 @@ pub mod validation;
 
 pub use analysis::{
     analyze_elastic_first, analyze_inelastic_first, analyze_policy, analyze_policy_map,
-    analyze_policy_map_warm, analyze_policy_warm, analyze_policy_with, AnalysisCache,
-    AnalysisError, AnalyzeOptions, PolicyAnalysis,
+    analyze_policy_with, AnalysisError, AnalyzeOptions, PolicyAnalysis,
 };
 pub use counterexample::{expected_total_response_closed, theorem6_values};
 pub use fuzz::{CellOracle, CellReport, CellSpec, FuzzConfig, FuzzReport};

@@ -31,47 +31,17 @@ use eirs_obs::LazyCounter;
 /// Telemetry counter names reported by the QBD solvers (see
 /// `docs/OBSERVABILITY.md` for the full catalog). Counters are recorded
 /// through `eirs_obs` and only when the observability layer is enabled;
-/// they never influence which route runs or what it returns.
+/// they never influence what a solve computes or returns.
 pub mod telemetry {
-    /// Cold `R` solves (direct, or reached by warm fallback).
+    /// `R` solves.
     pub const COLD_SOLVES: &str = "markov.solve.cold";
-    /// Inner iterations spent in the cold solvers (fixed-point steps or
+    /// Inner iterations spent in the `R` solvers (fixed-point steps or
     /// logarithmic-reduction rounds).
     pub const COLD_ITERATIONS: &str = "markov.solve.cold_iterations";
-    /// Warm solves that received a usable (shape- and sign-valid) seed.
-    pub const WARM_ATTEMPTS: &str = "markov.warm.attempts";
-    /// Warm solves whose seed was unusable (fell straight to cold).
-    pub const WARM_SEED_UNUSABLE: &str = "markov.warm.seed_unusable";
-    /// Warm solves accepted through the rank-1 Sherman–Morrison
-    /// scalar-Newton route.
-    pub const WARM_RANK1_ACCEPTED: &str = "markov.warm.rank1_accepted";
-    /// Rank-1 Newton runs restarted from `β = 0` after the seeded run
-    /// converged to a root that failed certification.
-    pub const WARM_RANK1_RETRIES: &str = "markov.warm.rank1_retries";
-    /// Warm solves accepted through the fixed-point refinement route.
-    pub const WARM_REFINE_ACCEPTED: &str = "markov.warm.refine_accepted";
-    /// Refined warm results rejected by the spectral-radius
-    /// certification (and therefore re-solved cold).
-    pub const WARM_CERTIFY_REJECTS: &str = "markov.warm.certify_rejects";
-    /// Warm attempts that fell back to the cold solver.
-    pub const WARM_FALLBACK_COLD: &str = "markov.warm.fallback_cold";
-    /// Newton steps inside the rank-1 scalar root-find.
-    pub const WARM_NEWTON_ITERATIONS: &str = "markov.warm.newton_iterations";
-    /// Fixed-point steps inside the warm refinement.
-    pub const WARM_REFINE_ITERATIONS: &str = "markov.warm.refine_iterations";
 }
 
 static C_COLD_SOLVES: LazyCounter = LazyCounter::new(telemetry::COLD_SOLVES);
 static C_COLD_ITER: LazyCounter = LazyCounter::new(telemetry::COLD_ITERATIONS);
-static C_WARM_ATTEMPTS: LazyCounter = LazyCounter::new(telemetry::WARM_ATTEMPTS);
-static C_WARM_SEED_UNUSABLE: LazyCounter = LazyCounter::new(telemetry::WARM_SEED_UNUSABLE);
-static C_WARM_RANK1_ACCEPTED: LazyCounter = LazyCounter::new(telemetry::WARM_RANK1_ACCEPTED);
-static C_WARM_RANK1_RETRIES: LazyCounter = LazyCounter::new(telemetry::WARM_RANK1_RETRIES);
-static C_WARM_REFINE_ACCEPTED: LazyCounter = LazyCounter::new(telemetry::WARM_REFINE_ACCEPTED);
-static C_WARM_CERTIFY_REJECTS: LazyCounter = LazyCounter::new(telemetry::WARM_CERTIFY_REJECTS);
-static C_WARM_FALLBACK_COLD: LazyCounter = LazyCounter::new(telemetry::WARM_FALLBACK_COLD);
-static C_WARM_NEWTON_ITER: LazyCounter = LazyCounter::new(telemetry::WARM_NEWTON_ITERATIONS);
-static C_WARM_REFINE_ITER: LazyCounter = LazyCounter::new(telemetry::WARM_REFINE_ITERATIONS);
 
 /// Which algorithm computes the rate matrix `R`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -397,24 +367,12 @@ impl Qbd {
         solver: RSolver,
         ws: &mut QbdWorkspace,
     ) -> Result<Matrix, QbdError> {
-        let a1h = self.a1_hat();
-        self.solve_r_with_workspace_prepared(&a1h, solver, ws)
-    }
-
-    /// [`Qbd::solve_r_with_workspace`] with `Â1` already computed — the
-    /// warm path hands its copy through here on fallback instead of
-    /// rebuilding it.
-    fn solve_r_with_workspace_prepared(
-        &self,
-        a1h: &Matrix,
-        solver: RSolver,
-        ws: &mut QbdWorkspace,
-    ) -> Result<Matrix, QbdError> {
         C_COLD_SOLVES.inc();
+        let a1h = self.a1_hat();
         ws.reset(self.phases());
         let r = match solver {
-            RSolver::FixedPoint => self.r_fixed_point(a1h, ws)?,
-            RSolver::LogarithmicReduction => self.r_logarithmic_reduction(a1h, ws)?,
+            RSolver::FixedPoint => self.r_fixed_point(&a1h, ws)?,
+            RSolver::LogarithmicReduction => self.r_logarithmic_reduction(&a1h, ws)?,
         };
         // Positive recurrence check: sp(R) < 1.
         if let Err(sp) = certify_stable_r(&r, &mut ws.pv, &mut ws.pw) {
@@ -423,343 +381,6 @@ impl Qbd {
             });
         }
         Ok(r)
-    }
-
-    /// Computes `R` **warm-started** from `prev_r`, the solved rate matrix
-    /// of a neighboring parameter point (e.g. the previous cell of a sweep
-    /// row). Uses a thread-local pooled workspace.
-    ///
-    /// The warm path refines `prev_r` through the fixed-point map
-    /// `R ← C0 + R²C2` (whose constants are entrywise nonnegative, so the
-    /// iterates stay nonnegative from any nonnegative seed) and accepts the
-    /// result only when it converges, satisfies the defining equation
-    /// tightly, and has `sp(R) < 1` — the unique nonnegative solution with
-    /// spectral radius below one *is* the minimal solution, so a validated
-    /// warm result equals the cold one to solver tolerance (property-tested
-    /// across a `(k, ρ)` grid). Any failure — wrong shape, negative or
-    /// non-finite seed entries, divergence, loose residual — falls back to
-    /// the cold `solver` path, so the error behavior (notably
-    /// [`QbdError::Unstable`]) is identical to [`Qbd::solve_r`].
-    pub fn solve_r_warm(&self, prev_r: &Matrix, solver: RSolver) -> Result<Matrix, QbdError> {
-        with_pooled_workspace(self.phases(), |ws| {
-            self.solve_r_warm_with_workspace(prev_r, solver, ws)
-        })
-    }
-
-    /// [`Qbd::solve_r_warm`] with an explicit workspace.
-    pub fn solve_r_warm_with_workspace(
-        &self,
-        prev_r: &Matrix,
-        solver: RSolver,
-        ws: &mut QbdWorkspace,
-    ) -> Result<Matrix, QbdError> {
-        let p = self.phases();
-        let usable = prev_r.rows() == p
-            && prev_r.cols() == p
-            && prev_r.as_slice().iter().all(|&v| v.is_finite() && v >= 0.0);
-        if usable {
-            C_WARM_ATTEMPTS.inc();
-            let a1h = self.a1_hat();
-            ws.reset(p);
-            // Chains whose down block has a single nonzero column (the
-            // elastic-first family: every elastic departure re-enters the
-            // same phase) admit a rank-1 reduction of the R equation that
-            // converges quadratically from the neighbor's seed. Everything
-            // else refines the seed through the fixed-point map, which
-            // bails early when the seed is too far off to beat a cold
-            // solve.
-            let rank1_column = self.single_nonzero_a2_column();
-            let refined = match rank1_column {
-                Some(j) => self.r_rank1_newton(&a1h, j, prev_r, ws),
-                None => self.r_warm_refine(&a1h, prev_r, ws),
-            };
-            if let Some(r) = refined {
-                if certify_stable_r(&r, &mut ws.pv, &mut ws.pw).is_ok() {
-                    match rank1_column {
-                        Some(_) => C_WARM_RANK1_ACCEPTED.inc(),
-                        None => C_WARM_REFINE_ACCEPTED.inc(),
-                    }
-                    return Ok(r);
-                }
-                C_WARM_CERTIFY_REJECTS.inc();
-            }
-            C_WARM_FALLBACK_COLD.inc();
-            return self.solve_r_with_workspace_prepared(&a1h, solver, ws);
-        }
-        C_WARM_SEED_UNUSABLE.inc();
-        self.solve_r_with_workspace(solver, ws)
-    }
-
-    /// Index of the single column of `A2` containing any nonzero entry, or
-    /// `None` when the down block has zero or several nonzero columns.
-    /// This is the structural precondition for [`Qbd::r_rank1_newton`].
-    fn single_nonzero_a2_column(&self) -> Option<usize> {
-        let p = self.phases();
-        let mut found = None;
-        for j in 0..p {
-            if (0..p).any(|i| self.a2[(i, j)] != 0.0) {
-                if found.is_some() {
-                    return None;
-                }
-                found = Some(j);
-            }
-        }
-        found
-    }
-
-    /// Warm R solve for chains whose `A2` has a single nonzero column `j`.
-    ///
-    /// With `a = A2·eⱼ`, the product `R·A2` is the rank-1 matrix
-    /// `u·eⱼᵀ` (`u = R·a`), so `R = A0·(−Â1 − u·eⱼᵀ)^{-1}` and
-    /// Sherman–Morrison collapses the quadratic matrix equation to a
-    /// *scalar* root-find: writing `H = Â1^{-1}`, `w = H·a`, `α = wⱼ`, the
-    /// unknown `β = (H·u)ⱼ` solves `g(β) = v(β)ⱼ − β = 0`, where `v(β)` is
-    /// the solution of `(Â1 − α/(1+β)·A0)·v = −A0·w`. Newton's method on
-    /// `g` reuses each step's LU for the derivative solve, and the
-    /// neighbor's solved `R` seeds `β`, so convergence takes ~4–6 steps of
-    /// one small refactorization plus two triangular solves each —
-    /// independent of how slowly the generic fixed point would mix.
-    ///
-    /// The scalar equation has one root per solution of the quadratic
-    /// matrix equation, and the minimal (stable) `R` corresponds to the
-    /// *largest* root: `H = Â1^{-1}` is entrywise nonpositive, so `β`
-    /// decreases as `R` grows, and near saturation the stable root and the
-    /// companion `sp(R) = 1` root sit close together. A neighbor-seeded
-    /// Newton can land on the wrong one, so every converged root is
-    /// certified (`sp(R) < 1` plus a tight residual of the full quadratic
-    /// equation) before acceptance; a rejected root triggers one retry
-    /// from `β = 0`, which descends to the largest root. Any remaining
-    /// failure returns `None` and the caller falls back cold — the same
-    /// contract as every warm path, so a certified result matches the
-    /// cold solver to solver tolerance.
-    fn r_rank1_newton(
-        &self,
-        a1h: &Matrix,
-        j: usize,
-        seed: &Matrix,
-        ws: &mut QbdWorkspace,
-    ) -> Option<Matrix> {
-        let p = self.phases();
-        // H = Â1^{-1}, w = H·a, α = wⱼ.
-        ws.lu.refactor(a1h).ok()?;
-        ws.lu.inverse_into(&mut ws.w, &mut ws.col).ok()?;
-        for i in 0..p {
-            ws.rv[i] = self.a2[(i, j)];
-        }
-        for i in 0..p {
-            let mut s = 0.0;
-            for (hk, ak) in ws.w.row(i).iter().zip(ws.rv.iter()) {
-                s += hk * ak;
-            }
-            ws.rw[i] = s;
-        }
-        let alpha = ws.rw[j];
-        // Seed β from the neighbor: u₀ = R_seed·a, β₀ = (H·u₀)ⱼ.
-        let mut beta_seed = {
-            for i in 0..p {
-                let mut s = 0.0;
-                for (rk, ak) in seed.row(i).iter().zip(ws.rv.iter()) {
-                    s += rk * ak;
-                }
-                ws.col[i] = s;
-            }
-            let mut s = 0.0;
-            for (hk, uk) in ws.w.row(j).iter().zip(ws.col.iter()) {
-                s += hk * uk;
-            }
-            s
-        };
-        if !beta_seed.is_finite() {
-            beta_seed = 0.0;
-        }
-        let mut start = beta_seed;
-        loop {
-            if let Some(beta) = self.r_rank1_newton_root(a1h, j, alpha, start, ws) {
-                // R = −A0·H + (A0·v)·H[j,·]/(1+β), with v = v(β) in ws.rx.
-                self.a0.mul_into(&ws.w, &mut ws.r);
-                ws.r.scale_mut(-1.0);
-                for i in 0..p {
-                    let mut s = 0.0;
-                    for (ak, vk) in self.a0.row(i).iter().zip(ws.rx.iter()) {
-                        s += ak * vk;
-                    }
-                    ws.pv[i] = s / (1.0 + beta);
-                }
-                for i in 0..p {
-                    let coef = ws.pv[i];
-                    for (rij, hjk) in ws.r.row_mut(i).iter_mut().zip(ws.w.row(j).iter()) {
-                        *rij += coef * hjk;
-                    }
-                }
-                let residual = self.r_residual_with(a1h, ws);
-                if ws.r.is_finite()
-                    && residual.is_finite()
-                    && residual < 1e-9 * (1.0 + a1h.max_abs())
-                    && certify_stable_r(&ws.r, &mut ws.pv, &mut ws.pw).is_ok()
-                {
-                    return Some(ws.r.clone());
-                }
-            }
-            if start == 0.0 {
-                return None;
-            }
-            C_WARM_RANK1_RETRIES.inc();
-            start = 0.0;
-        }
-    }
-
-    /// One Newton run for [`Qbd::r_rank1_newton`] from `start`: returns
-    /// the converged root `β` (leaving `v(β)` in `ws.rx`), or `None` if
-    /// the iteration leaves the domain or fails to converge. Each step
-    /// factors `S = Â1 − α/(1+β)·A0` once and reuses the LU for both the
-    /// function and derivative solves.
-    fn r_rank1_newton_root(
-        &self,
-        a1h: &Matrix,
-        j: usize,
-        alpha: f64,
-        start: f64,
-        ws: &mut QbdWorkspace,
-    ) -> Option<f64> {
-        let p = self.phases();
-        let mut beta = start;
-        for _ in 0..24 {
-            C_WARM_NEWTON_ITER.inc();
-            let denom = 1.0 + beta;
-            if denom.abs() <= 1e-8 {
-                return None;
-            }
-            let c = alpha / denom;
-            ws.scratch.copy_from(a1h);
-            ws.scratch.add_assign_scaled(&self.a0, -c);
-            ws.lu.refactor(&ws.scratch).ok()?;
-            // v solves S·v = −A0·w.
-            for i in 0..p {
-                let mut s = 0.0;
-                for (ak, wk) in self.a0.row(i).iter().zip(ws.rw.iter()) {
-                    s += ak * wk;
-                }
-                ws.col[i] = -s;
-            }
-            ws.lu.solve_into(&ws.col, &mut ws.rx).ok()?;
-            let g = ws.rx[j] - beta;
-            if !g.is_finite() {
-                return None;
-            }
-            if g.abs() <= 1e-13 * (1.0 + beta.abs()) {
-                return Some(beta);
-            }
-            // g'(β) = −α/(1+β)² · (S^{-1}·A0·v)ⱼ − 1, on the same LU.
-            for i in 0..p {
-                let mut s = 0.0;
-                for (ak, vk) in self.a0.row(i).iter().zip(ws.rx.iter()) {
-                    s += ak * vk;
-                }
-                ws.pv[i] = s;
-            }
-            ws.lu.solve_into(&ws.pv, &mut ws.pw).ok()?;
-            let gp = -alpha / (denom * denom) * ws.pw[j] - 1.0;
-            if !gp.is_finite() || gp == 0.0 {
-                return None;
-            }
-            let next = beta - g / gp;
-            if !next.is_finite() {
-                return None;
-            }
-            beta = next;
-        }
-        None
-    }
-
-    /// Fixed-point refinement from a nonnegative seed. Returns `None`
-    /// unless the iteration converges *and* the residual certifies the
-    /// fixed point (warm acceptance is stricter than the cold path — a bad
-    /// seed must never produce a silently wrong `R`).
-    fn r_warm_refine(&self, a1h: &Matrix, seed: &Matrix, ws: &mut QbdWorkspace) -> Option<Matrix> {
-        ws.r.copy_from(seed);
-        // Hopeless-seed pre-check, before paying for the LU and inverse of
-        // Â1: the first refinement step is `step = −(A0 + R Â1 + R² A2)
-        // Â1⁻¹`, so a seed whose raw residual is already large (relative
-        // to ‖Â1‖, which bounds the inverse's attenuation from below by
-        // 1/cond) can only produce a first-step diff far above the bail
-        // threshold below. Three matrix products decide that here at a
-        // small fraction of the setup cost; coarse-step sweep seeds — the
-        // common miss — exit through this path. Borderline seeds fall
-        // through and are still caught by the `it == 0` bail.
-        let residual = self.r_residual_with(a1h, ws);
-        if !(residual.is_finite() && residual < 1e-4 * (1.0 + a1h.max_abs())) {
-            return None;
-        }
-        ws.lu.refactor(a1h).ok()?;
-        ws.lu.inverse_into(&mut ws.w, &mut ws.col).ok()?;
-        self.a0.mul_into(&ws.w, &mut ws.c0);
-        ws.c0.scale_mut(-1.0);
-        self.a2.mul_into(&ws.w, &mut ws.c2);
-        ws.c2.scale_mut(-1.0);
-
-        // The refinement map contracts linearly, so its measured rate θ
-        // projects the total iteration count; a seed that projects past
-        // the budget cannot beat the cold solver (logarithmic reduction
-        // converges quadratically — at sweep phase dimensions the whole
-        // cold solve costs what a few dozen fixed-point steps do), so the
-        // refine gives up within ~1µs instead of grinding out hundreds of
-        // linear-rate steps. The rate is re-estimated over an 8-step
-        // window at each checkpoint because the first steps contract
-        // faster than the asymptotic rate — a single early ratio projects
-        // far too optimistically. Dense-step sweeps, where the seed is
-        // genuinely close, converge inside the budget and warm-hit.
-        const WARM_BUDGET: usize = 32;
-        let mut window_diff = f64::INFINITY;
-        for it in 0..WARM_BUDGET {
-            C_WARM_REFINE_ITER.inc();
-            Matrix::mul_into(&ws.r, &ws.r, &mut ws.m0);
-            ws.m0.mul_into(&ws.c2, &mut ws.m2);
-            ws.next.copy_from(&ws.c0);
-            ws.next.add_assign(&ws.m2);
-            let diff = ws.next.max_abs_diff(&ws.r);
-            std::mem::swap(&mut ws.r, &mut ws.next);
-            // Finiteness and magnitude must be checked BEFORE the
-            // convergence test: `max_abs_diff` (a fold over `f64::max`)
-            // silently drops NaN entries, so a diverged iterate would
-            // otherwise read as diff = 0 and be "converged". A seed
-            // outside the fixed point's basin of attraction blows up
-            // geometrically — bail as soon as the iterate leaves any
-            // plausible range for a stable chain's R.
-            if !ws.r.is_finite() || ws.r.max_abs() > 1e6 {
-                return None;
-            }
-            if diff < 1e-14 {
-                let residual = self.r_residual_with(a1h, ws);
-                if residual.is_finite() && residual < 1e-9 * (1.0 + a1h.max_abs()) {
-                    return Some(ws.r.clone());
-                }
-                return None;
-            }
-            if it == 0 {
-                // A linear-rate iteration needs θ below ~0.5 to close more
-                // than six decades inside the budget; seeds displaced more
-                // than this after one step never do on real chains, so the
-                // refine gives up after a single ~0.3µs step rather than
-                // paying nine before the first windowed projection.
-                if diff > 1e-6 {
-                    return None;
-                }
-                window_diff = diff;
-            } else if it % 8 == 1 {
-                let span = if it == 1 { 1.0 } else { 8.0 };
-                let theta = (diff / window_diff).powf(1.0 / span);
-                // NaN thetas/projections (stalled diff, 0/0) must bail too.
-                if theta.is_nan() || theta >= 1.0 {
-                    return None;
-                }
-                let projected = (1e-14_f64 / diff).ln() / theta.ln();
-                if projected.is_nan() || projected > (WARM_BUDGET - 1 - it) as f64 {
-                    return None;
-                }
-                window_diff = diff;
-            }
-        }
-        None
     }
 
     /// Computes `R` with the original allocation-per-step implementation.
@@ -1018,28 +639,6 @@ impl Qbd {
         self.boundary_solution(r, ws)
     }
 
-    /// Warm-started [`Qbd::solve`]: seeds the R computation from `prev_r`
-    /// via [`Qbd::solve_r_warm`] (cold fallback included), then runs the
-    /// same boundary solve. Pooled workspace; this is the per-cell entry
-    /// point of the warm sweep chains in `eirs-core`.
-    pub fn solve_warm(&self, prev_r: &Matrix) -> Result<QbdSolution, QbdError> {
-        with_pooled_workspace(self.phases(), |ws| {
-            self.solve_warm_with_workspace(prev_r, RSolver::default(), ws)
-        })
-    }
-
-    /// [`Qbd::solve_warm`] with an explicit cold-fallback algorithm and
-    /// workspace.
-    pub fn solve_warm_with_workspace(
-        &self,
-        prev_r: &Matrix,
-        solver: RSolver,
-        ws: &mut QbdWorkspace,
-    ) -> Result<QbdSolution, QbdError> {
-        let r = self.solve_r_warm_with_workspace(prev_r, solver, ws)?;
-        self.boundary_solution(r, ws)
-    }
-
     /// Boundary balance solve for a computed `R`: assembles the transposed
     /// balance system directly into the workspace's boundary scratch (same
     /// accumulation order per entry as the historical row-major build, so
@@ -1174,10 +773,6 @@ pub struct QbdWorkspace {
     col: Vec<f64>,
     pv: Vec<f64>,
     pw: Vec<f64>,
-    /// Rank-1 warm-solver vectors: `a`/`w`/`v` of [`Qbd::r_rank1_newton`].
-    rv: Vec<f64>,
-    rw: Vec<f64>,
-    rx: Vec<f64>,
     r: Matrix,
     next: Matrix,
     c0: Matrix,
@@ -1284,9 +879,6 @@ impl QbdWorkspace {
             col: vec![0.0; p],
             pv: vec![0.0; p],
             pw: vec![0.0; p],
-            rv: vec![0.0; p],
-            rw: vec![0.0; p],
-            rx: vec![0.0; p],
             r: z(),
             next: z(),
             c0: z(),
@@ -1951,90 +1543,6 @@ mod tests {
             "bursty {} vs poisson {mm1_mean}",
             sol.mean_level()
         );
-    }
-
-    #[test]
-    fn warm_start_from_converged_r_matches_cold() {
-        let qbd = mcox1_qbd(0.7, (1.5, 0.8, 0.6));
-        let cold = qbd.solve_r(RSolver::LogarithmicReduction).unwrap();
-        // Seeding from the converged R itself: the refinement accepts
-        // after validating the residual, and the answer is the same
-        // solution to solver tolerance.
-        let warm = qbd
-            .solve_r_warm(&cold, RSolver::LogarithmicReduction)
-            .unwrap();
-        assert!(warm.max_abs_diff(&cold) < 1e-9);
-        // The full warm solve agrees with the cold solve on observables.
-        let warm_sol = qbd.solve_warm(&cold).unwrap();
-        let cold_sol = qbd.solve().unwrap();
-        let (a, b) = (warm_sol.mean_level(), cold_sol.mean_level());
-        assert!((a - b).abs() <= 1e-9 * b.abs(), "{a} vs {b}");
-    }
-
-    #[test]
-    fn warm_start_from_neighbor_r_matches_cold() {
-        // The realistic sweep scenario: seed a cell from its neighbor's R.
-        let neighbor = mcox1_qbd(0.4, (2.0, 0.5, 0.3));
-        let target = mcox1_qbd(0.45, (2.0, 0.5, 0.3));
-        let seed = neighbor.solve_r(RSolver::LogarithmicReduction).unwrap();
-        let warm = target
-            .solve_r_warm(&seed, RSolver::LogarithmicReduction)
-            .unwrap();
-        let cold = target.solve_r(RSolver::LogarithmicReduction).unwrap();
-        assert!(warm.max_abs_diff(&cold) < 1e-9);
-    }
-
-    #[test]
-    fn warm_start_with_unusable_seed_is_bitwise_cold() {
-        let qbd = mcox1_qbd(0.4, (2.0, 0.5, 0.3));
-        let cold = qbd.solve_r(RSolver::LogarithmicReduction).unwrap();
-        // Wrong dimension, non-finite entries, and negative entries all
-        // fall back to the cold path — bit-identical, not just close.
-        let bad_seeds = [
-            Matrix::zeros(1, 1),
-            Matrix::from_rows(&[&[f64::NAN, 0.0], &[0.0, 0.0]]),
-            Matrix::from_rows(&[&[-0.1, 0.0], &[0.0, 0.1]]),
-        ];
-        for seed in &bad_seeds {
-            let warm = qbd
-                .solve_r_warm(seed, RSolver::LogarithmicReduction)
-                .unwrap();
-            assert_eq!(warm.as_slice(), cold.as_slice());
-        }
-    }
-
-    #[test]
-    fn warm_start_survives_diverging_seed() {
-        // A finite nonnegative seed far outside the basin of attraction:
-        // the refinement blows up geometrically, and the guards must catch
-        // it — `max_abs_diff`'s NaN-dropping fold would otherwise report a
-        // diverged iterate as "converged" — then fall back to cold.
-        let qbd = mcox1_qbd(0.7, (1.5, 0.8, 0.6));
-        let cold = qbd.solve_r(RSolver::LogarithmicReduction).unwrap();
-        let mut big = cold.clone();
-        big.scale_mut(50.0);
-        let warm = qbd
-            .solve_r_warm(&big, RSolver::LogarithmicReduction)
-            .unwrap();
-        assert!(warm.is_finite());
-        assert!(warm.max_abs_diff(&cold) < 1e-9);
-    }
-
-    #[test]
-    fn warm_start_preserves_unstable_detection() {
-        // A plausible-looking seed must not let an unstable chain slip
-        // through: the sp(R) guard rejects the refinement and the cold
-        // fallback reports Unstable.
-        let qbd = mm1_qbd(1.5, 1.0);
-        let seed = Matrix::from_rows(&[&[0.5]]);
-        assert!(matches!(
-            qbd.solve_r_warm(&seed, RSolver::LogarithmicReduction),
-            Err(QbdError::Unstable { .. })
-        ));
-        assert!(matches!(
-            qbd.solve_warm(&seed),
-            Err(QbdError::Unstable { .. })
-        ));
     }
 
     #[test]

@@ -127,73 +127,17 @@ impl LuDecomposition {
         self.factorize_in_place()
     }
 
-    /// Panel width of the blocked factorization: a 32-column panel keeps the
-    /// panel-row U block L1/L2-resident through the trailing update, cutting
-    /// the trailing-matrix memory traffic of the unblocked elimination by
-    /// the panel width.
-    const LU_PANEL: usize = 32;
-
-    /// Gaussian elimination with partial pivoting over `self.lu`, which holds
-    /// the input matrix on entry and the packed factors on success.
-    ///
-    /// Columns are eliminated in panels of [`LuDecomposition::LU_PANEL`]:
-    /// pivoting and the eager updates run inside the panel, then the
-    /// trailing columns receive the panel's deferred updates in elimination
-    /// order. Every per-element operation (pivot choice, swap, subtraction
-    /// sequence) is performed in the same order as the single-panel
-    /// elimination, so the blocked factors are **bit-identical** to the
-    /// [`LuDecomposition::new_unblocked`] reference (property-tested).
+    /// Gaussian elimination with partial pivoting (full-row swaps) over
+    /// `self.lu`, which holds the input matrix on entry and the packed
+    /// factors on success. Zero multipliers skip their row update, so the
+    /// banded boundary systems of the QBD solves cost far less than a dense
+    /// elimination.
     fn factorize_in_place(&mut self) -> Result<(), LinAlgError> {
         let n = self.lu.rows();
-        let tol = self.pivot_tolerance();
-        let mut cb = 0;
-        while cb < n {
-            let ce = (cb + Self::LU_PANEL).min(n);
-            // Panel factorization: pivot + eliminate columns cb..ce,
-            // updating only the panel columns eagerly.
-            self.eliminate_panel(cb, ce, ce, tol)?;
-            if ce == n {
-                break;
-            }
-            // Deferred updates to the trailing columns ce..n, applied in
-            // elimination order (ascending col) per element — exactly the
-            // subtraction sequence the unblocked loop performs.
-            // First the panel rows' own U block (row r is only updated by
-            // columns before it)...
-            for r in (cb + 1)..ce {
-                self.apply_deferred_updates(r, cb, r, ce, n);
-            }
-            // ...then the rows below the panel, by the whole panel.
-            for r in ce..n {
-                self.apply_deferred_updates(r, cb, ce, ce, n);
-            }
-            cb = ce;
-        }
-        Ok(())
-    }
-
-    /// Relative singularity threshold, computed once from the matrix being
-    /// factorized (before any elimination).
-    fn pivot_tolerance(&self) -> f64 {
-        let n = self.lu.rows();
-        (n as f64) * f64::EPSILON * self.lu.max_abs().max(f64::MIN_POSITIVE)
-    }
-
-    /// Eliminates columns `cb..ce` with partial pivoting (full-row swaps),
-    /// updating columns up to `update_end` eagerly. With
-    /// `(cb, ce, update_end) = (0, n, n)` this is the classical unblocked
-    /// elimination.
-    fn eliminate_panel(
-        &mut self,
-        cb: usize,
-        ce: usize,
-        update_end: usize,
-        tol: f64,
-    ) -> Result<(), LinAlgError> {
-        let n = self.lu.rows();
+        // Relative singularity threshold, fixed before any elimination.
+        let tol = (n as f64) * f64::EPSILON * self.lu.max_abs().max(f64::MIN_POSITIVE);
         let lu = &mut self.lu;
-        let perm = &mut self.perm;
-        for col in cb..ce {
+        for col in 0..n {
             // Pivot search over rows col..n.
             let mut pivot_row = col;
             let mut pivot_val = lu[(col, col)].abs();
@@ -208,7 +152,7 @@ impl LuDecomposition {
                 return Err(LinAlgError::Singular { column: col });
             }
             if pivot_row != col {
-                perm.swap(col, pivot_row);
+                self.perm.swap(col, pivot_row);
                 self.perm_sign = -self.perm_sign;
                 let (a, b) = lu.two_rows_mut(col, pivot_row);
                 a.swap_with_slice(b);
@@ -219,62 +163,13 @@ impl LuDecomposition {
                 let factor = dst[col] / pivot;
                 dst[col] = factor;
                 if factor != 0.0 {
-                    for (d, &s) in dst[(col + 1)..update_end]
-                        .iter_mut()
-                        .zip(&src[(col + 1)..update_end])
-                    {
+                    for (d, &s) in dst[(col + 1)..].iter_mut().zip(&src[(col + 1)..]) {
                         *d -= factor * s;
                     }
                 }
             }
         }
         Ok(())
-    }
-
-    /// Applies the deferred trailing updates of panel columns `cb..ce_row`
-    /// to row `r`, columns `c0..c1`. The column range is tiled so the row-`r`
-    /// segment stays L1-resident across the whole panel; each element still
-    /// receives its subtractions in ascending elimination order, which is
-    /// all bit-identity requires.
-    #[inline]
-    fn apply_deferred_updates(&mut self, r: usize, cb: usize, ce_row: usize, c0: usize, c1: usize) {
-        const TILE: usize = 128;
-        let mut t0 = c0;
-        while t0 < c1 {
-            let t1 = (t0 + TILE).min(c1);
-            for col in cb..ce_row {
-                let (dst, src) = self.lu.two_rows_mut(r, col);
-                let factor = dst[col];
-                if factor != 0.0 {
-                    for (d, &s) in dst[t0..t1].iter_mut().zip(&src[t0..t1]) {
-                        *d -= factor * s;
-                    }
-                }
-            }
-            t0 = t1;
-        }
-    }
-
-    /// Factorizes `a` with the original single-panel (unblocked)
-    /// elimination, retained as the differential reference for the
-    /// panel-blocked [`LuDecomposition::new`] path. Same pivoting, same
-    /// factors — bit for bit.
-    pub fn new_unblocked(a: &Matrix) -> Result<Self, LinAlgError> {
-        if !a.is_square() {
-            return Err(LinAlgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let n = a.rows();
-        let mut this = Self {
-            lu: a.clone(),
-            perm: (0..n).collect(),
-            perm_sign: 1.0,
-        };
-        let tol = this.pivot_tolerance();
-        this.eliminate_panel(0, n, n, tol)?;
-        Ok(this)
     }
 
     /// Dimension of the factorized matrix.

@@ -223,52 +223,10 @@ impl Matrix {
         out
     }
 
-    /// Tile edge (in elements) of the blocked matmul: a `TILE x TILE` f64
-    /// block is 18 KiB, so one `rhs` tile plus the streaming rows stay
-    /// resident in a 32 KiB L1d across the whole inner sweep.
-    const MUL_TILE: usize = 48;
-
     /// Writes `self * rhs` into `out` without allocating. `out` must already
     /// have shape `self.rows x rhs.cols` and must not alias either operand.
     /// Panics on dimension mismatch.
-    ///
-    /// Large operands run a tiled kernel blocked to L1; per-output-element
-    /// accumulation stays in increasing-`k` order, so the result is
-    /// **bit-identical** to [`Matrix::mul_into_naive`] (property-tested).
     pub fn mul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.check_mul_shapes(rhs, out);
-        out.data.fill(0.0);
-        const TILE: usize = Matrix::MUL_TILE;
-        if self.cols <= TILE && rhs.cols <= TILE {
-            // Small operands: tiling would degenerate to the naive
-            // traversal; run it directly.
-            self.mul_accumulate(rhs, out, 0, self.cols, 0, rhs.cols);
-            return;
-        }
-        // j-panel outer, k-tile inner: each `rhs` tile (`TILE x TILE`) is
-        // reused across every row of `self` while it is L1-resident.
-        let mut j0 = 0;
-        while j0 < rhs.cols {
-            let j1 = (j0 + TILE).min(rhs.cols);
-            let mut k0 = 0;
-            while k0 < self.cols {
-                let k1 = (k0 + TILE).min(self.cols);
-                self.mul_accumulate(rhs, out, k0, k1, j0, j1);
-                k0 = k1;
-            }
-            j0 = j1;
-        }
-    }
-
-    /// The original i-k-j kernel, retained as the differential reference
-    /// for the tiled [`Matrix::mul_into`]. Same contract; same bits.
-    pub fn mul_into_naive(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.check_mul_shapes(rhs, out);
-        out.data.fill(0.0);
-        self.mul_accumulate(rhs, out, 0, self.cols, 0, rhs.cols);
-    }
-
-    fn check_mul_shapes(&self, rhs: &Matrix, out: &Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul dimension mismatch: {}x{} * {}x{}",
@@ -279,45 +237,36 @@ impl Matrix {
             (self.rows, rhs.cols),
             "mul_into output shape mismatch"
         );
+        out.data.fill(0.0);
+        self.mul_accumulate(rhs, out);
     }
 
-    /// Accumulates `self[.., k0..k1] * rhs[k0..k1, j0..j1]` into
-    /// `out[.., j0..j1]`. The i-k-j order keeps the `rhs` rows and the
-    /// output row segment streaming contiguously, and every output element
-    /// sees its `k` contributions in increasing order — the invariant that
-    /// makes tiled and naive traversals bit-identical.
+    /// Accumulates `self * rhs` into `out`. The i-k-j order keeps the `rhs`
+    /// rows and the output row streaming contiguously; every output element
+    /// sees its `k` contributions in increasing order, and zero `self`
+    /// entries are skipped.
     #[inline]
-    fn mul_accumulate(
-        &self,
-        rhs: &Matrix,
-        out: &mut Matrix,
-        k0: usize,
-        k1: usize,
-        j0: usize,
-        j1: usize,
-    ) {
+    fn mul_accumulate(&self, rhs: &Matrix, out: &mut Matrix) {
         // Narrow outputs (the p ≤ 8 QBD phase blocks that dominate sweep
         // time) dispatch to a const-width kernel whose accumulator row
         // lives in registers across the whole k loop.
-        match j1 - j0 {
-            2 => return self.mul_accumulate_narrow::<2>(rhs, out, k0, k1, j0),
-            3 => return self.mul_accumulate_narrow::<3>(rhs, out, k0, k1, j0),
-            4 => return self.mul_accumulate_narrow::<4>(rhs, out, k0, k1, j0),
-            5 => return self.mul_accumulate_narrow::<5>(rhs, out, k0, k1, j0),
-            6 => return self.mul_accumulate_narrow::<6>(rhs, out, k0, k1, j0),
-            7 => return self.mul_accumulate_narrow::<7>(rhs, out, k0, k1, j0),
-            8 => return self.mul_accumulate_narrow::<8>(rhs, out, k0, k1, j0),
+        match rhs.cols {
+            2 => return self.mul_accumulate_narrow::<2>(rhs, out),
+            3 => return self.mul_accumulate_narrow::<3>(rhs, out),
+            4 => return self.mul_accumulate_narrow::<4>(rhs, out),
+            5 => return self.mul_accumulate_narrow::<5>(rhs, out),
+            6 => return self.mul_accumulate_narrow::<6>(rhs, out),
+            7 => return self.mul_accumulate_narrow::<7>(rhs, out),
+            8 => return self.mul_accumulate_narrow::<8>(rhs, out),
             _ => {}
         }
         for i in 0..self.rows {
-            let lhs_row = &self.row(i)[k0..k1];
-            let out_row = &mut out.row_mut(i)[j0..j1];
-            for (k, &a) in (k0..k1).zip(lhs_row) {
+            let out_row = out.row_mut(i);
+            for (k, &a) in self.row(i).iter().enumerate() {
                 if a == 0.0 {
                     continue;
                 }
-                let rhs_row = &rhs.row(k)[j0..j1];
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
+                for (o, &b) in out_row.iter_mut().zip(rhs.row(k)) {
                     *o += a * b;
                 }
             }
@@ -330,24 +279,16 @@ impl Matrix {
     /// `rhs` row load per step. Identical per-element operation order and
     /// zero-skip behavior as the general kernel — bit-identical results.
     #[inline]
-    fn mul_accumulate_narrow<const W: usize>(
-        &self,
-        rhs: &Matrix,
-        out: &mut Matrix,
-        k0: usize,
-        k1: usize,
-        j0: usize,
-    ) {
+    fn mul_accumulate_narrow<const W: usize>(&self, rhs: &Matrix, out: &mut Matrix) {
         for i in 0..self.rows {
-            let lhs_row = &self.row(i)[k0..k1];
-            let out_row = &mut out.row_mut(i)[j0..j0 + W];
+            let out_row = &mut out.row_mut(i)[..W];
             let mut acc = [0.0f64; W];
             acc.copy_from_slice(out_row);
-            for (k, &a) in (k0..k1).zip(lhs_row) {
+            for (k, &a) in self.row(i).iter().enumerate() {
                 if a == 0.0 {
                     continue;
                 }
-                let rhs_row = &rhs.row(k)[j0..j0 + W];
+                let rhs_row = &rhs.row(k)[..W];
                 for (o, &b) in acc.iter_mut().zip(rhs_row) {
                     *o += a * b;
                 }

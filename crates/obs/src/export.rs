@@ -372,7 +372,7 @@ mod tests {
         h.record(1_000);
         h.record(2_000_000);
         Snapshot {
-            counters: vec![("markov.warm.rank1_accepted".into(), 42)],
+            counters: vec![("markov.solve.cold".into(), 42)],
             gauges: vec![("opt.best_score".into(), 3.5)],
             histograms: vec![("serve.response".into(), h)],
         }
@@ -385,7 +385,7 @@ mod tests {
         assert!(out.contains("\"ph\":\"X\""));
         assert!(out.contains("\"ph\":\"i\""));
         assert!(out.contains("\"ph\":\"C\""));
-        assert!(out.contains("markov.warm.rank1_accepted"));
+        assert!(out.contains("markov.solve.cold"));
         assert!(out.contains("solve \\\"cell\\\""));
     }
 
@@ -401,8 +401,8 @@ mod tests {
     #[test]
     fn prometheus_text_has_counter_gauge_and_histogram_series() {
         let out = prometheus_text(&sample_snapshot());
-        assert!(out.contains("# TYPE eirs_markov_warm_rank1_accepted counter"));
-        assert!(out.contains("eirs_markov_warm_rank1_accepted 42"));
+        assert!(out.contains("# TYPE eirs_markov_solve_cold counter"));
+        assert!(out.contains("eirs_markov_solve_cold 42"));
         assert!(out.contains("# TYPE eirs_opt_best_score gauge"));
         assert!(out.contains("# TYPE eirs_serve_response histogram"));
         assert!(out.contains("eirs_serve_response_bucket{le=\"+Inf\"} 2"));

@@ -2,8 +2,9 @@
 //! histograms, span tracing, and exporters.
 //!
 //! Every substrate in this repository carries a bit-determinism contract
-//! (parallel ≡ serial, warm ≡ cold, restored ≡ original). Telemetry must
-//! not bend that contract, so this crate is built around one hard rule:
+//! (parallel ≡ serial, one shard worker ≡ many, restored ≡ original).
+//! Telemetry must not bend that contract, so this crate is built around
+//! one hard rule:
 //!
 //! > **Instrumentation never feeds back into computation.** Counters,
 //! > spans, and histograms are write-only from the instrumented code's

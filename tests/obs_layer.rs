@@ -6,7 +6,7 @@
 //!    quantiles stay within the bucket-precision bound of a sorted
 //!    reference.
 //! 2. **Invariance** — turning telemetry on never perturbs an output:
-//!    serve decision digests, warm-sweep cells, and fuzz verdicts are
+//!    serve decision digests, figure-4 sweep cells, and fuzz verdicts are
 //!    bit-identical with the layer enabled and disabled. Telemetry is
 //!    write-only by construction; these tests pin the construction.
 //!
@@ -165,18 +165,18 @@ fn serve_decisions_and_metrics_are_invariant_under_telemetry() {
     assert_eq!(off.decision_latency().count(), 0);
 }
 
-/// Warm figure-4 sweep: spans and solver counters on, every cell bit
+/// Figure-4 sweep: spans and solver counters on, every cell bit
 /// equals the telemetry-off run, and the trace actually collected spans.
 #[test]
-fn warm_sweep_output_is_invariant_under_telemetry() {
-    use core::experiments::figure4_heatmap_warm_with_threads;
+fn figure4_sweep_output_is_invariant_under_telemetry() {
+    use core::experiments::figure4_heatmap_with_threads;
 
     let _guard = obs_lock();
     obs::set_enabled(false);
-    let off = figure4_heatmap_warm_with_threads(3, 0.7, 2).expect("grid solves");
+    let off = figure4_heatmap_with_threads(3, 0.7, 2).expect("grid solves");
     obs::reset();
     obs::set_enabled(true);
-    let on = figure4_heatmap_warm_with_threads(3, 0.7, 2).expect("grid solves");
+    let on = figure4_heatmap_with_threads(3, 0.7, 2).expect("grid solves");
     obs::set_enabled(false);
     let events = obs::take_events();
     let snap = obs::snapshot();
@@ -193,8 +193,8 @@ fn warm_sweep_output_is_invariant_under_telemetry() {
         "sweep must emit per-cell spans when enabled"
     );
     assert!(
-        snap.counter("markov.warm.attempts") > 0,
-        "warm sweep must count warm-route attempts"
+        snap.counter("markov.solve.cold") > 0,
+        "sweep must count its R solves"
     );
     // The exported trace is well-formed JSON end to end.
     obs::export::validate_json(&obs::export::chrome_trace_json(&events, &snap))

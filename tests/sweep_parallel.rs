@@ -3,8 +3,8 @@
 //! must not change a single bit of the output relative to the serial path.
 
 use eirs_repro::core::experiments::{
-    figure4_heatmap_serial, figure4_heatmap_warm_serial, figure4_heatmap_warm_with_threads,
-    figure4_heatmap_with_threads, figure5_response_curve, figure6_server_scaling,
+    figure4_heatmap_serial, figure4_heatmap_with_threads, figure5_response_curve,
+    figure6_server_scaling,
 };
 use eirs_repro::core::sweep;
 use eirs_repro::sim::des::run_markovian;
@@ -37,35 +37,6 @@ proptest! {
                 s.comparison.mrt_ef.to_bits(),
                 p.comparison.mrt_ef.to_bits(),
                 "EF E[T] diverged at (mu_i={}, mu_e={})", s.mu_i, s.mu_e
-            );
-            prop_assert_eq!(s.comparison.winner, p.comparison.winner);
-        }
-    }
-
-    // Warm-start chains are laid out along grid rows and each row carries
-    // its own fresh cache, so the seeding order is a pure function of the
-    // row — the parallel warm path must match the serial warm path bit
-    // for bit, exactly like the cold path.
-    #[test]
-    fn parallel_warm_figure4_heatmap_is_bit_identical_to_serial(
-        k in 2u32..6,
-        rho_idx in 0usize..3,
-        threads in 2usize..9,
-    ) {
-        let rho = [0.5, 0.7, 0.9][rho_idx];
-        let serial = figure4_heatmap_warm_serial(k, rho).expect("grid solves");
-        let parallel = figure4_heatmap_warm_with_threads(k, rho, threads).expect("grid solves");
-        prop_assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            prop_assert_eq!(
-                s.comparison.mrt_if.to_bits(),
-                p.comparison.mrt_if.to_bits(),
-                "warm IF E[T] diverged at (mu_i={}, mu_e={})", s.mu_i, s.mu_e
-            );
-            prop_assert_eq!(
-                s.comparison.mrt_ef.to_bits(),
-                p.comparison.mrt_ef.to_bits(),
-                "warm EF E[T] diverged at (mu_i={}, mu_e={})", s.mu_i, s.mu_e
             );
             prop_assert_eq!(s.comparison.winner, p.comparison.winner);
         }
@@ -117,39 +88,6 @@ fn figure5_and_figure6_parallel_drivers_match_inline_computation() {
         assert_eq!(point.k, k);
         assert_eq!(point.mrt_if.to_bits(), c.mrt_if.to_bits());
         assert_eq!(point.mrt_ef.to_bits(), c.mrt_ef.to_bits());
-    }
-}
-
-#[test]
-fn warm_heatmap_decisions_match_cold_heatmap() {
-    // Warm-started cells agree with cold cells to solver tolerance, and
-    // the heat-map decisions match everywhere outside the tie band (where
-    // a sub-tolerance difference can legitimately flip Tie ↔ winner).
-    let cold = figure4_heatmap_serial(4, 0.9).unwrap();
-    let warm = figure4_heatmap_warm_serial(4, 0.9).unwrap();
-    assert_eq!(cold.len(), warm.len());
-    for (c, w) in cold.iter().zip(&warm) {
-        let (ci, wi) = (c.comparison.mrt_if, w.comparison.mrt_if);
-        let (ce, we) = (c.comparison.mrt_ef, w.comparison.mrt_ef);
-        assert!(
-            (wi - ci).abs() <= 1e-8 * ci.abs().max(1.0),
-            "IF diverged at (mu_i={}, mu_e={}): warm {wi} vs cold {ci}",
-            c.mu_i,
-            c.mu_e
-        );
-        assert!(
-            (we - ce).abs() <= 1e-8 * ce.abs().max(1.0),
-            "EF diverged at (mu_i={}, mu_e={}): warm {we} vs cold {ce}",
-            c.mu_i,
-            c.mu_e
-        );
-        if (ci - ce).abs() > 1e-7 * ci.max(ce) {
-            assert_eq!(
-                w.comparison.winner, c.comparison.winner,
-                "decision flipped outside the tie band at (mu_i={}, mu_e={})",
-                c.mu_i, c.mu_e
-            );
-        }
     }
 }
 
