@@ -12,13 +12,13 @@
 //!
 //! Run: `cargo bench -p eirs-bench --bench ablations`
 
+use eirs_bench::harness::{arm, pretty_seconds, rounds};
 use eirs_bench::section;
 use eirs_core::params::SystemParams;
 use eirs_core::validation::validate_point;
 use eirs_mdp::{solve_optimal, MdpConfig};
 use eirs_queueing::coxian::fit_busy_period;
 use eirs_queueing::MM1;
-use std::time::Instant;
 
 fn main() {
     section("Ablation 1: Coxian-2 busy-period fit across loads");
@@ -114,21 +114,25 @@ fn main() {
         let qbd =
             eirs_markov::Qbd::new(vec![up.clone()], vec![local.clone()], vec![], up, local, a2)
                 .expect("valid QBD");
-        let t0 = Instant::now();
-        let r_lr = qbd
-            .solve_r(eirs_markov::RSolver::LogarithmicReduction)
-            .expect("LR solves");
-        let t_lr = t0.elapsed();
-        let t0 = Instant::now();
-        let r_fp = qbd
-            .solve_r(eirs_markov::RSolver::FixedPoint)
-            .expect("FP solves");
-        let t_fp = t0.elapsed();
+        let solve = |solver| qbd.solve_r(solver).expect("R solves");
+        let r_lr = solve(eirs_markov::RSolver::LogarithmicReduction);
+        let r_fp = solve(eirs_markov::RSolver::FixedPoint);
+        let m = rounds(
+            7,
+            vec![
+                arm(format!("log_reduction_rho{rho}"), || {
+                    solve(eirs_markov::RSolver::LogarithmicReduction)
+                }),
+                arm(format!("fixed_point_rho{rho}"), || {
+                    solve(eirs_markov::RSolver::FixedPoint)
+                }),
+            ],
+        );
         println!(
-            "  {rho:<6.2} {:<18.2e} {:<18.1?} {:?}",
+            "  {rho:<6.2} {:<18.2e} {:<18} {}",
             r_lr.max_abs_diff(&r_fp),
-            t_lr,
-            t_fp
+            pretty_seconds(m.timing(0).median_s),
+            pretty_seconds(m.timing(1).median_s)
         );
     }
     println!(

@@ -14,60 +14,37 @@
 //!    stream from scratch, with the recovered digest asserted equal to
 //!    the uninterrupted run's.
 //!
-//! Results print as text and are written to `BENCH_faults.json` at the
-//! workspace root so the fault-tolerance trajectory is recorded PR
-//! over PR.
+//! The recovery comparison runs its two arms in interleaved rounds
+//! (`eirs_bench::harness`); its speedup is the median and quartiles of
+//! the per-round ratios. Results print as text and are written to
+//! `BENCH_faults.json` at the workspace root. Under `EIRS_BENCH_SMOKE=1`
+//! (CI) the comparison runs one round, every gate still asserts, and the
+//! artifact is not written.
 //!
 //! Run: `cargo bench -p eirs-bench --bench fault_tolerance`
 
-use eirs_bench::harness::{pretty_seconds, Bench};
+use eirs_bench::harness::{arm, pretty_seconds, rounds};
 use eirs_bench::section;
-use eirs_core::SystemParams;
+use eirs_bench::serving::{policy, record_stream, K, RHO_PER_SHARD};
 use eirs_obs::Json;
-use eirs_queueing::Exponential;
 use eirs_serve::{
     recover, run_journaled, ChurnConfig, CompiledTable, EngineConfig, Journal, JournalWriter,
     RunControls, ServeEngine,
 };
 use eirs_sim::arrivals::{Arrival, ArrivalTrace};
 use eirs_sim::availability::FaultSpec;
-use eirs_sim::policy::{AllocationPolicy, SwitchingCurvePolicy};
 
-const K: u32 = 4;
 const ROUTE_SHARDS: usize = 4;
-const RHO_PER_SHARD: f64 = 0.7;
 const GRID: usize = 48;
 /// Simulated horizon of the prerecorded stream.
 const HORIZON: f64 = 4_000.0;
 /// Fault schedules are generated past the stream so late drains count.
 const FAULT_HORIZON: f64 = 5_000.0;
-
-fn policy() -> Box<dyn AllocationPolicy> {
-    Box::new(SwitchingCurvePolicy {
-        intercept: 2,
-        slope: 0.5,
-    })
-}
+/// Timed rounds of the recovery comparison in a full run.
+const ROUNDS: usize = 9;
 
 fn table() -> CompiledTable {
     CompiledTable::compile(policy(), K, GRID, GRID)
-}
-
-/// Prerecords the offered stream: `ROUTE_SHARDS` x the single-cluster
-/// rate, so every shard runs at load `RHO_PER_SHARD` after hash routing.
-fn record_stream() -> Vec<Arrival> {
-    let p = SystemParams::with_equal_lambdas(K, 1.0, 1.0, RHO_PER_SHARD).expect("stable params");
-    let scale = ROUTE_SHARDS as f64;
-    let mut stream = eirs_sim::PoissonStream::new(
-        p.lambda_i * scale,
-        p.lambda_e * scale,
-        Box::new(Exponential::new(p.mu_i)),
-        Box::new(Exponential::new(p.mu_e)),
-        7,
-    );
-    ArrivalTrace::record(&mut stream, HORIZON)
-        .arrivals()
-        .to_vec()
 }
 
 fn engine_config(churn: Option<ChurnConfig>) -> EngineConfig {
@@ -87,14 +64,14 @@ fn replay(arrivals: &[Arrival], config: EngineConfig) -> ServeEngine {
     engine
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let workers = cores.clamp(2, ROUTE_SHARDS);
     let mut report = Json::object();
-    report.set("schema", "eirs-bench-faults/v1");
+    report.set("schema", "eirs-bench-faults/v2");
     report.set("hardware", eirs_bench::json::run_metadata());
 
-    let arrivals = record_stream();
+    let arrivals = record_stream(ROUTE_SHARDS, HORIZON);
 
     // ---- 1. Degradation curve over capacity loss ----------------------
     section(&format!(
@@ -203,19 +180,22 @@ fn main() {
         bytes.len()
     );
 
-    let mut bench = Bench::with_samples(5);
-    let scratch = bench
-        .time("replay_from_scratch", 1, || replay(&arrivals, config))
-        .clone();
-    let recovery = bench
-        .time("recover_snapshot_plus_wal", 1, || {
-            let mut engine = recover(table(), config, &snap, &journal).expect("recovery succeeds");
-            let resume = engine.ingested() as usize;
-            engine.ingest_batch(&arrivals[resume..]);
-            engine.drain();
-            engine
-        })
-        .clone();
+    let m = rounds(
+        if eirs_bench::smoke() { 1 } else { ROUNDS },
+        vec![
+            arm("replay_from_scratch", || replay(&arrivals, config)),
+            arm("recover_snapshot_plus_wal", || {
+                let mut engine =
+                    recover(table(), config, &snap, &journal).expect("recovery succeeds");
+                let resume = engine.ingested() as usize;
+                engine.ingest_batch(&arrivals[resume..]);
+                engine.drain();
+                engine
+            }),
+        ],
+    );
+    let (scratch, recovery) = (m.timing(0), m.timing(1));
+    let speedup = m.ratio(0, 1);
     // Correctness of the timed path: recover once more and compare.
     let mut recovered = recover(table(), config, &snap, &journal).expect("recovery succeeds");
     let resume = recovered.ingested() as usize;
@@ -228,10 +208,9 @@ fn main() {
     );
     assert_eq!(recovered.metrics_total(), reference.metrics_total());
     println!(
-        "  from scratch: {}   recover + finish: {}  ({:.2}x)",
+        "  from scratch: {}   recover + finish: {}  ({speedup})",
         pretty_seconds(scratch.median_s),
         pretty_seconds(recovery.median_s),
-        scratch.median_s / recovery.median_s
     );
     println!("  recovered digest bit-identical to uninterrupted run: true");
 
@@ -243,11 +222,9 @@ fn main() {
         .set("journal_bytes", bytes.len())
         .set("replay_from_scratch", &scratch)
         .set("recover_and_finish", &recovery)
-        .set("speedup_vs_scratch", scratch.median_s / recovery.median_s)
+        .set("speedup_vs_scratch", speedup)
         .set("recovered_bit_identical", true);
     report.set("recovery", rec);
 
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_faults.json");
-    std::fs::write(out_path, report.pretty()).expect("write BENCH_faults.json");
-    println!("\nwrote {out_path}");
+    eirs_bench::json::write_artifact("BENCH_faults.json", report)
 }

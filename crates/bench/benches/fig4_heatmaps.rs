@@ -9,15 +9,16 @@
 //!
 //! Run: `cargo bench -p eirs-bench --bench fig4_heatmaps`
 
-use eirs_bench::{default_threads, parallel_map, section};
+use eirs_bench::section;
 use eirs_core::experiments::{figure4_heatmap, figure4_mu_grid, Winner};
+use eirs_core::sweep::{sweep_with_threads, threads};
 
 fn main() {
     let k = 4;
     let rhos = [0.5, 0.7, 0.9];
     let grid = figure4_mu_grid();
 
-    let maps = parallel_map(rhos.to_vec(), default_threads().min(3), |&rho| {
+    let maps = sweep_with_threads(&rhos, threads().min(3), |&rho| {
         (rho, figure4_heatmap(k, rho).expect("analysis succeeds"))
     });
 

@@ -8,15 +8,16 @@
 //!
 //! Run: `cargo bench -p eirs-bench --bench fig5_response_time`
 
-use eirs_bench::{default_threads, parallel_map, section};
+use eirs_bench::section;
 use eirs_core::experiments::{figure5_curve, figure5_mu_i_values};
+use eirs_core::sweep::{sweep_with_threads, threads};
 
 fn main() {
     let k = 4;
     let mu_values = figure5_mu_i_values();
     let rhos = [0.5, 0.7, 0.9];
 
-    let curves = parallel_map(rhos.to_vec(), default_threads().min(3), |&rho| {
+    let curves = sweep_with_threads(&rhos, threads().min(3), |&rho| {
         (
             rho,
             figure5_curve(k, rho, &mu_values).expect("analysis succeeds"),

@@ -19,14 +19,15 @@
 //!    digest**, so the compact format cannot drift from the canonical
 //!    text traces.
 //!
-//! Results print as text and are written to `BENCH_fuzz.json` at the
-//! workspace root. Set `EIRS_BENCH_SMOKE=1` for a tiny smoke pass (CI):
-//! every section executes and every correctness gate still asserts, but
-//! the artifact is not rewritten.
+//! The sweep and the replay are each timed over 11 runs
+//! (`eirs_bench::harness`). Results print as text and are written to
+//! `BENCH_fuzz.json` at the workspace root. Under `EIRS_BENCH_SMOKE=1`
+//! (CI) every section runs once on smaller inputs, every correctness
+//! gate still asserts, and the artifact is not written.
 //!
 //! Run: `cargo bench -p eirs-bench --bench fuzz_coverage`
 
-use eirs_bench::harness::{pretty_seconds, Bench};
+use eirs_bench::harness::{arm, pretty_seconds, rounds};
 use eirs_bench::section;
 use eirs_core::fuzz::{self, FuzzConfig};
 use eirs_obs::Json;
@@ -37,9 +38,9 @@ use eirs_sim::policy::FairShare;
 use eirs_sim::trace::BinaryTraceWriter;
 use std::path::{Path, PathBuf};
 
-fn smoke() -> bool {
-    std::env::var_os("EIRS_BENCH_SMOKE").is_some_and(|v| !v.is_empty() && v != "0")
-}
+/// Timed runs per measurement in a full run: on a shared host the
+/// median of three moved by half its value between runs of one build.
+const RUNS: usize = 11;
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`), or `None` off Linux.
@@ -95,14 +96,12 @@ fn replay_digest(path: &Path, until: f64) -> u64 {
     engine.decision_digest()
 }
 
-fn main() {
-    let smoke = smoke();
+fn main() -> Result<(), String> {
+    let smoke = eirs_bench::smoke();
+    let runs = if smoke { 1 } else { RUNS };
     let mut report = Json::object();
-    report.set("schema", "eirs-bench-fuzz/v1");
+    report.set("schema", "eirs-bench-fuzz/v2");
     report.set("hardware", eirs_bench::json::run_metadata_with_threads(1));
-    if smoke {
-        section("EIRS_BENCH_SMOKE: tiny smoke pass, artifact will not be rewritten");
-    }
 
     // ---- 1. Fuzz sweep through the built-in oracles -------------------
     let budget = if smoke { 6 } else { 40 };
@@ -120,10 +119,6 @@ fn main() {
         warmup: if smoke { 30 } else { 200 },
         ..FuzzConfig::default()
     };
-    let mut bench = Bench::with_samples(if smoke { 1 } else { 3 });
-    let sweep = bench
-        .time("fuzz_sweep", 1, || fuzz::fuzz_run(&cfg, &[]))
-        .clone();
     let run = fuzz::fuzz_run(&cfg, &[]);
     println!(
         "  cells: {}   tractable differentials: {}   disagreements: {}   shrink evals: {}",
@@ -133,6 +128,7 @@ fn main() {
         run.shrink_evals
     );
     assert_eq!(run.flagged, 0, "committed bench seed must fuzz clean");
+    let sweep = rounds(runs, vec![arm("fuzz_sweep", || fuzz::fuzz_run(&cfg, &[]))]).timing(0);
     let mut fz = Json::object();
     fz.set("cells_fuzzed", run.cells.len())
         .set("tractable_differentials", run.tractable)
@@ -158,14 +154,13 @@ fn main() {
     // to the long trace itself.
     let prefix_digest_bin = replay_digest(&pre_bin, f64::INFINITY);
     let rss_before = peak_rss_bytes();
-    // Eleven samples: on a shared host the median of three moved by
-    // half its value between runs of the same build.
-    let mut bench = Bench::with_samples(if smoke { 1 } else { 11 });
-    let replay = bench
-        .time("binary_replay_serve", 1, || {
+    let replay = rounds(
+        runs,
+        vec![arm("binary_replay_serve", || {
             replay_digest(&big, horizon + 1.0)
-        })
-        .clone();
+        })],
+    )
+    .timing(0);
     let rss_after = peak_rss_bytes();
     match (rss_before, rss_after) {
         (Some(before), Some(after)) => {
@@ -218,14 +213,5 @@ fn main() {
         let _ = std::fs::remove_file(p);
     }
 
-    // ---- Write the artifact -------------------------------------------
-    if smoke {
-        println!();
-        println!("smoke mode: skipping BENCH_fuzz.json rewrite");
-        return;
-    }
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fuzz.json");
-    std::fs::write(out_path, report.pretty()).expect("write BENCH_fuzz.json");
-    println!();
-    println!("wrote {out_path}");
+    eirs_bench::json::write_artifact("BENCH_fuzz.json", report)
 }

@@ -8,8 +8,9 @@
 //!
 //! Run: `cargo bench -p eirs-bench --bench mdp_optimality`
 
-use eirs_bench::{default_threads, parallel_map, section};
+use eirs_bench::section;
 use eirs_core::params::SystemParams;
+use eirs_core::sweep::{sweep_with_threads, threads};
 use eirs_mdp::{ef_allocation, evaluate_policy, if_allocation, solve_optimal, MdpConfig};
 
 fn main() {
@@ -25,7 +26,7 @@ fn main() {
     ));
     println!("  µ_I   µ_E   | E[T] opt   E[T] IF    E[T] EF   | IF gap%  EF gap%  IF optimal?");
 
-    let rows = parallel_map(grid, default_threads(), |&(mu_i, mu_e)| {
+    let rows = sweep_with_threads(&grid, threads(), |&(mu_i, mu_e)| {
         let p = SystemParams::with_equal_lambdas(k, mu_i, mu_e, rho).expect("stable");
         let cfg = MdpConfig {
             k,

@@ -1,75 +1,45 @@
 //! PERF — the observability tax: what `eirs_obs` costs when it is off
 //! (the shipped default) and when it is on, plus the invariance gates.
 //!
-//! Measures, on the current machine:
+//! Measures, on the current machine, over the serving fixture's stream
+//! (`eirs_bench::serving`, the one `serve_throughput` replays):
 //!
-//! 1. the **disabled-path** probe: one relaxed atomic load per
-//!    instrumentation site, timed directly and expressed as a share of
-//!    a serve decision — the "≤ 2% of serve throughput" budget;
-//! 2. serve replay throughput with telemetry off vs on, with the
-//!    decision digests asserted **bit-identical** both ways (the
-//!    observability-invariance contract), and the enabled-path cost
-//!    per decision;
+//! 1. serve replay with telemetry off vs on, with the decision digests
+//!    asserted **bit-identical** both ways (the observability-invariance
+//!    contract);
+//! 2. one three-arm measurement in interleaved rounds: the
+//!    **disabled-path** probe (one relaxed atomic load per
+//!    instrumentation site, in a loop), the telemetry-off replay and the
+//!    telemetry-on replay. The serve hot path has one probe per
+//!    decision, so the probe-to-replay ratio of each round, per probe
+//!    and per decision, is the disabled path's share of a decision: the
+//!    "≤ 2% of serve throughput" budget, asserted on its median. The
+//!    on/off times price the enabled path per decision;
 //! 3. a figure-4 sweep with telemetry on: the exported Chrome trace must
 //!    be well-formed JSON carrying the solver's `R`-solve counter, and the
 //!    sweep's cells must be bit-identical to the telemetry-off run.
 //!
 //! Results print as text and are written to `BENCH_obs.json` at the
-//! workspace root. Set `EIRS_BENCH_SMOKE=1` for a tiny smoke pass (CI):
-//! every gate still runs, the artifact is not rewritten.
+//! workspace root. Under `EIRS_BENCH_SMOKE=1` (CI) the measurement runs
+//! one round of a shorter probe loop, every invariance gate still runs
+//! (the 2% budget is asserted in full runs only), and the artifact is
+//! not written.
 //!
 //! Run: `cargo bench -p eirs-bench --bench obs_overhead`
 
-use eirs_bench::harness::{pretty_seconds, Bench};
+use eirs_bench::harness::{arm, pretty_seconds, rounds};
 use eirs_bench::section;
+use eirs_bench::serving::{record_stream, replay, HORIZON, K, ROUTE_SHARDS};
 use eirs_core::experiments::{figure4_heatmap_with_threads, HeatMapCell};
-use eirs_core::SystemParams;
 use eirs_obs::Json;
-use eirs_queueing::Exponential;
-use eirs_serve::{CompiledTable, EngineConfig, ServeEngine};
-use eirs_sim::arrivals::{Arrival, ArrivalTrace};
-use eirs_sim::policy::{AllocationPolicy, SwitchingCurvePolicy};
 use std::hint::black_box;
 
-const K: u32 = 4;
-const ROUTE_SHARDS: usize = 8;
-const RHO: f64 = 0.7;
-
-fn smoke() -> bool {
-    std::env::var_os("EIRS_BENCH_SMOKE").is_some_and(|v| !v.is_empty() && v != "0")
-}
-
-fn policy() -> Box<dyn AllocationPolicy> {
-    Box::new(SwitchingCurvePolicy {
-        intercept: 2,
-        slope: 0.5,
-    })
-}
-
-fn record_stream(horizon: f64) -> Vec<Arrival> {
-    let p = SystemParams::with_equal_lambdas(K, 1.0, 1.0, RHO).expect("stable params");
-    let scale = ROUTE_SHARDS as f64;
-    let mut stream = eirs_sim::PoissonStream::new(
-        p.lambda_i * scale,
-        p.lambda_e * scale,
-        Box::new(Exponential::new(p.mu_i)),
-        Box::new(Exponential::new(p.mu_e)),
-        7,
-    );
-    ArrivalTrace::record(&mut stream, horizon)
-        .arrivals()
-        .to_vec()
-}
-
-fn replay(arrivals: &[Arrival]) -> ServeEngine {
-    let config = EngineConfig::new(K).route_shards(ROUTE_SHARDS).batch(4096);
-    let mut engine = ServeEngine::new(CompiledTable::compile(policy(), K, 64, 64), config);
-    for chunk in arrivals.chunks(4096) {
-        engine.ingest_batch(chunk);
-    }
-    engine.drain();
-    engine
-}
+/// Timed rounds in a full run.
+const ROUNDS: usize = 21;
+/// Replay batch: the one of `serve_throughput`'s single-worker replay.
+const BATCH: usize = 4096;
+/// Load of the traced figure-4 sweep.
+const SWEEP_RHO: f64 = 0.7;
 
 /// Compares two heat maps bit for bit (both float fields of every cell).
 fn cells_identical(a: &[HeatMapCell], b: &[HeatMapCell]) -> bool {
@@ -83,43 +53,21 @@ fn cells_identical(a: &[HeatMapCell], b: &[HeatMapCell]) -> bool {
         })
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     eirs_obs::set_enabled(false);
     eirs_obs::reset();
-    let smoke = smoke();
+    let smoke = eirs_bench::smoke();
     let mut report = Json::object();
-    report.set("schema", "eirs-bench-obs/v2");
+    report.set("schema", "eirs-bench-obs/v3");
     report.set("hardware", eirs_bench::json::run_metadata());
 
-    // ---- 1. The disabled-path probe -----------------------------------
-    // Every instrumentation site compiles down to one relaxed load of
-    // the global enable flag when telemetry is off. Time that probe
-    // directly, then express it against the measured per-decision time:
-    // the serve hot path has exactly one probe per decision.
-    section("disabled-path probe cost (one relaxed load per site)");
-    let mut bench = Bench::with_samples(if smoke { 2 } else { 5 });
-    let probes: u64 = if smoke { 1_000_000 } else { 50_000_000 };
-    let probe = bench
-        .time("enabled_probe", 1, || {
-            let mut hits = 0u64;
-            for _ in 0..probes {
-                if black_box(eirs_obs::enabled()) {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-        .clone();
-    let probe_ns = probe.median_s / probes as f64 * 1e9;
-    println!("  probe: {probe_ns:.3} ns per enabled() check");
-
-    // ---- 2. Serve replay: telemetry off vs on --------------------------
+    // ---- 1. Serve replay: telemetry off vs on --------------------------
     section("serve replay, telemetry off vs on (digests must agree)");
-    let arrivals = record_stream(if smoke { 400.0 } else { 8_000.0 });
+    let arrivals = record_stream(ROUTE_SHARDS, HORIZON);
     println!("  prerecorded stream: {} arrivals", arrivals.len());
-    let off_engine = replay(&arrivals);
+    let off_engine = replay(&arrivals, 1, BATCH);
     eirs_obs::set_enabled(true);
-    let on_engine = replay(&arrivals);
+    let on_engine = replay(&arrivals, 1, BATCH);
     eirs_obs::set_enabled(false);
     let digests_equal = on_engine.decision_digest() == off_engine.decision_digest()
         && on_engine.shard_digests() == off_engine.shard_digests();
@@ -135,35 +83,59 @@ fn main() {
         0,
         "disabled run must not time decisions"
     );
-
     let decisions = off_engine.metrics_total().decisions as f64;
-    let off = bench
-        .time("replay_obs_off", 1, || replay(&arrivals))
-        .clone();
-    eirs_obs::set_enabled(true);
-    let on = bench.time("replay_obs_on", 1, || replay(&arrivals)).clone();
-    eirs_obs::set_enabled(false);
-    let off_dps = decisions / off.median_s;
-    let on_dps = decisions / on.median_s;
+
+    // ---- 2. Probe, telemetry-off and telemetry-on replays --------------
+    section("disabled-path probe vs serve decisions, telemetry off vs on");
+    let probes: u64 = if smoke { 1_000_000 } else { 50_000_000 };
+    let m = rounds(
+        if smoke { 1 } else { ROUNDS },
+        vec![
+            arm("enabled_probe", || {
+                let mut hits = 0u64;
+                for _ in 0..probes {
+                    if black_box(eirs_obs::enabled()) {
+                        hits += 1;
+                    }
+                }
+                hits
+            }),
+            arm("replay_obs_off", || replay(&arrivals, 1, BATCH)),
+            arm("replay_obs_on", || {
+                eirs_obs::set_enabled(true);
+                let engine = replay(&arrivals, 1, BATCH);
+                eirs_obs::set_enabled(false);
+                engine
+            }),
+        ],
+    );
+    let (probe, off, on) = (m.timing(0), m.timing(1), m.timing(2));
+    let probe_ns = probe.median_s / probes as f64 * 1e9;
     let decision_ns = off.median_s / decisions * 1e9;
     let enabled_cost_ns = (on.median_s - off.median_s) / decisions * 1e9;
-    // One probe per decision: the disabled-path tax on serve throughput.
-    let disabled_overhead_pct = 100.0 * probe_ns / decision_ns;
+    // One probe per decision: probe time per probe over replay time per
+    // decision, in percent, round by round.
+    let disabled_pct = m.ratio(0, 1).scaled(100.0 * decisions / probes as f64);
+    println!("  probe: {probe_ns:.3} ns per enabled() check");
     println!(
         "  off: {:.2}M decisions/sec ({decision_ns:.1} ns/decision)",
-        off_dps / 1e6
+        decisions / off.median_s / 1e6
     );
     println!(
         "  on:  {:.2}M decisions/sec ({enabled_cost_ns:+.1} ns/decision enabled cost, \
          p50 recorded latency {})",
-        on_dps / 1e6,
+        decisions / on.median_s / 1e6,
         pretty_seconds(latency.quantile(0.5).unwrap_or(0) as f64 * 1e-9)
     );
-    println!("  disabled-path overhead: {disabled_overhead_pct:.3}% of a decision (budget 2%)");
+    println!(
+        "  disabled-path overhead: {:.3}% of a decision (q1 {:.3}%, q3 {:.3}%; budget 2%)",
+        disabled_pct.median, disabled_pct.q1, disabled_pct.q3
+    );
     if !smoke {
         assert!(
-            disabled_overhead_pct <= 2.0,
-            "disabled-path probe costs {disabled_overhead_pct:.2}% of a serve decision"
+            disabled_pct.median <= 2.0,
+            "disabled-path probe costs {:.2}% of a serve decision",
+            disabled_pct.median
         );
     }
     let mut serve_json = Json::object();
@@ -171,17 +143,16 @@ fn main() {
         .set("arrivals", arrivals.len())
         .set("decisions", decisions as u64)
         .set("digests_identical_on_vs_off", digests_equal)
+        .set("probes_per_run", probes)
+        .set("probe", &probe)
         .set("probe_ns", probe_ns)
         .set("decision_ns_obs_off", decision_ns)
-        .set("disabled_overhead_pct", disabled_overhead_pct)
-        .set(
-            "disabled_overhead_within_2pct",
-            disabled_overhead_pct <= 2.0,
-        )
+        .set("disabled_overhead_pct", disabled_pct)
+        .set("disabled_overhead_within_2pct", disabled_pct.median <= 2.0)
         .set("obs_off", &off)
         .set("obs_on", &on)
-        .set("obs_off_decisions_per_sec", off_dps)
-        .set("obs_on_decisions_per_sec", on_dps)
+        .set("obs_off_decisions_per_sec", decisions / off.median_s)
+        .set("obs_on_decisions_per_sec", decisions / on.median_s)
         .set("enabled_cost_ns_per_decision", enabled_cost_ns)
         .set("enabled_latency_p50_ns", latency.quantile(0.5).unwrap_or(0))
         .set(
@@ -193,10 +164,10 @@ fn main() {
     // ---- 3. Figure-4 sweep: trace export + bit-identity ----------------
     section("figure-4 sweep: exported trace validates, output is invariant");
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let reference = figure4_heatmap_with_threads(K, RHO, threads).expect("analysis succeeds");
+    let reference = figure4_heatmap_with_threads(K, SWEEP_RHO, threads).expect("analysis succeeds");
     eirs_obs::reset();
     eirs_obs::set_enabled(true);
-    let traced = figure4_heatmap_with_threads(K, RHO, threads).expect("analysis succeeds");
+    let traced = figure4_heatmap_with_threads(K, SWEEP_RHO, threads).expect("analysis succeeds");
     eirs_obs::set_enabled(false);
     let events = eirs_obs::take_events();
     let snap = eirs_obs::snapshot();
@@ -228,11 +199,5 @@ fn main() {
         .set("r_solves", solves);
     report.set("figure4_sweep", sweep_json);
 
-    if smoke {
-        section("EIRS_BENCH_SMOKE: tiny smoke pass, artifact will not be rewritten");
-        return;
-    }
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    std::fs::write(out_path, report.pretty()).expect("write BENCH_obs.json");
-    println!("\nwrote {out_path}");
+    eirs_bench::json::write_artifact("BENCH_obs.json", report)
 }

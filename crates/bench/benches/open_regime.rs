@@ -16,8 +16,9 @@
 //!
 //! Run: `cargo bench -p eirs-bench --bench open_regime`
 
-use eirs_bench::{default_threads, parallel_map, section};
+use eirs_bench::section;
 use eirs_core::params::SystemParams;
+use eirs_core::sweep::{sweep_with_threads, threads};
 use eirs_mdp::{evaluate_policy, solve_optimal, MdpConfig};
 use eirs_sim::policy::{AllocationPolicy, ElasticThresholdPolicy, ReservePolicy};
 
@@ -37,7 +38,7 @@ fn main() {
     ));
 
     let cases = vec![(0.25f64, 1.0f64, 0.7f64), (0.25, 1.0, 0.9), (0.5, 1.5, 0.8)];
-    let rows = parallel_map(cases, default_threads(), |&(mu_i, mu_e, rho)| {
+    let rows = sweep_with_threads(&cases, threads(), |&(mu_i, mu_e, rho)| {
         let p = SystemParams::with_equal_lambdas(k, mu_i, mu_e, rho).expect("stable");
         let cfg = MdpConfig {
             k,

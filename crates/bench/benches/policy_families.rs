@@ -10,7 +10,9 @@
 //! 2. DES replications on decorrelated seed streams (mean ± 95% CI);
 //! 3. the truncated-grid CTMC evaluator (`eirs_mdp::evaluate_allocation_policy`).
 //!
-//! and records the agreement into `BENCH_policy_families.json`. The
+//! and records the agreement into `BENCH_policy_families.json` at the
+//! workspace root (under `EIRS_BENCH_SMOKE=1`, CI's run, it runs at full
+//! size and writes nothing). The
 //! substrates share nothing beyond the policy's allocation map, so
 //! agreement is a strong mutual check — the machine-readable version of
 //! the acceptance criterion "analytical mean response time agrees with
@@ -71,7 +73,7 @@ fn mdp_grid_response(policy: &dyn AllocationPolicy, p: &SystemParams) -> f64 {
     g / p.total_lambda()
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     let specs = [
         "if",
         "ef",
@@ -187,11 +189,5 @@ fn main() {
     report.set("des_departures_each", DEPARTURES);
     report.set("rows", rows_json);
 
-    let out_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_policy_families.json"
-    );
-    std::fs::write(out_path, report.pretty()).expect("write BENCH_policy_families.json");
-    println!();
-    println!("wrote {out_path}");
+    eirs_bench::json::write_artifact("BENCH_policy_families.json", report)
 }

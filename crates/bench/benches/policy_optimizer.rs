@@ -16,7 +16,9 @@
 //!    (exactly zero width for the deterministic trace replay, which is an
 //!    exact comparison on that path).
 //!
-//! Results go to `BENCH_policy_optimizer.json`.
+//! Results go to `BENCH_policy_optimizer.json` at the workspace root.
+//! Under `EIRS_BENCH_SMOKE=1` (CI) it runs at full size and the
+//! artifact is not written.
 //!
 //! Run: `cargo bench -p eirs-bench --bench policy_optimizer`
 
@@ -63,7 +65,7 @@ fn search(
     .expect("search")
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     let mut report = Json::object();
     report.set("schema", "eirs-bench-policy-optimizer/v1");
     report.set("hardware", run_metadata());
@@ -398,10 +400,5 @@ fn main() {
     report.set("all_intractable_beat_best_baseline", all_beat);
     let _ = std::fs::remove_file(&trace_path);
 
-    let out_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_policy_optimizer.json"
-    );
-    std::fs::write(out_path, report.pretty()).expect("write BENCH_policy_optimizer.json");
-    println!("wrote {out_path}");
+    eirs_bench::json::write_artifact("BENCH_policy_optimizer.json", report)
 }

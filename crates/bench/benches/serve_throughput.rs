@@ -7,7 +7,7 @@
 //!    engine, single worker vs all-core workers — events/sec and
 //!    decisions/sec, with the sharded digest asserted **bit-identical**
 //!    to the single-worker digest; then 1 vs 2 workers at batches of 64,
-//!    256 and 1,024 in alternating pairs, digests asserted equal;
+//!    256 and 1,024, every run's digest asserted equal;
 //! 2. amortized per-decision latency percentiles (p50/p99 over
 //!    1024-event batch means — see the inline note on why decisions are
 //!    not timed individually);
@@ -20,93 +20,50 @@
 //!    round-trip throughput, request-latency tails (p50/p95/p99), and
 //!    the wall-clock pause of a mid-stream atomic policy hot-swap.
 //!
-//! Results print as text and are written to `BENCH_serve.json` at the
-//! workspace root so the perf trajectory is recorded PR over PR.
+//! Every comparison runs its arms in interleaved rounds
+//! (`eirs_bench::harness`), and every speedup is the median and quartiles
+//! of the per-round ratios. Results print as text and are written to
+//! `BENCH_serve.json` at the workspace root. Under `EIRS_BENCH_SMOKE=1`
+//! (CI) each comparison runs one round, every gate still asserts, and
+//! the artifact is not written.
 //!
 //! Run: `cargo bench -p eirs-bench --bench serve_throughput`
 
-use eirs_bench::harness::{pretty_seconds, Bench};
+use eirs_bench::harness::{arm, pretty_seconds, rounds};
 use eirs_bench::section;
+use eirs_bench::serving::{
+    policy, record_stream, replay, table, GRID, HORIZON, K, RHO_PER_SHARD, ROUTE_SHARDS,
+};
 use eirs_core::SystemParams;
-use eirs_obs::Json;
+use eirs_obs::{Json, LatencyHistogram};
 use eirs_queueing::Exponential;
 use eirs_serve::engine::digest_decisions;
 use eirs_serve::replay::des_decision_log;
 use eirs_serve::{CompiledTable, EngineConfig, ServeEngine};
 use eirs_sim::arrivals::{Arrival, ArrivalTrace};
-use eirs_sim::policy::{AllocationPolicy, SwitchingCurvePolicy, TablePolicy};
+use eirs_sim::policy::{AllocationPolicy, TablePolicy};
 use std::hint::black_box;
 
-const K: u32 = 4;
-const ROUTE_SHARDS: usize = 8;
-const RHO_PER_SHARD: f64 = 0.7;
-const GRID: usize = 64;
-/// Simulated horizon of the prerecorded stream (~450k arrivals).
-const HORIZON: f64 = 20_000.0;
-/// Batch sizes of the worker-scaling rows: small, the networked engine
-/// loop's cap (256), and the engine default (1,024).
+/// Batch sizes of the worker-scaling rows: small, mid, and the engine
+/// default (1,024), which is also the networked engine loop's batch
+/// under `serve --listen`.
 const SCALING_BATCHES: [usize; 3] = [64, 256, 1024];
-/// Alternating 1-worker / 2-worker replay pairs per scaling row.
-const SCALING_PAIRS: usize = 9;
+/// Timed rounds per comparison in a full run.
+const ROUNDS: usize = 9;
 
-fn policy() -> Box<dyn AllocationPolicy> {
-    Box::new(SwitchingCurvePolicy {
-        intercept: 2,
-        slope: 0.5,
-    })
-}
-
-fn table() -> CompiledTable {
-    CompiledTable::compile(policy(), K, GRID, GRID)
-}
-
-/// Prerecords the offered stream: `ROUTE_SHARDS` x the single-cluster
-/// rate, so every shard runs at load `RHO_PER_SHARD` after hash routing.
-fn record_stream() -> Vec<Arrival> {
-    let p = SystemParams::with_equal_lambdas(K, 1.0, 1.0, RHO_PER_SHARD).expect("stable params");
-    let scale = ROUTE_SHARDS as f64;
-    let mut stream = eirs_sim::PoissonStream::new(
-        p.lambda_i * scale,
-        p.lambda_e * scale,
-        Box::new(Exponential::new(p.mu_i)),
-        Box::new(Exponential::new(p.mu_e)),
-        7,
-    );
-    ArrivalTrace::record(&mut stream, HORIZON)
-        .arrivals()
-        .to_vec()
-}
-
-fn replay(arrivals: &[Arrival], workers: usize, batch: usize) -> ServeEngine {
-    let config = EngineConfig::new(K)
-        .route_shards(ROUTE_SHARDS)
-        .workers(workers)
-        .batch(batch);
-    let mut engine = ServeEngine::new(table(), config);
-    for chunk in arrivals.chunks(batch) {
-        engine.ingest_batch(chunk);
-    }
-    engine.drain();
-    engine
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
-fn main() {
+fn main() -> Result<(), String> {
+    let n = if eirs_bench::smoke() { 1 } else { ROUNDS };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let workers = cores.clamp(1, ROUTE_SHARDS);
     let mut report = Json::object();
-    report.set("schema", "eirs-bench-serve/v1");
+    report.set("schema", "eirs-bench-serve/v2");
     report.set("hardware", eirs_bench::json::run_metadata());
 
     // ---- 1. Full-replay throughput: single worker vs sharded ----------
     section(&format!(
         "serve replay (k = {K}, {ROUTE_SHARDS} route shards, rho {RHO_PER_SHARD} per shard)"
     ));
-    let arrivals = record_stream();
+    let arrivals = record_stream(ROUTE_SHARDS, HORIZON);
     println!(
         "  prerecorded stream: {} arrivals over {HORIZON} time units",
         arrivals.len()
@@ -114,24 +71,29 @@ fn main() {
 
     let reference = replay(&arrivals, 1, 4096);
     let totals = reference.metrics_total();
-    let sharded = replay(&arrivals, workers, 4096);
-    let identical = sharded.decision_digest() == reference.decision_digest()
-        && sharded.shard_digests() == reference.shard_digests();
-    println!("  sharded replay bit-identical to single-worker: {identical}");
-    assert!(
-        identical,
-        "sharded replay diverged from single-worker replay"
+    // Every timed run below checks its digests against the reference:
+    // reading them is a fold over the shards, noise beside a replay.
+    let replay_checked = |workers: usize, batch: usize| {
+        let engine = replay(&arrivals, workers, batch);
+        assert!(
+            engine.decision_digest() == reference.decision_digest()
+                && engine.shard_digests() == reference.shard_digests(),
+            "{workers}-worker replay at batch {batch} diverged from the single-worker replay"
+        );
+        engine
+    };
+    let m = rounds(
+        n,
+        vec![
+            arm("replay_single_worker", || replay_checked(1, 4096)),
+            arm(format!("replay_sharded_t{workers}"), || {
+                replay_checked(workers, 4096)
+            }),
+        ],
     );
-
-    let mut bench = Bench::with_samples(5);
-    let single = bench
-        .time("replay_single_worker", 1, || replay(&arrivals, 1, 4096))
-        .clone();
-    let multi = bench
-        .time(&format!("replay_sharded_t{workers}"), 1, || {
-            replay(&arrivals, workers, 4096)
-        })
-        .clone();
+    println!("  sharded replay bit-identical to single-worker: true");
+    let (single, multi) = (m.timing(0), m.timing(1));
+    let sharded_speedup = m.ratio(0, 1);
     let decisions = totals.decisions as f64;
     let events = totals.events() as f64;
     let single_dps = decisions / single.median_s;
@@ -142,10 +104,9 @@ fn main() {
         events / single.median_s / 1e6
     );
     println!(
-        "  {workers} workers:     {:.2}M decisions/sec ({:.2}M events/sec, {:.2}x)",
+        "  {workers} workers:     {:.2}M decisions/sec ({:.2}M events/sec), {sharded_speedup}",
         multi_dps / 1e6,
         events / multi.median_s / 1e6,
-        single.median_s / multi.median_s
     );
     let sustained = single_dps.max(multi_dps);
     assert!(
@@ -159,10 +120,11 @@ fn main() {
         .set("events", totals.events())
         .set("decisions", totals.decisions)
         .set("route_shards", ROUTE_SHARDS)
-        .set("sharded_bit_identical", identical)
+        .set("sharded_bit_identical", true)
         .set("single_worker", &single)
         .set("sharded", &multi)
         .set("sharded_workers", workers)
+        .set("sharded_speedup", sharded_speedup)
         .set("single_worker_decisions_per_sec", single_dps)
         .set("sharded_decisions_per_sec", multi_dps)
         .set("single_worker_events_per_sec", events / single.median_s)
@@ -171,47 +133,36 @@ fn main() {
     report.set("replay", replay_json);
 
     // ---- 1b. One worker vs two by batch size ---------------------------
-    // The two arms alternate, and so does which of them runs first, so
-    // both see the same stretches of the host. Each time covers the
-    // engine's build, every batch and the drain; the pool thread starts
-    // inside it.
-    section(&format!(
-        "worker scaling: 1 vs 2 workers by batch ({SCALING_PAIRS} alternating pairs)"
-    ));
+    // Each run covers the engine's build, every batch and the drop,
+    // which joins the pool thread.
+    section("worker scaling: 1 vs 2 workers by batch");
     let mut scaling_rows = Vec::new();
     for batch in SCALING_BATCHES {
-        let mut times: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-        for pair in 0..SCALING_PAIRS {
-            for arm in [pair % 2, 1 - pair % 2] {
-                let start = std::time::Instant::now();
-                let engine = replay(&arrivals, arm + 1, batch);
-                times[arm].push(start.elapsed().as_secs_f64());
-                assert_eq!(
-                    engine.decision_digest(),
-                    reference.decision_digest(),
-                    "{} worker(s) at batch {batch} diverged from the reference replay",
-                    arm + 1
-                );
-            }
-        }
-        let [one, two] = times.map(|mut t| {
-            t.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-            percentile(&t, 0.5)
-        });
+        let m = rounds(
+            n,
+            vec![
+                arm(format!("batch_{batch}_one_worker"), || {
+                    replay_checked(1, batch)
+                }),
+                arm(format!("batch_{batch}_two_workers"), || {
+                    replay_checked(2, batch)
+                }),
+            ],
+        );
+        let (one, two) = (m.timing(0), m.timing(1));
+        let speedup = m.ratio(0, 1);
         println!(
-            "  batch {batch:>5}: 1 worker {:.2}M, 2 workers {:.2}M decisions/sec ({:.2}x)",
-            decisions / one / 1e6,
-            decisions / two / 1e6,
-            one / two
+            "  batch {batch:>5}: 1 worker {:.2}M, 2 workers {:.2}M decisions/sec, {speedup}",
+            decisions / one.median_s / 1e6,
+            decisions / two.median_s / 1e6,
         );
         let mut row = Json::object();
         row.set("batch", batch)
-            .set("pairs", SCALING_PAIRS)
-            .set("one_worker_median_s", one)
-            .set("two_worker_median_s", two)
-            .set("one_worker_decisions_per_sec", decisions / one)
-            .set("two_worker_decisions_per_sec", decisions / two)
-            .set("two_worker_speedup", one / two)
+            .set("one_worker", &one)
+            .set("two_workers", &two)
+            .set("one_worker_decisions_per_sec", decisions / one.median_s)
+            .set("two_worker_decisions_per_sec", decisions / two.median_s)
+            .set("two_worker_speedup", speedup)
             .set("digests_equal", true);
         scaling_rows.push(row);
     }
@@ -226,7 +177,7 @@ fn main() {
     section("amortized decision latency (percentiles over 1024-event batch means)");
     let config = EngineConfig::new(K).route_shards(ROUTE_SHARDS).batch(1024);
     let mut engine = ServeEngine::new(table(), config);
-    let mut samples: Vec<f64> = Vec::new();
+    let mut batch_means = LatencyHistogram::new();
     let mut last_decisions = 0u64;
     for chunk in arrivals.chunks(1024) {
         let start = std::time::Instant::now();
@@ -234,18 +185,20 @@ fn main() {
         let elapsed = start.elapsed().as_secs_f64();
         let now = engine.metrics_total().decisions;
         if now > last_decisions {
-            samples.push(elapsed / (now - last_decisions) as f64);
+            batch_means.record_seconds(elapsed / (now - last_decisions) as f64);
         }
         last_decisions = now;
     }
     engine.drain();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let (p50, p99) = (percentile(&samples, 0.50), percentile(&samples, 0.99));
+    let (p50, p99) = (
+        batch_means.quantile_seconds(0.50),
+        batch_means.quantile_seconds(0.99),
+    );
     println!(
         "  amortized per-decision latency: p50 {} / p99 {}  ({} batch means)",
         pretty_seconds(p50),
         pretty_seconds(p99),
-        samples.len()
+        batch_means.count()
     );
     let mut latency = Json::object();
     latency
@@ -254,7 +207,7 @@ fn main() {
             "percentiles over per-batch mean decision latency (not per-decision tails)",
         )
         .set("batch", 1024u64)
-        .set("batches", samples.len())
+        .set("batches", batch_means.count())
         .set("p50_batch_mean_s", p50)
         .set("p99_batch_mean_s", p99);
     report.set("decision_latency", latency);
@@ -269,31 +222,30 @@ fn main() {
         .collect();
     let boxed: Box<dyn AllocationPolicy> = Box::new(TablePolicy::random_class_p(7));
     let compiled = CompiledTable::compile(Box::new(TablePolicy::random_class_p(7)), K, GRID, GRID);
-    let lookup = bench
-        .time("compiled_lookup_40k_states", 10, || {
-            states
-                .iter()
-                .map(|&(i, j)| black_box(compiled.lookup(i, j)).total())
-                .sum::<f64>()
-        })
-        .clone();
-    let direct = bench
-        .time("boxed_allocate_40k_states", 10, || {
-            states
-                .iter()
-                .map(|&(i, j)| black_box(boxed.allocate(i, j, K)).total())
-                .sum::<f64>()
-        })
-        .clone();
-    println!(
-        "  speedup from compilation: {:.2}x",
-        direct.median_s / lookup.median_s
+    let m = rounds(
+        n,
+        vec![
+            arm("compiled_lookup_40k_states", || {
+                states
+                    .iter()
+                    .map(|&(i, j)| black_box(compiled.lookup(i, j)).total())
+                    .sum::<f64>()
+            }),
+            arm("boxed_allocate_40k_states", || {
+                states
+                    .iter()
+                    .map(|&(i, j)| black_box(boxed.allocate(i, j, K)).total())
+                    .sum::<f64>()
+            }),
+        ],
     );
+    let speedup = m.ratio(1, 0);
+    println!("  speedup from compilation: {speedup}");
     let mut lk = Json::object();
     lk.set("states", states.len())
-        .set("compiled", &lookup)
-        .set("direct", &direct)
-        .set("speedup", direct.median_s / lookup.median_s);
+        .set("compiled", &m.timing(0))
+        .set("direct", &m.timing(1))
+        .set("speedup", speedup);
     report.set("lookup", lk);
 
     // ---- 4. DES exactness gate -----------------------------------------
@@ -420,7 +372,5 @@ fn main() {
         .set("accounting_balanced", net_report.accounting_balanced());
     report.set("networked", netj);
 
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(out_path, report.pretty()).expect("write BENCH_serve.json");
-    println!("\nwrote {out_path}");
+    eirs_bench::json::write_artifact("BENCH_serve.json", report)
 }

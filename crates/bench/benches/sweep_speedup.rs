@@ -3,25 +3,26 @@
 //! Measures, on the current machine:
 //!
 //! 1. the Figure 4 heat-map grid (3 loads × 196 (µ_I, µ_E) cells, two QBD
-//!    analyses per cell) as a **1/2/4/8-thread scaling table**, verifying
-//!    on the way that every parallel run is **bit-identical** to the
-//!    serial run, and the serial time against the committed PR-1 serial
-//!    baseline (a recorded cross-host ratio, not a gate);
+//!    analyses per cell) at 1/2/4/8 threads, as one four-arm measurement,
+//!    verifying on the way that every parallel run is **bit-identical**
+//!    to the serial run, and the serial time against the committed PR-1
+//!    serial baseline (a recorded cross-host ratio, not a gate);
 //! 2. single-threaded QBD `R`-matrix solves: the allocation-free workspace
 //!    path vs the allocation-per-step reference implementation;
 //! 3. parallel vs serial simulation replications (per-replication seed
 //!    streams).
 //!
-//! Results print as text and are written to `BENCH_sweeps.json` at the
-//! workspace root so the perf trajectory is recorded PR over PR. Set
-//! `EIRS_BENCH_SMOKE=1` to run a tiny-iteration smoke pass (CI): every
-//! section executes, correctness gates still assert, but the artifact is
-//! **not** rewritten, so a 1-sample run never pollutes the trajectory.
+//! Each comparison runs its arms in interleaved rounds
+//! (`eirs_bench::harness`); every speedup is the median and quartiles of
+//! the per-round ratios. Results print as text and are written to
+//! `BENCH_sweeps.json` at the workspace root. Under `EIRS_BENCH_SMOKE=1`
+//! (CI) every section runs one round on smaller inputs, every
+//! correctness gate still asserts, and the artifact is not written.
 //!
 //! Run: `cargo bench -p eirs-bench --bench sweep_speedup`
 
-use eirs_bench::harness::{pretty_seconds, Bench, Measurement};
-use eirs_bench::section;
+use eirs_bench::harness::{arm, repeat, rounds};
+use eirs_bench::{section, smoke};
 use eirs_core::experiments::{figure4_heatmap_serial, figure4_heatmap_with_threads, HeatMapCell};
 use eirs_markov::{Qbd, QbdWorkspace, RSolver};
 use eirs_numerics::Matrix;
@@ -44,9 +45,8 @@ const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// is a record, not a gate.
 const PR1_BASELINE_SERIAL_MEDIAN_S: f64 = 0.022564941;
 
-fn smoke() -> bool {
-    std::env::var_os("EIRS_BENCH_SMOKE").is_some_and(|v| !v.is_empty() && v != "0")
-}
+/// Timed rounds per measurement in a full run.
+const ROUNDS: usize = 21;
 
 fn grid_cells(threads: usize) -> Vec<HeatMapCell> {
     RHOS.iter()
@@ -85,20 +85,17 @@ fn erlang_qbd(p: usize, lambda: f64, mu: f64) -> Qbd {
     Qbd::new(vec![u0], vec![Matrix::zeros(p, p)], vec![], a0, a1, a2).expect("valid blocks")
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     let smoke = smoke();
+    let n = if smoke { 1 } else { ROUNDS };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let samples = if smoke { 1 } else { 5 };
     let max_threads = *SCALING_THREADS.last().unwrap();
     let mut report = Json::object();
-    report.set("schema", "eirs-bench-sweeps/v3");
+    report.set("schema", "eirs-bench-sweeps/v4");
     report.set(
         "hardware",
         eirs_bench::json::run_metadata_with_threads(max_threads),
     );
-    if smoke {
-        section("EIRS_BENCH_SMOKE: tiny-iteration smoke pass, artifact will not be rewritten");
-    }
 
     // ---- 1. Figure 4 grid: 1/2/4/8-thread scaling table ---------------
     section(&format!(
@@ -112,36 +109,21 @@ fn main() {
         );
     }
     println!("  parallel output bit-identical to serial: true");
-
-    // Each sample is the min of 3 back-to-back reps (see
-    // `Bench::time_min_of`): the grid is deterministic CPU-bound work, and
-    // the min-of-reps floor is the statistic that survives bursty
-    // scheduler noise on shared hosts.
-    let grid_reps = if smoke { 1 } else { 3 };
-    let mut bench = Bench::with_samples(samples);
-    let runs: Vec<Measurement> = SCALING_THREADS
-        .iter()
-        .map(|&t| {
-            bench
-                .time_min_of(&format!("figure4_grid_t{t}"), 1, grid_reps, || {
-                    grid_cells(t)
-                })
-                .clone()
-        })
-        .collect();
-    let improvement_vs_pr1 = PR1_BASELINE_SERIAL_MEDIAN_S / runs[0].median_s;
-
-    println!("  threads       median   speedup");
+    let grid = rounds(
+        n,
+        SCALING_THREADS
+            .iter()
+            .map(|&t| arm(format!("figure4_grid_t{t}"), move || grid_cells(t)))
+            .collect(),
+    );
+    let improvement_vs_pr1 = PR1_BASELINE_SERIAL_MEDIAN_S / grid.timing(0).median_s;
     let mut scaling_rows = Vec::new();
-    for (run, &t) in runs.iter().zip(&SCALING_THREADS) {
-        let speedup = runs[0].median_s / run.median_s;
-        println!(
-            "  {t:>7}  {:>11}  {speedup:>6.2}x",
-            pretty_seconds(run.median_s)
-        );
+    for (i, &t) in SCALING_THREADS.iter().enumerate() {
+        let speedup = grid.ratio(0, i);
+        println!("  {t} thread(s): {speedup} vs serial");
         let mut row = Json::object();
         row.set("threads", t)
-            .set("grid", run)
+            .set("grid", &grid.timing(i))
             .set("speedup_vs_serial", speedup);
         scaling_rows.push(row);
     }
@@ -167,28 +149,33 @@ fn main() {
         ("lr", RSolver::LogarithmicReduction, 18, 60),
         ("lr", RSolver::LogarithmicReduction, 34, 20),
     ];
-    for (tag, solver, p, iters) in cases {
-        let iters = if smoke { 1 } else { iters };
+    for (tag, solver, p, solves) in cases {
+        let solves = if smoke { 1 } else { solves };
         let qbd = erlang_qbd(p, 0.8, 1.0);
         let mut ws = QbdWorkspace::new(p);
-        let mut b = Bench::with_samples(samples);
-        let reference = b
-            .time(&format!("qbd_{tag}_reference_p{p}"), iters, || {
-                qbd.solve_r_reference(solver).unwrap()
-            })
-            .clone();
-        let workspace = b
-            .time(&format!("qbd_{tag}_workspace_p{p}"), iters, || {
-                qbd.solve_r_with_workspace(solver, &mut ws).unwrap()
-            })
-            .clone();
-        let speedup = reference.median_s / workspace.median_s;
-        println!("  {tag} p = {p}: {speedup:.2}x over reference");
+        let m = rounds(
+            n,
+            vec![
+                arm(
+                    format!("qbd_{tag}_reference_p{p} x{solves}"),
+                    repeat(solves, || qbd.solve_r_reference(solver).unwrap()),
+                ),
+                arm(
+                    format!("qbd_{tag}_workspace_p{p} x{solves}"),
+                    repeat(solves, || {
+                        qbd.solve_r_with_workspace(solver, &mut ws).unwrap()
+                    }),
+                ),
+            ],
+        );
+        let speedup = m.ratio(0, 1);
+        println!("  {tag} p = {p}: {speedup} over reference");
         let mut row = Json::object();
         row.set("solver", tag)
             .set("phases", p)
-            .set("reference", &reference)
-            .set("workspace", &workspace)
+            .set("solves_per_run", solves)
+            .set("reference", &m.timing(0))
+            .set("workspace", &m.timing(1))
             .set("speedup", speedup);
         qbd_rows.push(row);
     }
@@ -223,21 +210,23 @@ fn main() {
         .all(|(a, b)| a.to_bits() == b.to_bits());
     assert!(rep_identical, "parallel replications diverged from serial");
     println!("  parallel replications bit-identical to serial: {rep_identical}");
-    let mut b = Bench::with_samples(samples.min(3));
-    let rep_serial = b.time("replications_serial", 1, || replicate(1)).clone();
-    let rep_parallel = b
-        .time(&format!("replications_parallel_t{max_threads}"), 1, || {
-            replicate(max_threads)
-        })
-        .clone();
-    let rep_speedup = rep_serial.median_s / rep_parallel.median_s;
-    println!("  speedup: {rep_speedup:.2}x at {max_threads} threads");
+    let reps = rounds(
+        n,
+        vec![
+            arm("replications_serial", || replicate(1)),
+            arm(format!("replications_parallel_t{max_threads}"), || {
+                replicate(max_threads)
+            }),
+        ],
+    );
+    let rep_speedup = reps.ratio(0, 1);
+    println!("  speedup: {rep_speedup} at {max_threads} threads");
     let mut rep = Json::object();
     rep.set("replications", 8u64)
         .set("departures_each", departures)
         .set("bit_identical", rep_identical)
-        .set("serial", &rep_serial)
-        .set("parallel", &rep_parallel)
+        .set("serial", &reps.timing(0))
+        .set("parallel", &reps.timing(1))
         .set("speedup", rep_speedup);
     report.set("replications", rep);
 
@@ -269,17 +258,5 @@ fn main() {
         );
     report.set("targets", targets);
 
-    // ---- Write the artifact -------------------------------------------
-    if smoke {
-        println!();
-        println!("smoke mode: skipping BENCH_sweeps.json rewrite");
-        return;
-    }
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweeps.json");
-    std::fs::write(out_path, report.pretty()).expect("write BENCH_sweeps.json");
-    println!();
-    println!(
-        "wrote {out_path} (grid serial {}, {improvement_vs_pr1:.2}x vs PR-1 baseline)",
-        pretty_seconds(runs[0].median_s)
-    );
+    eirs_bench::json::write_artifact("BENCH_sweeps.json", report)
 }

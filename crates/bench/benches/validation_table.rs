@@ -8,8 +8,9 @@
 //!
 //! Run: `cargo bench -p eirs-bench --bench validation_table`
 
-use eirs_bench::{default_threads, parallel_map, section};
+use eirs_bench::section;
 use eirs_core::params::SystemParams;
+use eirs_core::sweep::{sweep_with_threads, threads};
 use eirs_core::validation::validate_point;
 
 fn main() {
@@ -35,7 +36,7 @@ fn main() {
         "  k   µ_I   µ_E   rho   | E[T]IF ana  E[T]IF sim  err%  | E[T]EF ana  E[T]EF sim  err%"
     );
 
-    let rows = parallel_map(points, default_threads(), |&(k, mu_i, mu_e, rho)| {
+    let rows = sweep_with_threads(&points, threads(), |&(k, mu_i, mu_e, rho)| {
         let p = SystemParams::with_equal_lambdas(k, mu_i, mu_e, rho).expect("stable");
         let seed = (k as u64) * 1000 + (mu_i * 100.0) as u64 + (rho * 10.0) as u64;
         (

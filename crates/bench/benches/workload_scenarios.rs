@@ -16,7 +16,9 @@
 //! machine-readable version of the acceptance criterion "for every
 //! analytically tractable (workload, policy) pair the analysis result
 //! lands inside the DES replication CI". Results go to
-//! `BENCH_workload_scenarios.json`.
+//! `BENCH_workload_scenarios.json` at the workspace root. Under
+//! `EIRS_BENCH_SMOKE=1` (CI) it runs at full size and the artifact is
+//! not written.
 //!
 //! Run: `cargo bench -p eirs-bench --bench workload_scenarios`
 
@@ -38,7 +40,7 @@ const RHO: f64 = 0.6;
 const REPS: usize = 8;
 const DEPARTURES: u64 = 200_000;
 
-fn main() {
+fn main() -> Result<(), String> {
     let params = SystemParams::with_equal_lambdas(K, MU_I, MU_E, RHO).expect("stable");
     let workloads = scenario::registry();
     let policy_specs = ["if", "ef", "fairshare", "threshold:3", "waterfill:2"];
@@ -143,10 +145,5 @@ fn main() {
     report.set("tractable_pairs_inside_ci", inside as u64);
     report.set("rows", rows_json);
 
-    let out_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_workload_scenarios.json"
-    );
-    std::fs::write(out_path, report.pretty()).expect("write BENCH_workload_scenarios.json");
-    println!("wrote {out_path}");
+    eirs_bench::json::write_artifact("BENCH_workload_scenarios.json", report)
 }

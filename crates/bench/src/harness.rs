@@ -1,36 +1,173 @@
-//! Minimal micro-benchmark timer (criterion is unavailable offline).
+//! The one bench timer (criterion is unavailable offline).
 //!
-//! Methodology: a warm-up pass, then `samples` timed passes of
-//! `iters_per_sample` iterations each; the reported statistic is the
-//! **median** of per-iteration times (robust to scheduler noise on shared
-//! machines), with min/max retained for dispersion. Results print as an
-//! aligned table and can be serialized through [`crate::json`].
+//! Methodology: a measurement is a set of [`Arm`]s run in [`rounds`].
+//! Every arm first runs once untimed (warm-up), then in each of `R`
+//! rounds every arm runs once, each round starting one arm later than
+//! the last (A, B; B, A; …), so a slow stretch of a shared host lands on
+//! every arm alike. A timing is the median and quartiles of an arm's
+//! `R` run times; a ratio between two arms is taken inside each round
+//! and reported as the median and quartiles of the `R` per-round
+//! ratios ([`Rounds::ratio`]). One arm alone is plain repeated sampling.
+//! The clock covers each call and the drop of its result (dropping a
+//! serve engine joins its pool threads).
 
+use std::fmt;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// One benchmark measurement.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// Benchmark label.
-    pub label: String,
-    /// Median seconds per iteration.
-    pub median_s: f64,
-    /// Fastest sample (seconds per iteration).
-    pub min_s: f64,
-    /// Slowest sample (seconds per iteration).
-    pub max_s: f64,
-    /// Iterations per sample.
-    pub iters: u64,
-    /// Timed samples.
-    pub samples: u64,
+/// One arm of a measurement: a label and the work one run performs.
+pub struct Arm<'a> {
+    label: String,
+    run: Box<dyn FnMut() + 'a>,
 }
 
-impl Measurement {
-    /// Human-readable per-iteration time.
-    pub fn pretty_time(&self) -> String {
-        pretty_seconds(self.median_s)
+/// An arm whose run is one call of `f`, including the drop of its
+/// result (passed through [`black_box`] so the work cannot be elided).
+pub fn arm<'a, R>(label: impl Into<String>, mut f: impl FnMut() -> R + 'a) -> Arm<'a> {
+    Arm {
+        label: label.into(),
+        run: Box::new(move || drop(black_box(f()))),
     }
+}
+
+/// Calls `f` `times` times per run, each result through [`black_box`]:
+/// `arm(label, repeat(n, f))` keeps a short operation's run well above
+/// the clock's resolution.
+pub fn repeat<R>(times: u64, mut f: impl FnMut() -> R) -> impl FnMut() {
+    move || {
+        for _ in 0..times {
+            black_box(f());
+        }
+    }
+}
+
+/// Runs `arms` once each untimed, then `n` timed rounds in rotating
+/// order, and prints one line per arm.
+pub fn rounds(n: usize, mut arms: Vec<Arm<'_>>) -> Rounds {
+    assert!(
+        n >= 1 && !arms.is_empty(),
+        "a measurement needs a round and an arm"
+    );
+    for a in &mut arms {
+        (a.run)();
+    }
+    let mut secs = vec![Vec::with_capacity(n); arms.len()];
+    for round in 0..n {
+        for i in 0..arms.len() {
+            let a = (round + i) % arms.len();
+            let start = Instant::now();
+            (arms[a].run)();
+            secs[a].push(start.elapsed().as_secs_f64());
+        }
+    }
+    let rounds = Rounds {
+        labels: arms.into_iter().map(|a| a.label).collect(),
+        secs,
+    };
+    for i in 0..rounds.labels.len() {
+        let t = rounds.timing(i);
+        println!(
+            "  {:<44} {:>12}   (q1 {}, q3 {}, {} rounds)",
+            t.label,
+            pretty_seconds(t.median_s),
+            pretty_seconds(t.q1_s),
+            pretty_seconds(t.q3_s),
+            t.runs,
+        );
+    }
+    rounds
+}
+
+/// The run times of one measurement, per arm and round.
+#[derive(Debug, Clone)]
+pub struct Rounds {
+    labels: Vec<String>,
+    /// `secs[arm][round]`: seconds one run of the arm took in the round.
+    secs: Vec<Vec<f64>>,
+}
+
+impl Rounds {
+    /// Median and quartiles of arm `i`'s run times.
+    pub fn timing(&self, i: usize) -> Timing {
+        let [q1_s, median_s, q3_s] = quartiles(self.secs[i].clone());
+        Timing {
+            label: self.labels[i].clone(),
+            median_s,
+            q1_s,
+            q3_s,
+            runs: self.secs[i].len(),
+        }
+    }
+
+    /// Arm `num`'s time over arm `den`'s, taken inside each round (so
+    /// `ratio(serial, parallel)` is a speedup).
+    pub fn ratio(&self, num: usize, den: usize) -> Ratio {
+        let per_round = self.secs[num]
+            .iter()
+            .zip(&self.secs[den])
+            .map(|(a, b)| a / b)
+            .collect();
+        let [q1, median, q3] = quartiles(per_round);
+        Ratio { median, q1, q3 }
+    }
+}
+
+/// One arm's run time: median and quartiles over its rounds.
+#[derive(Debug, Clone)]
+pub struct Timing {
+    /// Arm label.
+    pub label: String,
+    /// Median seconds per run.
+    pub median_s: f64,
+    /// First quartile of seconds per run.
+    pub q1_s: f64,
+    /// Third quartile of seconds per run.
+    pub q3_s: f64,
+    /// Timed runs (rounds).
+    pub runs: usize,
+}
+
+/// A per-round ratio between two arms: median and quartiles.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Ratio {
+    /// Median of the per-round ratios.
+    pub median: f64,
+    /// First quartile.
+    pub q1: f64,
+    /// Third quartile.
+    pub q3: f64,
+}
+
+impl Ratio {
+    /// The ratio times `factor > 0`, a change of units (order statistics
+    /// scale with it).
+    pub fn scaled(self, factor: f64) -> Ratio {
+        assert!(factor > 0.0, "a unit change keeps the order");
+        Ratio {
+            median: self.median * factor,
+            q1: self.q1 * factor,
+            q3: self.q3 * factor,
+        }
+    }
+}
+
+impl fmt::Display for Ratio {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{:.2}x (q1 {:.2}x, q3 {:.2}x)",
+            self.median, self.q1, self.q3
+        )
+    }
+}
+
+/// Nearest-rank first quartile, median and third quartile.
+fn quartiles(mut xs: Vec<f64>) -> [f64; 3] {
+    xs.sort_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|p| {
+        let rank = ((p * xs.len() as f64).ceil() as usize).clamp(1, xs.len());
+        xs[rank - 1]
+    })
 }
 
 /// Formats seconds adaptively (s / ms / µs / ns).
@@ -46,133 +183,45 @@ pub fn pretty_seconds(s: f64) -> String {
     }
 }
 
-/// Benchmark runner with fixed sample counts.
-#[derive(Debug, Clone)]
-pub struct Bench {
-    samples: u64,
-    results: Vec<Measurement>,
-}
-
-impl Default for Bench {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Warns (once per process, to stderr) when benchmarks are about to run
-/// on a single core: parallel-speedup numbers recorded that way are
-/// meaningless for the perf trajectory, and the committed artifacts carry
-/// a `single_core` metadata flag for exactly this situation.
-pub fn warn_if_single_core() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores <= 1 {
-            eprintln!(
-                "warning: running benchmarks on a single core; parallel speedups will be ~1x \
-                 and recorded BENCH_*.json artifacts will be tagged single_core=true. \
-                 Re-run on a multi-core host for meaningful scaling numbers."
-            );
-        }
-    });
-}
-
-impl Bench {
-    /// A runner with the default 7 samples per benchmark.
-    pub fn new() -> Self {
-        Self::with_samples(7)
-    }
-
-    /// Overrides the number of timed samples.
-    pub fn with_samples(samples: u64) -> Self {
-        assert!(samples >= 1);
-        warn_if_single_core();
-        Self {
-            samples,
-            results: Vec::new(),
-        }
-    }
-
-    /// Times `f`, running it `iters` times per sample. The closure's result
-    /// is passed through [`black_box`] so the optimizer cannot elide work.
-    pub fn time<R>(&mut self, label: &str, iters: u64, f: impl FnMut() -> R) -> &Measurement {
-        self.time_min_of(label, iters, 1, f)
-    }
-
-    /// Like [`Bench::time`], but each recorded sample is the **fastest of
-    /// `reps` back-to-back timed passes**. For CPU-bound deterministic work
-    /// the true cost is the floor of the timing distribution — everything
-    /// above it is scheduler/interrupt interference — so min-of-reps per
-    /// sample plus the median across samples estimates that floor robustly
-    /// on noisy shared machines. Use for headline measurements that gate
-    /// recorded artifacts; plain [`Bench::time`] is fine for ratios where
-    /// both sides see the same noise.
-    pub fn time_min_of<R>(
-        &mut self,
-        label: &str,
-        iters: u64,
-        reps: u64,
-        mut f: impl FnMut() -> R,
-    ) -> &Measurement {
-        assert!(iters >= 1);
-        assert!(reps >= 1);
-        // Warm-up: one untimed sample.
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let mut per_iter: Vec<f64> = (0..self.samples)
-            .map(|_| {
-                (0..reps)
-                    .map(|_| {
-                        let start = Instant::now();
-                        for _ in 0..iters {
-                            black_box(f());
-                        }
-                        start.elapsed().as_secs_f64() / iters as f64
-                    })
-                    .fold(f64::INFINITY, f64::min)
-            })
-            .collect();
-        per_iter.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        let m = Measurement {
-            label: label.to_string(),
-            median_s: per_iter[per_iter.len() / 2],
-            min_s: per_iter[0],
-            max_s: *per_iter.last().expect("at least one sample"),
-            iters,
-            samples: self.samples,
-        };
-        println!(
-            "  {:<44} {:>12}   (min {}, max {}, {} x {} iters)",
-            m.label,
-            m.pretty_time(),
-            pretty_seconds(m.min_s),
-            pretty_seconds(m.max_s),
-            m.samples,
-            m.iters,
-        );
-        self.results.push(m);
-        self.results.last().expect("just pushed")
-    }
-
-    /// All measurements so far, in run order.
-    pub fn results(&self) -> &[Measurement] {
-        &self.results
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
 
     #[test]
-    fn timing_runs_and_orders_statistics() {
-        let mut b = Bench::with_samples(3);
-        let m = b.time("spin", 10, || (0..100u64).sum::<u64>()).clone();
-        assert_eq!(m.samples, 3);
-        assert!(m.min_s <= m.median_s && m.median_s <= m.max_s);
-        assert!(m.min_s > 0.0);
-        assert_eq!(b.results().len(), 1);
+    fn rounds_rotate_the_arm_order_and_ratios_are_taken_per_round() {
+        let calls = RefCell::new(Vec::new());
+        let log = &calls;
+        let r = rounds(
+            4,
+            (0..3)
+                .map(|i| arm(format!("arm{i}"), move || log.borrow_mut().push(i)))
+                .collect(),
+        );
+        // One untimed run each, then rounds starting at arm 0, 1, 2, 0.
+        assert_eq!(
+            calls.into_inner(),
+            [0, 1, 2, 0, 1, 2, 1, 2, 0, 2, 0, 1, 0, 1, 2]
+        );
+        assert_eq!(r.timing(1).runs, 4);
+        assert_eq!(r.timing(2).label, "arm2");
+
+        // Per-round ratios are [1/3, 2, 3/2], so their median is 3/2,
+        // while the arms' median times are equal (2 and 2).
+        let r = Rounds {
+            labels: vec!["a".into(), "b".into()],
+            secs: vec![vec![1.0, 2.0, 3.0], vec![3.0, 1.0, 2.0]],
+        };
+        assert_eq!(r.timing(0).median_s, r.timing(1).median_s);
+        assert_eq!(
+            r.ratio(0, 1),
+            Ratio {
+                median: 1.5,
+                q1: 1.0 / 3.0,
+                q3: 2.0
+            }
+        );
+        assert_eq!(r.ratio(0, 1).scaled(2.0).median, 3.0);
     }
 
     #[test]

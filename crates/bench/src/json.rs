@@ -1,8 +1,11 @@
-//! The hardware and threading metadata block every `BENCH_*.json`
-//! artifact embeds. The artifacts themselves are [`Json`] values, the
-//! workspace's one JSON writer (`eirs_obs::json`).
+//! The `BENCH_*.json` artifacts: the hardware and threading metadata
+//! block each embeds, the JSON form of [`crate::harness`] results, and
+//! [`write_artifact`], their one writer. The artifacts themselves are
+//! [`Json`] values, the workspace's one JSON writer (`eirs_obs::json`).
 
+use crate::harness::{Ratio, Timing};
 use eirs_obs::Json;
+use std::path::{Path, PathBuf};
 
 /// The standard machine/threading metadata block every `BENCH_*.json`
 /// artifact should embed: the thread count the bench **actually drove**
@@ -63,22 +66,104 @@ fn warn_degenerate_scaling(bench_threads: usize, cores: usize) {
     });
 }
 
-impl From<&crate::harness::Measurement> for Json {
-    fn from(m: &crate::harness::Measurement) -> Json {
+impl From<&Timing> for Json {
+    fn from(t: &Timing) -> Json {
         let mut o = Json::object();
-        o.set("label", m.label.as_str())
-            .set("median_s", m.median_s)
-            .set("min_s", m.min_s)
-            .set("max_s", m.max_s)
-            .set("iters", m.iters)
-            .set("samples", m.samples);
+        o.set("label", t.label.as_str())
+            .set("median_s", t.median_s)
+            .set("q1_s", t.q1_s)
+            .set("q3_s", t.q3_s)
+            .set("runs", t.runs);
         o
     }
+}
+
+impl From<Ratio> for Json {
+    fn from(r: Ratio) -> Json {
+        let mut o = Json::object();
+        o.set("median", r.median).set("q1", r.q1).set("q3", r.q3);
+        o
+    }
+}
+
+/// The nearest directory at or above `start` whose `Cargo.toml` has a
+/// `[workspace]` table, or `None` outside any workspace.
+pub fn workspace_root(start: &Path) -> Option<PathBuf> {
+    start
+        .ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .map(Path::to_path_buf)
+}
+
+/// Writes `report` to `file` at the [`workspace_root`] above the working
+/// directory (cargo runs a bench in its package's directory, so a copy
+/// of the tree writes into the copy), stamped with the `commit` that
+/// `git describe --always --dirty` names there. Writes nothing under
+/// [`crate::smoke`], and fails when the working directory is in no
+/// workspace.
+pub fn write_artifact(file: &str, mut report: Json) -> Result<(), String> {
+    if crate::smoke() {
+        println!("\nEIRS_BENCH_SMOKE: {file} not written");
+        return Ok(());
+    }
+    let cwd = std::env::current_dir().map_err(|e| format!("working directory: {e}"))?;
+    let root = workspace_root(&cwd).ok_or_else(|| {
+        format!(
+            "{} is in no Cargo workspace; {file} not written",
+            cwd.display()
+        )
+    })?;
+    report.set("commit", commit(&root));
+    let path = root.join(file);
+    std::fs::write(&path, report.pretty())
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    println!("\nwrote {}", path.display());
+    Ok(())
+}
+
+/// `git describe --always --dirty` in `dir`, or `unknown` without git.
+fn commit(dir: &Path) -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(dir)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn workspace_root_walks_up_to_the_workspace_manifest() {
+        let tmp = std::env::temp_dir().join(format!("eirs-bench-root-{}", std::process::id()));
+        let ws = tmp.join("ws");
+        let nested = ws.join("crates/pkg/src");
+        let outside = tmp.join("outside/a");
+        std::fs::create_dir_all(&nested).unwrap();
+        std::fs::create_dir_all(&outside).unwrap();
+        std::fs::write(
+            ws.join("Cargo.toml"),
+            "[workspace]\nmembers = [\"crates/pkg\"]\n",
+        )
+        .unwrap();
+        std::fs::write(
+            ws.join("crates/pkg/Cargo.toml"),
+            "[package]\nname = \"pkg\"\n",
+        )
+        .unwrap();
+        // The package manifest on the way up has no `[workspace]` table.
+        assert_eq!(workspace_root(&nested), Some(ws.clone()));
+        assert_eq!(workspace_root(&ws), Some(ws.clone()));
+        assert_eq!(workspace_root(&outside), None);
+        std::fs::remove_dir_all(&tmp).unwrap();
+    }
 
     #[test]
     fn run_metadata_reports_threading_context() {

@@ -4,18 +4,19 @@
 //! Berg et al. (SPAA 2020) and prints the same rows/series the paper
 //! reports (as aligned text, since the original artifacts are MATLAB
 //! plots). `cargo bench -p eirs-bench` therefore *is* the reproduction run;
-//! see `EXPERIMENTS.md` at the workspace root for the recorded outputs.
+//! see `docs/BENCHMARKS.md` for the targets and their artifacts.
 //!
-//! Also here: [`harness`], the dependency-free micro-benchmark timer used
-//! by `perf_substrates` and `sweep_speedup` (the offline build environment
-//! rules out criterion), and [`json`], the hardware/threading block the
-//! `BENCH_*.json` perf-trajectory artifacts embed. The artifacts are
-//! written with `eirs_obs::Json`, the workspace's one JSON writer.
-
-use eirs_numerics::parallel;
+//! Also here: [`harness`], the dependency-free timer every timed bench
+//! uses (the offline build environment rules out criterion); [`json`],
+//! the hardware block and the one writer of the `BENCH_*.json`
+//! artifacts (each an `eirs_obs::Json`, the workspace's one JSON
+//! writer); [`serving`], the serve-engine fixture the serving benches
+//! share; and [`smoke`], the one switch that shrinks a bench to an
+//! assert-only pass.
 
 pub mod harness;
 pub mod json;
+pub mod serving;
 
 /// Renders one row of an aligned text table.
 pub fn row(cells: &[String], widths: &[usize]) -> String {
@@ -32,43 +33,17 @@ pub fn section(title: &str) {
     println!("==== {title} ====");
 }
 
-/// Maps `f` over `items` on `threads` scoped worker threads, preserving
-/// input order. Delegates to the workspace's sweep substrate
-/// (`eirs_numerics::parallel`), which the figure sweeps share.
-pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    assert!(threads >= 1);
-    parallel::par_map_ordered(&items, threads, f)
-}
-
-/// Number of worker threads to use for sweeps on this machine
-/// (`EIRS_THREADS` or all available cores).
-pub fn default_threads() -> usize {
-    parallel::num_threads()
+/// Whether `EIRS_BENCH_SMOKE` is set (to anything but empty or `0`).
+/// Under it a bench is an assert-only pass: every correctness gate still
+/// runs, timed measurements run one round, some benches shrink their
+/// inputs, and [`json::write_artifact`] writes nothing.
+pub fn smoke() -> bool {
+    std::env::var_os("EIRS_BENCH_SMOKE").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let doubled = parallel_map(items, 4, |&x| x * 2);
-        for (i, v) in doubled.iter().enumerate() {
-            assert_eq!(*v, 2 * i as u64);
-        }
-    }
-
-    #[test]
-    fn parallel_map_single_thread_works() {
-        let out = parallel_map(vec![1, 2, 3], 1, |&x| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-    }
 
     #[test]
     fn row_alignment() {

@@ -112,6 +112,17 @@ pub fn analyze_policy_with(
     } else {
         detect_structure(policy, params.k, opts)
     };
+    // The route's chain: the busy-period QBDs have 3 (EF-shaped) or
+    // k + 2 (IF-shaped) phases, the general chain one per elastic count.
+    let (route, phases) = match structure {
+        PolicyStructure::ElasticPriority => ("busy-period", 3),
+        PolicyStructure::InelasticPriority => ("busy-period", params.k as usize + 2),
+        PolicyStructure::General if params.lambda_e > 0.0 => ("general", opts.phase_cap.max(1) + 1),
+        PolicyStructure::General => ("general", 1),
+    };
+    let mut span = eirs_obs::span("analysis.policy", "analysis");
+    span.arg("route", route);
+    span.arg("phases", phases);
     match structure {
         PolicyStructure::ElasticPriority => generator::analyze_elastic_priority(policy, params),
         PolicyStructure::InelasticPriority => generator::analyze_inelastic_priority(policy, params),

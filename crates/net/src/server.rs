@@ -99,16 +99,15 @@ static SWAP_FAILED: LazyCounter = LazyCounter::new("swap.failed");
 /// sizing).
 pub type CompileFn = dyn Fn(&str) -> Result<CompiledTable, String> + Send + Sync;
 
-/// Front-end shape: queue capacity, engine batching, overload behavior,
-/// and re-optimization parameters.
+/// Front-end shape: queue capacity, overload behavior, and
+/// re-optimization parameters. The engine loop batches at the engine's
+/// own `EngineConfig::batch`.
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
     /// Capacity of the one ingest queue between the connection readers
     /// and the engine loop (the backpressure/shed threshold). Swap and
     /// reader-exit markers count against it too.
     pub queue_cap: usize,
-    /// Max arrivals per engine ingestion round.
-    pub batch: usize,
     /// `true`: an arrival that finds the ingest queue full is shed
     /// (not-admitted decision, never enters the stream). `false`: the
     /// reader blocks, back-pressuring the client connection.
@@ -121,7 +120,6 @@ impl Default for NetConfig {
     fn default() -> Self {
         Self {
             queue_cap: 8192,
-            batch: 256,
             shed: false,
             reopt: ReoptSettings::default(),
         }
@@ -484,8 +482,9 @@ struct EngineLoop<'s, 'a> {
 impl EngineLoop<'_, '_> {
     /// Serves the queue until every accepted connection has exited.
     fn run(&mut self) {
-        let mut items = Vec::with_capacity(self.config.batch);
-        while self.shared.queue.pop_into(&mut items, self.config.batch) > 0 {
+        let batch = self.engine.config().batch;
+        let mut items = Vec::with_capacity(batch);
+        while self.shared.queue.pop_into(&mut items, batch) > 0 {
             let exited = self.exited;
             for item in items.drain(..) {
                 match item {
@@ -745,6 +744,7 @@ pub fn serve(
         compile,
     };
     swaps.sort_by_key(|t| t.at_seq);
+    let batch = engine.config().batch;
     let mut lp = EngineLoop {
         shared: &shared,
         engine,
@@ -752,8 +752,8 @@ pub fn serve(
         config,
         scheduled: swaps.into_iter().peekable(),
         lanes: Lanes::default(),
-        arrivals: Vec::with_capacity(config.batch),
-        senders: Vec::with_capacity(config.batch),
+        arrivals: Vec::with_capacity(batch),
+        senders: Vec::with_capacity(batch),
         time_max: f64::NEG_INFINITY,
         exited: 0,
         tally: Tally::default(),

@@ -233,7 +233,6 @@ fn shed_mode_refuses_overload_with_exact_accounting() {
         &arrivals,
         NetConfig {
             queue_cap: 1,
-            batch: 1,
             shed: true,
             ..NetConfig::default()
         },

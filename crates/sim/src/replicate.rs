@@ -39,14 +39,20 @@ where
 }
 
 /// [`run_replications`] with an explicit worker-thread count
-/// (`threads <= 1` runs inline — the serial reference path).
+/// (`threads <= 1` runs inline — the serial reference path). With
+/// `eirs_obs` enabled each replication runs inside a `sim.replication`
+/// span (arg: its seed) on the thread that runs it.
 pub fn run_replications_with_threads<R, F>(base_seed: u64, n: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(u64) -> R + Sync,
 {
     let seeds = replication_seeds(base_seed, n);
-    parallel::par_map_ordered(&seeds, threads, |&seed| f(seed))
+    parallel::par_map_ordered(&seeds, threads, |&seed| {
+        let mut span = eirs_obs::span("sim.replication", "sim");
+        span.arg("seed", seed);
+        f(seed)
+    })
 }
 
 /// Parallel steady-state replications of the Markovian model under

@@ -362,7 +362,6 @@ impl Serve<'_> {
         let shed = self.args.get_parsed_or("shed", false)?;
         let net_cfg = NetConfig {
             queue_cap,
-            batch: self.batch,
             shed,
             reopt: self.reopt()?,
         };
