@@ -362,3 +362,78 @@ fn serve_modes_are_pinned() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The offline hot-swap at both ends of the stream, each replayed from
+/// its journal. A swap at seq 0 decides every arrival (the digest is
+/// `--policy ef`'s own). A barrier past the last arrival installs the
+/// swap at the end of the stream, before the final drain, so the new
+/// policy decides the drain: the digest differs from the no-swap run's
+/// `0xcb51c4444331f880`. (On the bundled trace a past-end swap leaves
+/// the digest unchanged, so it cannot tell the two orders apart.)
+#[test]
+fn serve_swaps_at_the_stream_edges_are_pinned() {
+    let dir = temp_dir("edges");
+    let tmp = Some(dir.as_path());
+    let path = |file: &str| dir.join(file).to_str().expect("UTF-8").to_string();
+    let (first_wal, past_wal) = (path("first.wal"), path("past.wal"));
+    let both = |name: &str, args: &[&str]| {
+        check(name, args, tmp);
+        check(
+            &format!("{name}_json"),
+            &[args, &["--json", "true"]].concat(),
+            tmp,
+        );
+    };
+
+    both(
+        "serve_swap_first",
+        &[
+            "serve",
+            "--policy",
+            "curve:2+0.5i",
+            "--workload",
+            SMOKE,
+            "--batch",
+            "64",
+            "--swap-policy",
+            "ef",
+            "--swap-at",
+            "0",
+            "--journal",
+            &first_wal,
+        ],
+    );
+    both(
+        "serve_replay_first",
+        &["serve", "--replay-journal", &first_wal, "--drain", "true"],
+    );
+    both(
+        "serve_swap_past_end",
+        &[
+            "serve",
+            "--policy",
+            "if",
+            "--workload",
+            "poisson",
+            "--k",
+            "4",
+            "--rho",
+            "0.9",
+            "--duration",
+            "50",
+            "--batch",
+            "64",
+            "--swap-policy",
+            "ef",
+            "--swap-at",
+            "1000000",
+            "--journal",
+            &past_wal,
+        ],
+    );
+    both(
+        "serve_replay_past_end",
+        &["serve", "--replay-journal", &past_wal, "--drain", "true"],
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
