@@ -12,7 +12,8 @@
 //!
 //! and records the agreement into `BENCH_policy_families.json` at the
 //! workspace root (under `EIRS_BENCH_SMOKE=1`, CI's run, it runs at full
-//! size and writes nothing). The
+//! size and writes nothing), failing unless every analysis lies inside
+//! its DES interval. The
 //! substrates share nothing beyond the policy's allocation map, so
 //! agreement is a strong mutual check — the machine-readable version of
 //! the acceptance criterion "analytical mean response time agrees with
@@ -95,6 +96,7 @@ fn main() -> Result<(), String> {
     report.set("schema", "eirs-bench-policy-families/v1");
     report.set("hardware", run_metadata());
     let mut rows_json = Vec::new();
+    let mut outside_ci = Vec::new();
 
     section(&format!(
         "policy families, cross-substrate agreement (k = {K}, µI = {MU_I}, µE = {MU_E})"
@@ -153,6 +155,9 @@ fn main() -> Result<(), String> {
             let (des_mean, des_hw) = des_interval(policy.as_ref(), p, 42 + pi as u64);
             let grid = mdp_grid_response(policy.as_ref(), p);
             let in_ci = (analytic - des_mean).abs() <= des_hw;
+            if !in_ci {
+                outside_ci.push(format!("{} at rho {:.2}", policy.name(), p.load()));
+            }
             let grid_rel = (analytic - grid).abs() / grid;
             println!(
                 "{}",
@@ -188,6 +193,10 @@ fn main() -> Result<(), String> {
     report.set("des_replications", REPS);
     report.set("des_departures_each", DEPARTURES);
     report.set("rows", rows_json);
+    assert!(
+        outside_ci.is_empty(),
+        "analysis outside the DES confidence interval: {outside_ci:?}"
+    );
 
     eirs_bench::json::write_artifact("BENCH_policy_families.json", report)
 }

@@ -16,9 +16,10 @@
 //!    (exactly zero width for the deterministic trace replay, which is an
 //!    exact comparison on that path).
 //!
-//! Results go to `BENCH_policy_optimizer.json` at the workspace root.
-//! Under `EIRS_BENCH_SMOKE=1` (CI) it runs at full size and the
-//! artifact is not written.
+//! The run fails unless every instance clears its bar. Results go to
+//! `BENCH_policy_optimizer.json` at the workspace root. Under
+//! `EIRS_BENCH_SMOKE=1` (CI) it runs at full size and the artifact is
+//! not written.
 //!
 //! Run: `cargo bench -p eirs-bench --bench policy_optimizer`
 
@@ -399,6 +400,15 @@ fn main() -> Result<(), String> {
     report.set("intractable_improvement", des_rows);
     report.set("all_intractable_beat_best_baseline", all_beat);
     let _ = std::fs::remove_file(&trace_path);
+    assert!(
+        worst_gap <= 0.01,
+        "worst optimality gap {:.3}% exceeds 1%",
+        100.0 * worst_gap
+    );
+    assert!(
+        all_beat,
+        "an intractable instance does not beat the best baseline"
+    );
 
     eirs_bench::json::write_artifact("BENCH_policy_optimizer.json", report)
 }

@@ -15,10 +15,10 @@
 //! and whether the analysis landed inside the replication CI — the
 //! machine-readable version of the acceptance criterion "for every
 //! analytically tractable (workload, policy) pair the analysis result
-//! lands inside the DES replication CI". Results go to
-//! `BENCH_workload_scenarios.json` at the workspace root. Under
-//! `EIRS_BENCH_SMOKE=1` (CI) it runs at full size and the artifact is
-//! not written.
+//! lands inside the DES replication CI". The run fails unless every
+//! tractable pair does. Results go to `BENCH_workload_scenarios.json` at
+//! the workspace root. Under `EIRS_BENCH_SMOKE=1` (CI) it runs at full
+//! size and the artifact is not written.
 //!
 //! Run: `cargo bench -p eirs-bench --bench workload_scenarios`
 
@@ -144,6 +144,12 @@ fn main() -> Result<(), String> {
     report.set("tractable_pairs", tractable as u64);
     report.set("tractable_pairs_inside_ci", inside as u64);
     report.set("rows", rows_json);
+    assert_eq!(
+        inside,
+        tractable,
+        "analysis outside the DES confidence interval on {} tractable pairs",
+        tractable - inside
+    );
 
     eirs_bench::json::write_artifact("BENCH_workload_scenarios.json", report)
 }

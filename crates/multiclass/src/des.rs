@@ -9,6 +9,7 @@
 use crate::policy::{assert_feasible, MultiPolicy};
 use crate::spec::MultiSystem;
 use eirs_obs::LatencyHistogram;
+use eirs_queueing::distributions::exp_inverse_cdf;
 use eirs_sim::stats::{tail_quantiles, TimeAverage, Welford};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -230,7 +231,7 @@ fn sample_exp(rng: &mut StdRng, rate: f64) -> f64 {
     if rate == 0.0 {
         f64::INFINITY
     } else {
-        -(1.0 - rng.random::<f64>()).ln() / rate
+        exp_inverse_cdf(1.0 - rng.random::<f64>(), rate)
     }
 }
 

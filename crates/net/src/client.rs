@@ -142,38 +142,50 @@ fn drive_connection(
             Ok(s)
         });
 
-        for &(req_id, arrival) in work {
-            sent.lock()
-                .expect("send map")
-                .insert(req_id, Instant::now());
-            write_frame(
-                &mut writer,
-                &Frame::Arrival {
-                    req_id,
-                    class: arrival.class,
-                    time: arrival.time,
-                    size: arrival.size,
-                },
-            )
-            .map_err(|e| err("send arrival", &e))?;
-            if let Some((at, spec)) = swap {
-                if *at == req_id {
+        let sending = (|| {
+            for &(req_id, arrival) in work {
+                sent.lock()
+                    .expect("send map")
+                    .insert(req_id, Instant::now());
+                write_frame(
+                    &mut writer,
+                    &Frame::Arrival {
+                        req_id,
+                        class: arrival.class,
+                        time: arrival.time,
+                        size: arrival.size,
+                    },
+                )
+                .map_err(|e| err("send arrival", &e))?;
+                stats.arrivals += 1;
+                if let Some((at, spec)) = swap {
+                    if *at == req_id {
+                        write_frame(&mut writer, &Frame::Control(format!("swap {spec}")))
+                            .map_err(|e| err("send control", &e))?;
+                    }
+                }
+            }
+            if send_swap_before_bye {
+                if let Some((_, spec)) = swap {
                     write_frame(&mut writer, &Frame::Control(format!("swap {spec}")))
                         .map_err(|e| err("send control", &e))?;
                 }
             }
-        }
-        if send_swap_before_bye {
-            if let Some((_, spec)) = swap {
-                write_frame(&mut writer, &Frame::Control(format!("swap {spec}")))
-                    .map_err(|e| err("send control", &e))?;
-            }
-        }
-        write_frame(&mut writer, &Frame::Bye).map_err(|e| err("send bye", &e))?;
-        stats = receiver.join().expect("receiver panicked")?;
+            write_frame(&mut writer, &Frame::Bye).map_err(|e| err("send bye", &e))
+        })();
+        let arrivals = stats.arrivals;
+        // A server that refuses a control frame answers with an ERROR
+        // frame and closes while arrivals may still be on their way, so
+        // a write can fail after it: the ERROR frame, not the broken
+        // write, is then what the connection reports.
+        stats = match (sending, receiver.join().expect("receiver panicked")) {
+            (Ok(()), received) => received?,
+            (Err(_), Ok(received)) if !received.server_errors.is_empty() => received,
+            (Err(e), _) => return Err(e),
+        };
+        stats.arrivals = arrivals;
         Ok(())
     })?;
-    stats.arrivals = work.len() as u64;
     Ok(stats)
 }
 
@@ -254,4 +266,63 @@ pub fn run_client(
     }
     publish_histogram("net.request_latency", &report.latency);
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eirs_sim::JobClass;
+    use std::net::TcpListener;
+
+    /// A server that reads up to the first control frame, answers it
+    /// with `reply` (if any) and closes, while the client still has
+    /// hundreds of thousands of arrivals — far more than the socket
+    /// buffers hold — to send, so a write always fails after the close.
+    fn refusing_server(reply: Option<Frame>) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept the client");
+            read_magic(&mut stream).expect("client magic");
+            write_magic(&mut stream).expect("echo magic");
+            while !matches!(
+                read_frame(&mut stream),
+                Ok(Some(Frame::Control(_))) | Err(_)
+            ) {}
+            if let Some(frame) = reply {
+                write_frame(&mut stream, &frame).expect("reply");
+            }
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn an_error_frame_is_reported_even_when_a_later_write_fails() {
+        let arrivals: Vec<Arrival> = (0..500_000)
+            .map(|n| Arrival {
+                time: n as f64,
+                class: JobClass::Inelastic,
+                size: 1.0,
+            })
+            .collect();
+        let config = ClientConfig {
+            clients: 1,
+            swap: Some((0, "bogus".into())),
+        };
+        let (addr, server) = refusing_server(Some(Frame::Error("bad swap".into())));
+        let report = run_client(&addr, &arrivals, &config).expect("the ERROR frame is the outcome");
+        server.join().expect("server thread");
+        assert_eq!(report.server_errors, vec!["bad swap".to_string()]);
+        assert_eq!(report.decisions, 0);
+        assert!(
+            report.arrivals > 0 && report.arrivals < arrivals.len() as u64,
+            "only the arrivals actually sent count: {}",
+            report.arrivals
+        );
+        // Without an ERROR frame the broken write still fails the run.
+        let (addr, server) = refusing_server(None);
+        let err = run_client(&addr, &arrivals, &config).expect_err("a bare close fails the run");
+        server.join().expect("server thread");
+        assert!(err.starts_with("send "), "{err}");
+    }
 }

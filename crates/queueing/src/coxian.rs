@@ -20,6 +20,7 @@
 //! M/M/1 busy periods always admit such a root (their `CV² = (1+ρ)/(1−ρ) ≥ 1`
 //! and `m1·m3 ≥ (3/2)·m2²`), degenerating to a single exponential as `ρ → 0`.
 
+use crate::distributions::{exp_inverse_cdf, uniform_open01};
 use crate::moments::Moments;
 use eirs_numerics::roots::solve_quadratic;
 use rand::RngCore;
@@ -123,12 +124,11 @@ impl Coxian2 {
 
     /// Draws one value.
     pub fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        let u = crate::distributions::uniform_open01(rng);
-        let mut x = -u.ln() / self.mu1;
+        let u = uniform_open01(rng);
+        let mut x = exp_inverse_cdf(u, self.mu1);
         let cont: f64 = rand::Rng::random(&mut *rng);
         if cont < self.q {
-            let v = crate::distributions::uniform_open01(rng);
-            x += -v.ln() / self.mu2;
+            x += exp_inverse_cdf(uniform_open01(rng), self.mu2);
         }
         x
     }

@@ -41,10 +41,15 @@ pub fn uniform_open01(rng: &mut dyn RngCore) -> f64 {
 /// The exponential inverse CDF `F⁻¹(1−u) = −ln(u)/rate` for `u ∈ (0, 1]`.
 ///
 /// Every exponential sampler in the workspace — job sizes, Poisson and MAP
-/// interarrival times, phase-type holding times — funnels through this one
-/// helper so the trace, MAP, and Poisson paths stay numerically consistent
-/// (callers choose how they map raw uniforms into `(0, 1]`, which keeps
-/// their historical bit-exact streams intact).
+/// interarrival times, phase-type and Coxian holding times, the state-level
+/// CTMC's jump times and the multi-class DES's interarrival times —
+/// funnels through this one helper so the trace, MAP, and Poisson paths
+/// stay numerically consistent (callers choose how they map raw uniforms
+/// into `(0, 1]`, which keeps their historical bit-exact streams intact).
+/// One sampler does not: the fault schedules of
+/// `eirs_sim::availability` draw `−mean·ln(1 − u)`, a multiplication where
+/// this helper divides, so routing them here would move every fault
+/// schedule and every digest computed under churn.
 #[inline]
 pub fn exp_inverse_cdf(u: f64, rate: f64) -> f64 {
     debug_assert!(u > 0.0 && u <= 1.0, "u = {u} outside (0, 1]");

@@ -14,8 +14,9 @@
 //! and asserts all three shard-ordered decision digests are equal. Under
 //! capacity churn this is the strongest determinism statement the layer
 //! makes: worker parallelism, crashing, and restoring are all invisible
-//! to the decision stream. The CI chaos gate runs exactly this harness
-//! (via `eirs serve`) on the bundled smoke trace.
+//! to the decision stream. The CI chaos gate checks the same triple
+//! through the CLI (`eirs serve`) on the bundled smoke trace; the
+//! property tests in `tests/fault_tolerance.rs` call this harness.
 
 use crate::engine::{EngineConfig, ServeEngine};
 use crate::journal::{recover, run_journaled, Journal, JournalWriter, RunControls};

@@ -9,6 +9,14 @@
 //! shard advances its own occupancy state making one table lookup per
 //! event-loop step — the **decision**.
 //!
+//! The engine ingests one batch at a time ([`ServeEngine::ingest_batch`]).
+//! Between batches it sits at a barrier: the arrivals numbered below
+//! [`ServeEngine::ingested`] are in, and no later one, so a snapshot or
+//! a policy swap ([`ServeEngine::install_table`]) taken there is exact.
+//! [`ServeEngine::run`] goes through [`feed`], the one arrival loop of
+//! every journaled, recovered and replayed run, which cuts batches
+//! exactly at the barriers its caller names.
+//!
 //! # Shard semantics and determinism
 //!
 //! The routing partition is part of the *workload semantics*: shard
@@ -70,6 +78,7 @@
 //! into an over-occupied degraded shard, accounted in
 //! [`ShardMetrics::rejections`].
 
+use crate::journal::{feed, JournalWriter};
 use crate::metrics::ShardMetrics;
 use crate::table::CompiledTable;
 use eirs_sim::arrivals::{Arrival, ArrivalSource};
@@ -80,6 +89,7 @@ use eirs_sim::policy::ClassAllocation;
 use eirs_sim::record::mix64;
 use std::any::Any;
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -843,24 +853,17 @@ impl ServeEngine {
         self.work(Task::Drain);
     }
 
-    /// Pulls arrivals from `source` up to simulated time `until`,
-    /// ingesting them in `config.batch`-sized rounds, then drains.
-    /// Returns the number of arrivals ingested. (The first arrival past
-    /// the horizon is consumed from the source and dropped.)
+    /// Pulls arrivals from `source` up to simulated time `until` through
+    /// [`feed`], ingesting them in `config.batch`-sized rounds, then
+    /// drains. Returns the number of arrivals ingested. (The first
+    /// arrival past the horizon is consumed from the source and dropped.)
     pub fn run(&mut self, source: &mut dyn ArrivalSource, until: f64) -> u64 {
         let before = self.seq;
-        let mut buf: Vec<Arrival> = Vec::with_capacity(self.config.batch);
-        while let Some(a) = source.next_arrival() {
-            if a.time > until {
-                break;
-            }
-            buf.push(a);
-            if buf.len() >= self.config.batch {
-                self.ingest_batch(&buf);
-                buf.clear();
-            }
-        }
-        self.ingest_batch(&buf);
+        let no_journal = None::<&mut JournalWriter<std::io::Sink>>;
+        feed(self, source, until, no_journal, &[], |_, _, _| {
+            Ok::<_, std::io::Error>(ControlFlow::Continue(()))
+        })
+        .expect("a feed with no journal and no barrier cannot fail");
         self.drain();
         self.seq - before
     }

@@ -14,6 +14,16 @@
 //! `fault_tolerance` tests and the CI chaos gate assert exactly that,
 //! including under capacity churn.
 //!
+//! One loop, [`feed`], moves arrivals from a source into an engine for
+//! every run: [`ServeEngine::run`], [`run_journaled`], the replay behind
+//! [`recover`], [`recover_with`] and [`replay_journal`], and every
+//! offline `eirs serve` mode. It journals each batch write-ahead when
+//! given a [`JournalWriter`] and cuts a batch exactly at each barrier
+//! sequence number to run the caller's action there: a snapshot, a
+//! kill, or a hot-swap install. Before replaying, [`recover_with`] and
+//! [`replay_journal`] run one check that the journal describes the
+//! engine at its resume point.
+//!
 //! The format is a [record stream](eirs_sim::record): the magic `eirsjn02`,
 //! one header record with the serving identity, then one record per
 //! arrival and per policy hot-swap, in write order:
@@ -50,6 +60,7 @@ use eirs_sim::arrivals::{Arrival, ArrivalSource};
 use eirs_sim::policy::AllocationPolicy;
 use eirs_sim::record::{self, Caps, Fields, RecordError};
 use std::io::{BufRead, Write};
+use std::ops::ControlFlow;
 
 /// Stream magic of the journal format.
 const MAGIC: [u8; 8] = *b"eirsjn02";
@@ -348,6 +359,75 @@ fn decode_swap(payload: &[u8]) -> Result<SwapRecord, RecordError> {
         spec: f.rest_str()?.to_owned(),
     })
 }
+/// Feeds `source` into `engine` up to simulated time `until`, in batches
+/// of at most [`EngineConfig::batch`] arrivals: the one arrival loop of
+/// [`ServeEngine::run`], [`run_journaled`], the journal replay behind
+/// [`recover_with`] and [`replay_journal`], and every offline `eirs
+/// serve` run. With a `journal`, each batch is appended and flushed
+/// **before** the engine ingests it (write-ahead). The engine is never
+/// drained. Batching never changes semantics: per-shard arrival order is
+/// the same under any batching, so the decision stream is too.
+///
+/// `barriers` is a sorted list of arrival sequence numbers. A batch ends
+/// exactly at each one, and `at(engine, journal, n)` runs there, before
+/// the engine ingests arrival `barriers[n]`: to take a snapshot, to
+/// install a hot-swap, or to stop the feed with [`ControlFlow::Break`]
+/// (a kill). A barrier the engine has already passed runs before the
+/// first batch, and one the stream ends short of runs after the last,
+/// so every action runs once, in order, unless an earlier one stopped
+/// the feed; an action that must land on its barrier compares it with
+/// [`ServeEngine::ingested`]. Returns whether an action stopped the
+/// feed. (The first arrival past `until` is consumed and dropped.)
+pub fn feed<W: Write, E: From<std::io::Error>>(
+    engine: &mut ServeEngine,
+    source: &mut dyn ArrivalSource,
+    until: f64,
+    mut journal: Option<&mut JournalWriter<W>>,
+    barriers: &[u64],
+    mut at: impl FnMut(
+        &mut ServeEngine,
+        Option<&mut JournalWriter<W>>,
+        usize,
+    ) -> Result<ControlFlow<()>, E>,
+) -> Result<bool, E> {
+    let batch = engine.config().batch as u64;
+    let mut buf: Vec<Arrival> = Vec::with_capacity(batch as usize);
+    let (mut next, mut ended) = (0, false);
+    loop {
+        while let Some(&barrier) = barriers.get(next) {
+            if !ended && barrier > engine.ingested() {
+                break;
+            }
+            if at(engine, journal.as_deref_mut(), next)?.is_break() {
+                return Ok(true);
+            }
+            next += 1;
+        }
+        if ended {
+            return Ok(false);
+        }
+        let room = barriers
+            .get(next)
+            .map_or(batch, |&b| batch.min(b - engine.ingested()));
+        buf.clear();
+        while (buf.len() as u64) < room {
+            match source.next_arrival() {
+                Some(a) if a.time <= until => buf.push(a),
+                _ => {
+                    ended = true;
+                    break;
+                }
+            }
+        }
+        if !buf.is_empty() {
+            if let Some(journal) = journal.as_deref_mut() {
+                journal.append_batch(engine.ingested(), &buf)?;
+            }
+            engine.ingest_batch(&buf);
+        }
+    }
+}
+
 /// Knobs for a controlled (journaled, snapshot-taking, killable) run —
 /// the ingredients of the crash-recovery tests and the `eirs serve`
 /// `--journal`/`--snapshot-at`/`--kill-after` flags.
@@ -361,6 +441,39 @@ pub struct RunControls {
     pub kill_after: Option<u64>,
 }
 
+impl RunControls {
+    /// The [`feed`] barriers of these controls, sorted.
+    pub fn barriers(&self) -> Vec<u64> {
+        let mut barriers: Vec<u64> = [self.snapshot_at, self.kill_after]
+            .into_iter()
+            .flatten()
+            .collect();
+        barriers.sort_unstable();
+        barriers
+    }
+
+    /// The [`feed`] action of these controls in a run that started at
+    /// arrival `start`: at `snapshot_at` it takes the snapshot into
+    /// `snapshot`, and at `kill_after` it stops the feed, unless the run
+    /// started there.
+    pub fn act(
+        &self,
+        engine: &ServeEngine,
+        start: u64,
+        snapshot: &mut Option<EngineSnapshot>,
+    ) -> ControlFlow<()> {
+        let at = engine.ingested();
+        if self.snapshot_at == Some(at) {
+            *snapshot = Some(engine.snapshot());
+        }
+        if self.kill_after == Some(at) && at > start {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+}
+
 /// What a controlled run produced.
 #[derive(Debug)]
 pub struct RunOutcome {
@@ -372,14 +485,9 @@ pub struct RunOutcome {
     pub snapshot: Option<EngineSnapshot>,
 }
 
-/// Pulls arrivals from `source` up to time `until` like
-/// [`ServeEngine::run`], but write-ahead journals every batch and honors
-/// [`RunControls`]: batches are split at the exact `snapshot_at` /
-/// `kill_after` sequence boundaries, a kill returns immediately
-/// **without draining** (simulating a crash), and a completed run drains
-/// as usual. Batch splitting never changes semantics — per-shard arrival
-/// order is preserved under any batching, so the decision stream is
-/// unaffected.
+/// Runs [`feed`] with every batch journaled write-ahead and the
+/// [`RunControls`] barriers: a kill returns at once **without
+/// draining** (simulating a crash), and a completed run drains as usual.
 pub fn run_journaled<W: Write>(
     engine: &mut ServeEngine,
     source: &mut dyn ArrivalSource,
@@ -387,61 +495,29 @@ pub fn run_journaled<W: Write>(
     journal: &mut JournalWriter<W>,
     controls: RunControls,
 ) -> std::io::Result<RunOutcome> {
-    let before = engine.ingested();
-    let mut outcome = RunOutcome {
-        ingested: 0,
-        killed: false,
-        snapshot: None,
-    };
-    let check_boundaries = |engine: &ServeEngine, outcome: &mut RunOutcome| -> bool {
-        let at = engine.ingested();
-        if controls.snapshot_at == Some(at) && outcome.snapshot.is_none() {
-            outcome.snapshot = Some(engine.snapshot());
-        }
-        if controls.kill_after == Some(at) && at > before {
-            outcome.killed = true;
-        }
-        outcome.killed
-    };
-    check_boundaries(engine, &mut outcome);
-    let batch_len = engine.config().batch;
-    let mut buf: Vec<Arrival> = Vec::with_capacity(batch_len);
-    let mut flush = |engine: &mut ServeEngine, buf: &mut Vec<Arrival>| -> std::io::Result<()> {
-        if !buf.is_empty() {
-            journal.append_batch(engine.ingested(), buf)?;
-            engine.ingest_batch(buf);
-            buf.clear();
-        }
-        Ok(())
-    };
-    while let Some(a) = source.next_arrival() {
-        if a.time > until {
-            break;
-        }
-        buf.push(a);
-        let next = engine.ingested() + buf.len() as u64;
-        let boundary = controls.snapshot_at == Some(next) || controls.kill_after == Some(next);
-        if buf.len() >= batch_len || boundary {
-            flush(engine, &mut buf)?;
-            if check_boundaries(engine, &mut outcome) {
-                outcome.ingested = engine.ingested() - before;
-                return Ok(outcome);
-            }
-        }
-    }
-    flush(engine, &mut buf)?;
-    check_boundaries(engine, &mut outcome);
-    outcome.ingested = engine.ingested() - before;
-    if !outcome.killed {
+    let start = engine.ingested();
+    let mut snapshot = None;
+    let killed = feed(
+        engine,
+        source,
+        until,
+        Some(journal),
+        &controls.barriers(),
+        |engine, _, _| Ok::<_, std::io::Error>(controls.act(engine, start, &mut snapshot)),
+    )?;
+    if !killed {
         engine.drain();
     }
-    Ok(outcome)
+    Ok(RunOutcome {
+        ingested: engine.ingested() - start,
+        killed,
+        snapshot,
+    })
 }
 
 /// Rebuilds an engine after a crash: restores `snap`, then replays the
-/// journal suffix from the snapshot's sequence number. The journal's
-/// identity header must agree with the table, config, and snapshot, and
-/// its entries must cover `snap.seq` onward without a gap. The returned
+/// journal suffix from the snapshot's sequence number. The journal must
+/// describe the restored engine (see [`recover_with`]). The returned
 /// engine has ingested every journaled arrival but is **not drained**:
 /// the caller resumes feeding it from arrival number
 /// [`ServeEngine::ingested`] of the original workload.
@@ -464,10 +540,13 @@ pub fn recover(
 /// `compile` turns each post-snapshot [`SwapRecord`] back into a
 /// [`CompiledTable`] (normally by parsing `rec.spec` through the CLI
 /// policy grammar and compiling at any grid size — decisions are
-/// grid-size-invariant). Each compiled table's identity hash must match
-/// the journaled hash, and swaps are re-installed at their exact
-/// sequence points, so the recovered engine's generation schedule is
-/// bit-identical to the crashed run's.
+/// grid-size-invariant). The journal must describe the restored engine
+/// at the snapshot point — its shape, churn identity, generation
+/// schedule and policy in force, with entries from the snapshot's
+/// sequence number on and no gap — and each compiled table must hash
+/// and number its generation as journaled. Swaps are re-installed at
+/// their exact sequence points, so the recovered engine's generation
+/// schedule is bit-identical to the crashed run's.
 pub fn recover_with(
     table: CompiledTable,
     config: EngineConfig,
@@ -475,66 +554,9 @@ pub fn recover_with(
     journal: &Journal,
     compile: &dyn Fn(&SwapRecord) -> Result<CompiledTable, String>,
 ) -> Result<ServeEngine, JournalError> {
-    if journal.k != snap.k || journal.route_shards != snap.route_shards {
-        return Err(JournalError::Mismatch(format!(
-            "journal is for k={} route_shards={}, snapshot k={} route_shards={}",
-            journal.k, journal.route_shards, snap.k, snap.route_shards
-        )));
-    }
-    // The generation schedule must agree with the snapshot: exactly
-    // `snap.generation` swaps happened at or before the snapshot point.
-    // A mismatch means the journal belongs to a different run (or a
-    // different policy history) and replaying it would silently produce
-    // a cross-policy decision stream.
-    let pre_swaps = journal.swaps.iter().filter(|s| s.seq <= snap.seq).count() as u32;
-    if pre_swaps != snap.generation {
-        return Err(JournalError::Mismatch(format!(
-            "journal records {pre_swaps} swaps at or before seq {}, snapshot is generation {} — \
-             the generation schedules disagree",
-            snap.seq, snap.generation
-        )));
-    }
-    if snap.generation == 0 {
-        // No swap yet: the boot policy name must agree, as always.
-        if journal.policy != snap.policy {
-            return Err(JournalError::Mismatch(format!(
-                "journal was serving '{}', snapshot '{}'",
-                journal.policy, snap.policy
-            )));
-        }
-    }
-    // The policy serving at the snapshot point must hash the same.
-    let hash = journal
-        .swaps
-        .iter()
-        .rfind(|s| s.seq <= snap.seq)
-        .map_or(journal.policy_hash, |s| s.hash);
-    if hash != snap.policy_hash {
-        return Err(JournalError::Mismatch(format!(
-            "journal pins policy hash {hash:#018x} at seq {}, snapshot pins {:#018x}",
-            snap.seq, snap.policy_hash
-        )));
-    }
-    if journal.churn != snap.churn {
-        return Err(JournalError::Mismatch(
-            "journal and snapshot disagree on the churn identity".into(),
-        ));
-    }
     let mut engine = ServeEngine::from_snapshot(table, config, snap)?;
-    if let Some(first) = journal.entries.iter().find(|e| e.seq >= snap.seq) {
-        if first.seq != snap.seq {
-            return Err(JournalError::Mismatch(format!(
-                "journal resumes at seq {}, snapshot ends at seq {} — the gap is unrecoverable",
-                first.seq, snap.seq
-            )));
-        }
-    }
-    replay(
-        &mut engine,
-        journal.entries.iter().filter(|e| e.seq >= snap.seq),
-        journal.swaps.iter().filter(|s| s.seq > snap.seq),
-        compile,
-    )?;
+    let from = check_resume(journal, &config, engine.table(), snap.seq, snap.generation)?;
+    replay(&mut engine, journal, from, compile)?;
     Ok(engine)
 }
 
@@ -547,27 +569,14 @@ pub fn recover_with(
 /// grid-size-invariant, the replayed decision digest is bit-identical
 /// to the live run's — the hot-swap CI gate's currency.
 ///
-/// `config` supplies processing knobs (workers, batch) and must agree
-/// with the journal's `k`/`route_shards`/churn identity; `compile`
-/// turns a policy spec into a table (the boot spec compiles via
-/// `compile(&SwapRecord{generation: 0, ...})`-style call with the
-/// header spec).
+/// `config` supplies processing knobs (workers, batch), and the journal
+/// must describe a fresh engine of that shape serving the boot table
+/// (see [`recover_with`]); `compile` turns a policy spec into a table.
 pub fn replay_journal(
     config: EngineConfig,
     journal: &Journal,
     compile: &dyn Fn(&str) -> Result<CompiledTable, String>,
 ) -> Result<ServeEngine, JournalError> {
-    if journal.k != config.k || journal.route_shards != config.route_shards {
-        return Err(JournalError::Mismatch(format!(
-            "journal is for k={} route_shards={}, config k={} route_shards={}",
-            journal.k, journal.route_shards, config.k, config.route_shards
-        )));
-    }
-    if journal.churn != config.churn {
-        return Err(JournalError::Mismatch(
-            "journal and config disagree on the churn identity".into(),
-        ));
-    }
     let spec = journal.policy_spec.as_deref().ok_or_else(|| {
         JournalError::Mismatch(
             "journal records no policy_spec — it was not written for standalone replay \
@@ -576,71 +585,110 @@ pub fn replay_journal(
         )
     })?;
     let table = compile(spec).map_err(JournalError::Mismatch)?;
-    if table.identity_hash() != journal.policy_hash {
-        return Err(JournalError::Mismatch(format!(
-            "boot spec '{spec}' recompiles to identity hash {:#018x}, journal recorded {:#018x}",
-            table.identity_hash(),
-            journal.policy_hash
-        )));
-    }
-    if let Some(first) = journal.entries.first() {
-        if first.seq != 0 {
-            return Err(JournalError::Mismatch(format!(
-                "journal starts at seq {} — standalone replay needs the full history from seq 0",
-                first.seq
-            )));
-        }
-    }
+    let from = check_resume(journal, &config, &table, 0, 0)?;
     let mut engine = ServeEngine::new(table, config);
-    replay(&mut engine, &journal.entries, &journal.swaps, &|rec| {
-        compile(&rec.spec)
-    })?;
+    replay(&mut engine, journal, from, &|rec| compile(&rec.spec))?;
     Ok(engine)
 }
 
-/// Ingests `entries` in engine-sized batches, cutting a batch at each
-/// swap's sequence point to install the recompiled table there, and
-/// checks that every installed table hashes and numbers its generation
-/// as journaled.
-fn replay<'a>(
+/// Checks that `journal` describes an engine serving `table` under
+/// `config` that resumes at arrival `seq` in policy `generation`: the
+/// same shape and churn identity; a generation schedule whose first
+/// `generation` swaps lie at or before `seq` and the rest at or after
+/// it; the same policy in force there; and entries that resume at `seq`
+/// without a gap. Returns the index of the first entry to replay.
+fn check_resume(
+    journal: &Journal,
+    config: &EngineConfig,
+    table: &CompiledTable,
+    seq: u64,
+    generation: u32,
+) -> Result<usize, JournalError> {
+    let mismatch = |msg: String| Err(JournalError::Mismatch(msg));
+    if (journal.k, journal.route_shards) != (config.k, config.route_shards) {
+        return mismatch(format!(
+            "journal is for k={} route_shards={}, engine k={} route_shards={}",
+            journal.k, journal.route_shards, config.k, config.route_shards
+        ));
+    }
+    if journal.churn != config.churn {
+        return mismatch("journal and engine disagree on the churn identity".into());
+    }
+    let before = journal.swaps.iter().filter(|s| s.seq < seq).count();
+    let through = journal.swaps.iter().filter(|s| s.seq <= seq).count();
+    let g = generation as usize;
+    if !(before..=through).contains(&g) {
+        return mismatch(format!(
+            "journal records {through} swaps at or before seq {seq}, the engine resumes there \
+             in generation {generation} — the generation schedules disagree"
+        ));
+    }
+    let (policy, hash) = journal.swaps[..g]
+        .last()
+        .map_or((journal.policy.as_str(), journal.policy_hash), |s| {
+            (s.spec.as_str(), s.hash)
+        });
+    if hash != table.identity_hash() {
+        return mismatch(format!(
+            "journal has policy '{policy}' ({hash:#018x}) in force at seq {seq}, the engine \
+             serves '{}' ({:#018x})",
+            table.name(),
+            table.identity_hash()
+        ));
+    }
+    let from = journal.entries.partition_point(|e| e.seq < seq);
+    match journal.entries.get(from) {
+        Some(e) if e.seq != seq => mismatch(format!(
+            "journal resumes at seq {}, the engine at seq {seq} — the gap is unrecoverable",
+            e.seq
+        )),
+        _ => Ok(from),
+    }
+}
+
+/// Journaled arrivals as an [`ArrivalSource`].
+struct Entries<'a>(std::slice::Iter<'a, JournalEntry>);
+
+impl ArrivalSource for Entries<'_> {
+    fn next_arrival(&mut self) -> Option<Arrival> {
+        self.0.next().map(|e| e.arrival)
+    }
+}
+
+/// Feeds the journal's entries from index `from` into `engine`, which
+/// [`check_resume`] matched with the journal, installing each swap past
+/// the engine's generation at its sequence point; every installed table
+/// must hash and number its generation as journaled.
+fn replay(
     engine: &mut ServeEngine,
-    entries: impl IntoIterator<Item = &'a JournalEntry>,
-    swaps: impl IntoIterator<Item = &'a SwapRecord>,
+    journal: &Journal,
+    from: usize,
     compile: &dyn Fn(&SwapRecord) -> Result<CompiledTable, String>,
 ) -> Result<(), JournalError> {
-    let install = |engine: &mut ServeEngine, rec: &SwapRecord| -> Result<(), JournalError> {
-        let table = compile(rec).map_err(JournalError::Mismatch)?;
-        let installed = engine.install_table(table, &rec.spec);
-        if installed.hash != rec.hash || installed.generation != rec.generation {
-            return Err(JournalError::Mismatch(format!(
-                "recompiled swap '{}' hashes to {:#018x} generation {}, journal recorded \
+    let swaps = &journal.swaps[engine.generation() as usize..];
+    let barriers: Vec<u64> = swaps.iter().map(|s| s.seq).collect();
+    let mut entries = Entries(journal.entries[from..].iter());
+    let no_journal = None::<&mut JournalWriter<std::io::Sink>>;
+    feed(
+        engine,
+        &mut entries,
+        f64::INFINITY,
+        no_journal,
+        &barriers,
+        |engine, _, n| {
+            let rec = &swaps[n];
+            let table = compile(rec).map_err(JournalError::Mismatch)?;
+            let installed = engine.install_table(table, &rec.spec);
+            if (installed.hash, installed.generation) != (rec.hash, rec.generation) {
+                return Err(JournalError::Mismatch(format!(
+                    "recompiled swap '{}' hashes to {:#018x} generation {}, journal recorded \
                  {:#018x} generation {}",
-                rec.spec, installed.hash, installed.generation, rec.hash, rec.generation
-            )));
-        }
-        Ok(())
-    };
-    let batch = engine.config().batch;
-    let mut swaps = swaps.into_iter().peekable();
-    let mut buf: Vec<Arrival> = Vec::with_capacity(batch);
-    for e in entries {
-        while let Some(rec) = swaps.next_if(|s| s.seq == e.seq) {
-            engine.ingest_batch(&buf);
-            buf.clear();
-            install(engine, rec)?;
-        }
-        buf.push(e.arrival);
-        if buf.len() >= batch {
-            engine.ingest_batch(&buf);
-            buf.clear();
-        }
-    }
-    engine.ingest_batch(&buf);
-    // Swaps recorded at the very end of the journal (at the crash
-    // point, after the last journaled arrival) still install.
-    for rec in swaps {
-        install(engine, rec)?;
-    }
+                    rec.spec, installed.hash, installed.generation, rec.hash, rec.generation
+                )));
+            }
+            Ok(ControlFlow::Continue(()))
+        },
+    )?;
     Ok(())
 }
 
@@ -943,42 +991,47 @@ mod tests {
             }
         };
         let arrivals = trace_arrivals(&t);
-        // Live: snapshot at 30, swap at 55, crash at 80.
-        let mut live = ServeEngine::new(compile("fs").unwrap(), config);
-        let mut w = JournalWriter::create_with_spec(Vec::new(), &live, Some("fs")).unwrap();
-        w.append_batch(0, &arrivals[..30]).unwrap();
-        live.ingest_batch(&arrivals[..30]);
-        let snap = live.snapshot();
-        w.append_batch(30, &arrivals[30..55]).unwrap();
-        live.ingest_batch(&arrivals[30..55]);
-        let rec = live.install_table(compile("if").unwrap(), "if");
-        w.append_swap(&rec).unwrap();
-        w.append_batch(55, &arrivals[55..80]).unwrap();
-        live.ingest_batch(&arrivals[55..80]);
-        // Reference continues to the end without crashing.
-        live.ingest_batch(&arrivals[80..]);
-        live.drain();
-        let journal =
-            Journal::from_reader(&mut std::io::Cursor::new(w.into_inner().unwrap())).unwrap();
-        // Plain recover refuses the post-snapshot swap...
-        let err = recover(compile("fs").unwrap(), config, &snap, &journal)
-            .err()
-            .expect("swap refused");
-        assert!(
-            matches!(&err, JournalError::Mismatch(m) if m.contains("recover_with")),
-            "{err:?}"
-        );
-        // ...recover_with replays it and continues bit-identically.
-        let mut recovered = recover_with(compile("fs").unwrap(), config, &snap, &journal, &|r| {
-            compile(&r.spec)
-        })
-        .unwrap();
-        assert_eq!(recovered.ingested(), 80);
-        assert_eq!(recovered.generation(), 1);
-        recovered.ingest_batch(&arrivals[80..]);
-        recovered.drain();
-        assert_eq!(recovered.decision_digest(), live.decision_digest());
-        assert_eq!(recovered.metrics_total(), live.metrics_total());
+        // Live: snapshot at 30, swap at 55 (or at the snapshot point,
+        // right after the snapshot), crash at 80.
+        for swap_at in [55, 30] {
+            let mut live = ServeEngine::new(compile("fs").unwrap(), config);
+            let mut w = JournalWriter::create_with_spec(Vec::new(), &live, Some("fs")).unwrap();
+            w.append_batch(0, &arrivals[..30]).unwrap();
+            live.ingest_batch(&arrivals[..30]);
+            let snap = live.snapshot();
+            w.append_batch(30, &arrivals[30..swap_at]).unwrap();
+            live.ingest_batch(&arrivals[30..swap_at]);
+            let rec = live.install_table(compile("if").unwrap(), "if");
+            w.append_swap(&rec).unwrap();
+            w.append_batch(swap_at as u64, &arrivals[swap_at..80])
+                .unwrap();
+            live.ingest_batch(&arrivals[swap_at..80]);
+            // Reference continues to the end without crashing.
+            live.ingest_batch(&arrivals[80..]);
+            live.drain();
+            let journal =
+                Journal::from_reader(&mut std::io::Cursor::new(w.into_inner().unwrap())).unwrap();
+            // Plain recover refuses the post-snapshot swap...
+            let err = recover(compile("fs").unwrap(), config, &snap, &journal)
+                .err()
+                .expect("swap refused");
+            assert!(
+                matches!(&err, JournalError::Mismatch(m) if m.contains("recover_with")),
+                "{err:?}"
+            );
+            // ...recover_with replays it and continues bit-identically.
+            let mut recovered =
+                recover_with(compile("fs").unwrap(), config, &snap, &journal, &|r| {
+                    compile(&r.spec)
+                })
+                .unwrap();
+            assert_eq!(recovered.ingested(), 80);
+            assert_eq!(recovered.generation(), 1);
+            recovered.ingest_batch(&arrivals[80..]);
+            recovered.drain();
+            assert_eq!(recovered.decision_digest(), live.decision_digest());
+            assert_eq!(recovered.metrics_total(), live.metrics_total());
+        }
     }
 
     fn trace_arrivals(t: &ArrivalTrace) -> Vec<Arrival> {

@@ -75,8 +75,8 @@ pub use engine::{
     route_for, Admission, ChurnConfig, Decision, EngineConfig, ServeEngine, SwapRecord,
 };
 pub use journal::{
-    recover, recover_with, replay_journal, run_journaled, Journal, JournalWriter, RunControls,
-    RunOutcome,
+    feed, recover, recover_with, replay_journal, run_journaled, Journal, JournalWriter,
+    RunControls, RunOutcome,
 };
 pub use metrics::ShardMetrics;
 pub use replay::RecordingPolicy;

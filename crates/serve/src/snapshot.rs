@@ -64,22 +64,6 @@ const CAPS: &Caps = &[
     (0, 0),
 ];
 
-/// One frozen job: class, remaining work, inherent size, arrival epoch,
-/// and id (ids keep restored queues byte-equal to the originals).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JobSnapshot {
-    /// Job id within its shard.
-    pub id: u64,
-    /// Job class.
-    pub class: JobClass,
-    /// Remaining work.
-    pub remaining: f64,
-    /// Inherent size (sets the completion tolerance).
-    pub size: f64,
-    /// Arrival epoch (for response-time accounting on completion).
-    pub arrival: f64,
-}
-
 /// One frozen shard: clock, digest, counters, fault-replay position,
 /// and both queues in order.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,9 +80,10 @@ pub struct ShardSnapshot {
     pub fault_cursor: usize,
     /// Operational counters.
     pub metrics: ShardMetrics,
-    /// Queued jobs: the inelastic queue front-to-back, then the elastic
-    /// queue front-to-back (the class tag separates them on restore).
-    pub jobs: Vec<JobSnapshot>,
+    /// Queued jobs, each with its id, remaining work, size and arrival
+    /// epoch: the inelastic queue front-to-back, then the elastic queue
+    /// front-to-back (the class tag separates them on restore).
+    pub jobs: Vec<Job>,
 }
 
 /// A full engine snapshot.
@@ -377,18 +362,13 @@ fn decode(
         HIST | RHIST if !s.shards.is_empty() => {
             pieces[usize::from(ty - HIST)].extend_from_slice(payload);
         }
-        JOB => s
-            .shards
-            .last_mut()
-            .ok_or_else(misplaced)?
-            .jobs
-            .push(JobSnapshot {
-                id: f.u64()?,
-                class: record::class_from_tag(aux)?,
-                remaining: f.f64()?,
-                size: f.f64()?,
-                arrival: f.f64()?,
-            }),
+        JOB => s.shards.last_mut().ok_or_else(misplaced)?.jobs.push(Job {
+            id: f.u64()?,
+            class: record::class_from_tag(aux)?,
+            remaining: f.f64()?,
+            size: f.f64()?,
+            arrival: f.f64()?,
+        }),
         _ => return Err(misplaced()),
     }
     Ok(false)
@@ -421,13 +401,6 @@ impl ServeEngine {
                 let jobs = c
                     .queue(JobClass::Inelastic)
                     .chain(c.queue(JobClass::Elastic));
-                let jobs = jobs.map(|job| JobSnapshot {
-                    id: job.id,
-                    class: job.class,
-                    remaining: job.remaining,
-                    size: job.size,
-                    arrival: job.arrival,
-                });
                 ShardSnapshot {
                     time: c.now(),
                     digest: s.ledger.digest,
@@ -435,7 +408,7 @@ impl ServeEngine {
                     avail: c.avail(),
                     fault_cursor: c.fault_cursor(),
                     metrics: s.ledger.metrics.clone(),
-                    jobs: jobs.collect(),
+                    jobs: jobs.cloned().collect(),
                 }
             })
             .collect();
@@ -524,11 +497,6 @@ fn restore_shard(
             k + 1
         )));
     }
-    let jobs = frozen.jobs.iter().map(|js| {
-        let mut job = Job::new(js.id, js.class, js.size, js.arrival);
-        job.remaining = js.remaining;
-        job
-    });
     shard
         .cluster
         .restore(
@@ -536,7 +504,7 @@ fn restore_shard(
             frozen.next_id,
             frozen.avail,
             frozen.fault_cursor,
-            jobs,
+            frozen.jobs.iter().cloned(),
         )
         .map_err(SnapshotError::Mismatch)?;
     shard.ledger.digest = frozen.digest;

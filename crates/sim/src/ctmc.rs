@@ -10,6 +10,7 @@
 
 use crate::policy::AllocationPolicy;
 use crate::stats::TimeAverage;
+use eirs_queueing::distributions::exp_inverse_cdf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -69,7 +70,7 @@ pub fn simulate_state_level(policy: &dyn AllocationPolicy, cfg: CtmcSimConfig) -
         let d_e = alloc.elastic * cfg.mu_e;
         let total = cfg.lambda_i + cfg.lambda_e + d_i + d_e;
         let u: f64 = rng.random();
-        let dt = -(1.0 - u).ln() / total;
+        let dt = exp_inverse_cdf(1.0 - u, total);
         if step >= cfg.warmup_jumps {
             n_i.add(i as f64, dt);
             n_e.add(j as f64, dt);

@@ -16,16 +16,30 @@ use eirs_repro::net::{self, install_swap, NetConfig, ReoptSettings, SwapError, S
 use eirs_repro::obs::{self, Json};
 use eirs_repro::opt;
 use eirs_repro::serve::{
-    recover, replay_journal, run_journaled, ChurnConfig, CompiledTable, EngineConfig,
-    EngineSnapshot, Journal, JournalWriter, RunControls, ServeEngine, SwapRecord,
+    feed, recover, replay_journal, ChurnConfig, CompiledTable, EngineConfig, EngineSnapshot,
+    Journal, JournalWriter, RunControls, ServeEngine, SwapRecord,
 };
-use eirs_repro::sim::{Arrival, ArrivalSource, FaultSpec};
+use eirs_repro::sim::{ArrivalSource, FaultSpec};
 use std::io::{BufReader, BufWriter, Write};
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::time::Instant;
 
 /// The write-ahead journal of every serve mode.
 type Wal = JournalWriter<Box<dyn Write + Send>>;
+
+/// Why an offline run failed: its journal could not be written, or its
+/// hot-swap could not be resolved (the message names the flag).
+enum RunError {
+    Journal(std::io::Error),
+    Swap(String),
+}
+
+impl From<std::io::Error> for RunError {
+    fn from(e: std::io::Error) -> Self {
+        RunError::Journal(e)
+    }
+}
 
 /// One `serve` invocation's flags, parsed and cross-checked.
 struct Serve<'a> {
@@ -459,17 +473,18 @@ impl Serve<'_> {
         Ok(())
     }
 
-    /// Runs the workload through the engine: recovered, hot-swapped,
-    /// journaled, or plain. Returns the engine, the arrivals it ingested,
-    /// whether `--kill-after` stopped it, and how many journaled arrivals
-    /// a recovery replayed.
+    /// Runs the workload through the engine in one [`feed`] pass: fresh
+    /// or recovered, journaled or not, with the `--snapshot-at` and
+    /// `--kill-after` barriers or the `--swap-at` barrier. The run drains
+    /// unless `--kill-after` stopped it. Returns the engine, whether it
+    /// was killed, and how many journaled arrivals a recovery replayed.
     fn drive(
         &self,
         table: CompiledTable,
         config: EngineConfig,
         source: &mut dyn ArrivalSource,
-    ) -> Result<(ServeEngine, u64, bool, Option<u64>), String> {
-        if self.recover {
+    ) -> Result<(ServeEngine, bool, Option<u64>), String> {
+        let (mut engine, replayed) = if self.recover {
             let spath = self
                 .snapshot
                 .expect("validated: --recover needs --snapshot");
@@ -480,116 +495,79 @@ impl Serve<'_> {
                 .map_err(|e| format!("cannot open journal {jpath}: {e}"))?;
             let journal = Journal::load_prefix(&mut BufReader::new(file))
                 .map_err(|e| format!("cannot replay journal {jpath}: {e}"))?;
-            let mut engine = recover(table, config, &snap, &journal)
+            let engine = recover(table, config, &snap, &journal)
                 .map_err(|e| format!("cannot recover from {spath} + {jpath}: {e}"))?;
-            let replayed = engine.ingested();
             // The journal already covers the first `replayed` arrivals;
             // skip past them in the regenerated source (same workload,
             // same seed) and continue the interrupted run.
+            let replayed = engine.ingested();
             for _ in 0..replayed {
                 if source.next_arrival().is_none() {
                     break;
                 }
             }
-            let continued = engine.run(source, self.duration);
-            return Ok((engine, replayed + continued, false, Some(replayed)));
-        }
-        let mut engine = ServeEngine::new(table, config);
-        if let Some(trigger) = &self.swap {
-            self.swap_run(&mut engine, trigger, source)?;
-            let n = engine.ingested();
-            return Ok((engine, n, false, None));
-        }
-        let Some(jpath) = self.journal else {
-            let n = engine.run(source, self.duration);
-            return Ok((engine, n, false, None));
+            (engine, Some(replayed))
+        } else {
+            (ServeEngine::new(table, config), None)
         };
-        let mut wal = open_journal(jpath, &engine, &self.policy_spec)?;
+        // A recovery reads --journal; every other run writes it.
+        let mut wal = match self.journal {
+            Some(path) if !self.recover => Some(open_journal(path, &engine, &self.policy_spec)?),
+            _ => None,
+        };
         let controls = RunControls {
             snapshot_at: self.snapshot_at,
             kill_after: self.kill_after,
         };
-        let outcome = run_journaled(&mut engine, source, self.duration, &mut wal, controls)
-            .map_err(|e| format!("cannot write journal {jpath}: {e}"))?;
-        if let Some(snap) = &outcome.snapshot {
+        let swap = match &self.swap {
+            Some(trigger) => Some((trigger, self.reopt()?, self.compiler())),
+            None => None,
+        };
+        let barriers = match &swap {
+            Some((trigger, ..)) => vec![trigger.at_seq],
+            None => controls.barriers(),
+        };
+        let (start, mut snapshot) = (engine.ingested(), None);
+        // A swap barrier past the end of the stream installs there, so
+        // the new policy decides the drain.
+        let killed = feed(
+            &mut engine,
+            source,
+            self.duration,
+            wal.as_mut(),
+            &barriers,
+            |engine, wal, _| match &swap {
+                Some((trigger, reopt, compile)) => {
+                    install_swap(engine, wal, &trigger.spec, None, reopt, compile).map_err(
+                        |e| match e {
+                            SwapError::Resolve(e) => {
+                                RunError::Swap(flags::spec_error("swap-policy", &trigger.spec, &e))
+                            }
+                            SwapError::Journal(e) => RunError::Journal(e),
+                        },
+                    )?;
+                    Ok(ControlFlow::Continue(()))
+                }
+                None => Ok(controls.act(engine, start, &mut snapshot)),
+            },
+        )
+        .map_err(|e| match e {
+            RunError::Journal(e) => {
+                format!("cannot write journal {}: {e}", self.journal.unwrap_or(""))
+            }
+            RunError::Swap(message) => message,
+        })?;
+        if !killed {
+            engine.drain();
+        }
+        if let Some(snap) = snapshot {
             let spath = self
                 .snapshot
                 .expect("validated: --snapshot-at needs --snapshot");
             snap.save(Path::new(spath))
                 .map_err(|e| format!("cannot write snapshot {spath}: {e}"))?;
         }
-        Ok((engine, outcome.ingested, outcome.killed, None))
-    }
-
-    /// Offline hot-swap: a hand-rolled batched loop that splits exactly at
-    /// the --swap-at barrier and swaps through `eirs_net::install_swap`,
-    /// failing the command on any swap error. The trailing partial batch
-    /// is journaled and ingested before the swap and before shutdown —
-    /// never dropped at a batch boundary. The run drains at the end.
-    fn swap_run(
-        &self,
-        engine: &mut ServeEngine,
-        trigger: &SwapTrigger,
-        source: &mut dyn ArrivalSource,
-    ) -> Result<(), String> {
-        let (barrier, batch) = (trigger.at_seq, self.batch);
-        let mut wal = self
-            .journal
-            .map(|path| open_journal(path, engine, &self.policy_spec))
-            .transpose()?;
-        let (reopt, compile) = (self.reopt()?, self.compiler());
-        let install = |engine: &mut ServeEngine, wal: &mut Option<Wal>| {
-            install_swap(engine, wal.as_mut(), &trigger.spec, None, &reopt, &compile)
-                .map(drop)
-                .map_err(|e| match e {
-                    SwapError::Resolve(e) => flags::spec_error("swap-policy", &trigger.spec, &e),
-                    SwapError::Journal(e) => format!("cannot write journal: {e}"),
-                })
-        };
-        let mut swapped = false;
-        let mut buffer: Vec<Arrival> = Vec::with_capacity(batch);
-        loop {
-            if !swapped && engine.ingested() == barrier {
-                install(engine, &mut wal)?;
-                swapped = true;
-            }
-            // Never fill past the barrier: the swap happens between
-            // batches, so a batch boundary must land on it exactly.
-            let limit = if swapped {
-                batch
-            } else {
-                batch.min((barrier - engine.ingested()) as usize)
-            };
-            buffer.clear();
-            let mut ended = false;
-            while buffer.len() < limit {
-                match source.next_arrival() {
-                    Some(a) if a.time <= self.duration => buffer.push(a),
-                    _ => {
-                        ended = true;
-                        break;
-                    }
-                }
-            }
-            if !buffer.is_empty() {
-                if let Some(w) = wal.as_mut() {
-                    w.append_batch(engine.ingested(), &buffer)
-                        .map_err(|e| format!("cannot write journal: {e}"))?;
-                }
-                engine.ingest_batch(&buffer);
-            }
-            if ended {
-                // The stream ended before the barrier: the swap still
-                // takes effect, journaled at the actual end-of-stream
-                // barrier.
-                if !swapped {
-                    install(engine, &mut wal)?;
-                }
-                break;
-            }
-        }
-        engine.drain();
-        Ok(())
+        Ok((engine, killed, replayed))
     }
 
     /// The default mode: run the workload, then report the engine's
@@ -613,8 +591,9 @@ impl Serve<'_> {
             .build_source(&scaled, self.seed, self.duration)?;
         let table_shape = (table.max_i() + 1, table.max_j() + 1, table.table_bytes());
         let start = Instant::now();
-        let (engine, ingested, killed, replayed) = self.drive(table, config, source.as_mut())?;
+        let (engine, killed, replayed) = self.drive(table, config, source.as_mut())?;
         let wall = start.elapsed().as_secs_f64();
+        let ingested = engine.ingested();
         let totals = engine.metrics_total();
         let per_shard = engine.metrics_per_shard();
         let response_hist = engine.response_histogram();
