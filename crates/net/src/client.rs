@@ -142,6 +142,7 @@ fn drive_connection(
             Ok(s)
         });
 
+        let mut arrivals = 0;
         let sending = (|| {
             for &(req_id, arrival) in work {
                 sent.lock()
@@ -157,7 +158,7 @@ fn drive_connection(
                     },
                 )
                 .map_err(|e| err("send arrival", &e))?;
-                stats.arrivals += 1;
+                arrivals += 1;
                 if let Some((at, spec)) = swap {
                     if *at == req_id {
                         write_frame(&mut writer, &Frame::Control(format!("swap {spec}")))
@@ -173,7 +174,6 @@ fn drive_connection(
             }
             write_frame(&mut writer, &Frame::Bye).map_err(|e| err("send bye", &e))
         })();
-        let arrivals = stats.arrivals;
         // A server that refuses a control frame answers with an ERROR
         // frame and closes while arrivals may still be on their way, so
         // a write can fail after it: the ERROR frame, not the broken

@@ -359,6 +359,7 @@ fn decode_swap(payload: &[u8]) -> Result<SwapRecord, RecordError> {
         spec: f.rest_str()?.to_owned(),
     })
 }
+
 /// Feeds `source` into `engine` up to simulated time `until`, in batches
 /// of at most [`EngineConfig::batch`] arrivals: the one arrival loop of
 /// [`ServeEngine::run`], [`run_journaled`], the journal replay behind
@@ -614,6 +615,10 @@ fn check_resume(
     if journal.churn != config.churn {
         return mismatch("journal and engine disagree on the churn identity".into());
     }
+    // A journal from another run or policy history would replay into a
+    // cross-policy decision stream: the engine's `generation` swaps must
+    // be the journal's first ones, at or before `seq`, and the rest must
+    // lie at or after it.
     let before = journal.swaps.iter().filter(|s| s.seq < seq).count();
     let through = journal.swaps.iter().filter(|s| s.seq <= seq).count();
     let g = generation as usize;
@@ -681,8 +686,8 @@ fn replay(
             let installed = engine.install_table(table, &rec.spec);
             if (installed.hash, installed.generation) != (rec.hash, rec.generation) {
                 return Err(JournalError::Mismatch(format!(
-                    "recompiled swap '{}' hashes to {:#018x} generation {}, journal recorded \
-                 {:#018x} generation {}",
+                    "recompiled swap '{}' hashes to {:#018x} generation {}, journal \
+                     recorded {:#018x} generation {}",
                     rec.spec, installed.hash, installed.generation, rec.hash, rec.generation
                 )));
             }
