@@ -823,6 +823,60 @@ mod tests {
     }
 
     #[test]
+    fn feed_runs_each_barrier_once_in_order_and_stops_at_a_break() {
+        let t = trace();
+        let n = t.len() as u64;
+        let mut engine = ServeEngine::new(table(), EngineConfig::new(2).route_shards(3).batch(8));
+        let mut journal = JournalWriter::create(Vec::new(), &engine).unwrap();
+        let mut src = t.stream();
+        // Barrier 0 runs before the first batch, both 3s exactly at 3, a
+        // barrier past the stream after the last batch; the kill at 20
+        // stops the feed there.
+        let mut seen = Vec::new();
+        let barriers = [0, 3, 3, 20, n + 100];
+        let stopped = feed(
+            &mut engine,
+            &mut src,
+            f64::INFINITY,
+            Some(&mut journal),
+            &barriers,
+            |engine, _, at| {
+                seen.push((at, engine.ingested()));
+                let stop = barriers[at] == 20;
+                Ok::<_, std::io::Error>(if stop {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                })
+            },
+        )
+        .unwrap();
+        assert!(stopped);
+        assert_eq!(seen, [(0, 0), (1, 3), (2, 3), (3, 20)]);
+        // Resumed past a barrier: it runs first, the rest in order, and
+        // the one the stream ends short of after the last batch.
+        seen.clear();
+        let stopped = feed(
+            &mut engine,
+            &mut src,
+            f64::INFINITY,
+            Some(&mut journal),
+            &[5, 28, n + 100],
+            |engine, _, at| {
+                seen.push((at, engine.ingested()));
+                Ok::<_, std::io::Error>(ControlFlow::Continue(()))
+            },
+        )
+        .unwrap();
+        assert!(!stopped);
+        assert_eq!(seen, [(0, 20), (1, 28), (2, n)]);
+        // Every arrival was journaled once, in order; nothing drained.
+        let j = Journal::from_reader(&mut &journal.into_inner().unwrap()[..]).unwrap();
+        assert_eq!(j.entries.len() as u64, n);
+        assert!(engine.metrics_total().completions < n);
+    }
+
+    #[test]
     fn sequence_gaps_are_rejected() {
         let engine = ServeEngine::new(table(), EngineConfig::new(2).route_shards(3));
         let mut w = JournalWriter::create(Vec::new(), &engine).unwrap();
