@@ -398,6 +398,88 @@ mod tests {
         assert_eq!(out.lines().count(), 2);
     }
 
+    /// Whole-document pins of both event exporters over edge cases:
+    /// escaped names, NaN, integral/fractional/huge floats, integers
+    /// above 2^53 (argument, timestamp, counter), an instant event, and
+    /// integral and fractional gauges.
+    #[test]
+    fn exporter_bytes_are_pinned() {
+        let events = vec![
+            TraceEvent {
+                name: "a \"q\"\n\tb".into(),
+                cat: "sweep",
+                ts_ns: 1_500,
+                dur_ns: Some(2_000),
+                tid: 3,
+                args: vec![
+                    ("frac", 1.25.into()),
+                    ("whole", 2.0.into()),
+                    ("huge", 1e20.into()),
+                    ("seed", 10_451_216_379_200_822_465u64.into()),
+                    ("warm", true.into()),
+                    ("label", "x\"y".into()),
+                ],
+            },
+            TraceEvent {
+                name: "opt.eval".into(),
+                cat: "opt",
+                ts_ns: 9_007_199_254_740_993,
+                dur_ns: None,
+                tid: 0,
+                args: vec![("score", f64::NAN.into())],
+            },
+            TraceEvent {
+                name: "bare".into(),
+                cat: "x",
+                ts_ns: 9_000,
+                dur_ns: Some(1_000_000_000),
+                tid: 1,
+                args: Vec::new(),
+            },
+        ];
+        let snap = Snapshot {
+            counters: vec![("c.small".into(), 42), ("c.max".into(), u64::MAX)],
+            gauges: vec![("g.whole".into(), 7.0), ("g.frac".into(), 3.5)],
+            histograms: Vec::new(),
+        };
+        let chrome = chrome_trace_json(&events, &snap);
+        validate_json(&chrome).expect("valid JSON");
+        assert_eq!(
+            chrome,
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
+             {\"name\":\"a \\\"q\\\"\\n\\tb\",\"cat\":\"sweep\",\"ph\":\"X\",\"pid\":1,\"tid\":3,\
+             \"ts\":1.5,\"dur\":2,\"args\":{\"frac\":1.25,\"whole\":2,\
+             \"huge\":100000000000000000000,\"seed\":10451216379200822465,\"warm\":true,\
+             \"label\":\"x\\\"y\"}},\
+             {\"name\":\"opt.eval\",\"cat\":\"opt\",\"ph\":\"i\",\"pid\":1,\"tid\":0,\
+             \"ts\":9007199254740.992,\"s\":\"t\",\"args\":{\"score\":null}},\
+             {\"name\":\"bare\",\"cat\":\"x\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":9,\
+             \"dur\":1000000},\
+             {\"name\":\"c.small\",\"cat\":\"metric\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\
+             \"ts\":9007199254740.992,\"args\":{\"value\":42}},\
+             {\"name\":\"c.max\",\"cat\":\"metric\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\
+             \"ts\":9007199254740.992,\"args\":{\"value\":18446744073709551615}},\
+             {\"name\":\"g.whole\",\"cat\":\"metric\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\
+             \"ts\":9007199254740.992,\"args\":{\"value\":7}},\
+             {\"name\":\"g.frac\",\"cat\":\"metric\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\
+             \"ts\":9007199254740.992,\"args\":{\"value\":3.5}}]}"
+        );
+        assert_eq!(
+            jsonl(&events),
+            "{\"ts_ns\":1500,\"name\":\"a \\\"q\\\"\\n\\tb\",\"cat\":\"sweep\",\"tid\":3,\
+             \"dur_ns\":2000,\"args\":{\"frac\":1.25,\"whole\":2,\"huge\":100000000000000000000,\
+             \"seed\":10451216379200822465,\"warm\":true,\"label\":\"x\\\"y\"}}\n\
+             {\"ts_ns\":9007199254740993,\"name\":\"opt.eval\",\"cat\":\"opt\",\"tid\":0,\
+             \"args\":{\"score\":null}}\n\
+             {\"ts_ns\":9000,\"name\":\"bare\",\"cat\":\"x\",\"tid\":1,\"dur_ns\":1000000000}\n"
+        );
+        assert_eq!(
+            chrome_trace_json(&[], &Snapshot::default()),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}"
+        );
+        assert_eq!(jsonl(&[]), "");
+    }
+
     #[test]
     fn prometheus_text_has_counter_gauge_and_histogram_series() {
         let out = prometheus_text(&sample_snapshot());
