@@ -9,7 +9,7 @@
 //! Run: `cargo bench -p eirs-bench --bench fig5_response_time`
 
 use eirs_bench::section;
-use eirs_core::experiments::{figure5_curve, figure5_mu_i_values};
+use eirs_core::experiments::{figure5_mu_i_values, figure5_response_curve};
 use eirs_core::sweep::{sweep_with_threads, threads};
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
     let curves = sweep_with_threads(&rhos, threads().min(3), |&rho| {
         (
             rho,
-            figure5_curve(k, rho, &mu_values).expect("analysis succeeds"),
+            figure5_response_curve(k, rho, &mu_values).expect("analysis succeeds"),
         )
     });
 

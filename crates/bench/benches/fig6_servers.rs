@@ -10,7 +10,7 @@
 //! Run: `cargo bench -p eirs-bench --bench fig6_servers`
 
 use eirs_bench::section;
-use eirs_core::experiments::figure6_curve;
+use eirs_core::experiments::figure6_server_scaling;
 
 fn main() {
     let rho = 0.9;
@@ -19,7 +19,7 @@ fn main() {
         section(&format!(
             "Figure 6({panel}): E[T] vs k at rho = {rho}, µ_I = {mu_i}, µ_E = {mu_e}"
         ));
-        let curve = figure6_curve(&ks, rho, mu_i, mu_e).expect("analysis succeeds");
+        let curve = figure6_server_scaling(&ks, rho, mu_i, mu_e).expect("analysis succeeds");
         println!("  k      E[T] IF      E[T] EF      gap (worse/better)");
         for p in &curve {
             let (lo, hi) = if p.mrt_if < p.mrt_ef {

@@ -184,9 +184,9 @@ mod tests {
             ]
         );
         let lookup = |k: &str| entries.iter().find(|(key, _)| key == k).unwrap().1.clone();
-        assert!(matches!(lookup("bench_threads"), Json::Num(n) if n >= 1.0));
-        assert!(matches!(lookup("sweep_threads"), Json::Num(n) if n >= 1.0));
-        assert!(matches!(lookup("available_parallelism"), Json::Num(n) if n >= 1.0));
+        assert!(matches!(lookup("bench_threads"), Json::Int(n) if n >= 1));
+        assert!(matches!(lookup("sweep_threads"), Json::Int(n) if n >= 1));
+        assert!(matches!(lookup("available_parallelism"), Json::Int(n) if n >= 1));
         assert!(matches!(lookup("single_core"), Json::Bool(_)));
         assert!(matches!(lookup("degenerate_scaling"), Json::Bool(_)));
     }
@@ -220,7 +220,7 @@ mod tests {
             panic!("metadata must be an object");
         };
         let lookup = |k: &str| entries.iter().find(|(key, _)| key == k).unwrap().1.clone();
-        assert!(matches!(lookup("bench_threads"), Json::Num(n) if n == 4.0));
+        assert!(matches!(lookup("bench_threads"), Json::Int(4)));
         // A bench that drove one worker is single-core by definition,
         // whatever the machine could have done.
         let Json::Obj(serial) = run_metadata_with_threads(1) else {

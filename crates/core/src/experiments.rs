@@ -162,15 +162,6 @@ pub fn figure5_response_curve(
     .collect()
 }
 
-/// Original name of [`figure5_response_curve`], kept for callers.
-pub fn figure5_curve(
-    k: u32,
-    rho: f64,
-    mu_i_values: &[f64],
-) -> Result<Vec<ResponseCurvePoint>, AnalysisError> {
-    figure5_response_curve(k, rho, mu_i_values)
-}
-
 /// The default µ_I sweep of Figure 5: `0.1` to `3.5`.
 pub fn figure5_mu_i_values() -> Vec<f64> {
     let mut v = vec![0.1, 0.15, 0.2];
@@ -210,16 +201,6 @@ pub fn figure6_server_scaling(
     })
     .into_iter()
     .collect()
-}
-
-/// Original name of [`figure6_server_scaling`], kept for callers.
-pub fn figure6_curve(
-    ks: &[u32],
-    rho: f64,
-    mu_i: f64,
-    mu_e: f64,
-) -> Result<Vec<ServerScalingPoint>, AnalysisError> {
-    figure6_server_scaling(ks, rho, mu_i, mu_e)
 }
 
 /// One point of a policy-family sweep: a policy evaluated analytically at
@@ -427,7 +408,7 @@ mod tests {
     #[test]
     fn figure5_points_are_monotone_decreasing_in_mu_i_for_if() {
         // Larger µ_I (smaller inelastic jobs) reduces E[T] under IF.
-        let pts = figure5_curve(4, 0.5, &[0.5, 1.0, 2.0, 3.0]).unwrap();
+        let pts = figure5_response_curve(4, 0.5, &[0.5, 1.0, 2.0, 3.0]).unwrap();
         for w in pts.windows(2) {
             assert!(w[1].mrt_if < w[0].mrt_if + 1e-9);
         }
@@ -436,7 +417,7 @@ mod tests {
     #[test]
     fn figure6_curves_cover_all_k() {
         let ks: Vec<u32> = (2..=16).step_by(2).collect();
-        let pts = figure6_curve(&ks, 0.9, 3.25, 1.0).unwrap();
+        let pts = figure6_server_scaling(&ks, 0.9, 3.25, 1.0).unwrap();
         assert_eq!(pts.len(), ks.len());
         for p in &pts {
             assert!(

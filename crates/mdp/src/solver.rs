@@ -184,7 +184,7 @@ pub fn solve_optimal(cfg: &MdpConfig, tol: f64, max_iter: usize) -> Result<MdpSo
     let mut actions = vec![(0u32, 0u32); n];
     let mut candidates: Vec<(u32, u32)> = Vec::with_capacity(2 * (cfg.k as usize + 1));
 
-    let mut g_estimate = 0.0;
+    let mut span = f64::INFINITY;
     for it in 0..max_iter {
         let mut min_delta = f64::INFINITY;
         let mut max_delta = f64::NEG_INFINITY;
@@ -232,15 +232,16 @@ pub fn solve_optimal(cfg: &MdpConfig, tol: f64, max_iter: usize) -> Result<MdpSo
                 max_delta = max_delta.max(delta);
             }
         }
-        // Average cost per unit time: deltas converge to g/Λ.
-        g_estimate = 0.5 * (min_delta + max_delta) * lam;
-        let span = max_delta - min_delta;
+        // Average cost per unit time: deltas converge to g/Λ. The span
+        // is scaled by Λ alike, as in `evaluate_policy`.
+        let g_estimate = 0.5 * (min_delta + max_delta) * lam;
+        span = (max_delta - min_delta) * lam;
         // Renormalize (relative VI) to keep h bounded.
         let offset = h_next[0];
         for (dst, src) in h.iter_mut().zip(&h_next) {
             *dst = src - offset;
         }
-        if span * lam < tol {
+        if span < tol {
             return Ok(MdpSolution {
                 average_cost: g_estimate,
                 actions,
@@ -253,7 +254,7 @@ pub fn solve_optimal(cfg: &MdpConfig, tol: f64, max_iter: usize) -> Result<MdpSo
     }
     Err(MdpError::NotConverged {
         iterations: max_iter,
-        span: g_estimate,
+        span,
     })
 }
 
@@ -514,6 +515,20 @@ mod tests {
         let c = cfg(2, 0.4, 0.4, 1.0, 1.0, 40);
         let opt = solve_optimal(&c, 1e-9, 200_000).unwrap();
         assert!((opt.mean_response(0.8) - opt.average_cost / 0.8).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unconverged_solve_reports_its_span_like_policy_evaluation() {
+        let c = MdpConfig {
+            max_j: 12,
+            ..cfg(2, 0.5, 0.5, 1.0, 1.0, 10)
+        };
+        let eval = evaluate_policy(&c, &if_allocation(2), 1e-9, 1).unwrap_err();
+        let MdpError::NotConverged { iterations, span } = eval.clone();
+        assert_eq!(iterations, 1);
+        // One sweep from h = 0: the span is the largest cost, 10 + 12.
+        assert!((span - 22.0).abs() < 1e-12, "span {span}");
+        assert_eq!(solve_optimal(&c, 1e-9, 1).unwrap_err(), eval);
     }
 
     #[test]

@@ -6,63 +6,54 @@
 //! [`TraceEvent`]s, so they can run after the instrumented work is done
 //! and never touch a hot path.
 
-use crate::json::{escape_json, json_num};
+use crate::json::Json;
 use crate::registry::Snapshot;
-use crate::span::{ArgValue, TraceEvent};
+use crate::span::TraceEvent;
 use std::fmt::Write as _;
 
-fn write_args(args: &[(&'static str, ArgValue)], out: &mut String) {
-    out.push('{');
-    for (i, (k, v)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_json(k, out);
-        out.push_str("\":");
-        match v {
-            ArgValue::Num(x) => json_num(*x, out),
-            ArgValue::Int(x) => {
-                let _ = write!(out, "{x}");
-            }
-            ArgValue::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            ArgValue::Str(s) => {
-                out.push('"');
-                escape_json(s, out);
-                out.push('"');
-            }
-        }
-    }
-    out.push('}');
+/// An event's arguments as one JSON object.
+fn args_json(args: &[(&'static str, Json)]) -> Json {
+    Json::Obj(
+        args.iter()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect(),
+    )
 }
 
-/// One Chrome trace-event object (without trailing comma).
-fn write_chrome_event(ev: &TraceEvent, out: &mut String) {
-    out.push_str("{\"name\":\"");
-    escape_json(&ev.name, out);
-    out.push_str("\",\"cat\":\"");
-    escape_json(ev.cat, out);
-    let ph = if ev.dur_ns.is_some() { "X" } else { "i" };
-    let _ = write!(
-        out,
-        "\",\"ph\":\"{ph}\",\"pid\":1,\"tid\":{},\"ts\":{}",
-        ev.tid,
-        ev.ts_ns as f64 / 1e3
-    );
-    if let Some(dur) = ev.dur_ns {
-        let _ = write!(out, ",\"dur\":{}", dur as f64 / 1e3);
-    }
-    if ph == "i" {
+/// One Chrome trace event: a complete span (`ph` `X`) or a point event
+/// (`ph` `i`), with timestamps in microseconds.
+fn chrome_event(ev: &TraceEvent) -> Json {
+    let mut out = Json::object();
+    out.set("name", ev.name.as_str())
+        .set("cat", ev.cat)
+        .set("ph", if ev.dur_ns.is_some() { "X" } else { "i" })
+        .set("pid", 1u64)
+        .set("tid", ev.tid)
+        .set("ts", ev.ts_ns as f64 / 1e3);
+    match ev.dur_ns {
+        Some(dur) => out.set("dur", dur as f64 / 1e3),
         // Instant events need a scope; "t" = thread.
-        out.push_str(",\"s\":\"t\"");
-    }
+        None => out.set("s", "t"),
+    };
     if !ev.args.is_empty() {
-        out.push_str(",\"args\":");
-        write_args(&ev.args, out);
+        out.set("args", args_json(&ev.args));
     }
-    out.push('}');
+    out
+}
+
+/// A Chrome counter sample (`ph` `C`) of metric `name` at `ts`.
+fn counter_sample(name: &str, ts: f64, value: impl Into<Json>) -> Json {
+    let mut args = Json::object();
+    args.set("value", value);
+    let mut out = Json::object();
+    out.set("name", name)
+        .set("cat", "metric")
+        .set("ph", "C")
+        .set("pid", 1u64)
+        .set("tid", 0u64)
+        .set("ts", ts)
+        .set("args", args);
+    out
 }
 
 /// Renders spans plus the metric snapshot as Chrome trace-event JSON
@@ -71,65 +62,37 @@ fn write_chrome_event(ev: &TraceEvent, out: &mut String) {
 /// trace end, so route hit rates and the like show up as counter tracks
 /// alongside the span timeline.
 pub fn chrome_trace_json(events: &[TraceEvent], snap: &Snapshot) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 1024);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-    };
-    for ev in events {
-        sep(&mut out);
-        write_chrome_event(ev, &mut out);
-    }
     let end_ts = events.iter().map(|e| e.ts_ns).max().unwrap_or(0) as f64 / 1e3;
+    let mut trace: Vec<Json> = events.iter().map(chrome_event).collect();
     for (name, value) in &snap.counters {
-        sep(&mut out);
-        out.push_str("{\"name\":\"");
-        escape_json(name, &mut out);
-        let _ = write!(
-            out,
-            "\",\"cat\":\"metric\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":{end_ts},\
-             \"args\":{{\"value\":{value}}}}}"
-        );
+        trace.push(counter_sample(name, end_ts, *value));
     }
     for (name, value) in &snap.gauges {
-        sep(&mut out);
-        out.push_str("{\"name\":\"");
-        escape_json(name, &mut out);
-        let _ = write!(
-            out,
-            "\",\"cat\":\"metric\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":{end_ts},\
-             \"args\":{{\"value\":"
-        );
-        json_num(*value, &mut out);
-        out.push_str("}}");
+        trace.push(counter_sample(name, end_ts, *value));
     }
-    out.push_str("]}");
-    out
+    let mut doc = Json::object();
+    doc.set("displayTimeUnit", "ms").set("traceEvents", trace);
+    doc.compact()
 }
 
 /// Renders events as JSONL: one self-contained JSON object per line
 /// (`ts_ns`, `name`, `cat`, `tid`, optional `dur_ns`, optional `args`).
 pub fn jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 96);
+    let mut out = String::new();
     for ev in events {
-        out.push_str("{\"ts_ns\":");
-        let _ = write!(out, "{}", ev.ts_ns);
-        out.push_str(",\"name\":\"");
-        escape_json(&ev.name, &mut out);
-        out.push_str("\",\"cat\":\"");
-        escape_json(ev.cat, &mut out);
-        let _ = write!(out, "\",\"tid\":{}", ev.tid);
+        let mut line = Json::object();
+        line.set("ts_ns", ev.ts_ns)
+            .set("name", ev.name.as_str())
+            .set("cat", ev.cat)
+            .set("tid", ev.tid);
         if let Some(dur) = ev.dur_ns {
-            let _ = write!(out, ",\"dur_ns\":{dur}");
+            line.set("dur_ns", dur);
         }
         if !ev.args.is_empty() {
-            out.push_str(",\"args\":");
-            write_args(&ev.args, &mut out);
+            line.set("args", args_json(&ev.args));
         }
-        out.push_str("}\n");
+        out.push_str(&line.compact());
+        out.push('\n');
     }
     out
 }
@@ -351,10 +314,7 @@ mod tests {
                 ts_ns: 1_500,
                 dur_ns: Some(2_000),
                 tid: 3,
-                args: vec![
-                    ("mu_e", ArgValue::Num(1.25)),
-                    ("warm", ArgValue::Bool(true)),
-                ],
+                args: vec![("mu_e", Json::Num(1.25)), ("warm", Json::Bool(true))],
             },
             TraceEvent {
                 name: "opt.eval".into(),
@@ -362,7 +322,7 @@ mod tests {
                 ts_ns: 9_000,
                 dur_ns: None,
                 tid: 0,
-                args: vec![("score", ArgValue::Num(f64::NAN))],
+                args: vec![("score", Json::Num(f64::NAN))],
             },
         ]
     }

@@ -1,12 +1,17 @@
 //! The workspace's one JSON writer: a value tree with insertion-ordered
-//! objects and a deterministic two-space pretty printer.
+//! objects and one deterministic printer, two-space [`pretty`] or
+//! one-line [`compact`].
 //!
-//! Every `eirs --json true` document and every `BENCH_*.json` artifact
-//! is a [`Json`] value. The trace exporters in [`export`](crate::export)
-//! write their compact output by hand, but through the same string
-//! escaper and number rule, so one spelling of each holds everywhere.
-//! The workspace has no serde; its reports are shallow
-//! string/number/object/array structures.
+//! Every `eirs --json true` document, every `BENCH_*.json` artifact and
+//! every event the trace exporters in [`export`](crate::export) write is
+//! a [`Json`] value, so one spelling of strings and numbers holds
+//! everywhere. Unsigned integers stay exact ([`Json::Int`]); floats
+//! print integral values without a fraction. The workspace has no
+//! serde; its reports are shallow string/number/object/array
+//! structures.
+//!
+//! [`pretty`]: Json::pretty
+//! [`compact`]: Json::compact
 
 use std::fmt::Write as _;
 
@@ -17,8 +22,10 @@ pub enum Json {
     Null,
     /// Boolean.
     Bool(bool),
-    /// Any number (non-finite serializes as `null`).
+    /// A float (non-finite serializes as `null`).
     Num(f64),
+    /// An unsigned integer, printed exactly.
+    Int(u64),
     /// String.
     Str(String),
     /// Array.
@@ -49,57 +56,86 @@ impl Json {
     /// Serializes with two-space indentation and a trailing newline.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent + 1);
-        let close = "  ".repeat(indent);
+    /// Serializes on one line with no whitespace between tokens.
+    pub fn compact(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// Writes the value at nesting depth `indent`; `None` is compact.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => {
                 let _ = write!(out, "{b}");
             }
             Json::Num(x) => json_num(*x, out),
+            Json::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
             Json::Str(s) => json_str(s, out),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad);
-                    item.write(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&close);
-                out.push(']');
+                write_items(out, indent, ['[', ']'], items.iter().map(|v| (None, v)))
             }
-            Json::Obj(entries) => {
-                if entries.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in entries.iter().enumerate() {
-                    out.push_str(&pad);
-                    json_str(k, out);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                    out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&close);
-                out.push('}');
-            }
+            Json::Obj(entries) => write_items(
+                out,
+                indent,
+                ['{', '}'],
+                entries.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
         }
     }
 }
 
-/// Escapes `s` as the contents of a JSON string literal.
-pub(crate) fn escape_json(s: &str, out: &mut String) {
+/// Writes an array (every key `None`) or an object between `open` and
+/// `close`. Pretty output puts each item on its own line one level
+/// deeper and prints an empty container as `[]` or `{}`.
+fn write_items<'a>(
+    out: &mut String,
+    indent: Option<usize>,
+    [open, close]: [char; 2],
+    items: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    let inner = indent.map(|d| d + 1);
+    out.push(open);
+    let mut any = false;
+    for (key, value) in items {
+        if any {
+            out.push(',');
+        }
+        any = true;
+        newline(out, inner);
+        if let Some(k) = key {
+            json_str(k, out);
+            out.push_str(if indent.is_some() { ": " } else { ":" });
+        }
+        value.write(out, inner);
+    }
+    if any {
+        newline(out, indent);
+    }
+    out.push(close);
+}
+
+/// A newline and `depth` two-space indents (nothing when compact).
+fn newline(out: &mut String, depth: Option<usize>) {
+    if let Some(d) = depth {
+        out.push('\n');
+        for _ in 0..d {
+            out.push_str("  ");
+        }
+    }
+}
+
+/// Writes `s` as a quoted, escaped JSON string (values and keys alike).
+fn json_str(s: &str, out: &mut String) {
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -113,19 +149,13 @@ pub(crate) fn escape_json(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-}
-
-/// Writes `s` as a quoted, escaped JSON string (values and keys alike).
-fn json_str(s: &str, out: &mut String) {
-    out.push('"');
-    escape_json(s, out);
     out.push('"');
 }
 
 /// Writes `v` as a JSON number. Integral values print without a fraction
 /// (so counts read as integers, and `-0` as `0`); JSON has no NaN or
 /// infinity, so non-finite values print `null`.
-pub(crate) fn json_num(v: f64, out: &mut String) {
+fn json_num(v: f64, out: &mut String) {
     if !v.is_finite() {
         out.push_str("null");
     } else if v.fract() == 0.0 && v.abs() < 1e15 {
@@ -149,13 +179,19 @@ impl From<f64> for Json {
 
 impl From<u64> for Json {
     fn from(v: u64) -> Json {
-        Json::Num(v as f64)
+        Json::Int(v)
+    }
+}
+
+impl From<u32> for Json {
+    fn from(v: u32) -> Json {
+        Json::Int(v.into())
     }
 }
 
 impl From<usize> for Json {
     fn from(v: usize) -> Json {
-        Json::Num(v as f64)
+        Json::Int(v as u64)
     }
 }
 
@@ -209,6 +245,38 @@ mod tests {
         assert!(s.ends_with("}\n"));
         // Integral floats print without a fraction.
         assert!(s.contains("1,"));
+    }
+
+    #[test]
+    fn unsigned_integers_print_exactly() {
+        assert_eq!(Json::from(u64::MAX).pretty(), "18446744073709551615\n");
+        let mut o = Json::object();
+        o.set("seed", 9_007_199_254_740_993u64).set("n", 7usize);
+        assert_eq!(
+            o.pretty(),
+            "{\n  \"seed\": 9007199254740993,\n  \"n\": 7\n}\n"
+        );
+    }
+
+    #[test]
+    fn compact_is_the_pretty_tree_on_one_line() {
+        let mut inner = Json::object();
+        inner.set("x", 2.5).set("e", Json::object());
+        let mut o = Json::object();
+        o.set(
+            "k \"q\"\n",
+            vec![Json::from(1u32), Json::Null, Json::Bool(false)],
+        )
+        .set("inner", inner)
+        .set("empty", &[] as &[f64]);
+        let compact = o.compact();
+        crate::export::validate_json(&compact).expect("valid JSON");
+        assert_eq!(
+            compact,
+            "{\"k \\\"q\\\"\\n\":[1,null,false],\"inner\":{\"x\":2.5,\"e\":{}},\"empty\":[]}"
+        );
+        let squeezed: String = o.pretty().lines().map(str::trim_start).collect();
+        assert_eq!(squeezed.replace("\": ", "\":"), compact);
     }
 
     #[test]

@@ -32,11 +32,11 @@
 //! [`export`] renders the collected state as a Chrome trace-event JSON
 //! file (loadable in Perfetto / `chrome://tracing`), a JSONL event
 //! stream, or a Prometheus text-format snapshot. [`Json`] is the
-//! workspace's one JSON writer: every `eirs --json true` document and
-//! `BENCH_*.json` artifact is built with it, and the exporters share its
-//! string escaper and number rule. See
-//! `docs/OBSERVABILITY.md` for the metric catalog and a Perfetto
-//! walkthrough.
+//! workspace's one JSON writer: every `eirs --json true` document,
+//! `BENCH_*.json` artifact and exported trace event is built with it,
+//! and span arguments are [`Json`] values, so integers such as seeds
+//! print exactly. See `docs/OBSERVABILITY.md` for the metric catalog and
+//! a Perfetto walkthrough.
 //!
 //! # Example
 //!

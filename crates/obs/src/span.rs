@@ -19,59 +19,11 @@
 //! They are telemetry only: nothing computed from them flows back into
 //! any digested result.
 
+use crate::Json;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-/// A typed argument value attached to a span or event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArgValue {
-    /// A floating-point argument.
-    Num(f64),
-    /// An unsigned integer argument.
-    Int(u64),
-    /// A string argument.
-    Str(String),
-    /// A boolean argument.
-    Bool(bool),
-}
-
-impl From<f64> for ArgValue {
-    fn from(v: f64) -> Self {
-        ArgValue::Num(v)
-    }
-}
-impl From<u64> for ArgValue {
-    fn from(v: u64) -> Self {
-        ArgValue::Int(v)
-    }
-}
-impl From<usize> for ArgValue {
-    fn from(v: usize) -> Self {
-        ArgValue::Int(v as u64)
-    }
-}
-impl From<u32> for ArgValue {
-    fn from(v: u32) -> Self {
-        ArgValue::Int(v as u64)
-    }
-}
-impl From<bool> for ArgValue {
-    fn from(v: bool) -> Self {
-        ArgValue::Bool(v)
-    }
-}
-impl From<&str> for ArgValue {
-    fn from(v: &str) -> Self {
-        ArgValue::Str(v.to_string())
-    }
-}
-impl From<String> for ArgValue {
-    fn from(v: String) -> Self {
-        ArgValue::Str(v)
-    }
-}
 
 /// One recorded span or point event.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,7 +39,7 @@ pub struct TraceEvent {
     /// Logical thread id (stable small integers, assigned per thread).
     pub tid: u64,
     /// Attached `key: value` arguments.
-    pub args: Vec<(&'static str, ArgValue)>,
+    pub args: Vec<(&'static str, Json)>,
 }
 
 /// Nanoseconds since the process-wide trace anchor (first use).
@@ -162,7 +114,7 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// Attaches an argument (no-op on an inert guard).
-    pub fn arg(&mut self, key: &'static str, value: impl Into<ArgValue>) {
+    pub fn arg(&mut self, key: &'static str, value: impl Into<Json>) {
         if let Some(ev) = &mut self.inner {
             ev.args.push((key, value.into()));
         }
@@ -258,14 +210,14 @@ mod tests {
             .find(|e| e.name == "test.span.work")
             .expect("span recorded");
         assert!(work.dur_ns.unwrap() >= 500_000, "{:?}", work.dur_ns);
-        assert_eq!(work.args[0], ("cells", ArgValue::Int(7)));
-        assert_eq!(work.args[1], ("warm", ArgValue::Bool(true)));
+        assert_eq!(work.args[0], ("cells", Json::Int(7)));
+        assert_eq!(work.args[1], ("warm", Json::Bool(true)));
         let point = events
             .iter()
             .find(|e| e.name == "test.span.point")
             .expect("event recorded");
         assert_eq!(point.dur_ns, None);
-        assert_eq!(point.args[0], ("score", ArgValue::Num(1.25)));
+        assert_eq!(point.args[0], ("score", Json::Num(1.25)));
     }
 
     #[test]

@@ -117,9 +117,9 @@ fn fold_decision(digest: u64, i: usize, j: usize, a: ClassAllocation) -> u64 {
 }
 
 /// The shard owning global arrival number `seq` in an engine with
-/// `route_shards` shards — [`ServeEngine::route`] as a free function,
-/// so front ends (e.g. the network router) can partition traffic into
-/// per-shard queues without holding a reference to the engine.
+/// `route_shards` shards: [`ServeEngine::route`] as a free function, so
+/// a caller can tell which shard an arrival lands on without holding
+/// the engine. Every front end feeds one engine, which routes for itself.
 #[inline]
 pub fn route_for(seq: u64, route_shards: usize) -> usize {
     (mix64(seq) % route_shards as u64) as usize

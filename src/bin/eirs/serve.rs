@@ -557,6 +557,19 @@ impl Serve<'_> {
             }
             RunError::Swap(message) => message,
         })?;
+        // A snapshot barrier the run never reached leaves nothing for
+        // `--recover true` to restore.
+        if let (Some(at), None) = (self.snapshot_at, &snapshot) {
+            let stop = match self.kill_after {
+                Some(n) if killed => format!("--kill-after {n}"),
+                _ => "end of stream".to_string(),
+            };
+            return Err(format!(
+                "--snapshot-at {at} was never reached: the run stopped after {} arrivals \
+                 ({stop}), so no snapshot was written",
+                engine.ingested()
+            ));
+        }
         if !killed {
             engine.drain();
         }

@@ -285,6 +285,62 @@ fn recovery_refuses_identity_mismatches() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `--snapshot-at` barrier that the run never reaches (past the end
+/// of the stream, or behind an earlier `--kill-after`) would leave no
+/// snapshot for `--recover true`, so the run fails instead of exiting 0.
+/// Barriers the run does reach still write their snapshot.
+#[test]
+fn unreached_snapshot_barriers_fail_the_run() {
+    let dir = std::env::temp_dir().join(format!("eirs-cli-snapshot-at-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let snap = dir.join("run.snap");
+    let wal = dir.join("run.wal");
+    let run = |extra: &[&str]| {
+        std::fs::remove_file(&snap).ok();
+        let mut args = vec![
+            "serve",
+            "--workload",
+            "trace:crates/serve/testdata/smoke.trace",
+            "--journal",
+            wal.to_str().unwrap(),
+            "--snapshot",
+            snap.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        run_eirs(&args)
+    };
+    for (extra, needle) in [
+        (
+            &["--snapshot-at", "1000"][..],
+            "--snapshot-at 1000 was never reached: the run stopped after 201 arrivals \
+             (end of stream)",
+        ),
+        (
+            &["--snapshot-at", "100", "--kill-after", "50"][..],
+            "--snapshot-at 100 was never reached: the run stopped after 50 arrivals \
+             (--kill-after 50)",
+        ),
+    ] {
+        let (code, stderr) = run(extra);
+        assert_eq!(code, 2, "{extra:?} must be refused: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(needle),
+            "{extra:?}: stderr missing {needle:?}; got:\n{stderr}"
+        );
+        assert!(!snap.exists(), "{extra:?} wrote a snapshot");
+    }
+    for extra in [
+        &["--snapshot-at", "201"][..],
+        &["--snapshot-at", "0"][..],
+        &["--snapshot-at", "50", "--kill-after", "50"][..],
+    ] {
+        let (code, stderr) = run(extra);
+        assert_eq!(code, 0, "{extra:?} must succeed: {stderr}");
+        assert!(snap.exists(), "{extra:?} wrote no snapshot");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A run that measures no departure has no mean response time; every
 /// DES-backed command refuses `--departures 0` instead of reporting one.
 #[test]

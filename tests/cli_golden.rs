@@ -437,3 +437,20 @@ fn serve_swaps_at_the_stream_edges_are_pinned() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A seed above 2^53 has no exact `f64`; the report must still name the
+/// exact 64-bit seed that reruns the sample path.
+#[test]
+fn serve_reports_a_seed_above_2_pow_53_exactly() {
+    let out = eirs(&[
+        "serve",
+        "--workload",
+        SMOKE,
+        "--seed",
+        "9007199254740993",
+        "--json",
+        "true",
+    ]);
+    validate_json(&out).expect("valid JSON");
+    assert!(out.contains("\n    \"seed\": 9007199254740993,\n"), "{out}");
+}
