@@ -53,7 +53,8 @@ pub enum MdpError {
     NotConverged {
         /// Iterations performed.
         iterations: usize,
-        /// Final span of the value difference.
+        /// Final span of the value difference, times the uniformization
+        /// rate `Λ` (the scale of the average cost and of `tol`).
         span: f64,
     },
 }
