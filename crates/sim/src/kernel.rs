@@ -416,6 +416,7 @@ mod tests {
         decisions: Vec<Seen>,
         preemptions: u64,
         total_response: f64,
+        departed: Vec<u64>,
     }
 
     impl<P: AllocationPolicy> Watch<P> {
@@ -425,6 +426,7 @@ mod tests {
                 decisions: Vec::new(),
                 preemptions: 0,
                 total_response: 0.0,
+                departed: Vec::new(),
             }
         }
     }
@@ -441,8 +443,9 @@ mod tests {
             let jobs = queue.map(|j| (j.id, j.remaining)).collect();
             self.decisions.push((cluster.now(), cluster.avail(), jobs));
         }
-        fn on_departure(&mut self, _: &Job, response: f64) {
+        fn on_departure(&mut self, job: &Job, response: f64) {
             self.total_response += response;
+            self.departed.push(job.id);
         }
         fn on_preempt(&mut self, _: &Job) {
             self.preemptions += 1;
@@ -509,5 +512,38 @@ mod tests {
         assert_eq!(run(JobClass::Elastic), 3.5);
         // Inelastic: it leaves at its arrival, response 0.
         assert_eq!(run(JobClass::Inelastic), 2.0);
+    }
+
+    #[test]
+    fn a_done_job_that_entered_without_a_sweep_departs_at_the_first_step() {
+        // k = 2 under IF: jobs 0 and 1 (size 5) are served, job 2 waits,
+        // and job 3 (size 0) sits behind it, outside the served prefix.
+        // Preloaded or restored, job 3 leaves with the first departures.
+        let sizes = [5.0, 5.0, 5.0, 0.0];
+        let preloaded = {
+            let mut cluster = Cluster::new(2);
+            for size in sizes {
+                cluster.enqueue(JobClass::Inelastic, size, 0.0);
+            }
+            cluster
+        };
+        let restored = {
+            let mut cluster = Cluster::new(2);
+            let jobs = (0..)
+                .zip(sizes)
+                .map(|(id, size)| Job::new(id, JobClass::Inelastic, size, 0.0));
+            cluster.restore(0.0, 4, 2, 0, jobs).unwrap();
+            cluster
+        };
+        for mut cluster in [preloaded, restored] {
+            let mut watch = Watch::new(InelasticFirst);
+            assert_eq!(
+                cluster.step(&mut watch, None, f64::INFINITY),
+                Step::Advanced
+            );
+            assert_eq!(cluster.now(), 5.0);
+            assert_eq!(watch.departed, [0, 1, 3]);
+            assert_eq!(cluster.occupancy(), (1, 0));
+        }
     }
 }

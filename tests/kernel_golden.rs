@@ -4,14 +4,18 @@
 //! serving shards (`serve::engine`) all run one job-level event loop. The
 //! differential tests compare those drivers with each other, so they
 //! cannot see a change that moves all of them at once. These tests pin
-//! the loop's output on four fixed workloads — a plain DES run, a DES run
-//! under crash churn, two coupled work trajectories, and an engine run
-//! under churn with admission shedding — as `f64::to_bits` values, so any
+//! the loop's output on five fixed workloads — a plain DES run, a DES run
+//! under crash churn, a bursty DES run with hyperexponential elastic
+//! sizes under crash churn, two coupled work trajectories, and an engine
+//! run under churn with admission shedding — as `f64::to_bits` values, so any
 //! change to float-operation order, tie-breaking, preempt-restart or
-//! shedding shows up here. The two DES runs also pin their response-time
+//! shedding shows up here. The three DES runs also pin their response-time
 //! tails (histogram quantiles), so a change to how departures reach the
 //! class histograms shows up too.
 
+use eirs_core::policy::parse_policy;
+use eirs_core::scenario::parse_workload;
+use eirs_core::SystemParams;
 use eirs_queueing::Exponential;
 use eirs_serve::{ChurnConfig, CompiledTable, EngineConfig, ServeEngine};
 use eirs_sim::arrivals::{ArrivalTrace, PoissonStream};
@@ -79,6 +83,40 @@ fn des_under_churn_is_pinned() {
             [0x3ff421f5f40d8376, 0x402421f5f40d8376, 0x40310bafd05688e8],
             [0x3ff647b771125e49, 0x4023988594cc4cc2, 0x40310bafd05688e8],
             [0x3feff19e23a836fc, 0x402534d6b28ff0e0, 0x4031fc347708a8a4],
+        ]
+    );
+}
+
+/// The DES behind a curve-family search: bursty arrivals, `hyper:4`
+/// elastic sizes and crash churn on k = 4 servers at load 0.6, where a
+/// step sees several inelastic jobs queued behind the served ones.
+#[test]
+fn bursty_des_under_churn_is_pinned() {
+    let workload = parse_workload(
+        "bursty",
+        None,
+        Some("hyper:4"),
+        Some("crash:mtbf=40,mttr=4"),
+    )
+    .unwrap();
+    let params = SystemParams::with_equal_lambdas(4, 1.0, 1.0, 0.6).unwrap();
+    let policy = parse_policy("curve:2+0.5i").unwrap();
+    let r = workload
+        .simulate(policy.as_ref(), &params, 5, 2_000, 20_000)
+        .unwrap();
+    assert_eq!(r.completed, [9954, 10046]);
+    assert_eq!(r.preemptions, 218);
+    assert_eq!(r.total_response.to_bits(), 0x40f3af3cdca2979f);
+    assert_eq!(r.mean_work.to_bits(), 0x40252b5703d25f48);
+    assert_eq!(r.mean_work_inelastic.to_bits(), 0x40176584f6a936e1);
+    assert_eq!(r.utilization.to_bits(), 0x3fe3a9f1a1531a00);
+    assert_eq!(r.end_time.to_bits(), 0x40c1e7f28e3f7c71);
+    assert_eq!(
+        tail_bits(&r),
+        [
+            [0x4004ab66534eba2b, 0x402a09ca0bdadd39, 0x4034ab66534eba2b],
+            [0x4007e4088ed60267, 0x402f682dc4670048, 0x4037e4088ed60267],
+            [0x4001fc347708a8a4, 0x4024ab66534eba2b, 0x402f682dc4670048],
         ]
     );
 }
