@@ -170,7 +170,7 @@ fn main() -> Result<(), String> {
                 file_bytes as f64 / 1e6,
                 grew as f64 / 1e6
             );
-            // The reader buffers 8 KiB per handle; allow generous allocator slack
+            // The reader buffers 64 KiB per handle; allow generous allocator slack
             // but stay far under the trace size, which is what loading
             // the file whole would cost.
             assert!(

@@ -43,6 +43,12 @@
 //! both, so a recovered journal is always an exact prefix of what was
 //! written.
 //!
+//! Loading checks and decodes each record in place in the reader's
+//! buffer ([`record::each`]); only a record that straddles the buffer's
+//! end is copied out first. [`Journal::load`] reads the file through one
+//! [`record::BUF_CAPACITY`] buffer and reserves its entries from the
+//! file's length, so it never holds the file whole.
+//!
 //! One corruption looks exactly like a tear: a flipped bit that
 //! lengthens a swap record so that it runs past the end of the file.
 //! `load_prefix` then drops that swap and every record after it without
@@ -58,8 +64,8 @@ use crate::snapshot::{churn_field, put_churn, EngineSnapshot, SnapshotError};
 use crate::table::CompiledTable;
 use eirs_sim::arrivals::{Arrival, ArrivalSource};
 use eirs_sim::policy::AllocationPolicy;
-use eirs_sim::record::{self, Caps, Fields, RecordError};
-use std::io::{BufRead, Write};
+use eirs_sim::record::{self, Caps, Fields, Record, RecordError};
+use std::io::{BufRead, BufReader, Write};
 use std::ops::ControlFlow;
 
 /// Stream magic of the journal format.
@@ -70,6 +76,9 @@ const SWAP: u8 = 3;
 /// Longest policy spec a swap record carries: the wire's control-frame
 /// payload cap, so every swap a client can request fits.
 pub const MAX_SPEC: usize = 4096;
+/// Bytes of one arrival record: at most one entry per this many bytes of
+/// journal.
+const ARRIVAL_BYTES: usize = record::OVERHEAD + record::ARRIVAL_LEN;
 /// Payload length caps of the header, arrival and swap records.
 const CAPS: &Caps = &[
     (24, u16::MAX as usize),
@@ -258,45 +267,64 @@ impl Journal {
     /// record (the normal crash artifact) is an error here — use
     /// [`Journal::load_prefix`] to recover through it.
     pub fn from_reader(r: &mut dyn BufRead) -> Result<Self, JournalError> {
-        Self::decode(r, false)
+        Self::decode(r, false, 0)
     }
 
     /// Decodes a journal, dropping a truncated **final** record — the
     /// artifact of a crash mid-write. Malformed records anywhere are
     /// still errors.
     pub fn load_prefix(r: &mut dyn BufRead) -> Result<Self, JournalError> {
-        Self::decode(r, true)
+        Self::decode(r, true, 0)
     }
 
-    /// Loads a journal file written by [`JournalWriter`], strictly.
+    /// Loads a journal file written by [`JournalWriter`], strictly. The
+    /// entries are reserved from the file's length, and the file is read
+    /// through one [`record::BUF_CAPACITY`] buffer.
     pub fn load(path: &std::path::Path) -> Result<Self, JournalError> {
         let file = std::fs::File::open(path)?;
-        Self::from_reader(&mut std::io::BufReader::new(file))
+        let entries = file.metadata()?.len() as usize / ARRIVAL_BYTES;
+        let mut r = BufReader::with_capacity(record::BUF_CAPACITY, file);
+        Self::decode(&mut r, false, entries)
     }
 
-    fn decode(r: &mut dyn BufRead, torn_tail_ok: bool) -> Result<Self, JournalError> {
+    /// Decodes each record in place in `r`'s buffer ([`record::each`]),
+    /// with room reserved for `entries` arrivals.
+    fn decode<R: BufRead + ?Sized>(
+        r: &mut R,
+        torn_tail_ok: bool,
+        entries: usize,
+    ) -> Result<Self, JournalError> {
         let at = |n: usize| move |e: RecordError| JournalError::Record(n, e.to_string());
         record::read_magic(r, &MAGIC).map_err(at(0))?;
-        let mut payload = Vec::new();
-        let mut journal = match record::read(r, CAPS, &mut payload).map_err(at(1))? {
-            Some((HEADER, _)) => decode_header(&payload).map_err(at(1))?,
-            _ => return Err(JournalError::Record(1, "no header record".into())),
+        let mut spill = Vec::new();
+        let header = |rec: Record<'_>| match rec.ty {
+            HEADER => decode_header(rec.payload).map(|j| ControlFlow::Break(Some(j))),
+            _ => Ok(ControlFlow::Break(None)),
         };
-        for n in 2.. {
-            let (ty, aux) = match record::read(r, CAPS, &mut payload) {
-                Ok(Some(head)) => head,
-                Ok(None) => break,
-                Err(RecordError::Truncated) if torn_tail_ok => break,
-                Err(e) => return Err(at(n)(e)),
-            };
-            match ty {
+        let Some(Some(mut journal)) = record::each(r, CAPS, &mut spill, header).map_err(at(1))?
+        else {
+            return Err(JournalError::Record(1, "no header record".into()));
+        };
+        journal.entries.reserve(entries);
+        // Records decoded so far; the walk stops at a second header.
+        let mut n = 1;
+        let walked = record::each(r, CAPS, &mut spill, |rec| {
+            match rec.ty {
                 ARRIVAL => {
-                    let (seq, arrival) = record::decode_arrival(aux, &payload).map_err(at(n))?;
+                    let (seq, arrival) = record::decode_arrival(rec.aux, rec.payload)?;
                     journal.entries.push(JournalEntry { seq, arrival });
                 }
-                SWAP => journal.swaps.push(decode_swap(&payload).map_err(at(n))?),
-                _ => return Err(JournalError::Record(n, "second header record".into())),
+                SWAP => journal.swaps.push(decode_swap(rec.payload)?),
+                _ => return Ok(ControlFlow::Break(())),
             }
+            n += 1;
+            Ok(ControlFlow::Continue(()))
+        });
+        match walked {
+            Ok(None) => {}
+            Ok(Some(())) => return Err(JournalError::Record(n + 1, "second header record".into())),
+            Err(RecordError::Truncated) if torn_tail_ok => {}
+            Err(e) => return Err(at(n + 1)(e)),
         }
         journal.validate()?;
         Ok(journal)

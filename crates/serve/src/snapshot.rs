@@ -28,7 +28,10 @@
 //! A snapshot is valid only whole: [`EngineSnapshot::from_reader`]
 //! refuses a stream that stops before the end record or continues past
 //! it, and any malformed record. Snapshots of the older `eirssn02`
-//! format are refused by their magic.
+//! format are refused by their magic. Each record is checked and decoded
+//! in place in the reader's buffer ([`record::each`]), and
+//! [`EngineSnapshot::load`] reads the file through one
+//! [`record::BUF_CAPACITY`] buffer.
 //!
 //! The optional decision log ([`EngineConfig::record_decisions`]) is an
 //! audit/debug surface, not state — it is not snapshotted.
@@ -41,8 +44,9 @@ use crate::table::CompiledTable;
 use eirs_obs::LatencyHistogram;
 use eirs_sim::job::{Job, JobClass};
 use eirs_sim::policy::AllocationPolicy;
-use eirs_sim::record::{self, Caps, Fields, RecordError};
-use std::io::{BufRead, Write};
+use eirs_sim::record::{self, Caps, Fields, Record, RecordError};
+use std::io::{BufRead, BufReader, Write};
+use std::ops::ControlFlow;
 
 /// Stream magic of the snapshot format.
 const MAGIC: [u8; 8] = *b"eirssn03";
@@ -250,26 +254,30 @@ impl EngineSnapshot {
             }
         };
         record::read_magic(r, &MAGIC).map_err(at(0))?;
-        let mut payload = Vec::new();
+        let mut spill = Vec::new();
         let mut snap: Option<Self> = None;
         // The split values of the shard being read: hist, rhist.
         let mut pieces: [Vec<u8>; 2] = Default::default();
-        for n in 1.. {
-            let (ty, aux) = record::read(r, CAPS, &mut payload)
-                .map_err(at(n))?
-                .ok_or_else(|| at(n)(RecordError::Truncated))?;
-            if decode(&mut snap, &mut pieces, ty, aux, &payload).map_err(at(n))? {
-                if record::read(r, CAPS, &mut payload)
-                    .map_err(at(n + 1))?
-                    .is_some()
-                {
-                    return Err(SnapshotError::Record(
-                        n + 1,
-                        "record after the end record".into(),
-                    ));
-                }
-                break;
-            }
+        // Records decoded so far; the walk stops after the end record.
+        let mut n = 0;
+        let ended = record::each(r, CAPS, &mut spill, |rec| {
+            let end = decode(&mut snap, &mut pieces, rec)?;
+            n += 1;
+            Ok(if end {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            })
+        });
+        if ended.map_err(at(n + 1))?.is_none() {
+            return Err(at(n + 1)(RecordError::Truncated));
+        }
+        let after = record::each(r, CAPS, &mut spill, |_| Ok(ControlFlow::Break(())));
+        if after.map_err(at(n + 1))?.is_some() {
+            return Err(SnapshotError::Record(
+                n + 1,
+                "record after the end record".into(),
+            ));
         }
         let snap = snap.expect("the end record follows a header");
         if snap.shards.len() != snap.route_shards {
@@ -287,10 +295,11 @@ impl EngineSnapshot {
         self.to_writer(&mut std::fs::File::create(path)?)
     }
 
-    /// Loads a snapshot written by [`EngineSnapshot::save`].
+    /// Loads a snapshot written by [`EngineSnapshot::save`], through one
+    /// [`record::BUF_CAPACITY`] buffer.
     pub fn load(path: &std::path::Path) -> Result<Self, SnapshotError> {
         let file = std::fs::File::open(path)?;
-        Self::from_reader(&mut std::io::BufReader::new(file))
+        Self::from_reader(&mut BufReader::with_capacity(record::BUF_CAPACITY, file))
     }
 }
 
@@ -299,9 +308,7 @@ impl EngineSnapshot {
 fn decode(
     snap: &mut Option<EngineSnapshot>,
     pieces: &mut [Vec<u8>; 2],
-    ty: u8,
-    aux: u8,
-    payload: &[u8],
+    Record { ty, aux, payload }: Record<'_>,
 ) -> Result<bool, RecordError> {
     let mut f = Fields::new(payload);
     let misplaced = || RecordError::BadPayload(format!("record type {ty} out of place"));

@@ -49,12 +49,20 @@
 //! until every elastic job ahead of it has departed. Under Elastic-First
 //! with `k = 1`, a size-2 elastic job at `t = 0` and a size-0 elastic job
 //! at `t = 0.5` both leave at `t = 2`: total response 3.5, not 2.0.
+//!
+//! A sweep visits only the inelastic jobs that can have finished since
+//! the last one: after a step the served prefix (the first `⌊π_I⌋ + 1`
+//! jobs), after an admission the admitted job. Every other job was
+//! already unfinished at the last sweep and has not been served since.
+//! Jobs that enter without a sweep (preloaded or restored) make the next
+//! sweep visit the whole queue.
 
 use crate::arrivals::Arrival;
 use crate::availability::CapacityEvent;
 use crate::job::{Job, JobClass};
 use crate::policy::{assert_feasible, ClassAllocation};
 use std::collections::{vec_deque, VecDeque};
+use std::ops::Range;
 
 /// A driver's view of the event loop. Only the policy
 /// ([`Hooks::allocate`]) and its [`Hooks::name`] are required; every
@@ -123,6 +131,8 @@ pub struct Cluster {
     avail: u32,
     faults: Vec<CapacityEvent>,
     fault_cursor: usize,
+    /// Jobs entered without a sweep: the next sweep visits every job.
+    unswept: bool,
 }
 
 impl Cluster {
@@ -137,6 +147,7 @@ impl Cluster {
             avail: k,
             faults: Vec::new(),
             fault_cursor: 0,
+            unswept: false,
         }
     }
 
@@ -217,6 +228,12 @@ impl Cluster {
     /// Puts a job at the back of its class queue without sweeping
     /// departures (jobs present before a run starts).
     pub(crate) fn enqueue(&mut self, class: JobClass, size: f64, arrival: f64) {
+        self.push(class, size, arrival);
+        self.unswept = true;
+    }
+
+    /// Puts a new job at the back of its class queue.
+    fn push(&mut self, class: JobClass, size: f64, arrival: f64) {
         let job = Job::new(self.next_id, class, size, arrival);
         self.next_id += 1;
         self.queue_mut(class).push_back(job);
@@ -296,7 +313,7 @@ impl Cluster {
             self.time += dt;
             hooks.on_advance(self, alloc, dt, served);
         }
-        self.sweep(hooks);
+        self.sweep(hooks, 0..whole + 1);
         match arrival {
             Some(t) if t <= self.time + 1e-12 && dt_arrival <= dt_completion => Step::ArrivalDue,
             _ => Step::Advanced,
@@ -312,8 +329,12 @@ impl Cluster {
         if !hooks.admit(self, arrival) {
             return false;
         }
-        self.enqueue(arrival.class, arrival.size, arrival.time);
-        self.sweep(hooks);
+        self.push(arrival.class, arrival.size, arrival.time);
+        let admitted = match arrival.class {
+            JobClass::Inelastic => self.inelastic.len() - 1..self.inelastic.len(),
+            JobClass::Elastic => 0..0,
+        };
+        self.sweep(hooks, admitted);
         true
     }
 
@@ -359,18 +380,25 @@ impl Cluster {
         for job in jobs {
             self.queue_mut(job.class).push_back(job);
         }
+        self.unswept = true;
         Ok(())
     }
 
-    /// Removes finished jobs in order: inelastic jobs anywhere in their
-    /// queue, elastic jobs from the head only.
-    fn sweep<H: Hooks>(&mut self, hooks: &mut H) {
+    /// Removes finished jobs in order: inelastic jobs at the queue
+    /// positions `candidates` (all of them after jobs entered unswept),
+    /// elastic jobs from the head only.
+    fn sweep<H: Hooks>(&mut self, hooks: &mut H, candidates: Range<usize>) {
         let time = self.time;
         let mut depart = |job: Job| hooks.on_departure(&job, time - job.arrival);
-        let mut idx = 0;
-        while idx < self.inelastic.len() {
+        let (mut idx, mut end) = if std::mem::take(&mut self.unswept) {
+            (0, self.inelastic.len())
+        } else {
+            (candidates.start, candidates.end.min(self.inelastic.len()))
+        };
+        while idx < end {
             if self.inelastic[idx].is_done() {
                 depart(self.inelastic.remove(idx).expect("index in range"));
+                end -= 1;
             } else {
                 idx += 1;
             }

@@ -26,7 +26,11 @@
 //!   non-decreasing, sizes are finite and positive, and the end record
 //!   carries the count and is the last record in the file. A cut at any
 //!   byte, an unfinished writer and any single flipped bit therefore fail
-//!   at open, and replay after a successful open cannot fail. Traces of
+//!   at open, and replay after a successful open cannot fail. Both
+//!   passes check and decode each record in place in their own
+//!   [`record::BUF_CAPACITY`] read buffer ([`record::each`]), and replay
+//!   checks every checksum again, so a file changed after open panics
+//!   the replay rather than feeding it altered arrivals. Traces of
 //!   the older `eirsbt01` format are refused by their magic.
 //!   [`open_trace_source`] sniffs the magic and picks the streaming
 //!   reader for binary files and the in-memory text loader otherwise,
@@ -39,9 +43,10 @@
 
 use crate::arrivals::{Arrival, ArrivalSource, ArrivalTrace, TraceError};
 use crate::job::JobClass;
-use crate::record::{self, Caps, Fields, RecordError};
+use crate::record::{self, Caps, Fields, Record, RecordError};
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::ops::ControlFlow;
 use std::path::Path;
 
 /// Stream magic of the binary trace format.
@@ -58,6 +63,22 @@ fn io_err(e: std::io::Error) -> TraceError {
 /// Maps a codec error at 1-based record `rec` to a trace error.
 fn at(rec: usize) -> impl Fn(RecordError) -> TraceError {
     move |e| TraceError::Line(rec, e.to_string())
+}
+
+/// A decoded record of the format.
+enum Rec {
+    /// An arrival record: its index and the arrival.
+    Arrival(u64, Arrival),
+    /// The end record: its arrival count.
+    End(u64),
+}
+
+/// Decodes a record the codec has checked.
+fn decode(rec: Record<'_>) -> Result<Rec, RecordError> {
+    match rec.ty {
+        ARRIVAL => record::decode_arrival(rec.aux, rec.payload).map(|(id, a)| Rec::Arrival(id, a)),
+        _ => Fields::new(rec.payload).u64().map(Rec::End),
+    }
 }
 
 fn read_magic(r: &mut impl Read) -> Result<(), TraceError> {
@@ -166,13 +187,15 @@ pub fn load_binary(path: &Path) -> Result<ArrivalTrace, TraceError> {
 ///
 /// [`BinaryTraceReader::open`] validates the whole file (see the
 /// [module docs](self)); after it succeeds, replay cannot fail.
-/// `next_arrival` reads one record at a time through a [`BufReader`], so
-/// peak memory is independent of trace length.
+/// `next_arrival` checks and decodes one record at a time in place in a
+/// [`record::BUF_CAPACITY`] [`BufReader`], so peak memory is independent
+/// of trace length.
 #[derive(Debug)]
 pub struct BinaryTraceReader {
     file: BufReader<File>,
     total: u64,
-    payload: Vec<u8>,
+    /// A record that straddles the buffer's end is copied here.
+    spill: Vec<u8>,
 }
 
 impl BinaryTraceReader {
@@ -180,59 +203,70 @@ impl BinaryTraceReader {
     /// the first record that fails a check, then rewinds to the first
     /// record.
     pub fn open(path: &Path) -> Result<Self, TraceError> {
+        Self::open_buffered(path, record::BUF_CAPACITY)
+    }
+
+    /// [`BinaryTraceReader::open`] through `capacity`-byte read buffers.
+    fn open_buffered(path: &Path, capacity: usize) -> Result<Self, TraceError> {
         // Two handles on the one file: the first is read through to the
         // end record, the second replays from the first record.
-        let mut scan = BufReader::new(File::open(path).map_err(io_err)?);
-        let mut file = BufReader::new(File::open(path).map_err(io_err)?);
-        let mut payload = Vec::new();
+        let open = || {
+            let file = File::open(path).map_err(io_err)?;
+            Ok(BufReader::with_capacity(capacity, file))
+        };
+        let (mut scan, mut file) = (open()?, open()?);
+        let mut spill = Vec::new();
         read_magic(&mut scan)?;
         let mut total = 0u64;
         let mut last_time = f64::NEG_INFINITY;
-        loop {
-            let rec = total as usize + 1;
-            match record::read(&mut scan, CAPS, &mut payload).map_err(at(rec))? {
-                Some((ARRIVAL, aux)) => {
-                    let (id, a) = record::decode_arrival(aux, &payload).map_err(at(rec))?;
-                    if id != total {
-                        return Err(TraceError::Line(rec, format!("record carries index {id}")));
+        // The walk stops at the end record, or at an arrival that breaks
+        // the trace's own rules.
+        let stop = record::each(&mut scan, CAPS, &mut spill, |r| {
+            Ok(match decode(r)? {
+                Rec::Arrival(id, a) => {
+                    let rec = total as usize + 1;
+                    let checked = if id == total {
+                        check(rec, &a, last_time)
+                    } else {
+                        Err(TraceError::Line(rec, format!("record carries index {id}")))
+                    };
+                    if let Err(e) = checked {
+                        return Ok(ControlFlow::Break(Err(e)));
                     }
-                    check(rec, &a, last_time)?;
                     last_time = a.time;
                     total += 1;
+                    ControlFlow::Continue(())
                 }
-                Some(_) => {
-                    let count = Fields::new(&payload).u64().map_err(at(rec))?;
-                    if count != total {
-                        return Err(TraceError::Line(
-                            rec,
-                            format!("end record counts {count} arrivals, the trace holds {total}"),
-                        ));
-                    }
-                    if record::read(&mut scan, CAPS, &mut payload)
-                        .map_err(at(rec + 1))?
-                        .is_some()
-                    {
-                        return Err(TraceError::Line(
-                            rec + 1,
-                            "record after the end record".into(),
-                        ));
-                    }
-                    break;
-                }
-                None => {
-                    return Err(TraceError::Line(
-                        rec,
-                        "no end record (truncated or unfinished write)".into(),
-                    ))
-                }
+                Rec::End(count) => ControlFlow::Break(Ok(count)),
+            })
+        })
+        .map_err(|e| at(total as usize + 1)(e))?;
+        let rec = total as usize + 1;
+        match stop {
+            None => {
+                return Err(TraceError::Line(
+                    rec,
+                    "no end record (truncated or unfinished write)".into(),
+                ))
             }
+            Some(Err(e)) => return Err(e),
+            Some(Ok(count)) if count != total => {
+                return Err(TraceError::Line(
+                    rec,
+                    format!("end record counts {count} arrivals, the trace holds {total}"),
+                ))
+            }
+            Some(Ok(_)) => {}
+        }
+        let after = record::each(&mut scan, CAPS, &mut spill, |_| Ok(ControlFlow::Break(())));
+        if after.map_err(at(rec + 1))?.is_some() {
+            return Err(TraceError::Line(
+                rec + 1,
+                "record after the end record".into(),
+            ));
         }
         read_magic(&mut file)?;
-        Ok(Self {
-            file,
-            total,
-            payload,
-        })
+        Ok(Self { file, total, spill })
     }
 
     /// Total records in the trace (from the validated end record).
@@ -250,13 +284,11 @@ impl ArrivalSource for BinaryTraceReader {
     fn next_arrival(&mut self) -> Option<Arrival> {
         // Open validated the whole file; a decode error here would mean
         // the file changed underneath us mid-replay.
-        const VALIDATED: &str = "binary trace validated at open";
-        match record::read(&mut self.file, CAPS, &mut self.payload).expect(VALIDATED) {
-            Some((ARRIVAL, aux)) => Some(
-                record::decode_arrival(aux, &self.payload)
-                    .expect(VALIDATED)
-                    .1,
-            ),
+        let rec = record::each(&mut self.file, CAPS, &mut self.spill, |rec| {
+            decode(rec).map(ControlFlow::Break)
+        });
+        match rec.expect("binary trace validated at open") {
+            Some(Rec::Arrival(_, a)) => Some(a),
             _ => None,
         }
     }
@@ -450,6 +482,41 @@ mod tests {
             assert_eq!(a.time.to_bits(), b.time.to_bits());
             assert_eq!(a.size.to_bits(), b.size.to_bits());
             assert_eq!(a.class, b.class);
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Every arrival a reader replays.
+    fn replay(mut r: BinaryTraceReader) -> Vec<Arrival> {
+        std::iter::from_fn(|| r.next_arrival()).collect()
+    }
+
+    #[test]
+    fn small_buffers_open_and_replay_alike_and_meet_every_damage() {
+        let trace = sample_trace(30, 4);
+        let path = tmp("edges.bt");
+        save_binary(&trace, &path).unwrap();
+        let raw = std::fs::read(&path).unwrap();
+        // Capacities below one record, about one record, and several.
+        let caps = [7, 37, 500];
+        for cap in caps {
+            let r = BinaryTraceReader::open_buffered(&path, cap).unwrap();
+            assert_eq!(r.len(), 30);
+            assert_eq!(replay(r), trace.arrivals(), "{cap}-byte buffer");
+        }
+        // Cut and flipped at every byte: each buffer refuses the file
+        // with the error the full-size buffer reports.
+        for at in 0..raw.len() {
+            let mut flipped = raw.clone();
+            flipped[at] ^= 1 << (at % 8);
+            for bad in [&raw[..at], &flipped[..]] {
+                std::fs::write(&path, bad).unwrap();
+                let err = BinaryTraceReader::open(&path).unwrap_err();
+                for cap in caps {
+                    let got = BinaryTraceReader::open_buffered(&path, cap).unwrap_err();
+                    assert_eq!(got, err, "byte {at}, {cap}-byte buffer");
+                }
+            }
         }
         std::fs::remove_file(&path).unwrap();
     }

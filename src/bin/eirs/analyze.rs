@@ -5,6 +5,9 @@ use crate::flags;
 use eirs_repro::cli::CliArgs;
 use eirs_repro::core::prelude::*;
 
+/// The flags this command reads, by group.
+pub const FLAGS: &[&[&str]] = &[flags::PARAMS];
+
 pub fn run(args: &CliArgs) -> Result<(), String> {
     let p = flags::params(args)?;
     let a_if = analyze_inelastic_first(&p).map_err(|e| e.to_string())?;

@@ -5,6 +5,21 @@ use eirs_repro::cli::CliArgs;
 use eirs_repro::net::{run_client, ClientConfig};
 use eirs_repro::obs::Json;
 
+/// The flags this command reads, by group.
+pub const FLAGS: &[&[&str]] = &[
+    flags::PARAMS,
+    flags::WORKLOAD,
+    &[
+        "connect",
+        "clients",
+        "duration",
+        "seed",
+        "swap",
+        "swap-after",
+        "json",
+    ],
+];
+
 pub fn run(args: &CliArgs) -> Result<(), String> {
     let Some(addr) = args.get("connect") else {
         return Err("client needs --connect <host:port> (a `serve --listen` address)".into());

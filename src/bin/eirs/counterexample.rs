@@ -5,6 +5,9 @@ use eirs_repro::cli::CliArgs;
 use eirs_repro::core::counterexample::expected_total_response_closed;
 use eirs_repro::core::prelude::*;
 
+/// The flags this command reads, by group.
+pub const FLAGS: &[&[&str]] = &[&["ratio"]];
+
 pub fn run(args: &CliArgs) -> Result<(), String> {
     let ratio = args.get_parsed_or("ratio", 2.0)?;
     let g_if = expected_total_response_closed(&InelasticFirst, 2, 2, 1, 1.0, ratio)

@@ -12,6 +12,12 @@ use eirs_repro::obs::Json;
 use eirs_repro::opt;
 use eirs_repro::sim::FaultSpec;
 
+/// The flags [`params`] reads.
+pub const PARAMS: &[&str] = &["k", "mu-i", "mu-e", "rho", "lambda-i", "lambda-e"];
+
+/// The flags [`workload`] and [`workload_spec`] read.
+pub const WORKLOAD: &[&str] = &["workload", "service-i", "service-e", "churn"];
+
 /// The model parameters: `--k --mu-i --mu-e`, plus either `--rho` (equal
 /// arrival rates at that load) or `--lambda-i --lambda-e`.
 pub fn params(args: &CliArgs) -> Result<SystemParams, String> {

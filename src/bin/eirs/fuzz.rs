@@ -131,6 +131,18 @@ fn print_cell_numbers(report: &CellReport) {
     );
 }
 
+/// The flags this command reads, by group.
+pub const FLAGS: &[&[&str]] = &[&[
+    "budget",
+    "seed",
+    "shrink",
+    "reps",
+    "departures",
+    "warmup",
+    "replay",
+    "json",
+]];
+
 pub fn run(args: &CliArgs) -> Result<(), String> {
     let json = flags::json_mode(args)?;
     let cfg = FuzzConfig {

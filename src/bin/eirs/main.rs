@@ -22,8 +22,9 @@
 //! `optimize`, `serve`, `client`, and `fuzz` accept `--json true` to emit
 //! one machine-consumable JSON document instead of the human tables. Every
 //! command is a thin wrapper over the library, in a module of its own
-//! whose `run` takes the parsed flags; the modules share the flag
-//! helpers of [`flags`]. See `README.md`.
+//! whose `run` takes the parsed flags and whose `FLAGS` lists the flags
+//! it reads (any other flag is refused before the command runs); the
+//! modules share the flag helpers of [`flags`]. See `README.md`.
 
 mod analyze;
 mod client;
@@ -111,6 +112,7 @@ fn usage() {
     eprintln!("all commands accept --metrics-out <path> (Prometheus text) and --trace-out <path>");
     eprintln!("(Chrome trace-event JSON; .jsonl for line-delimited events) to export telemetry;");
     eprintln!("either flag enables the eirs_obs layer for the run (outputs are unchanged).");
+    eprintln!("a command refuses any flag it does not read.");
 }
 
 /// Writes the run's collected telemetry after the command finishes:
@@ -145,8 +147,33 @@ fn export_telemetry(metrics_out: Option<&str>, trace_out: Option<&str>) -> Resul
     Ok(())
 }
 
+/// The flags every command accepts: `--threads` and the telemetry exports.
+const GLOBAL: &[&str] = &["threads", "metrics-out", "trace-out"];
+
+/// A command's `run`.
+type Command = fn(&CliArgs) -> Result<(), String>;
+
 fn run(raw: Vec<String>) -> Result<(), String> {
-    let args = CliArgs::parse(raw)?;
+    let mut args = CliArgs::parse(raw)?;
+    let (command, flags): (Command, &[&[&str]]) = match args.command.as_str() {
+        "analyze" => (analyze::run, analyze::FLAGS),
+        "compare" => (compare::run, compare::FLAGS),
+        "policy" => (policy::run, policy::FLAGS),
+        "scenario" => (scenario::run, scenario::FLAGS),
+        "optimize" => (optimize::run, optimize::FLAGS),
+        "simulate" => (simulate::run, simulate::FLAGS),
+        "fuzz" => (fuzz::run, fuzz::FLAGS),
+        "serve" => (serve::run, serve::FLAGS),
+        "client" => (client::run, client::FLAGS),
+        "counterexample" => (counterexample::run, counterexample::FLAGS),
+        other => return Err(format!("unknown command '{other}'")),
+    };
+    args.accept(
+        GLOBAL
+            .iter()
+            .chain(flags.iter().copied().flatten())
+            .copied(),
+    )?;
     if let Some(n) = args.threads()? {
         sweep::set_threads(Some(n));
     }
@@ -160,18 +187,6 @@ fn run(raw: Vec<String>) -> Result<(), String> {
     if metrics_out.is_some() || trace_out.is_some() {
         obs::set_enabled(true);
     }
-    match args.command.as_str() {
-        "analyze" => analyze::run(&args),
-        "compare" => compare::run(&args),
-        "policy" => policy::run(&args),
-        "scenario" => scenario::run(&args),
-        "optimize" => optimize::run(&args),
-        "simulate" => simulate::run(&args),
-        "fuzz" => fuzz::run(&args),
-        "serve" => serve::run(&args),
-        "client" => client::run(&args),
-        "counterexample" => counterexample::run(&args),
-        other => Err(format!("unknown command '{other}'")),
-    }?;
+    command(&args)?;
     export_telemetry(metrics_out, trace_out)
 }

@@ -13,6 +13,26 @@ use eirs_repro::opt;
 /// `(diff_mean, diff_ci_half_width, improves)`.
 type BaselineRow = (String, f64, Option<(f64, f64, bool)>);
 
+/// The flags this command reads, by group.
+pub const FLAGS: &[&[&str]] = &[
+    flags::PARAMS,
+    flags::WORKLOAD,
+    &[
+        "family",
+        "method",
+        "budget",
+        "objective",
+        "reps",
+        "departures",
+        "seed",
+        "certify",
+        "grid",
+        "refine",
+        "phase-cap",
+        "json",
+    ],
+];
+
 pub fn run(args: &CliArgs) -> Result<(), String> {
     let p = flags::params(args)?;
     let json = flags::json_mode(args)?;

@@ -8,6 +8,21 @@ use eirs_repro::obs::Json;
 use eirs_repro::sim::replicate::run_markovian_replications;
 use eirs_repro::sim::stats::ReplicationStats;
 
+/// The flags this command reads, by group.
+pub const FLAGS: &[&[&str]] = &[
+    flags::PARAMS,
+    &[
+        "policy",
+        "reps",
+        "departures",
+        "seed",
+        "phase-cap",
+        "level-cut",
+        "force-general",
+        "json",
+    ],
+];
+
 pub fn run(args: &CliArgs) -> Result<(), String> {
     let p = flags::params(args)?;
     let policy = flags::policy(args)?;

@@ -7,6 +7,13 @@ use eirs_repro::core::experiments::{scenario_sweep, ScenarioSweepConfig, Scenari
 use eirs_repro::core::scenario::{self, Workload};
 use eirs_repro::obs::Json;
 
+/// The flags this command reads, by group.
+pub const FLAGS: &[&[&str]] = &[
+    flags::PARAMS,
+    flags::WORKLOAD,
+    &["policy", "reps", "departures", "seed", "phase-cap", "json"],
+];
+
 pub fn run(args: &CliArgs) -> Result<(), String> {
     let p = flags::params(args)?;
     // Comma-separated workload and policy lists; `all` expands to the

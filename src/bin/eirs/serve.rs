@@ -64,6 +64,39 @@ struct Serve<'a> {
     json: bool,
 }
 
+/// The flags this command reads, by group.
+pub const FLAGS: &[&[&str]] = &[
+    flags::PARAMS,
+    flags::WORKLOAD,
+    &[
+        "policy",
+        "shards",
+        "batch",
+        "duration",
+        "route-shards",
+        "grid",
+        "seed",
+        "json",
+        "snapshot",
+        "fault-seed",
+        "fault-horizon",
+        "shed-limit",
+        "journal",
+        "snapshot-at",
+        "kill-after",
+        "recover",
+        "listen",
+        "addr-file",
+        "queue-cap",
+        "shed",
+        "swap-policy",
+        "budget",
+        "swap-at",
+        "replay-journal",
+        "drain",
+    ],
+];
+
 pub fn run(args: &CliArgs) -> Result<(), String> {
     let p = flags::params(args)?;
     let policy = flags::policy(args)?;

@@ -4,6 +4,9 @@ use crate::flags;
 use eirs_repro::cli::CliArgs;
 use eirs_repro::sim::des::run_markovian;
 
+/// The flags this command reads, by group.
+pub const FLAGS: &[&[&str]] = &[flags::PARAMS, &["policy", "departures", "seed"]];
+
 pub fn run(args: &CliArgs) -> Result<(), String> {
     let p = flags::params(args)?;
     let departures = flags::departures(args, 200_000)?;

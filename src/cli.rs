@@ -2,7 +2,9 @@
 //!
 //! Deliberately minimal (the approved dependency set has no argument
 //! parser): flags are `--key value` pairs collected into a map, with typed
-//! accessors and defaults. The binary in `src/bin/eirs/` (one module per
+//! accessors and defaults. Each command names the flags it reads
+//! ([`CliArgs::accept`]), and any other flag is refused rather than
+//! silently ignored. The binary in `src/bin/eirs/` (one module per
 //! command, sharing the flag helpers of its `flags` module) stays a thin
 //! wiring layer over the library; its commands return `Result<(),
 //! String>`, so a [`CliError`] converts into `String` and `?` carries it.
@@ -15,6 +17,8 @@ pub struct CliArgs {
     /// First positional argument (the subcommand).
     pub command: String,
     flags: BTreeMap<String, String>,
+    /// The flags the command reads, once [`CliArgs::accept`] named them.
+    accepted: Vec<&'static str>,
 }
 
 /// Errors from flag parsing or typed access.
@@ -24,6 +28,13 @@ pub enum CliError {
     MissingCommand,
     /// A `--flag` without a value, or a stray positional token.
     Malformed(String),
+    /// A flag the command does not read.
+    UnknownFlag {
+        /// The command.
+        command: String,
+        /// Flag name.
+        flag: String,
+    },
     /// A flag failed to parse as the requested type.
     BadValue {
         /// Flag name.
@@ -38,6 +49,9 @@ impl std::fmt::Display for CliError {
         match self {
             CliError::MissingCommand => write!(f, "missing subcommand"),
             CliError::Malformed(tok) => write!(f, "malformed argument: {tok}"),
+            CliError::UnknownFlag { command, flag } => {
+                write!(f, "'{command}' does not take --{flag}")
+            }
             CliError::BadValue { flag, value } => {
                 write!(f, "cannot parse --{flag} value '{value}'")
             }
@@ -69,11 +83,41 @@ impl CliArgs {
             let value = it.next().ok_or_else(|| CliError::Malformed(tok.clone()))?;
             flags.insert(name.to_string(), value);
         }
-        Ok(Self { command, flags })
+        Ok(Self {
+            command,
+            flags,
+            accepted: Vec::new(),
+        })
+    }
+
+    /// Names the flags the command reads and refuses any other, naming
+    /// the first one. From then on, reading a flag outside `accepted` is
+    /// a bug in the command, which debug builds catch at the read.
+    pub fn accept(
+        &mut self,
+        accepted: impl IntoIterator<Item = &'static str>,
+    ) -> Result<(), CliError> {
+        self.accepted = accepted.into_iter().collect();
+        match self
+            .flags
+            .keys()
+            .find(|f| !self.accepted.contains(&f.as_str()))
+        {
+            Some(flag) => Err(CliError::UnknownFlag {
+                command: self.command.clone(),
+                flag: flag.clone(),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Raw string flag.
     pub fn get(&self, name: &str) -> Option<&str> {
+        debug_assert!(
+            self.accepted.is_empty() || self.accepted.contains(&name),
+            "'{}' reads --{name} without accepting it",
+            self.command
+        );
         self.flags.get(name).map(String::as_str)
     }
 
@@ -184,6 +228,24 @@ mod tests {
         ));
         let message: String = a.get_parsed::<u64>("kill-after").unwrap_err().into();
         assert_eq!(message, "cannot parse --kill-after value 'x'");
+    }
+
+    #[test]
+    fn accept_refuses_the_first_flag_outside_the_list() {
+        let mut a = parse(&["serve", "--trace", "x", "--json", "true"]).unwrap();
+        let err = a.accept(["json", "workload"]).unwrap_err();
+        assert_eq!(
+            err,
+            CliError::UnknownFlag {
+                command: "serve".into(),
+                flag: "trace".into()
+            }
+        );
+        assert_eq!(err.to_string(), "'serve' does not take --trace");
+        let mut a = parse(&["serve", "--json", "true"]).unwrap();
+        assert_eq!(a.accept(["json", "workload"]), Ok(()));
+        assert_eq!(a.get("json"), Some("true"));
+        assert_eq!(a.get("workload"), None);
     }
 
     #[test]

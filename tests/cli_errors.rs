@@ -614,6 +614,88 @@ fn network_flag_errors_fail_cleanly() {
     }
 }
 
+/// A flag the command never reads is refused with exit code 2, naming
+/// the flag, before anything runs: `--trace` is not how `serve` takes a
+/// trace, and `scenario` has no `--name`. Flags that some mode of a
+/// command reads stay accepted in every mode, as in the journal replay
+/// line of the repository benchmark, which passes `--k` and
+/// `--route-shards` beside `--replay-journal`.
+#[test]
+fn flags_a_command_never_reads_are_refused() {
+    for (args, needle) in [
+        (
+            vec![
+                "serve",
+                "--trace",
+                "crates/serve/testdata/smoke.trace",
+                "--json",
+                "true",
+            ],
+            "'serve' does not take --trace",
+        ),
+        (
+            vec!["scenario", "--name", "diurnal"],
+            "'scenario' does not take --name",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_eirs"))
+            .args(&args)
+            .output()
+            .expect("eirs binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(needle),
+            "{args:?}: stderr missing {needle:?}; got:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran before refusing");
+    }
+    let dir = std::env::temp_dir().join(format!("eirs-cli-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let wal = dir.join("run.wal");
+    let wal = wal.to_str().unwrap();
+    let digest = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_eirs"))
+            .args(args)
+            .output()
+            .expect("eirs binary runs");
+        assert!(out.status.success(), "{args:?} failed: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = stdout.lines().find(|l| l.contains("\"decision_digest\""));
+        line.expect("a digest line").trim().to_string()
+    };
+    let live = digest(&[
+        "serve",
+        "--policy",
+        "curve:2+0.5i",
+        "--workload",
+        "trace:crates/serve/testdata/smoke.trace",
+        "--k",
+        "4",
+        "--route-shards",
+        "8",
+        "--journal",
+        wal,
+        "--json",
+        "true",
+    ]);
+    let replayed = digest(&[
+        "serve",
+        "--replay-journal",
+        wal,
+        "--drain",
+        "true",
+        "--json",
+        "true",
+        "--k",
+        "4",
+        "--route-shards",
+        "8",
+    ]);
+    assert_eq!(replayed, live);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn client_refuses_a_dead_endpoint_cleanly() {
     // Nothing listens on this port of TEST-NET; connect must fail with a

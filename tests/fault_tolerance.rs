@@ -21,7 +21,13 @@
 //!    trace cut or flipped the same way fails at open, whether read by
 //!    `BinaryTraceReader` or by the `trace:` loader;
 //! 4. **Saves report write errors** instead of dropping them with a
-//!    buffered writer.
+//!    buffered writer;
+//! 5. **Buffer edges**: the loaders check and decode each record in place
+//!    in their reader's buffer and copy out only a record that straddles
+//!    its end, so the journal and snapshot above, whole, cut at every
+//!    byte and flipped at every byte, decode through buffers of a few
+//!    bytes to a few KiB exactly as through one buffer holding the whole
+//!    file: the same journal, snapshot or error.
 
 use eirs_repro::queueing::Exponential;
 use eirs_repro::serve::{
@@ -38,7 +44,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{BufReader, Write};
 
 fn trace(seed: u64) -> ArrivalTrace {
     ArrivalTrace::record_poisson(
@@ -397,6 +403,67 @@ fn torn_or_flipped_binary_traces_fail_at_open() {
         refused(&bad, &format!("trace bit {bit} flipped"));
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// Read-buffer capacities that put record boundaries everywhere: smaller
+/// than one record, about one record, and several records.
+const EDGE_CAPACITIES: [usize; 4] = [7, 37, 500, 4096];
+
+#[test]
+fn journals_and_snapshots_decode_alike_at_every_buffer_edge() {
+    let w = Written::new();
+    let (wal, snap) = (&w.wal.bytes, &w.snap_bytes);
+    // Whole, cut at every byte, and flipped at every byte (one bit each,
+    // moving through the byte): every kind of damage meets both the
+    // in-place and the copying path.
+    let damaged = |bytes: &[u8]| {
+        let mut out = vec![(None, bytes.to_vec())];
+        for at in 0..bytes.len() {
+            out.push((None, bytes[..at].to_vec()));
+            let mut bad = bytes.to_vec();
+            bad[at] ^= 1 << (at % 8);
+            out.push((Some(at), bad));
+        }
+        out
+    };
+    for (flipped, bytes) in damaged(wal) {
+        let strict = Journal::from_reader(&mut &bytes[..]);
+        let prefix = Journal::load_prefix(&mut &bytes[..]);
+        if let Some(at) = flipped {
+            // As in the seeded gate: only the swap's length can read as
+            // a torn tail, and then the records before it load.
+            assert!(strict.is_err(), "byte {at} flipped: strict load accepted");
+            if let Ok(j) = &prefix {
+                assert_eq!(w.wal.at.partition_point(|&b| b <= at), SWAP_AT + 1);
+                assert_eq!(*j, w.prefix_at(SWAP_AT), "byte {at} flipped");
+            }
+        }
+        for cap in EDGE_CAPACITIES {
+            let what = format!("{}-byte journal, {cap}-byte buffer", bytes.len());
+            let strict_at = Journal::from_reader(&mut BufReader::with_capacity(cap, &bytes[..]));
+            let prefix_at = Journal::load_prefix(&mut BufReader::with_capacity(cap, &bytes[..]));
+            assert_eq!(strict_at, strict, "{what}: strict load");
+            assert_eq!(prefix_at, prefix, "{what}: prefix load");
+        }
+    }
+    assert_eq!(Journal::from_reader(&mut &wal[..]), Ok(w.journal.clone()));
+    for (flipped, bytes) in damaged(snap) {
+        let whole = EngineSnapshot::from_reader(&mut &bytes[..]);
+        assert!(
+            whole.is_err() || bytes == *snap,
+            "a damaged snapshot loaded (byte {flipped:?} flipped)"
+        );
+        for cap in EDGE_CAPACITIES {
+            let at = EngineSnapshot::from_reader(&mut BufReader::with_capacity(cap, &bytes[..]));
+            assert_eq!(
+                at,
+                whole,
+                "{}-byte snapshot, {cap}-byte buffer",
+                bytes.len()
+            );
+        }
+    }
+    assert_eq!(EngineSnapshot::from_reader(&mut &snap[..]), Ok(w.snap));
 }
 
 #[cfg(target_os = "linux")]
