@@ -406,8 +406,9 @@ fn torn_or_flipped_binary_traces_fail_at_open() {
 }
 
 /// Read-buffer capacities that put record boundaries everywhere: smaller
-/// than one record, about one record, and several records.
-const EDGE_CAPACITIES: [usize; 4] = [7, 37, 500, 4096];
+/// than one record, about one record, and several records; then the
+/// 64 KiB the file loaders use, which holds these files whole.
+const EDGE_CAPACITIES: [usize; 5] = [7, 37, 500, 4096, 64 << 10];
 
 #[test]
 fn journals_and_snapshots_decode_alike_at_every_buffer_edge() {
