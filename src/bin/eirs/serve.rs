@@ -19,7 +19,7 @@ use eirs_repro::serve::{
     feed, recover, replay_journal, ChurnConfig, CompiledTable, EngineConfig, EngineSnapshot,
     Journal, JournalWriter, RunControls, ServeEngine, SwapRecord,
 };
-use eirs_repro::sim::{ArrivalSource, FaultSpec};
+use eirs_repro::sim::{record, ArrivalSource, FaultSpec};
 use std::io::{BufReader, BufWriter, Write};
 use std::ops::ControlFlow;
 use std::path::Path;
@@ -526,7 +526,8 @@ impl Serve<'_> {
             let jpath = self.journal.expect("validated: --recover needs --journal");
             let file = std::fs::File::open(jpath)
                 .map_err(|e| format!("cannot open journal {jpath}: {e}"))?;
-            let journal = Journal::load_prefix(&mut BufReader::new(file))
+            let mut file = BufReader::with_capacity(record::BUF_CAPACITY, file);
+            let journal = Journal::load_prefix(&mut file)
                 .map_err(|e| format!("cannot replay journal {jpath}: {e}"))?;
             let engine = recover(table, config, &snap, &journal)
                 .map_err(|e| format!("cannot recover from {spath} + {jpath}: {e}"))?;
