@@ -13,19 +13,26 @@
 //!    tabular family must close to within 1% of `solve_optimal`'s exact
 //!    optimum while strictly beating both fixed baselines.
 //! 3. **DES objective**: searches on intractable workloads are
-//!    deterministic end to end under a fixed seed.
+//!    deterministic end to end under a fixed seed, a batch scores each
+//!    candidate exactly as averaging its own `Workload::simulate` runs
+//!    over the shared seeds would, at any thread count, and a small
+//!    search in the `des-search` benchmark's setting is pinned bit for
+//!    bit.
 
 use eirs_repro::core::analysis::{analyze_policy_with, AnalyzeOptions};
 use eirs_repro::core::policy::{AllocationPolicy, ElasticFirst, InelasticFirst};
-use eirs_repro::core::scenario::{ArrivalSpec, ServiceSpec, Workload};
-use eirs_repro::core::SystemParams;
+use eirs_repro::core::scenario::{parse_workload, ArrivalSpec, ServiceSpec, Workload};
+use eirs_repro::core::{sweep, SystemParams};
 use eirs_repro::mdp::{solve_optimal, MdpConfig};
 use eirs_repro::opt::certify_against_mdp;
-use eirs_repro::opt::objective::{AnalyticObjective, DesObjective};
+use eirs_repro::opt::objective::{AnalyticObjective, DesObjective, Objective};
 use eirs_repro::opt::optim::{optimize, optimize_with_start, Budget, Method};
 use eirs_repro::opt::space::{
-    ParamSpace, SwitchingCurveFamily, TabularFamily, ThresholdFamily, WaterFillingFamily,
+    parse_family, ParamSpace, SwitchingCurveFamily, TabularFamily, ThresholdFamily,
+    WaterFillingFamily,
 };
+use eirs_repro::queueing::Exponential;
+use eirs_repro::sim::ArrivalTrace;
 use proptest::prelude::*;
 
 fn analyze_opts() -> AnalyzeOptions {
@@ -220,4 +227,116 @@ fn des_backed_search_is_deterministic_under_a_fixed_seed() {
     assert_eq!(a.best_value.to_bits(), b.best_value.to_bits());
     assert_eq!(a.trace.len(), b.trace.len());
     assert!(a.best_value.is_finite() && a.best_value > 0.0);
+}
+
+/// The `des-search` benchmark's setting: bursty arrivals, `hyper:4`
+/// elastic sizes and crash churn on k = 4 servers at ρ = 0.6.
+fn des_search_setting() -> (Workload, SystemParams) {
+    let workload = parse_workload(
+        "bursty",
+        None,
+        Some("hyper:4"),
+        Some("crash:mtbf=40,mttr=4"),
+    )
+    .unwrap();
+    let params = SystemParams::with_equal_lambdas(4, 1.0, 1.0, 0.6).unwrap();
+    (workload, params)
+}
+
+#[test]
+fn des_batches_equal_the_per_candidate_simulate_means_at_any_thread_count() {
+    let (churned, params) = des_search_setting();
+    // A one-seed workload: replaying a recorded trace of ~1,500 arrivals.
+    let dir = std::env::temp_dir().join(format!("eirs-des-batch-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("recorded.trace");
+    let trace = ArrivalTrace::record_poisson(
+        params.lambda_i,
+        params.lambda_e,
+        Box::new(Exponential::new(params.mu_i)),
+        Box::new(Exponential::new(params.mu_e)),
+        5,
+        1_500.0 / params.total_lambda(),
+    );
+    trace
+        .to_writer(&mut std::fs::File::create(&path).unwrap())
+        .unwrap();
+    let traced = Workload::new(
+        ArrivalSpec::TraceFile { path },
+        ServiceSpec::Exponential,
+        ServiceSpec::Exponential,
+    );
+    // Five candidates, so that no thread count splits them evenly.
+    let curve = SwitchingCurveFamily {
+        max_intercept: 12,
+        max_slope: 2.0,
+    };
+    let policies: Vec<Box<dyn AllocationPolicy>> =
+        [[0.0, 0.0], [2.0, 0.5], [5.0, 1.0], [8.0, 1.5], [12.0, 2.0]]
+            .iter()
+            .map(|x| curve.decode(x))
+            .collect();
+    // The last case runs the trace dry: every candidate fails alike.
+    for (workload, departures) in [(&churned, 1_500), (&traced, 1_000), (&traced, 2_000)] {
+        for replications in 1..=3 {
+            let objective =
+                DesObjective::new(workload.clone(), params, 9, replications, departures);
+            let seeds = objective.seeds();
+            let want: Vec<Result<u64, String>> = policies
+                .iter()
+                .map(|p| {
+                    let mut sum = 0.0;
+                    for &seed in seeds {
+                        match workload.simulate(
+                            p.as_ref(),
+                            &params,
+                            seed,
+                            departures / 10,
+                            departures,
+                        ) {
+                            Ok(r) => sum += r.mean_response,
+                            Err(e) => return Err(format!("{}: {e}", p.name())),
+                        }
+                    }
+                    Ok((sum / seeds.len() as f64).to_bits())
+                })
+                .collect();
+            for threads in 1..=3 {
+                sweep::set_threads(Some(threads));
+                let got: Vec<Result<u64, String>> = objective
+                    .evaluate_batch(&policies)
+                    .into_iter()
+                    .map(|v| v.map(f64::to_bits))
+                    .collect();
+                assert_eq!(
+                    got, want,
+                    "{} with {replications} replications on {threads} threads",
+                    workload.name
+                );
+            }
+        }
+    }
+    sweep::set_threads(None);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_search_in_the_des_search_setting_is_pinned() {
+    let (workload, params) = des_search_setting();
+    let objective = DesObjective::new(workload, params, 3, 2, 2_000);
+    let family = parse_family("curve", 4).unwrap();
+    let budget = Budget {
+        max_evals: 12,
+        seed: 3,
+    };
+    let r = optimize(family.as_ref(), &objective, Method::Auto, &budget).unwrap();
+    let bits: Vec<u64> = r.best_x.iter().map(|x| x.to_bits()).collect();
+    assert_eq!(bits, [7.0f64.to_bits(), 4.0f64.to_bits()], "{:?}", r.best_x);
+    // 4.341462550533258
+    assert_eq!(
+        r.best_value.to_bits(),
+        4616574070708594040,
+        "{}",
+        r.best_value
+    );
 }
