@@ -432,10 +432,11 @@ impl Workload {
         1.4 * (warmup + departures) as f64 / params.total_lambda() + 100.0
     }
 
-    /// One steady-state DES run of this workload under `policy`. Errors
-    /// when the arrival source is exhausted before delivering the
-    /// requested measurement window (a trace file that is too short), so
-    /// a truncated run is never silently reported as a full one.
+    /// One steady-state DES run of this workload under `policy`: the
+    /// one-policy case of [`Workload::simulate_each`]. Errors when the
+    /// arrival source is exhausted before delivering the requested
+    /// measurement window (a trace file that is too short), so a
+    /// truncated run is never silently reported as a full one.
     pub fn simulate(
         &self,
         policy: &dyn AllocationPolicy,
@@ -444,8 +445,31 @@ impl Workload {
         warmup: u64,
         departures: u64,
     ) -> Result<SimReport, String> {
+        self.simulate_each(&[policy], params, seed, warmup, departures)
+            .pop()
+            .expect("one result per policy")
+    }
+
+    /// Steady-state DES runs of every policy in `policies` on one sample
+    /// path: the arrival source and the fault schedule are built once from
+    /// `seed` and shared through [`Simulation::run_each`]. Entry `n` is
+    /// bit-identical to [`Workload::simulate`] of `policies[n]` with the
+    /// same arguments, its error included: a policy whose measurement
+    /// window the source cannot fill fails alone, and an error building
+    /// the source fails every policy.
+    pub fn simulate_each(
+        &self,
+        policies: &[&dyn AllocationPolicy],
+        params: &SystemParams,
+        seed: u64,
+        warmup: u64,
+        departures: u64,
+    ) -> Vec<Result<SimReport, String>> {
         let horizon = self.horizon_hint(params, warmup, departures);
-        let mut source = self.build_source(params, seed, horizon)?;
+        let mut source = match self.build_source(params, seed, horizon) {
+            Ok(source) => source,
+            Err(e) => return vec![Err(e); policies.len()],
+        };
         let mut sim = Simulation::new(DesConfig::steady_state(params.k, warmup, departures));
         if let Some(spec) = &self.churn {
             // The fault schedule shares the run seed, so replications
@@ -453,15 +477,20 @@ impl Workload {
             // same horizon the source is sized for.
             sim = sim.with_faults(&spec.schedule(params.k, seed, horizon));
         }
-        let report = sim.run(policy, source.as_mut());
-        let measured = report.completed[0] + report.completed[1];
-        if measured < departures {
-            return Err(format!(
-                "arrival source exhausted after {measured} of {departures} measured departures \
-                 (trace too short for warmup {warmup} + departures {departures}?)"
-            ));
-        }
-        Ok(report)
+        sim.run_each(policies, source.as_mut())
+            .into_iter()
+            .map(|report| {
+                let measured = report.completed[0] + report.completed[1];
+                if measured < departures {
+                    return Err(format!(
+                        "arrival source exhausted after {measured} of {departures} measured \
+                         departures (trace too short for warmup {warmup} + departures \
+                         {departures}?)"
+                    ));
+                }
+                Ok(report)
+            })
+            .collect()
     }
 
     /// `n` independent replications on decorrelated seed streams

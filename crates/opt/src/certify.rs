@@ -8,18 +8,19 @@
 //!   the exact optimality gap of the search result, plus whether the MDP
 //!   optimum has the paper's Inelastic-First structure on the grid
 //!   interior (Theorem 5's regime).
-//! * **Everything else** (bursty, trace-driven, non-exponential service)
-//!   — no computable optimum exists, so [`improvement_over_baselines`]
-//!   reports the improvement over the strongest fixed baseline (EF and
-//!   IF), with a common-random-numbers **paired** confidence interval
-//!   from [`eirs_sim::coupling::paired_comparison`]: the difference CI
-//!   sheds the shared arrival noise, so far fewer replications resolve
-//!   whether the found policy is genuinely better.
+//! * **Everything else** (bursty, trace-driven, non-exponential service,
+//!   capacity churn) — no computable optimum exists, so
+//!   [`improvement_over_baselines`] reports the improvement over the
+//!   strongest fixed baseline (EF and IF), with a common-random-numbers
+//!   **paired** confidence interval, as in
+//!   [`eirs_sim::coupling::paired_comparison`]: the difference CI sheds
+//!   the shared arrival and fault noise, so far fewer replications
+//!   resolve whether the found policy is genuinely better.
 
 use eirs_core::scenario::Workload;
 use eirs_core::SystemParams;
 use eirs_mdp::{solve_optimal, MdpConfig};
-use eirs_sim::des::{DesConfig, Simulation};
+use eirs_sim::des::SimReport;
 use eirs_sim::policy::{AllocationPolicy, ElasticFirst, InelasticFirst};
 use eirs_sim::replicate::run_replications;
 use eirs_sim::stats::ReplicationStats;
@@ -120,11 +121,12 @@ pub struct ImprovementCertificate {
 /// departures each, warm-up `departures / 10`) and reports whether the
 /// found policy improves on the strongest baseline at 95% confidence.
 ///
-/// The pairing follows `eirs_sim::coupling::paired_comparison` — each
-/// replication rebuilds the arrival source from the same seed for every
-/// policy, so all three see bit-identical traffic — but runs the found
-/// policy **once** per seed and pairs it against both baselines, rather
-/// than re-simulating it per comparison.
+/// The pairing follows `eirs_sim::coupling::paired_comparison`: each
+/// replication runs the found policy and both baselines through one
+/// [`Workload::simulate_each`] call, so all three see the same arrivals
+/// and, on a churned workload, the same fault schedule. The found policy
+/// runs **once** per seed and is paired against both baselines, rather
+/// than re-simulated per comparison.
 pub fn improvement_over_baselines(
     workload: &Workload,
     params: &SystemParams,
@@ -134,42 +136,18 @@ pub fn improvement_over_baselines(
     departures: u64,
 ) -> Result<ImprovementCertificate, String> {
     assert!(replications >= 2, "paired CIs need >= 2 replications");
-    let warmup = departures / 10;
-    let horizon = workload.horizon_hint(params, warmup, departures);
-    // Surface source-construction errors before the panicking closure
-    // below runs.
-    workload.build_source(params, base_seed, horizon)?;
-
     let baselines: [(&str, &dyn AllocationPolicy); 2] = [
         ("Elastic-First", &ElasticFirst),
         ("Inelastic-First", &InelasticFirst),
     ];
+    let policies = [found, baselines[0].1, baselines[1].1];
     // runs[r] = [found, EF, IF] on replication r's shared sample path.
     let runs = run_replications(base_seed, replications, |seed| {
-        let run_one = |policy: &dyn AllocationPolicy| {
-            let mut source = workload
-                .build_source(params, seed, horizon)
-                .expect("source construction validated above");
-            Simulation::new(DesConfig::steady_state(params.k, warmup, departures))
-                .run(policy, source.as_mut())
-        };
-        [
-            run_one(found),
-            run_one(baselines[0].1),
-            run_one(baselines[1].1),
-        ]
-    });
-    for triple in &runs {
-        for report in triple {
-            let measured = report.completed[0] + report.completed[1];
-            if measured < departures {
-                return Err(format!(
-                    "arrival source exhausted mid-comparison \
-                     ({measured} of {departures} departures; trace too short?)"
-                ));
-            }
-        }
-    }
+        workload.simulate_each(&policies, params, seed, departures / 10, departures)
+    })
+    .into_iter()
+    .map(|triple| triple.into_iter().collect())
+    .collect::<Result<Vec<Vec<SimReport>>, String>>()?;
     let mean_of =
         |slot: usize| runs.iter().map(|t| t[slot].mean_response).sum::<f64>() / runs.len() as f64;
     let found_mean = mean_of(0);
@@ -269,5 +247,60 @@ mod tests {
         assert_eq!(vs_ef.diff_mean, 0.0, "{vs_ef:?}");
         assert!(!vs_ef.improves);
         assert!(!cert.beats_best_baseline);
+    }
+
+    #[test]
+    fn improvement_certificate_runs_the_churned_workload() {
+        use eirs_sim::availability::FaultSpec;
+        use eirs_sim::policy::FairShare;
+        use eirs_sim::replicate::replication_seeds;
+        // Every row is the mean of that policy's own `Workload::simulate`
+        // runs over the replication seeds, so each run sees the
+        // workload's fault schedule, and the churn moves every row.
+        let p = SystemParams::with_equal_lambdas(4, 1.0, 1.0, 0.6).unwrap();
+        let plain = Workload::new(
+            ArrivalSpec::Bursty { mean_burst: 4.0 },
+            ServiceSpec::Exponential,
+            ServiceSpec::Exponential,
+        );
+        let churned = plain
+            .clone()
+            .churned(FaultSpec::parse("crash:mtbf=40,mttr=4").unwrap());
+        let (base_seed, replications, departures) = (5, 3, 3_000);
+        let cert = |w: &Workload| {
+            improvement_over_baselines(w, &p, &FairShare, base_seed, replications, departures)
+                .unwrap()
+        };
+        let mean_of = |policy: &dyn AllocationPolicy| {
+            let seeds = replication_seeds(base_seed, replications);
+            seeds
+                .iter()
+                .map(|&seed| {
+                    churned
+                        .simulate(policy, &p, seed, departures / 10, departures)
+                        .unwrap()
+                        .mean_response
+                })
+                .sum::<f64>()
+                / replications as f64
+        };
+        let (churned_cert, plain_cert) = (cert(&churned), cert(&plain));
+        let rows = |c: &ImprovementCertificate| {
+            let means = c.baselines.iter().map(|b| b.mean_response);
+            [c.best_found_mean_response]
+                .into_iter()
+                .chain(means)
+                .collect::<Vec<_>>()
+        };
+        let want = [
+            mean_of(&FairShare),
+            mean_of(&ElasticFirst),
+            mean_of(&InelasticFirst),
+        ];
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rows(&churned_cert)), bits(&want));
+        for (with, without) in rows(&churned_cert).iter().zip(rows(&plain_cert)) {
+            assert_ne!(with.to_bits(), without.to_bits());
+        }
     }
 }

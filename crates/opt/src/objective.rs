@@ -16,7 +16,12 @@
 //!   fixed replication seed set, so all randomness is common across
 //!   candidates (the batch form of `eirs_sim::coupling`'s paired
 //!   comparisons): candidate differences are variance-reduced and the
-//!   whole search is deterministic under a fixed base seed.
+//!   whole search is deterministic under a fixed base seed. Because the
+//!   candidates share each seed's sample path, a batch builds that path
+//!   once per seed and candidate group: [`Workload::simulate_each`] runs
+//!   the group in lockstep on one arrival source and one fault schedule,
+//!   and every score is bit-identical to averaging the candidate's own
+//!   [`Workload::simulate`] runs.
 //!
 //! [`objective_for`] picks the backend by probing tractability with a
 //! representative policy of the family under search.
@@ -26,6 +31,7 @@ use eirs_core::scenario::{Tractability, Workload};
 use eirs_core::{sweep, SystemParams};
 use eirs_sim::policy::AllocationPolicy;
 use eirs_sim::replicate::replication_seeds;
+use std::ops::Range;
 
 /// Scores batches of candidate policies; lower values are better.
 pub trait Objective: Sync {
@@ -144,35 +150,53 @@ impl Objective for DesObjective {
     }
 
     fn evaluate_batch(&self, policies: &[Box<dyn AllocationPolicy>]) -> Vec<Result<f64, String>> {
-        // Fan (candidate, seed) pairs out together: a small optimizer
-        // generation with several replications each still fills the
-        // workers. Ordered sweep + fixed-order averaging keeps the result
-        // bit-identical across thread counts.
-        let pairs: Vec<(usize, u64)> = (0..policies.len())
-            .flat_map(|c| self.seeds.iter().map(move |&s| (c, s)))
+        // Fan (seed, candidate group) items out: each item builds its
+        // seed's sample path once and runs the group on it in lockstep.
+        // Each seed's candidates split into ⌈threads / seeds⌉ contiguous
+        // groups, so a one-seed workload still fills the workers, and a
+        // worker holds one group's runs at a time. Ordered sweep +
+        // fixed-order averaging keeps the result bit-identical across
+        // thread counts.
+        let groups = sweep::threads()
+            .div_ceil(self.seeds.len())
+            .min(policies.len())
+            .max(1);
+        let items: Vec<(u64, Range<usize>)> = self
+            .seeds
+            .iter()
+            .flat_map(|&seed| {
+                (0..groups).map(move |g| {
+                    let edge = |g: usize| g * policies.len() / groups;
+                    (seed, edge(g)..edge(g + 1))
+                })
+            })
             .collect();
-        let runs = sweep::sweep(&pairs, |&(c, seed)| {
+        let runs = sweep::sweep(&items, |(seed, group)| {
+            let group: Vec<&dyn AllocationPolicy> =
+                policies[group.clone()].iter().map(|p| p.as_ref()).collect();
             self.workload
-                .simulate(
-                    policies[c].as_ref(),
-                    &self.params,
-                    seed,
-                    self.warmup,
-                    self.departures,
-                )
-                .map(|r| r.mean_response)
+                .simulate_each(&group, &self.params, *seed, self.warmup, self.departures)
+                .into_iter()
+                .map(|r| r.map(|r| r.mean_response))
+                .collect::<Vec<_>>()
         });
-        let per = self.seeds.len();
+        // by_seed[s][c]: candidate c's mean response on seed s.
+        let mut runs = runs.into_iter();
+        let by_seed: Vec<Vec<Result<f64, String>>> = self
+            .seeds
+            .iter()
+            .map(|_| runs.by_ref().take(groups).flatten().collect())
+            .collect();
         (0..policies.len())
             .map(|c| {
                 let mut sum = 0.0;
-                for run in &runs[c * per..(c + 1) * per] {
-                    match run {
+                for runs in &by_seed {
+                    match &runs[c] {
                         Ok(m) => sum += m,
                         Err(e) => return Err(format!("{}: {e}", policies[c].name())),
                     }
                 }
-                Ok(sum / per as f64)
+                Ok(sum / by_seed.len() as f64)
             })
             .collect()
     }

@@ -82,7 +82,7 @@ use crate::journal::{feed, JournalWriter};
 use crate::metrics::ShardMetrics;
 use crate::table::CompiledTable;
 use eirs_sim::arrivals::{Arrival, ArrivalSource};
-use eirs_sim::availability::{CapacityEvent, FaultSpec};
+use eirs_sim::availability::{FaultSchedule, FaultSpec};
 use eirs_sim::job::{Job, JobClass};
 use eirs_sim::kernel::{Cluster, Hooks, Step};
 use eirs_sim::policy::ClassAllocation;
@@ -442,7 +442,7 @@ impl ClusterShard {
     pub(crate) fn new(
         k: u32,
         record: bool,
-        faults: Vec<CapacityEvent>,
+        faults: &FaultSchedule,
         shed_limit: Option<usize>,
     ) -> Self {
         Self {
@@ -669,14 +669,15 @@ impl ServeEngine {
                 // Each routing shard replays its own seeded schedule,
                 // derived from the shard index — never the worker id.
                 let faults = match &config.churn {
-                    Some(c) => c
-                        .spec
-                        .schedule_for_shard(config.k, c.seed, idx, c.horizon)
-                        .events()
-                        .to_vec(),
-                    None => Vec::new(),
+                    Some(c) => c.spec.schedule_for_shard(config.k, c.seed, idx, c.horizon),
+                    None => FaultSchedule::none(config.k),
                 };
-                ClusterShard::new(config.k, config.record_decisions, faults, config.shed_limit)
+                ClusterShard::new(
+                    config.k,
+                    config.record_decisions,
+                    &faults,
+                    config.shed_limit,
+                )
             })
             .collect();
         Self {

@@ -35,6 +35,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// One capacity change: at `time`, the number of available servers
 /// becomes `available` (an absolute level, not a delta — consumers never
@@ -207,7 +208,7 @@ impl FaultSpec {
         };
         FaultSchedule {
             k,
-            events: fold_deltas(k, horizon, deltas),
+            events: fold_deltas(k, horizon, deltas).into(),
         }
     }
 
@@ -351,11 +352,13 @@ fn fold_deltas(k: u32, horizon: f64, mut deltas: Vec<(f64, i64)>) -> Vec<Capacit
 }
 
 /// A concrete, finite capacity-change schedule for one `k`-server
-/// cluster (or cluster shard). Time-ordered; ends at full capacity.
+/// cluster (or cluster shard). Time-ordered; ends at full capacity. The
+/// events sit behind an `Arc`: clones of the schedule, and every
+/// [`Cluster`](crate::kernel::Cluster) it is attached to, share them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
     k: u32,
-    events: Vec<CapacityEvent>,
+    events: Arc<[CapacityEvent]>,
 }
 
 impl FaultSchedule {
@@ -364,7 +367,7 @@ impl FaultSchedule {
         assert!(k >= 1, "need at least one server");
         Self {
             k,
-            events: Vec::new(),
+            events: Arc::default(),
         }
     }
 
@@ -380,7 +383,10 @@ impl FaultSchedule {
             assert!(e.available <= k, "capacity {} above k={k}", e.available);
             assert!(e.time >= 0.0, "negative event time");
         }
-        Self { k, events }
+        Self {
+            k,
+            events: events.into(),
+        }
     }
 
     /// The nominal cluster size the schedule was generated for.
@@ -391,6 +397,11 @@ impl FaultSchedule {
     /// The time-ordered capacity events.
     pub fn events(&self) -> &[CapacityEvent] {
         &self.events
+    }
+
+    /// The events, shared rather than copied.
+    pub(crate) fn shared_events(&self) -> Arc<[CapacityEvent]> {
+        Arc::clone(&self.events)
     }
 
     /// Available servers at time `t` (capacity changes take effect at
@@ -419,7 +430,7 @@ impl FaultSchedule {
         let mut lost = 0.0;
         let mut level = self.k;
         let mut at = 0.0;
-        for e in &self.events {
+        for e in self.events.iter() {
             let until = e.time.min(horizon);
             if until > at {
                 lost += (self.k - level) as f64 * (until - at);

@@ -9,13 +9,15 @@
 //!
 //! The same coupling idea powers variance reduction for *steady-state
 //! policy comparisons*: [`paired_comparison`] runs two policies on the
-//! identical arrival sample path per replication (the arrival source is
-//! rebuilt from the same seed, and every random quantity — interarrival
-//! times, classes, and job sizes — lives in the source), so the
-//! difference estimator `E[T_A] − E[T_B]` keeps only the policy effect
-//! and sheds the common arrival noise. The `eirs_opt` DES objective is
-//! built on this: candidates in a policy search are scored on one fixed
-//! seed set, making every pairwise comparison a paired one.
+//! identical arrival sample path per replication (one source per seed,
+//! read by both runs in lockstep through
+//! [`Simulation::run_each`](crate::des::Simulation::run_each); every
+//! random quantity — interarrival times, classes, and job sizes — lives
+//! in the source), so the difference estimator `E[T_A] − E[T_B]` keeps
+//! only the policy effect and sheds the common arrival noise. The
+//! `eirs_opt` DES objective is built on this: candidates in a policy
+//! search are scored on one fixed seed set, making every pairwise
+//! comparison a paired one.
 //!
 //! Work trajectories are piecewise linear between events (service drains
 //! work at the constant allocated rate) with upward jumps at arrivals, so a
@@ -196,11 +198,13 @@ pub fn dominates_throughout(a: &WorkTrajectory, b: &WorkTrajectory, tol: f64) ->
 /// Runs `policy_a` and `policy_b` on the **same** arrival sample path for
 /// each of `n` replications (common random numbers): replication `r`
 /// derives its seed from `base_seed` via the SplitMix64 stream, builds the
-/// arrival source from that seed *twice* through `make_source`, and feeds
-/// one copy to each policy. Because every random quantity of the model —
-/// interarrival times, job classes, and job sizes — is drawn inside the
-/// source, the two runs see bit-identical traffic and differ only in the
-/// allocation decisions.
+/// arrival source from that seed once through `make_source`, and runs
+/// both policies on it in lockstep ([`Simulation::run_each`]). Because
+/// every random quantity of the model — interarrival times, job classes,
+/// and job sizes — is drawn inside the source, the two runs see
+/// bit-identical traffic and differ only in the allocation decisions;
+/// each report is bit-identical to a separate run on its own copy of the
+/// source.
 ///
 /// Returns the per-replication report pairs in seed order (parallel over
 /// the sweep workers, bit-identical to serial). Feed them to
@@ -221,11 +225,12 @@ where
 {
     let seeds = replication_seeds(base_seed, n);
     parallel::par_map_ordered(&seeds, parallel::num_threads(), |&seed| {
-        let cfg = DesConfig::steady_state(k, warmup, departures);
-        let mut source_a = make_source(seed);
-        let a = Simulation::new(cfg).run(policy_a, source_a.as_mut());
-        let mut source_b = make_source(seed);
-        let b = Simulation::new(cfg).run(policy_b, source_b.as_mut());
+        let mut source = make_source(seed);
+        let [a, b]: [SimReport; 2] =
+            Simulation::new(DesConfig::steady_state(k, warmup, departures))
+                .run_each(&[policy_a, policy_b], source.as_mut())
+                .try_into()
+                .expect("one report per policy");
         (a, b)
     })
 }

@@ -17,6 +17,18 @@
 //! capacity changes are first-class events, and between them only
 //! `avail ≤ k` servers exist. At full capacity the policy is called with
 //! `k`, so a run with an empty schedule is bit-identical to one without.
+//!
+//! [`Simulation::run_each`] runs several policies on **one** sample path:
+//! each policy gets its own clone of the configured cluster (preloaded
+//! jobs and the shared fault schedule included) and its own statistics,
+//! and all runs advance in lockstep through one arrival source, each
+//! arrival being admitted by every run that has not yet met its own stop
+//! rule. A run's sequence of kernel calls is exactly the one a separate
+//! [`Simulation::run`] on the same source would make, so every report is
+//! bit-identical to that run's, while the arrivals (and the schedule) are
+//! generated once for all policies. This is the primitive behind
+//! common-random-numbers comparisons: the `eirs_opt` DES objective, the
+//! baseline certificate and [`crate::coupling::paired_comparison`].
 
 use crate::arrivals::{Arrival, ArrivalSource};
 use crate::availability::FaultSchedule;
@@ -134,17 +146,11 @@ impl Simulation {
 
     /// Attaches a capacity-churn schedule (see the [kernel
     /// docs](crate::kernel) for the degraded-decision and preempt-restart
-    /// semantics). The schedule's `k` must match the configuration.
+    /// semantics), shared rather than copied. The schedule's `k` must
+    /// match the configuration.
     pub fn with_faults(mut self, schedule: &FaultSchedule) -> Self {
-        assert_eq!(
-            schedule.k(),
-            self.config.k,
-            "fault schedule generated for k={}, simulation has k={}",
-            schedule.k(),
-            self.config.k
-        );
         assert_eq!(self.now(), 0.0, "attach faults before running");
-        self.cluster = self.cluster.with_faults(schedule.events().to_vec());
+        self.cluster = self.cluster.with_faults(schedule);
         self
     }
 
@@ -157,43 +163,93 @@ impl Simulation {
     }
 
     /// Runs the simulation to completion under `policy` with arrivals from
-    /// `source`.
-    pub fn run(
-        mut self,
-        policy: &dyn AllocationPolicy,
+    /// `source`: the one-policy case of [`Simulation::run_each`].
+    pub fn run(self, policy: &dyn AllocationPolicy, source: &mut dyn ArrivalSource) -> SimReport {
+        self.run_each(&[policy], source)
+            .pop()
+            .expect("one report per policy")
+    }
+
+    /// Runs every policy in `policies` on the one arrival stream of
+    /// `source`, in lockstep (see the [module docs](self)), and returns
+    /// their reports in order. Each report is bit-identical to a separate
+    /// [`Simulation::run`] of a copy of this simulation on a source that
+    /// replays the same arrivals. The source is read until every run has
+    /// met its stop rule.
+    pub fn run_each(
+        self,
+        policies: &[&dyn AllocationPolicy],
         source: &mut dyn ArrivalSource,
-    ) -> SimReport {
-        let mut m = Measure::new(policy, &self);
-        let mut pending: Option<Arrival> = source.next_arrival();
-        let until = match self.config.stop {
-            StopRule::SimTime(t_end) => t_end,
-            _ => f64::INFINITY,
-        };
+    ) -> Vec<SimReport> {
+        let Self { config, cluster } = self;
+        let mut runs: Vec<Run> = policies
+            .iter()
+            .map(|&policy| Run {
+                m: Measure::new(policy, &config, &cluster),
+                cluster: cluster.clone(),
+                stopped: false,
+            })
+            .collect();
+        let mut pending = source.next_arrival();
         loop {
-            let stop = match self.config.stop {
-                StopRule::Departures(n) => m.measuring && m.completed[0] + m.completed[1] >= n,
-                StopRule::SimTime(t_end) => self.now() >= t_end,
-                StopRule::Drain => pending.is_none() && self.cluster.is_empty(),
-            };
-            if stop {
+            for run in runs.iter_mut().filter(|run| !run.stopped) {
+                run.stopped = !run.admit_through(config.stop, pending.as_ref());
+            }
+            if runs.iter().all(|run| run.stopped) {
                 break;
             }
-            match self.cluster.step(&mut m, pending.map(|a| a.time), until) {
-                Step::Idle => break,
-                Step::ArrivalDue => {
-                    let a = pending.expect("a due arrival is pending");
-                    self.cluster.admit(&mut m, &a);
-                    pending = source.next_arrival();
-                }
-                Step::Advanced => {}
-            }
+            pending = source.next_arrival();
         }
-        m.report(self.now())
+        runs.into_iter()
+            .map(|run| run.m.report(run.cluster.now()))
+            .collect()
     }
 
     /// Current simulated time.
     pub fn now(&self) -> f64 {
         self.cluster.now()
+    }
+}
+
+/// One policy's run: its own cluster and measurements.
+struct Run<'p> {
+    cluster: Cluster,
+    m: Measure<'p>,
+    /// The run met its stop rule, or nothing can happen in it any more.
+    stopped: bool,
+}
+
+impl Run<'_> {
+    /// Steps the run until it admits `pending` (`true`) or meets the stop
+    /// rule first (`false`). With no arrival pending, only the latter.
+    fn admit_through(&mut self, stop: StopRule, pending: Option<&Arrival>) -> bool {
+        let until = match stop {
+            StopRule::SimTime(t_end) => t_end,
+            _ => f64::INFINITY,
+        };
+        loop {
+            let m = &self.m;
+            let stopped = match stop {
+                StopRule::Departures(n) => m.measuring && m.completed[0] + m.completed[1] >= n,
+                StopRule::SimTime(t_end) => self.cluster.now() >= t_end,
+                StopRule::Drain => pending.is_none() && self.cluster.is_empty(),
+            };
+            if stopped {
+                return false;
+            }
+            match self
+                .cluster
+                .step(&mut self.m, pending.map(|a| a.time), until)
+            {
+                Step::Idle => return false,
+                Step::ArrivalDue => {
+                    let a = pending.expect("a due arrival is pending");
+                    self.cluster.admit(&mut self.m, a);
+                    return true;
+                }
+                Step::Advanced => {}
+            }
+        }
     }
 }
 
@@ -229,17 +285,17 @@ struct Measure<'p> {
 }
 
 impl<'p> Measure<'p> {
-    fn new(policy: &'p dyn AllocationPolicy, sim: &Simulation) -> Self {
+    fn new(policy: &'p dyn AllocationPolicy, config: &DesConfig, cluster: &Cluster) -> Self {
         // The work of the preloaded jobs, summed in queue order.
-        let work = |c| sim.cluster.queue(c).fold(0.0, |w, j| w + j.size);
+        let work = |c| cluster.queue(c).fold(0.0, |w, j| w + j.size);
         Self {
             policy,
             name: policy.name(),
-            warmup: sim.config.warmup_departures,
+            warmup: config.warmup_departures,
             work_total: JobClass::ALL.map(work),
             total_departures: 0,
             preemptions: 0,
-            measuring: sim.config.warmup_departures == 0,
+            measuring: config.warmup_departures == 0,
             resp: Default::default(),
             hists: Default::default(),
             total_response: 0.0,
@@ -813,6 +869,71 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn lockstep_runs_equal_separate_runs() {
+        use crate::availability::FaultSpec;
+        use crate::policy::{FairShare, TablePolicy};
+        use eirs_queueing::Exponential;
+        // ~900 arrivals over 400 time units at load 0.7 on k = 4, with
+        // crash churn that preempts, and three jobs present at time zero.
+        let trace = ArrivalTrace::record_poisson(
+            1.2,
+            0.8,
+            Box::new(Exponential::new(1.0)),
+            Box::new(Exponential::new(0.5)),
+            17,
+            400.0,
+        );
+        let faults = FaultSpec::parse("crash:mtbf=30,mttr=10")
+            .unwrap()
+            .schedule(4, 5, 2_000.0);
+        let sim = |stop: StopRule| {
+            let config = DesConfig {
+                k: 4,
+                stop,
+                warmup_departures: 50,
+            };
+            let mut sim = Simulation::new(config).with_faults(&faults);
+            sim.preload([
+                (JobClass::Inelastic, 3.0),
+                (JobClass::Elastic, 6.0),
+                (JobClass::Inelastic, 0.5),
+            ]);
+            sim
+        };
+        let table = TablePolicy::random_class_p(3);
+        let policies: [&dyn AllocationPolicy; 4] =
+            [&InelasticFirst, &ElasticFirst, &FairShare, &table];
+        // (stop rule, whether the runs stop at different times)
+        for (stop, apart) in [
+            // Mid-trace.
+            (StopRule::Departures(300), true),
+            // The trace ends mid-run: every run serves what is left and
+            // idles on at the last capacity change.
+            (StopRule::Departures(100_000), false),
+            (StopRule::SimTime(150.0), false),
+            (StopRule::SimTime(1_000.0), false),
+            (StopRule::Drain, true),
+        ] {
+            let each = sim(stop).run_each(&policies, &mut trace.stream());
+            assert_eq!(each.len(), policies.len());
+            for (policy, lockstep) in policies.iter().zip(&each) {
+                let alone = sim(stop).run(*policy, &mut trace.stream());
+                assert_eq!(
+                    format!("{lockstep:?}"),
+                    format!("{alone:?}"),
+                    "{} under {stop:?}",
+                    policy.name()
+                );
+            }
+            assert!(each.iter().any(|r| r.preemptions > 0), "{stop:?}");
+            let ends: Vec<u64> = each.iter().map(|r| r.end_time.to_bits()).collect();
+            assert_eq!(ends.iter().any(|&e| e != ends[0]), apart, "{stop:?}");
+        }
+        let drained = sim(StopRule::Departures(100_000)).run(&InelasticFirst, &mut trace.stream());
+        assert!(drained.completed[0] + drained.completed[1] < 100_000);
     }
 
     #[test]

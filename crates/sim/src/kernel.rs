@@ -4,7 +4,11 @@
 //!
 //! A [`Cluster`] owns `k` unit-speed servers, the two FCFS queues, the
 //! clock, the next job id, the available server count `avail ≤ k` and its
-//! cursor into a capacity-change schedule. [`Cluster::step`] applies the
+//! cursor into a capacity-change schedule. The schedule itself is shared:
+//! a clone of a cluster copies the jobs and the clock but not the
+//! schedule, so several runs can start from one configured cluster (as
+//! [`Simulation::run_each`](crate::des::Simulation::run_each) does) for
+//! the memory of one schedule. [`Cluster::step`] applies the
 //! capacity changes that are due, makes one allocation decision, advances
 //! to the next event (a completion, a capacity change, the pending arrival
 //! or the caller's time limit) and sweeps departures; [`Cluster::admit`]
@@ -58,11 +62,12 @@
 //! sweep visit the whole queue.
 
 use crate::arrivals::Arrival;
-use crate::availability::CapacityEvent;
+use crate::availability::{CapacityEvent, FaultSchedule};
 use crate::job::{Job, JobClass};
 use crate::policy::{assert_feasible, ClassAllocation};
 use std::collections::{vec_deque, VecDeque};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// A driver's view of the event loop. Only the policy
 /// ([`Hooks::allocate`]) and its [`Hooks::name`] are required; every
@@ -121,7 +126,7 @@ pub enum Step {
 
 /// `k` servers, two FCFS queues, a clock and a capacity-change schedule
 /// (see the [module docs](self)).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Cluster {
     k: u32,
     time: f64,
@@ -129,7 +134,7 @@ pub struct Cluster {
     inelastic: VecDeque<Job>,
     elastic: VecDeque<Job>,
     avail: u32,
-    faults: Vec<CapacityEvent>,
+    faults: Arc<[CapacityEvent]>,
     fault_cursor: usize,
     /// Jobs entered without a sweep: the next sweep visits every job.
     unswept: bool,
@@ -145,16 +150,24 @@ impl Cluster {
             inelastic: VecDeque::with_capacity(16),
             elastic: VecDeque::with_capacity(16),
             avail: k,
-            faults: Vec::new(),
+            faults: Arc::default(),
             fault_cursor: 0,
             unswept: false,
         }
     }
 
-    /// Replaces the capacity-change schedule (time-ordered events) and
-    /// rewinds its cursor.
-    pub fn with_faults(mut self, faults: Vec<CapacityEvent>) -> Self {
-        self.faults = faults;
+    /// Replaces the capacity-change schedule, sharing the schedule's
+    /// events rather than copying them, and rewinds its cursor. The
+    /// schedule's `k` must match the cluster's.
+    pub fn with_faults(mut self, schedule: &FaultSchedule) -> Self {
+        assert_eq!(
+            schedule.k(),
+            self.k,
+            "fault schedule generated for k={}, cluster has k={}",
+            schedule.k(),
+            self.k
+        );
+        self.faults = schedule.shared_events();
         self.fault_cursor = 0;
         self
     }
@@ -487,7 +500,8 @@ mod tests {
         // to 1 at t = 1 and comes back to 3 at t = 2.
         let events =
             [(1.0, 1), (2.0, 3)].map(|(time, available)| CapacityEvent { time, available });
-        let mut cluster = Cluster::new(3).with_faults(events.to_vec());
+        let mut cluster =
+            Cluster::new(3).with_faults(&FaultSchedule::from_events(3, events.into()));
         for _ in 0..4 {
             cluster.enqueue(JobClass::Inelastic, 5.0, 0.0);
         }

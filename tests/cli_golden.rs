@@ -257,6 +257,35 @@ fn search_commands_are_pinned() {
         ],
         None,
     );
+    // The `des-search` benchmark's setting: the baselines are certified
+    // on the same churned sample paths the search scored.
+    check(
+        "optimize_des_churned_json",
+        &[
+            "optimize",
+            "--family",
+            "curve",
+            "--workload",
+            "bursty",
+            "--service-e",
+            "hyper:4",
+            "--churn",
+            "crash:mtbf=40,mttr=4",
+            "--k",
+            "4",
+            "--rho",
+            "0.6",
+            "--budget",
+            "16",
+            "--reps",
+            "2",
+            "--departures",
+            "5000",
+            "--json",
+            "true",
+        ],
+        None,
+    );
     check(
         "fuzz_json",
         &["fuzz", "--budget", "3", "--seed", "1", "--json", "true"],
