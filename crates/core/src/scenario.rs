@@ -188,8 +188,8 @@ pub struct Workload {
     /// Elastic service shape (mean pinned to `1/µ_E`).
     pub service_e: ServiceSpec,
     /// Capacity-churn shape, if any. Seeded per run in
-    /// [`Workload::simulate`] (decorrelated replications get different
-    /// fault sample paths, like arrivals).
+    /// [`Workload::simulate_each`] (decorrelated replications get
+    /// different fault sample paths, like arrivals).
     pub churn: Option<FaultSpec>,
 }
 
@@ -424,9 +424,9 @@ impl Workload {
     /// Simulated-time horizon an arrival source must cover for a
     /// steady-state run of `warmup + departures` departures: 1.4× the
     /// expected duration plus slack, so exhaustion of a recorded trace is
-    /// a rare tail event. [`Workload::simulate`] sizes its sources with
-    /// this; external paired-comparison drivers (the `eirs_opt`
-    /// certification) must use the same formula or their sources run dry
+    /// a rare tail event. [`Workload::simulate_each`] sizes its sources
+    /// and fault schedules with this; other drivers that build a source
+    /// for such a run must use the same formula or their sources run dry
     /// where plain simulation would not.
     pub fn horizon_hint(&self, params: &SystemParams, warmup: u64, departures: u64) -> f64 {
         1.4 * (warmup + departures) as f64 / params.total_lambda() + 100.0

@@ -101,7 +101,9 @@ impl Objective for AnalyticObjective {
 }
 
 /// Common-random-numbers DES evaluation: every candidate runs the same
-/// fixed seed set, so candidate comparisons are paired.
+/// fixed seed set, so candidate comparisons are paired, and each seed's
+/// sample path is built once per candidate group (see the [module
+/// docs](self)).
 #[derive(Debug, Clone)]
 pub struct DesObjective {
     workload: Workload,

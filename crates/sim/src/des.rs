@@ -182,6 +182,10 @@ impl Simulation {
         source: &mut dyn ArrivalSource,
     ) -> Vec<SimReport> {
         let Self { config, cluster } = self;
+        let until = match config.stop {
+            StopRule::SimTime(t_end) => t_end,
+            _ => f64::INFINITY,
+        };
         let mut runs: Vec<Run> = policies
             .iter()
             .map(|&policy| Run {
@@ -193,7 +197,7 @@ impl Simulation {
         let mut pending = source.next_arrival();
         loop {
             for run in runs.iter_mut().filter(|run| !run.stopped) {
-                run.stopped = !run.admit_through(config.stop, pending.as_ref());
+                run.stopped = !run.admit_through(config.stop, until, pending);
             }
             if runs.iter().all(|run| run.stopped) {
                 break;
@@ -220,13 +224,13 @@ struct Run<'p> {
 }
 
 impl Run<'_> {
-    /// Steps the run until it admits `pending` (`true`) or meets the stop
-    /// rule first (`false`). With no arrival pending, only the latter.
-    fn admit_through(&mut self, stop: StopRule, pending: Option<&Arrival>) -> bool {
-        let until = match stop {
-            StopRule::SimTime(t_end) => t_end,
-            _ => f64::INFINITY,
-        };
+    /// Steps the run, never past `until`, until it admits `pending`
+    /// (`true`) or meets the `stop` rule first (`false`). With no arrival
+    /// pending, only the latter. The arrival comes by value: with a
+    /// reference to it, and `until` worked out per call, one-policy runs
+    /// took ~6% longer per departure than the loop this replaced (2-vCPU
+    /// host).
+    fn admit_through(&mut self, stop: StopRule, until: f64, pending: Option<Arrival>) -> bool {
         loop {
             let m = &self.m;
             let stopped = match stop {
@@ -244,7 +248,7 @@ impl Run<'_> {
                 Step::Idle => return false,
                 Step::ArrivalDue => {
                     let a = pending.expect("a due arrival is pending");
-                    self.cluster.admit(&mut self.m, a);
+                    self.cluster.admit(&mut self.m, &a);
                     return true;
                 }
                 Step::Advanced => {}
