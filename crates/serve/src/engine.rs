@@ -63,9 +63,9 @@
 //! # Degraded mode (capacity churn)
 //!
 //! With a [`ChurnConfig`] attached, every shard replays its own seeded
-//! [`FaultSchedule`](eirs_sim::FaultSchedule) (derived from the shard
-//! *index*, so faults — like routing — are workload semantics, invariant
-//! to the worker count) and tracks an effective capacity `avail ≤ k`.
+//! [`FaultSchedule`] (derived from the shard *index*, so faults — like
+//! routing — are workload semantics, invariant to the worker count) and
+//! tracks an effective capacity `avail ≤ k`.
 //! The kernel's degraded-decision rule applies: at full capacity the
 //! compiled grid serves (the hot path); at zero capacity the shard idles
 //! without consulting the policy; in between, lookups are capped to the
