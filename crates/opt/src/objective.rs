@@ -159,18 +159,13 @@ impl Objective for DesObjective {
         // worker holds one group's runs at a time. Ordered sweep +
         // fixed-order averaging keeps the result bit-identical across
         // thread counts.
-        let groups = sweep::threads()
-            .div_ceil(self.seeds.len())
-            .min(policies.len())
-            .max(1);
+        let n = policies.len();
+        let groups = sweep::threads().div_ceil(self.seeds.len()).min(n).max(1);
         let items: Vec<(u64, Range<usize>)> = self
             .seeds
             .iter()
             .flat_map(|&seed| {
-                (0..groups).map(move |g| {
-                    let edge = |g: usize| g * policies.len() / groups;
-                    (seed, edge(g)..edge(g + 1))
-                })
+                (0..groups).map(move |g| (seed, g * n / groups..(g + 1) * n / groups))
             })
             .collect();
         let runs = sweep::sweep(&items, |(seed, group)| {
@@ -189,7 +184,7 @@ impl Objective for DesObjective {
             .iter()
             .map(|_| runs.by_ref().take(groups).flatten().collect())
             .collect();
-        (0..policies.len())
+        (0..n)
             .map(|c| {
                 let mut sum = 0.0;
                 for runs in &by_seed {
