@@ -24,6 +24,8 @@
 
 use eirs_numerics::parallel;
 
+pub use parallel::busiest_worker_items;
+
 /// Default worker-thread count for sweeps ([`set_threads`] override,
 /// `EIRS_THREADS`, or all cores — in that order).
 pub fn threads() -> usize {

@@ -81,7 +81,7 @@ where
         return items.iter().map(f).collect();
     }
     let workers = threads.min(items.len());
-    let chunk = items.len().div_ceil(workers * CHUNKS_PER_WORKER).max(1);
+    let chunk = chunk_len(items.len(), workers);
     let nchunks = items.len().div_ceil(chunk);
     let next = AtomicUsize::new(0);
 
@@ -123,6 +123,24 @@ where
         .into_iter()
         .map(|r| r.expect("every chunk claimed exactly once"))
         .collect()
+}
+
+/// Items per claimed chunk when `workers` workers share `items` items.
+fn chunk_len(items: usize, workers: usize) -> usize {
+    items.div_ceil(workers * CHUNKS_PER_WORKER).max(1)
+}
+
+/// The most items one worker maps when [`par_map_ordered`] spreads
+/// `items` items of equal cost over `threads` workers and the chunks are
+/// claimed in even rounds. A caller that chooses how to cut its work into
+/// items can weigh each cut by it.
+pub fn busiest_worker_items(items: usize, threads: usize) -> usize {
+    if threads <= 1 || items <= 1 {
+        return items;
+    }
+    let workers = threads.min(items);
+    let chunk = chunk_len(items, workers);
+    items.div_ceil(chunk).div_ceil(workers) * chunk
 }
 
 #[cfg(test)]
@@ -182,6 +200,30 @@ mod tests {
                     assert_eq!(*v, i * 3, "len={len} threads={threads}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn busiest_worker_counts_whole_chunks() {
+        // (items, threads, busiest worker's items): 5 items on 2 workers
+        // are 5 one-item chunks, 3 for the busier worker; 10 items are
+        // 5 two-item chunks, so cutting 5 items in half saves nothing.
+        for (items, threads, want) in [
+            (0, 4, 0),
+            (1, 4, 1),
+            (7, 1, 7),
+            (3, 8, 1),
+            (5, 2, 3),
+            (10, 2, 6),
+            (40, 2, 20),
+            (12, 8, 2),
+            (48, 8, 6),
+        ] {
+            assert_eq!(
+                busiest_worker_items(items, threads),
+                want,
+                "{items} on {threads}"
+            );
         }
     }
 

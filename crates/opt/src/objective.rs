@@ -21,7 +21,8 @@
 //!   once per seed and candidate group: [`Workload::simulate_each`] runs
 //!   the group in lockstep on one arrival source and one fault schedule,
 //!   and every score is bit-identical to averaging the candidate's own
-//!   [`Workload::simulate`] runs.
+//!   [`Workload::simulate`] runs. The number of groups per seed weighs
+//!   the sweep workers' balance against how many runs share one path.
 //!
 //! [`objective_for`] picks the backend by probing tractability with a
 //! representative policy of the family under search.
@@ -153,14 +154,12 @@ impl Objective for DesObjective {
 
     fn evaluate_batch(&self, policies: &[Box<dyn AllocationPolicy>]) -> Vec<Result<f64, String>> {
         // Fan (seed, candidate group) items out: each item builds its
-        // seed's sample path once and runs the group on it in lockstep.
-        // Each seed's candidates split into ⌈threads / seeds⌉ contiguous
-        // groups, so a one-seed workload still fills the workers, and a
-        // worker holds one group's runs at a time. Ordered sweep +
+        // seed's sample path once and runs the group on it in lockstep,
+        // and a worker holds one group's runs at a time. Ordered sweep +
         // fixed-order averaging keeps the result bit-identical across
         // thread counts.
         let n = policies.len();
-        let groups = sweep::threads().div_ceil(self.seeds.len()).min(n).max(1);
+        let groups = group_count(n, self.seeds.len(), sweep::threads());
         let items: Vec<(u64, Range<usize>)> = self
             .seeds
             .iter()
@@ -197,6 +196,20 @@ impl Objective for DesObjective {
             })
             .collect()
     }
+}
+
+/// How many contiguous groups each seed's `n` candidates split into when
+/// the `seeds · groups` (seed, group) items are swept over `threads`
+/// workers: the count that leaves the busiest worker the least work,
+/// fewer and larger groups winning ties. A group of `m` lockstep runs is
+/// weighed as `(1 + 4m) / 5` runs, because the arrival stream and fault
+/// schedule its runs share are about a fifth of a replication on bursty,
+/// churned workloads. `groups = n` is one run per item, as scoring each
+/// (candidate, seed) pair on its own would be.
+fn group_count(n: usize, seeds: usize, threads: usize) -> usize {
+    (1..=n.max(1))
+        .min_by_key(|&g| sweep::busiest_worker_items(seeds * g, threads) * (1 + 4 * n.div_ceil(g)))
+        .expect("at least one group")
 }
 
 /// Configuration of the DES fallback used by [`objective_for`].
@@ -310,6 +323,33 @@ mod tests {
         assert_eq!(v0.to_bits(), a[1].as_ref().unwrap().to_bits());
         assert_eq!(v0.to_bits(), b[0].as_ref().unwrap().to_bits());
         assert!(v0.is_finite() && v0 > 0.0);
+    }
+
+    #[test]
+    fn group_count_weighs_idle_workers_against_shared_paths() {
+        // group_count(n candidates, seeds, threads). The des-search
+        // setting keeps one group per seed, and so do 5 seeds on 2
+        // workers: 10 half groups would be claimed in 5 two-item chunks.
+        // A one-seed workload and 3 seeds on 2 workers split; so do 6
+        // seeds on 4, 8 or 16 workers, and 7 seeds on 8 do not.
+        for (n, seeds, threads, want) in [
+            (8, 2, 2, 1),
+            (8, 5, 2, 1),
+            (8, 6, 2, 1),
+            (8, 1, 2, 2),
+            (8, 3, 2, 2),
+            (8, 6, 4, 2),
+            (8, 6, 8, 4),
+            (8, 6, 16, 8),
+            (8, 7, 8, 1),
+            (0, 2, 4, 1),
+        ] {
+            assert_eq!(
+                group_count(n, seeds, threads),
+                want,
+                "{n} × {seeds} on {threads}"
+            );
+        }
     }
 
     #[test]
