@@ -11,7 +11,8 @@
 use eirs_bench::section;
 use eirs_core::params::SystemParams;
 use eirs_core::sweep::{sweep_with_threads, threads};
-use eirs_mdp::{ef_allocation, evaluate_policy, if_allocation, solve_optimal, MdpConfig};
+use eirs_mdp::{evaluate_policy, solve_optimal, MdpConfig};
+use eirs_sim::policy::{ElasticFirst, InelasticFirst};
 
 fn main() {
     let k = 2u32;
@@ -39,8 +40,8 @@ fn main() {
             allow_idling: false,
         };
         let opt = solve_optimal(&cfg, 1e-9, 600_000).expect("VI converges");
-        let g_if = evaluate_policy(&cfg, &if_allocation(k), 1e-9, 600_000).expect("eval IF");
-        let g_ef = evaluate_policy(&cfg, &ef_allocation(k), 1e-9, 600_000).expect("eval EF");
+        let g_if = evaluate_policy(&cfg, &InelasticFirst, 1e-9, 600_000).expect("eval IF");
+        let g_ef = evaluate_policy(&cfg, &ElasticFirst, 1e-9, 600_000).expect("eval EF");
         let lambda = p.total_lambda();
         (
             mu_i,

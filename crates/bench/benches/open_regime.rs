@@ -23,12 +23,7 @@ use eirs_mdp::{evaluate_policy, solve_optimal, MdpConfig};
 use eirs_sim::policy::{AllocationPolicy, ElasticThresholdPolicy, ReservePolicy};
 
 fn policy_mean_response(cfg: &MdpConfig, policy: &dyn AllocationPolicy, lambda: f64) -> f64 {
-    let k = cfg.k;
-    let f = move |i: usize, j: usize| {
-        let a = policy.allocate(i, j, k);
-        (a.inelastic, a.elastic)
-    };
-    evaluate_policy(cfg, &f, 1e-9, 600_000).expect("evaluation converges") / lambda
+    evaluate_policy(cfg, policy, 1e-9, 600_000).expect("evaluation converges") / lambda
 }
 
 fn main() {

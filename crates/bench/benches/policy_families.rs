@@ -8,7 +8,7 @@
 //! 1. the policy-generic QBD analysis (`eirs_core::analysis::analyze_policy`),
 //!    fanned over the parameter points through the parallel sweep engine;
 //! 2. DES replications on decorrelated seed streams (mean ± 95% CI);
-//! 3. the truncated-grid CTMC evaluator (`eirs_mdp::evaluate_allocation_policy`).
+//! 3. the truncated-grid CTMC evaluator (`eirs_mdp::evaluate_policy`).
 //!
 //! and records the agreement into `BENCH_policy_families.json` at the
 //! workspace root (under `EIRS_BENCH_SMOKE=1`, CI's run, it runs at full
@@ -27,7 +27,7 @@ use eirs_core::analysis::AnalyzeOptions;
 use eirs_core::experiments::policy_sweep;
 use eirs_core::policy::{parse_policy, AllocationPolicy};
 use eirs_core::SystemParams;
-use eirs_mdp::{evaluate_allocation_policy, solve_optimal, MdpConfig};
+use eirs_mdp::{evaluate_policy, solve_optimal, MdpConfig};
 use eirs_obs::Json;
 use eirs_sim::replicate::run_markovian_replications;
 use eirs_sim::stats::ReplicationStats;
@@ -70,7 +70,7 @@ fn mdp_grid_response(policy: &dyn AllocationPolicy, p: &SystemParams) -> f64 {
         max_j: 70,
         allow_idling: false,
     };
-    let g = evaluate_allocation_policy(&cfg, policy, 1e-8, 400_000).expect("grid evaluation");
+    let g = evaluate_policy(&cfg, policy, 1e-8, 400_000).expect("grid evaluation");
     g / p.total_lambda()
 }
 

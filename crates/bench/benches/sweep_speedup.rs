@@ -23,7 +23,7 @@
 
 use eirs_bench::harness::{arm, repeat, rounds};
 use eirs_bench::{section, smoke};
-use eirs_core::experiments::{figure4_heatmap_serial, figure4_heatmap_with_threads, HeatMapCell};
+use eirs_core::experiments::{figure4_heatmap_with_threads, HeatMapCell};
 use eirs_markov::{Qbd, QbdWorkspace, RSolver};
 use eirs_numerics::Matrix;
 use eirs_obs::Json;
@@ -50,10 +50,7 @@ const ROUNDS: usize = 21;
 
 fn grid_cells(threads: usize) -> Vec<HeatMapCell> {
     RHOS.iter()
-        .flat_map(|&rho| match threads {
-            1 => figure4_heatmap_serial(K, rho).expect("grid solves"),
-            t => figure4_heatmap_with_threads(K, rho, t).expect("grid solves"),
-        })
+        .flat_map(|&rho| figure4_heatmap_with_threads(K, rho, threads).expect("grid solves"))
         .collect()
 }
 

@@ -17,9 +17,13 @@
 //! * **General**: any other policy is analyzed on a QBD whose level is the
 //!   inelastic count `i` and whose phases are the elastic count `j`
 //!   truncated at [`AnalyzeOptions::phase_cap`] (elastic arrivals beyond
-//!   the cap are rejected — the same truncation the MDP grid uses). The
-//!   repeating blocks start at the first level where the allocation map
-//!   stops depending on `i` (probed with
+//!   the cap are rejected — the same truncation the MDP grid uses), times
+//!   the phase of the arrival process. One builder serves Poisson and MAP
+//!   arrivals alike: it takes the class-marked arrival matrices
+//!   `(D0, D1_I, D1_E)`, which are `([−λ], [λ_I], [λ_E])` for Poisson
+//!   and `(D0, f·D1, (1−f)·D1)` for a MAP marked inelastic with
+//!   probability `f`. The repeating blocks start at the first level where
+//!   the allocation map stops depending on `i` (probed with
 //!   [`AnalyzeOptions::homogeneity_window`]); maps that never homogenize
 //!   (e.g. water-filling) are *saturated* at
 //!   [`AnalyzeOptions::max_level_cut`]: deeper levels reuse the cut
@@ -37,6 +41,7 @@
 use super::{AnalysisError, AnalyzeOptions, PolicyAnalysis};
 use crate::params::SystemParams;
 use eirs_markov::qbd::Qbd;
+use eirs_numerics::Matrix;
 use eirs_queueing::coxian::fit_busy_period;
 use eirs_queueing::{MMk, MM1};
 use eirs_sim::policy::AllocationPolicy;
@@ -265,100 +270,34 @@ fn find_level_cut(
     cut_cap
 }
 
-/// Truncated-phase analysis of an arbitrary policy.
+/// Truncated-phase analysis of an arbitrary policy under class-marked
+/// Markovian arrivals (exponential service): the one chain behind both
+/// the Poisson general route and the MAP workload scenarios.
 ///
-/// Level = inelastic count `i`, phase = elastic count `j ≤ phase_cap`
-/// (elastic arrivals at the cap are rejected). Levels at or beyond the
-/// homogenization cut reuse the cut level's allocation.
+/// The arrivals are a MAP on `p` phases split by class: `d1_i[m][m']` and
+/// `d1_e[m][m']` are the inelastic and elastic arrival transitions, `d0`
+/// the silent phase changes (only its off-diagonal is read). Poisson is
+/// the one-phase case `d1_i = [λ_I]`, `d1_e = [λ_E]`. The QBD level is the
+/// inelastic count `i`; the phase is the pair (elastic count
+/// `j ≤ phase_cap`, MAP phase `m`), indexed `m·(phase_cap+1) + j`:
+///
+/// * **up** — an inelastic arrival `d1_i[m][m']`;
+/// * **local** — an elastic arrival `d1_e[m][m']` (`j → j+1`; at the cap
+///   the job is rejected but the phase still moves), a silent phase change
+///   `d0[m][m']`, or an elastic service completion at the policy's
+///   allocation rate;
+/// * **down** — an inelastic completion at the policy's allocation rate.
+///
+/// Levels at or beyond the homogenization cut reuse the cut level's
+/// allocation.
 pub(crate) fn analyze_general(
     policy: &dyn AllocationPolicy,
     params: &SystemParams,
+    d0: &Matrix,
+    d1_i: &Matrix,
+    d1_e: &Matrix,
     opts: &AnalyzeOptions,
 ) -> Result<PolicyAnalysis, AnalysisError> {
-    let k = params.k;
-    let jmax = if params.lambda_e > 0.0 {
-        opts.phase_cap.max(1)
-    } else {
-        0
-    };
-    let m = if params.lambda_i > 0.0 {
-        find_level_cut(policy, k, jmax, opts)
-    } else {
-        1
-    };
-    let (lambda_i, lambda_e) = (params.lambda_i, params.lambda_e);
-    let (mu_i, mu_e) = (params.mu_i, params.mu_e);
-
-    let qbd = Qbd::from_rate_fns(
-        jmax + 1,
-        m,
-        |_, a, b| if a == b { lambda_i } else { 0.0 },
-        |level, a, b| {
-            if b == a + 1 {
-                // Elastic arrival; rejected at the phase cap (b > jmax
-                // never reaches here because phases are 0..=jmax).
-                lambda_e
-            } else if a >= 1 && b == a - 1 {
-                policy.allocate(level.min(m), a, k).elastic * mu_e
-            } else {
-                0.0
-            }
-        },
-        |level, a, b| {
-            if a == b {
-                policy.allocate(level.min(m), a, k).inelastic * mu_i
-            } else {
-                0.0
-            }
-        },
-    )?;
-    let sol = qbd.solve()?;
-    debug_assert!((sol.total_probability() - 1.0).abs() < 1e-8);
-    let n_i = sol.mean_level();
-    let n_e: f64 = sol
-        .marginal_phases()
-        .iter()
-        .enumerate()
-        .map(|(j, p)| j as f64 * p)
-        .sum();
-    Ok(PolicyAnalysis::from_class_means(params, n_i, n_e))
-}
-
-/// Truncated-phase analysis of an arbitrary policy under **MAP arrivals**
-/// (exponential service): the workload-scenario generalization of
-/// [`analyze_general`].
-///
-/// The arriving stream is a Markovian arrival process `map` whose
-/// stationary rate must equal `λ_I + λ_E`; each arrival is inelastic with
-/// probability `λ_I / (λ_I + λ_E)` (independent marking). The QBD level is
-/// the inelastic count `i`; the phase is the pair (elastic count
-/// `j ≤ phase_cap`, MAP phase `m`), indexed `m·(phase_cap+1) + j`:
-///
-/// * **up** — a marked-inelastic arrival transition `f·D1[m][m']`;
-/// * **local** — a marked-elastic arrival `(1−f)·D1[m][m']` (`j → j+1`;
-///   at the cap the job is rejected but the phase still moves), a silent
-///   phase change `D0[m][m']`, or an elastic service completion at the
-///   policy's allocation rate;
-/// * **down** — an inelastic completion at the policy's allocation rate.
-///
-/// With a one-phase MAP this chain is *identical* to the one
-/// [`analyze_general`] builds (the scenario property tests assert the
-/// results agree bit for bit).
-pub(crate) fn analyze_general_map(
-    policy: &dyn AllocationPolicy,
-    params: &SystemParams,
-    map: &eirs_queueing::MapProcess,
-    opts: &AnalyzeOptions,
-) -> Result<PolicyAnalysis, AnalysisError> {
-    let total = params.total_lambda();
-    let map_rate = map.arrival_rate();
-    if (map_rate - total).abs() > 1e-6 * total.max(1.0) {
-        return Err(AnalysisError::BadInput(format!(
-            "MAP stationary rate {map_rate} != lambda_I + lambda_E = {total}; \
-             normalize with MapProcess::scaled_to_rate first"
-        )));
-    }
-    let f = params.lambda_i / total;
     let k = params.k;
     let jmax = if params.lambda_e > 0.0 {
         opts.phase_cap.max(1)
@@ -370,19 +309,21 @@ pub(crate) fn analyze_general_map(
     } else {
         1
     };
-    let p_m = map.phases();
+    let p_m = d0.rows();
     let width = jmax + 1;
-    let (d0, d1) = (map.d0(), map.d1());
     let (mu_i, mu_e) = (params.mu_i, params.mu_e);
-    let split = |idx: usize| (idx / width, idx % width);
+    // (MAP phase, elastic count) of each QBD phase.
+    let cells: Vec<(usize, usize)> = (0..p_m * width)
+        .map(|idx| (idx / width, idx % width))
+        .collect();
 
     let qbd = Qbd::from_rate_fns(
         p_m * width,
         cut,
         |_, a, b| {
-            let ((m, j), (m2, j2)) = (split(a), split(b));
+            let ((m, j), (m2, j2)) = (cells[a], cells[b]);
             if j == j2 {
-                f * d1[(m, m2)]
+                d1_i[(m, m2)]
             } else {
                 0.0
             }
@@ -391,18 +332,18 @@ pub(crate) fn analyze_general_map(
             if a == b {
                 return 0.0;
             }
-            let ((m, j), (m2, j2)) = (split(a), split(b));
+            let ((m, j), (m2, j2)) = (cells[a], cells[b]);
             let mut rate = 0.0;
             if j2 == j + 1 {
                 // Accepted elastic arrival (any accompanying phase move).
-                rate += (1.0 - f) * d1[(m, m2)];
+                rate += d1_e[(m, m2)];
             }
             if j == j2 && m != m2 {
                 // Silent phase change, plus elastic arrivals rejected
                 // at the cap (the phase still moves).
                 rate += d0[(m, m2)];
                 if j == jmax {
-                    rate += (1.0 - f) * d1[(m, m2)];
+                    rate += d1_e[(m, m2)];
                 }
             }
             if m == m2 && j >= 1 && j2 + 1 == j {
@@ -411,7 +352,7 @@ pub(crate) fn analyze_general_map(
             rate
         },
         |level, a, b| {
-            let ((m, j), (m2, j2)) = (split(a), split(b));
+            let ((m, j), (m2, j2)) = (cells[a], cells[b]);
             if m == m2 && j == j2 {
                 policy.allocate(level.min(cut), j, k).inelastic * mu_i
             } else {
@@ -433,6 +374,7 @@ pub(crate) fn analyze_general_map(
 
 #[cfg(test)]
 mod tests {
+    use super::super::{analyze_policy_map, analyze_policy_with};
     use super::*;
     use eirs_sim::policy::{
         ElasticFirst, ElasticThresholdPolicy, FairShare, InelasticFirst, ReservePolicy,
@@ -441,6 +383,19 @@ mod tests {
 
     fn opts() -> AnalyzeOptions {
         AnalyzeOptions::default()
+    }
+
+    /// The general route's Poisson chain, whatever the policy's shape.
+    fn general_route(
+        policy: &dyn AllocationPolicy,
+        params: &SystemParams,
+        o: &AnalyzeOptions,
+    ) -> PolicyAnalysis {
+        let forced = AnalyzeOptions {
+            force_general: true,
+            ..*o
+        };
+        analyze_policy_with(policy, params, &forced).unwrap()
     }
 
     #[test]
@@ -507,7 +462,7 @@ mod tests {
     #[test]
     fn general_path_reproduces_mmk_without_elastic_traffic() {
         let params = SystemParams::new(4, 3.0, 0.0, 1.0, 1.0).unwrap();
-        let a = analyze_general(&InelasticFirst, &params, &opts()).unwrap();
+        let a = general_route(&InelasticFirst, &params, &opts());
         let want = MMk::new(3.0, 1.0, 4).mean_number_in_system();
         assert!(
             (a.mean_num_inelastic - want).abs() < 1e-9,
@@ -526,8 +481,8 @@ mod tests {
             ..opts()
         };
         for policy in [&FairShare as &dyn AllocationPolicy, &InelasticFirst] {
-            let general = analyze_general(policy, &params, &o).unwrap();
-            let via_map = analyze_general_map(policy, &params, &map, &o).unwrap();
+            let general = general_route(policy, &params, &o);
+            let via_map = analyze_policy_map(policy, &params, &map, &o).unwrap();
             assert_eq!(
                 general.mean_response.to_bits(),
                 via_map.mean_response.to_bits(),
@@ -551,9 +506,9 @@ mod tests {
             phase_cap: 32,
             ..opts()
         };
-        let poisson = analyze_general(&FairShare, &params, &o).unwrap();
+        let poisson = general_route(&FairShare, &params, &o);
         let bursty = MapProcess::mmpp2(1.0, 1.0, 9.0, 1.0).scaled_to_rate(params.total_lambda());
-        let modulated = analyze_general_map(&FairShare, &params, &bursty, &o).unwrap();
+        let modulated = analyze_policy_map(&FairShare, &params, &bursty, &o).unwrap();
         assert!(
             modulated.mean_response > poisson.mean_response * 1.05,
             "MMPP {} vs Poisson {}",
@@ -568,7 +523,7 @@ mod tests {
         // chain: truncation error at this load is far below 0.1%.
         let params = SystemParams::with_equal_lambdas(4, 2.0, 1.0, 0.6).unwrap();
         let exact = analyze_inelastic_priority(&InelasticFirst, &params).unwrap();
-        let general = analyze_general(&InelasticFirst, &params, &opts()).unwrap();
+        let general = general_route(&InelasticFirst, &params, &opts());
         let rel = (general.mean_response - exact.mean_response).abs() / exact.mean_response;
         assert!(
             rel < 1e-3,

@@ -54,6 +54,7 @@ pub use if_policy::analyze_inelastic_first;
 
 use crate::params::SystemParams;
 use eirs_markov::qbd::QbdError;
+use eirs_numerics::Matrix;
 use eirs_queueing::coxian::CoxianFitError;
 use eirs_sim::policy::AllocationPolicy;
 
@@ -126,7 +127,19 @@ pub fn analyze_policy_with(
     match structure {
         PolicyStructure::ElasticPriority => generator::analyze_elastic_priority(policy, params),
         PolicyStructure::InelasticPriority => generator::analyze_inelastic_priority(policy, params),
-        PolicyStructure::General => generator::analyze_general(policy, params, opts),
+        PolicyStructure::General => {
+            // Poisson arrivals: the one-phase class-marked MAP, each class
+            // at its own rate verbatim.
+            let rate = |r: f64| Matrix::from_rows(&[&[r]]);
+            generator::analyze_general(
+                policy,
+                params,
+                &rate(-params.total_lambda()),
+                &rate(params.lambda_i),
+                &rate(params.lambda_e),
+                opts,
+            )
+        }
     }
 }
 
@@ -136,17 +149,34 @@ pub fn analyze_policy_with(
 ///
 /// `map` must be normalized to the stationary rate `λ_I + λ_E` of
 /// `params` (see `eirs_queueing::MapProcess::scaled_to_rate`); arrivals
-/// are marked inelastic with probability `λ_I / (λ_I + λ_E)`. The chain
-/// is the truncated-phase QBD of the general path with the phase extended
-/// by the MAP phase; a one-phase MAP reproduces [`analyze_policy_with`]'s
-/// general chain bit for bit.
+/// are marked inelastic with probability `f = λ_I / (λ_I + λ_E)`, so the
+/// chain is [`analyze_policy_with`]'s general chain driven by the
+/// class-marked MAP `(D0, f·D1, (1−f)·D1)`. A one-phase MAP gives the
+/// same chain up to the rounding of `f·λ` against `λ_I` (equal when
+/// `λ_I = λ_E`).
 pub fn analyze_policy_map(
     policy: &dyn AllocationPolicy,
     params: &SystemParams,
     map: &eirs_queueing::MapProcess,
     opts: &AnalyzeOptions,
 ) -> Result<PolicyAnalysis, AnalysisError> {
-    generator::analyze_general_map(policy, params, map, opts)
+    let total = params.total_lambda();
+    let map_rate = map.arrival_rate();
+    if (map_rate - total).abs() > 1e-6 * total.max(1.0) {
+        return Err(AnalysisError::BadInput(format!(
+            "MAP stationary rate {map_rate} != lambda_I + lambda_E = {total}; \
+             normalize with MapProcess::scaled_to_rate first"
+        )));
+    }
+    let f = params.lambda_i / total;
+    generator::analyze_general(
+        policy,
+        params,
+        map.d0(),
+        &map.d1().scaled(f),
+        &map.d1().scaled(1.0 - f),
+        opts,
+    )
 }
 
 /// Mean-value results of an analytic policy evaluation.

@@ -95,14 +95,9 @@ pub fn figure4_heatmap(k: u32, rho: f64) -> Result<Vec<HeatMapCell>, AnalysisErr
     figure4_heatmap_with_threads(k, rho, sweep::threads())
 }
 
-/// The serial reference path of [`figure4_heatmap`] (one thread, same
-/// cell order). Used by the bit-identity property tests and the
-/// `sweep_speedup` benchmark baseline.
-pub fn figure4_heatmap_serial(k: u32, rho: f64) -> Result<Vec<HeatMapCell>, AnalysisError> {
-    figure4_heatmap_with_threads(k, rho, 1)
-}
-
-/// [`figure4_heatmap`] with an explicit worker-thread count.
+/// [`figure4_heatmap`] with an explicit worker-thread count; one thread
+/// is the serial reference path (same cell order), which the bit-identity
+/// property tests and the `sweep_speedup` benchmark baseline run.
 pub fn figure4_heatmap_with_threads(
     k: u32,
     rho: f64,

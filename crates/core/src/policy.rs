@@ -52,10 +52,12 @@
 //!
 //! The same value plugs into [`eirs_sim::des::run_markovian`],
 //! [`eirs_sim::ctmc::simulate_state_level`], and
-//! `eirs_mdp::evaluate_allocation_policy`. Keep allocations inside the
-//! feasible polytope `π_I ≤ min(i,k)`, `π_E = 0` when `j = 0`,
-//! `π_I + π_E ≤ k` — the simulators assert it on every decision, and the
-//! registry property tests enforce it for everything shipped here.
+//! `eirs_mdp::evaluate_policy` (the MDP grid takes `&dyn AllocationPolicy`
+//! directly: IF and EF are [`InelasticFirst`] and [`ElasticFirst`]). Keep
+//! allocations inside the feasible polytope `π_I ≤ min(i,k)`, `π_E = 0`
+//! when `j = 0`, `π_I + π_E ≤ k` — the simulators assert it on every
+//! decision, and the registry property tests enforce it for everything
+//! shipped here.
 
 pub use eirs_sim::policy::{
     assert_feasible, AllocationPolicy, ClassAllocation, ElasticFirst, ElasticThresholdPolicy,

@@ -19,8 +19,8 @@
 //! when one was installed (the `eirs --threads N` flag uses this), else
 //! the `EIRS_THREADS` environment variable when set, otherwise all
 //! available cores. A count of 1 forces the inline serial path (no worker
-//! threads at all), which is also available directly as [`sweep_serial`]
-//! for differential testing.
+//! threads at all): `sweep_with_threads(points, 1, f)` is the serial
+//! reference for differential testing.
 
 use eirs_numerics::parallel;
 
@@ -71,16 +71,6 @@ where
     })
 }
 
-/// The serial reference path: same contract as [`sweep`], no threads.
-pub fn sweep_serial<T, R, F>(points: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    sweep_with_threads(points, 1, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,7 +90,7 @@ mod tests {
         // not perturb a single bit.
         let points: Vec<f64> = (1..200).map(|i| i as f64 * 0.013).collect();
         let f = |x: &f64| (x.ln() * x.exp() / (1.0 + x * x)).to_bits();
-        let serial = sweep_serial(&points, f);
+        let serial = sweep_with_threads(&points, 1, f);
         let parallel = sweep_with_threads(&points, 8, f);
         assert_eq!(serial, parallel);
     }

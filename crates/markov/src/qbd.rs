@@ -614,29 +614,16 @@ impl Qbd {
         ws.scratch.max_abs()
     }
 
-    /// Solves the QBD: computes `R`, the boundary probabilities, and wraps
-    /// them in a [`QbdSolution`]. Runs on a thread-local pooled workspace,
-    /// so repeated solves of same-shaped chains allocate only the returned
+    /// Solves the QBD: computes `R` by logarithmic reduction (the default
+    /// [`RSolver`]), the boundary probabilities, and wraps them in a
+    /// [`QbdSolution`]. Runs on a thread-local pooled workspace, so
+    /// repeated solves of same-shaped chains allocate only the returned
     /// solution.
     pub fn solve(&self) -> Result<QbdSolution, QbdError> {
-        self.solve_with(RSolver::default())
-    }
-
-    /// Like [`Qbd::solve`] but with an explicit choice of R algorithm.
-    pub fn solve_with(&self, solver: RSolver) -> Result<QbdSolution, QbdError> {
-        with_pooled_workspace(self.phases(), |ws| self.solve_with_workspace(solver, ws))
-    }
-
-    /// Like [`Qbd::solve_with`], reusing `ws` for the R iteration and
-    /// boundary-system scratch — the path for sweeps that solve many
-    /// same-dimension chains.
-    pub fn solve_with_workspace(
-        &self,
-        solver: RSolver,
-        ws: &mut QbdWorkspace,
-    ) -> Result<QbdSolution, QbdError> {
-        let r = self.solve_r_with_workspace(solver, ws)?;
-        self.boundary_solution(r, ws)
+        with_pooled_workspace(self.phases(), |ws| {
+            let r = self.solve_r_with_workspace(RSolver::default(), ws)?;
+            self.boundary_solution(r, ws)
+        })
     }
 
     /// Boundary balance solve for a computed `R`: assembles the transposed

@@ -18,19 +18,22 @@
 //! integer actions suffice. The `allow_idling` switch adds the idle vertices
 //! `e = 0` (and free `a` at `j = 0`), which lets the tests verify
 //! Appendix B (there is always a non-idling optimal policy) numerically.
-
+//!
+//! One value-iteration loop serves both entry points: [`solve_optimal`]
+//! gives every state its polytope vertices as actions, and
+//! [`evaluate_policy`] gives every state one action, the fixed policy's
+//! clamped allocation, so a policy's evaluated cost and the optimum come
+//! from the same arithmetic.
 //!
 //! The solved policy is not a dead end: [`MdpSolution::tabular_policy`]
 //! packs the optimal actions into an
 //! [`eirs_sim::policy::TabularPolicy`], so the numerically-optimal policy
 //! can be run through the DES, the state-level CTMC simulator, and the
 //! policy-generic QBD analysis in `eirs-core` like any hand-written
-//! policy; [`evaluate_allocation_policy`] goes the other way and scores
-//! any shared-layer policy on this crate's truncated grid.
+//! policy; [`evaluate_policy`] goes the other way and scores any
+//! shared-layer [`eirs_sim::policy::AllocationPolicy`] (IF and EF are
+//! `InelasticFirst` and `ElasticFirst`) on this crate's truncated grid.
 
 mod solver;
 
-pub use solver::{
-    ef_allocation, evaluate_allocation_policy, evaluate_policy, if_allocation, solve_optimal,
-    MdpConfig, MdpError, MdpSolution, PolicyFn,
-};
+pub use solver::{evaluate_policy, solve_optimal, MdpConfig, MdpError, MdpSolution};

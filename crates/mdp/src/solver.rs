@@ -72,11 +72,6 @@ impl std::fmt::Display for MdpError {
 
 impl std::error::Error for MdpError {}
 
-/// A fixed stationary policy for evaluation: maps `(i, j)` to the
-/// (possibly fractional) allocation `(servers_to_inelastic,
-/// servers_to_elastic)`.
-pub type PolicyFn<'a> = &'a dyn Fn(usize, usize) -> (f64, f64);
-
 /// Solution of the truncated average-cost MDP.
 #[derive(Debug, Clone)]
 pub struct MdpSolution {
@@ -148,42 +143,45 @@ impl MdpSolution {
     }
 }
 
-/// Per-state candidate actions: vertices of the allocation polytope.
-fn candidate_actions(cfg: &MdpConfig, i: usize, j: usize, out: &mut Vec<(u32, u32)>) {
-    out.clear();
-    let k = cfg.k;
-    let cap = (i as u32).min(k);
-    if j == 0 {
-        if cfg.allow_idling {
-            for a in 0..=cap {
-                out.push((a, 0));
-            }
-        } else {
-            out.push((cap, 0));
-        }
-        return;
-    }
-    for a in 0..=cap {
-        out.push((a, k - a));
-        if cfg.allow_idling {
-            out.push((a, 0));
-        }
+/// The action-independent terms of one state's one-step value on the
+/// uniformized chain.
+struct Step {
+    /// Cost rate plus the arrival terms.
+    base: f64,
+    /// `h` one inelastic departure down (0 at `i = 0`).
+    down_i: f64,
+    /// `h` one elastic departure down (0 at `j = 0`).
+    down_j: f64,
+    /// `h` in this state.
+    here: f64,
+    /// `Λ − λ_I − λ_E`: the rate left to departures and self-loops.
+    spare: f64,
+}
+
+impl Step {
+    /// The one-step value, times `Λ`, of serving at departure rates
+    /// `(d_i, d_e)`.
+    fn value(&self, d_i: f64, d_e: f64) -> f64 {
+        let stay = self.spare - d_i - d_e;
+        debug_assert!(stay >= -1e-9);
+        self.base + d_i * self.down_i + d_e * self.down_j + stay * self.here
     }
 }
 
-/// Solves the truncated average-cost MDP by relative value iteration.
-///
-/// Ties in the Bellman minimization are broken toward *larger* inelastic
-/// allocations, so in the `µ_I = µ_E` regime (where many allocations are
-/// optimal) the extracted policy is IF itself.
-pub fn solve_optimal(cfg: &MdpConfig, tol: f64, max_iter: usize) -> Result<MdpSolution, MdpError> {
-    cfg.validate();
+/// Relative value iteration on the uniformized chain: in every sweep,
+/// `choose(s, step)` returns state `s`'s chosen one-step value. Returns
+/// the average cost and the sweeps used.
+fn relative_value_iteration(
+    cfg: &MdpConfig,
+    tol: f64,
+    max_iter: usize,
+    mut choose: impl FnMut(usize, &Step) -> f64,
+) -> Result<(f64, usize), MdpError> {
     let n = cfg.states();
     let lam = cfg.uniformization_rate();
+    let spare = lam - cfg.lambda_i - cfg.lambda_e;
     let mut h = vec![0.0f64; n];
     let mut h_next = vec![0.0f64; n];
-    let mut actions = vec![(0u32, 0u32); n];
-    let mut candidates: Vec<(u32, u32)> = Vec::with_capacity(2 * (cfg.k as usize + 1));
 
     let mut span = f64::INFINITY;
     for it in 0..max_iter {
@@ -204,37 +202,22 @@ pub fn solve_optimal(cfg: &MdpConfig, tol: f64, max_iter: usize) -> Result<MdpSo
                 } else {
                     h[s]
                 };
-                let base = cost + cfg.lambda_i * up_i + cfg.lambda_e * up_j;
-
-                candidate_actions(cfg, i, j, &mut candidates);
-                let mut best = f64::INFINITY;
-                let mut best_action = (0u32, 0u32);
-                for &(a, e) in &candidates {
-                    let d_i = a as f64 * cfg.mu_i;
-                    let d_e = e as f64 * cfg.mu_e;
-                    let down_i = if a > 0 { h[cfg.index(i - 1, j)] } else { 0.0 };
-                    let down_j = if e > 0 { h[cfg.index(i, j - 1)] } else { 0.0 };
-                    let stay = lam - cfg.lambda_i - cfg.lambda_e - d_i - d_e;
-                    debug_assert!(stay >= -1e-9);
-                    let v = base + d_i * down_i + d_e * down_j + stay * h[s];
-                    // Strictly-better or tie-with-larger-a wins.
-                    if v < best - 1e-12 || (v < best + 1e-12 && (a, e) > best_action) {
-                        if v < best {
-                            best = v;
-                        }
-                        best_action = (a, e);
-                    }
-                }
-                let value = best / lam;
+                let step = Step {
+                    base: cost + cfg.lambda_i * up_i + cfg.lambda_e * up_j,
+                    down_i: if i > 0 { h[cfg.index(i - 1, j)] } else { 0.0 },
+                    down_j: if j > 0 { h[cfg.index(i, j - 1)] } else { 0.0 },
+                    here: h[s],
+                    spare,
+                };
+                let value = choose(s, &step) / lam;
                 h_next[s] = value;
-                actions[s] = best_action;
                 let delta = value - h[s];
                 min_delta = min_delta.min(delta);
                 max_delta = max_delta.max(delta);
             }
         }
-        // Average cost per unit time: deltas converge to g/Λ. The span
-        // is scaled by Λ alike, as in `evaluate_policy`.
+        // Average cost per unit time: deltas converge to g/Λ; the span is
+        // scaled by Λ alike.
         let g_estimate = 0.5 * (min_delta + max_delta) * lam;
         span = (max_delta - min_delta) * lam;
         // Renormalize (relative VI) to keep h bounded.
@@ -243,14 +226,7 @@ pub fn solve_optimal(cfg: &MdpConfig, tol: f64, max_iter: usize) -> Result<MdpSo
             *dst = src - offset;
         }
         if span < tol {
-            return Ok(MdpSolution {
-                average_cost: g_estimate,
-                actions,
-                k: cfg.k,
-                max_i: cfg.max_i,
-                max_j: cfg.max_j,
-                iterations: it + 1,
-            });
+            return Ok((g_estimate, it + 1));
         }
     }
     Err(MdpError::NotConverged {
@@ -259,136 +235,112 @@ pub fn solve_optimal(cfg: &MdpConfig, tol: f64, max_iter: usize) -> Result<MdpSo
     })
 }
 
-/// Evaluates a *fixed* stationary policy on the truncated chain, returning
-/// its long-run average number in system `E[N]`.
+/// Solves the truncated average-cost MDP by relative value iteration over
+/// the vertices of each state's allocation polytope.
 ///
-/// Allocations may be fractional; they are clamped to the feasible polytope.
-pub fn evaluate_policy(
-    cfg: &MdpConfig,
-    policy: PolicyFn<'_>,
-    tol: f64,
-    max_iter: usize,
-) -> Result<f64, MdpError> {
+/// Ties in the Bellman minimization are broken toward *larger* inelastic
+/// allocations, so in the `µ_I = µ_E` regime (where many allocations are
+/// optimal) the extracted policy is IF itself.
+pub fn solve_optimal(cfg: &MdpConfig, tol: f64, max_iter: usize) -> Result<MdpSolution, MdpError> {
     cfg.validate();
-    let n = cfg.states();
-    let lam = cfg.uniformization_rate();
-    let kf = cfg.k as f64;
-    // Precompute per-state rates.
-    let mut rate_i = vec![0.0f64; n];
-    let mut rate_e = vec![0.0f64; n];
+    let k = cfg.k;
+    // Every state's vertices `(a, e)` with their departure rates, built
+    // once, row-major in one flat list: state `s` owns
+    // `vertices[starts[s]..starts[s + 1]]`.
+    let mut vertices = Vec::new();
+    let mut starts = vec![0];
     for i in 0..=cfg.max_i {
         for j in 0..=cfg.max_j {
-            let (a, e) = policy(i, j);
-            let a = a.clamp(0.0, (i as f64).min(kf));
-            let e = if j > 0 { e.clamp(0.0, kf - a) } else { 0.0 };
-            let s = cfg.index(i, j);
-            rate_i[s] = a * cfg.mu_i;
-            rate_e[s] = e * cfg.mu_e;
+            let cap = (i as u32).min(k);
+            let mut vertex = |a: u32, e: u32| {
+                vertices.push(((a, e), a as f64 * cfg.mu_i, e as f64 * cfg.mu_e));
+            };
+            if j == 0 && !cfg.allow_idling {
+                vertex(cap, 0);
+            } else if j == 0 {
+                for a in 0..=cap {
+                    vertex(a, 0);
+                }
+            } else {
+                for a in 0..=cap {
+                    vertex(a, k - a);
+                    if cfg.allow_idling {
+                        vertex(a, 0);
+                    }
+                }
+            }
+            starts.push(vertices.len());
         }
     }
-    let mut h = vec![0.0f64; n];
-    let mut h_next = vec![0.0f64; n];
-    for it in 0..max_iter {
-        let mut min_delta = f64::INFINITY;
-        let mut max_delta = f64::NEG_INFINITY;
-        for i in 0..=cfg.max_i {
-            for j in 0..=cfg.max_j {
-                let s = cfg.index(i, j);
-                let up_i = if i < cfg.max_i {
-                    h[cfg.index(i + 1, j)]
-                } else {
-                    h[s]
-                };
-                let up_j = if j < cfg.max_j {
-                    h[cfg.index(i, j + 1)]
-                } else {
-                    h[s]
-                };
-                let down_i = if i > 0 { h[cfg.index(i - 1, j)] } else { 0.0 };
-                let down_j = if j > 0 { h[cfg.index(i, j - 1)] } else { 0.0 };
-                let d_i = rate_i[s];
-                let d_e = rate_e[s];
-                let stay = lam - cfg.lambda_i - cfg.lambda_e - d_i - d_e;
-                let v = ((i + j) as f64
-                    + cfg.lambda_i * up_i
-                    + cfg.lambda_e * up_j
-                    + d_i * down_i
-                    + d_e * down_j
-                    + stay * h[s])
-                    / lam;
-                h_next[s] = v;
-                let delta = v - h[s];
-                min_delta = min_delta.min(delta);
-                max_delta = max_delta.max(delta);
+    let mut actions = vec![(0u32, 0u32); cfg.states()];
+    let (average_cost, iterations) = relative_value_iteration(cfg, tol, max_iter, |s, step| {
+        let mut best = f64::INFINITY;
+        let mut best_action = (0u32, 0u32);
+        for &(action, d_i, d_e) in &vertices[starts[s]..starts[s + 1]] {
+            let v = step.value(d_i, d_e);
+            // Strictly-better or tie-with-larger-a wins.
+            if v < best - 1e-12 || (v < best + 1e-12 && action > best_action) {
+                if v < best {
+                    best = v;
+                }
+                best_action = action;
             }
         }
-        let g = 0.5 * (min_delta + max_delta) * lam;
-        let span = max_delta - min_delta;
-        let offset = h_next[0];
-        for (dst, src) in h.iter_mut().zip(&h_next) {
-            *dst = src - offset;
-        }
-        if span * lam < tol {
-            return Ok(g);
-        }
-        if it == max_iter - 1 {
-            return Err(MdpError::NotConverged {
-                iterations: max_iter,
-                span: span * lam,
-            });
-        }
-    }
-    unreachable!("loop returns");
+        actions[s] = best_action;
+        best
+    })?;
+    Ok(MdpSolution {
+        average_cost,
+        actions,
+        k: cfg.k,
+        max_i: cfg.max_i,
+        max_j: cfg.max_j,
+        iterations,
+    })
 }
 
-/// [`evaluate_policy`] for a shared-layer [`AllocationPolicy`]: evaluates
-/// the policy's allocation map on the truncated grid, returning its
-/// long-run average number in system `E[N]`. This is the third substrate
-/// (after the QBD analysis and the simulators) on which any policy from
-/// the shared registry can be scored.
-pub fn evaluate_allocation_policy(
+/// Evaluates a fixed stationary [`AllocationPolicy`] on the truncated
+/// chain, returning its long-run average number in system `E[N]`. This is
+/// the third substrate (after the QBD analysis and the simulators) on
+/// which any policy from the shared registry can be scored.
+///
+/// Allocations may be fractional; each state's allocation is clamped to
+/// the feasible polytope once, and the value iteration runs with it as
+/// the state's one action.
+pub fn evaluate_policy(
     cfg: &MdpConfig,
     policy: &dyn AllocationPolicy,
     tol: f64,
     max_iter: usize,
 ) -> Result<f64, MdpError> {
-    let k = cfg.k;
-    evaluate_policy(
-        cfg,
-        &move |i, j| {
-            let a = policy.allocate(i, j, k);
-            (a.inelastic, a.elastic)
-        },
-        tol,
-        max_iter,
-    )
-}
-
-/// The IF allocation as a [`PolicyFn`]-compatible closure target.
-pub fn if_allocation(k: u32) -> impl Fn(usize, usize) -> (f64, f64) {
-    move |i, j| {
-        let kf = k as f64;
-        let a = (i as f64).min(kf);
-        let e = if j > 0 { kf - a } else { 0.0 };
-        (a, e)
-    }
-}
-
-/// The EF allocation as a [`PolicyFn`]-compatible closure target.
-pub fn ef_allocation(k: u32) -> impl Fn(usize, usize) -> (f64, f64) {
-    move |i, j| {
-        let kf = k as f64;
-        if j > 0 {
-            (0.0, kf)
-        } else {
-            ((i as f64).min(kf), 0.0)
+    cfg.validate();
+    let kf = cfg.k as f64;
+    // Per-state departure rates, row-major over (i, j).
+    let mut rate_i = Vec::with_capacity(cfg.states());
+    let mut rate_e = Vec::with_capacity(cfg.states());
+    for i in 0..=cfg.max_i {
+        for j in 0..=cfg.max_j {
+            let alloc = policy.allocate(i, j, cfg.k);
+            let a = alloc.inelastic.clamp(0.0, (i as f64).min(kf));
+            let e = if j > 0 {
+                alloc.elastic.clamp(0.0, kf - a)
+            } else {
+                0.0
+            };
+            rate_i.push(a * cfg.mu_i);
+            rate_e.push(e * cfg.mu_e);
         }
     }
+    let (average_cost, _) = relative_value_iteration(cfg, tol, max_iter, |s, step| {
+        step.value(rate_i[s], rate_e[s])
+    })?;
+    Ok(average_cost)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eirs_sim::policy::{ElasticFirst, InelasticFirst};
 
     fn cfg(k: u32, li: f64, le: f64, mi: f64, me: f64, n: usize) -> MdpConfig {
         MdpConfig {
@@ -407,14 +359,14 @@ mod tests {
     fn policy_evaluation_recovers_mm1() {
         // Pure inelastic M/M/1: E[N] = ρ/(1−ρ) = 1 at ρ = 0.5.
         let c = cfg(1, 0.5, 0.0, 1.0, 1.0, 80);
-        let g = evaluate_policy(&c, &if_allocation(1), 1e-10, 200_000).unwrap();
+        let g = evaluate_policy(&c, &InelasticFirst, 1e-10, 200_000).unwrap();
         assert!((g - 1.0).abs() < 1e-6, "E[N] {g}");
     }
 
     #[test]
     fn policy_evaluation_recovers_mmk() {
         let c = cfg(4, 3.0, 0.0, 1.0, 1.0, 80);
-        let g = evaluate_policy(&c, &if_allocation(4), 1e-10, 200_000).unwrap();
+        let g = evaluate_policy(&c, &InelasticFirst, 1e-10, 200_000).unwrap();
         let want = eirs_queueing::MMk::new(3.0, 1.0, 4).mean_number_in_system();
         assert!((g - want).abs() / want < 1e-6, "E[N] {g} vs {want}");
     }
@@ -423,8 +375,8 @@ mod tests {
     fn optimal_cost_is_no_worse_than_if_and_ef() {
         let c = cfg(2, 0.4, 0.4, 1.0, 1.2, 40);
         let opt = solve_optimal(&c, 1e-9, 200_000).unwrap();
-        let g_if = evaluate_policy(&c, &if_allocation(2), 1e-9, 200_000).unwrap();
-        let g_ef = evaluate_policy(&c, &ef_allocation(2), 1e-9, 200_000).unwrap();
+        let g_if = evaluate_policy(&c, &InelasticFirst, 1e-9, 200_000).unwrap();
+        let g_ef = evaluate_policy(&c, &ElasticFirst, 1e-9, 200_000).unwrap();
         assert!(opt.average_cost <= g_if + 1e-6);
         assert!(opt.average_cost <= g_ef + 1e-6);
     }
@@ -435,7 +387,7 @@ mod tests {
         for (mi, me) in [(1.0, 1.0), (1.5, 1.0), (2.0, 0.5)] {
             let c = cfg(2, 0.5, 0.3, mi, me, 50);
             let opt = solve_optimal(&c, 1e-9, 400_000).unwrap();
-            let g_if = evaluate_policy(&c, &if_allocation(2), 1e-9, 400_000).unwrap();
+            let g_if = evaluate_policy(&c, &InelasticFirst, 1e-9, 400_000).unwrap();
             assert!(
                 (opt.average_cost - g_if).abs() < 1e-5,
                 "(µI={mi}, µE={me}): opt {} vs IF {g_if}",
@@ -449,7 +401,7 @@ mod tests {
         // µ_I < µ_E with enough load: the optimal policy beats IF.
         let c = cfg(2, 0.5, 0.5, 0.25, 1.0, 60);
         let opt = solve_optimal(&c, 1e-9, 400_000).unwrap();
-        let g_if = evaluate_policy(&c, &if_allocation(2), 1e-9, 400_000).unwrap();
+        let g_if = evaluate_policy(&c, &InelasticFirst, 1e-9, 400_000).unwrap();
         assert!(
             opt.average_cost < g_if - 1e-3,
             "opt {} vs IF {g_if}",
@@ -493,22 +445,12 @@ mod tests {
         let policy = opt.tabular_policy();
         assert_eq!(policy.k(), 2);
         assert_eq!((policy.max_i(), policy.max_j()), (40, 40));
-        let g = evaluate_allocation_policy(&c, &policy, 1e-9, 400_000).unwrap();
+        let g = evaluate_policy(&c, &policy, 1e-9, 400_000).unwrap();
         assert!(
             (g - opt.average_cost).abs() < 1e-6,
             "bridge {g} vs optimal {}",
             opt.average_cost
         );
-    }
-
-    #[test]
-    fn allocation_policy_evaluation_matches_closure_evaluation() {
-        let c = cfg(2, 0.4, 0.4, 1.0, 1.2, 40);
-        let g_closure = evaluate_policy(&c, &if_allocation(2), 1e-9, 200_000).unwrap();
-        let g_policy =
-            evaluate_allocation_policy(&c, &eirs_sim::policy::InelasticFirst, 1e-9, 200_000)
-                .unwrap();
-        assert_eq!(g_closure.to_bits(), g_policy.to_bits());
     }
 
     #[test]
@@ -524,7 +466,7 @@ mod tests {
             max_j: 12,
             ..cfg(2, 0.5, 0.5, 1.0, 1.0, 10)
         };
-        let eval = evaluate_policy(&c, &if_allocation(2), 1e-9, 1).unwrap_err();
+        let eval = evaluate_policy(&c, &InelasticFirst, 1e-9, 1).unwrap_err();
         let MdpError::NotConverged { iterations, span } = eval.clone();
         assert_eq!(iterations, 1);
         // One sweep from h = 0: the span is the largest cost, 10 + 12.
@@ -532,12 +474,33 @@ mod tests {
         assert_eq!(solve_optimal(&c, 1e-9, 1).unwrap_err(), eval);
     }
 
+    /// No sweep at all: nothing has contracted, so the span is infinite.
+    const NO_SWEEP: MdpError = MdpError::NotConverged {
+        iterations: 0,
+        span: f64::INFINITY,
+    };
+
+    #[test]
+    fn policy_evaluation_without_iterations_reports_not_converged() {
+        let c = cfg(2, 0.5, 0.5, 1.0, 1.0, 10);
+        assert_eq!(
+            evaluate_policy(&c, &InelasticFirst, 1e-9, 0).unwrap_err(),
+            NO_SWEEP
+        );
+    }
+
+    #[test]
+    fn solve_without_iterations_reports_not_converged() {
+        let c = cfg(2, 0.5, 0.5, 1.0, 1.0, 10);
+        assert_eq!(solve_optimal(&c, 1e-9, 0).unwrap_err(), NO_SWEEP);
+    }
+
     #[test]
     fn truncation_error_shrinks_with_grid() {
         let coarse = cfg(1, 0.5, 0.0, 1.0, 1.0, 10);
         let fine = cfg(1, 0.5, 0.0, 1.0, 1.0, 60);
-        let g_coarse = evaluate_policy(&coarse, &if_allocation(1), 1e-10, 100_000).unwrap();
-        let g_fine = evaluate_policy(&fine, &if_allocation(1), 1e-10, 100_000).unwrap();
+        let g_coarse = evaluate_policy(&coarse, &InelasticFirst, 1e-10, 100_000).unwrap();
+        let g_fine = evaluate_policy(&fine, &InelasticFirst, 1e-10, 100_000).unwrap();
         assert!((g_fine - 1.0).abs() < (g_coarse - 1.0).abs());
     }
 }

@@ -14,7 +14,7 @@
 //! numerically-optimal MDP policy that neither matches.
 
 use eirs_repro::core::counterexample::expected_total_response_closed;
-use eirs_repro::mdp::{ef_allocation, evaluate_policy, if_allocation, solve_optimal, MdpConfig};
+use eirs_repro::mdp::{evaluate_policy, solve_optimal, MdpConfig};
 use eirs_repro::prelude::*;
 
 fn main() {
@@ -63,8 +63,8 @@ fn main() {
         allow_idling: false,
     };
     let opt = solve_optimal(&cfg, 1e-9, 500_000).expect("value iteration converges");
-    let g_if = evaluate_policy(&cfg, &if_allocation(params.k), 1e-9, 500_000).unwrap();
-    let g_ef = evaluate_policy(&cfg, &ef_allocation(params.k), 1e-9, 500_000).unwrap();
+    let g_if = evaluate_policy(&cfg, &InelasticFirst, 1e-9, 500_000).unwrap();
+    let g_ef = evaluate_policy(&cfg, &ElasticFirst, 1e-9, 500_000).unwrap();
     let lambda = params.total_lambda();
     println!("  E[T] optimal = {:.4}", opt.mean_response(lambda));
     println!("  E[T] IF      = {:.4}", g_if / lambda);

@@ -18,7 +18,7 @@ use eirs_repro::core::analysis::{
 use eirs_repro::core::policy::{parse_policy, AllocationPolicy};
 use eirs_repro::core::scenario::registry;
 use eirs_repro::core::SystemParams;
-use eirs_repro::mdp::{evaluate_allocation_policy, solve_optimal, MdpConfig, MdpSolution};
+use eirs_repro::mdp::{evaluate_policy, solve_optimal, MdpConfig, MdpSolution};
 use eirs_repro::queueing::MapProcess;
 
 /// `k = 3`, `λ_I = 0.7`, `λ_E = 0.6`, `µ_I = 1`, `µ_E = 0.7`.
@@ -161,7 +161,7 @@ fn mdp_cfg(mu_i: f64, mu_e: f64, allow_idling: bool) -> MdpConfig {
 }
 
 fn evaluate(cfg: &MdpConfig, policy: &dyn AllocationPolicy) -> f64 {
-    evaluate_allocation_policy(cfg, policy, 1e-9, 400_000).unwrap()
+    evaluate_policy(cfg, policy, 1e-9, 400_000).unwrap()
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! * truncated-MDP optimization (Theorems 1/5 numerically).
 
 use eirs_core::prelude::*;
-use eirs_mdp::{ef_allocation, evaluate_policy, if_allocation, solve_optimal, MdpConfig};
+use eirs_mdp::{evaluate_policy, solve_optimal, MdpConfig};
 
 fn mdp_cfg(p: &SystemParams, n: usize) -> MdpConfig {
     MdpConfig {
@@ -27,7 +27,7 @@ fn truncated_if_evaluation_matches_matrix_analytic() {
     let p = SystemParams::with_equal_lambdas(2, 1.0, 1.0, 0.6).unwrap();
     let analytic = analyze_inelastic_first(&p).unwrap().mean_num_in_system();
     let cfg = mdp_cfg(&p, 70);
-    let truncated = evaluate_policy(&cfg, &if_allocation(p.k), 1e-9, 400_000).unwrap();
+    let truncated = evaluate_policy(&cfg, &InelasticFirst, 1e-9, 400_000).unwrap();
     let rel = (analytic - truncated).abs() / truncated;
     assert!(
         rel < 0.01,
@@ -40,7 +40,7 @@ fn truncated_ef_evaluation_matches_matrix_analytic() {
     let p = SystemParams::with_equal_lambdas(2, 1.0, 1.0, 0.6).unwrap();
     let analytic = analyze_elastic_first(&p).unwrap().mean_num_in_system();
     let cfg = mdp_cfg(&p, 70);
-    let truncated = evaluate_policy(&cfg, &ef_allocation(p.k), 1e-9, 400_000).unwrap();
+    let truncated = evaluate_policy(&cfg, &ElasticFirst, 1e-9, 400_000).unwrap();
     let rel = (analytic - truncated).abs() / truncated;
     assert!(
         rel < 0.01,
@@ -55,7 +55,7 @@ fn optimal_equals_if_in_the_proved_regime() {
         let p = SystemParams::with_equal_lambdas(2, mu_i, mu_e, 0.6).unwrap();
         let cfg = mdp_cfg(&p, 50);
         let opt = solve_optimal(&cfg, 1e-9, 500_000).unwrap();
-        let g_if = evaluate_policy(&cfg, &if_allocation(p.k), 1e-9, 500_000).unwrap();
+        let g_if = evaluate_policy(&cfg, &InelasticFirst, 1e-9, 500_000).unwrap();
         assert!(
             (opt.average_cost - g_if).abs() < 1e-5,
             "(µI={mu_i}): optimal {} vs IF {g_if}",
@@ -74,8 +74,8 @@ fn optimal_strictly_beats_if_in_the_open_regime() {
     let p = SystemParams::with_equal_lambdas(2, 0.25, 1.0, 0.8).unwrap();
     let cfg = mdp_cfg(&p, 60);
     let opt = solve_optimal(&cfg, 1e-9, 500_000).unwrap();
-    let g_if = evaluate_policy(&cfg, &if_allocation(p.k), 1e-9, 500_000).unwrap();
-    let g_ef = evaluate_policy(&cfg, &ef_allocation(p.k), 1e-9, 500_000).unwrap();
+    let g_if = evaluate_policy(&cfg, &InelasticFirst, 1e-9, 500_000).unwrap();
+    let g_ef = evaluate_policy(&cfg, &ElasticFirst, 1e-9, 500_000).unwrap();
     assert!(
         opt.average_cost < g_if - 1e-3,
         "optimal {} should strictly beat IF {g_if}",
@@ -90,7 +90,7 @@ fn ef_beats_if_in_mdp_where_figure4_says_so() {
     // chain too, independently of the QBD pipeline.
     let p = SystemParams::with_equal_lambdas(2, 0.25, 1.0, 0.8).unwrap();
     let cfg = mdp_cfg(&p, 60);
-    let g_if = evaluate_policy(&cfg, &if_allocation(p.k), 1e-9, 500_000).unwrap();
-    let g_ef = evaluate_policy(&cfg, &ef_allocation(p.k), 1e-9, 500_000).unwrap();
+    let g_if = evaluate_policy(&cfg, &InelasticFirst, 1e-9, 500_000).unwrap();
+    let g_ef = evaluate_policy(&cfg, &ElasticFirst, 1e-9, 500_000).unwrap();
     assert!(g_ef < g_if, "EF {g_ef} vs IF {g_if}");
 }

@@ -8,7 +8,7 @@
 use eirs_repro::core::analysis::{analyze_policy_with, AnalyzeOptions};
 use eirs_repro::core::policy::{parse_policy, AllocationPolicy};
 use eirs_repro::core::SystemParams;
-use eirs_repro::mdp::{evaluate_allocation_policy, solve_optimal, MdpConfig};
+use eirs_repro::mdp::{evaluate_policy, solve_optimal, MdpConfig};
 use eirs_repro::sim::replicate::run_markovian_replications;
 use eirs_repro::sim::stats::{ConfidenceInterval, ReplicationStats};
 
@@ -113,7 +113,7 @@ fn mdp_optimal_policy_is_analyzable_and_agrees_with_des() {
 
     // Against the MDP's own evaluation of the same policy (independent
     // numerics: truncated-grid value iteration vs QBD matrix analytics).
-    let grid = evaluate_allocation_policy(&cfg, &policy, 1e-9, 400_000).unwrap() / p.total_lambda();
+    let grid = evaluate_policy(&cfg, &policy, 1e-9, 400_000).unwrap() / p.total_lambda();
     let rel = (analytic - grid).abs() / grid;
     assert!(rel < 5e-3, "analysis {analytic} vs MDP grid {grid}");
 

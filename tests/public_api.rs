@@ -57,9 +57,7 @@ fn all_subcrates_are_reachable() {
         max_j: 1,
         allow_idling: false,
     };
-    let g =
-        eirs_repro::mdp::evaluate_policy(&cfg, &eirs_repro::mdp::if_allocation(1), 1e-9, 100_000)
-            .unwrap();
+    let g = eirs_repro::mdp::evaluate_policy(&cfg, &InelasticFirst, 1e-9, 100_000).unwrap();
     assert!((g - 1.0).abs() < 1e-4);
     // SRPT.
     let inst = eirs_repro::srpt::BatchInstance::random_uniform(10, 2, 5.0, 1);

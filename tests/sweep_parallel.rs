@@ -3,8 +3,7 @@
 //! must not change a single bit of the output relative to the serial path.
 
 use eirs_repro::core::experiments::{
-    figure4_heatmap_serial, figure4_heatmap_with_threads, figure5_response_curve,
-    figure6_server_scaling,
+    figure4_heatmap_with_threads, figure5_response_curve, figure6_server_scaling,
 };
 use eirs_repro::core::sweep;
 use eirs_repro::sim::des::run_markovian;
@@ -22,7 +21,7 @@ proptest! {
         threads in 2usize..9,
     ) {
         let rho = [0.5, 0.7, 0.9][rho_idx];
-        let serial = figure4_heatmap_serial(k, rho).expect("grid solves");
+        let serial = figure4_heatmap_with_threads(k, rho, 1).expect("grid solves");
         let parallel = figure4_heatmap_with_threads(k, rho, threads).expect("grid solves");
         prop_assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
@@ -122,7 +121,7 @@ fn parallel_sweep_handles_mixed_policy_workloads() {
         let r_ef = run_markovian(&ElasticFirst, 2, 0.5, 0.5, 1.0, 1.0, seed, 50, 1_000);
         (r_if.mean_response.to_bits(), r_ef.mean_response.to_bits())
     };
-    let serial = sweep::sweep_serial(&seeds, f);
+    let serial = sweep::sweep_with_threads(&seeds, 1, f);
     let parallel = sweep::sweep_with_threads(&seeds, 4, f);
     assert_eq!(serial, parallel);
 }
