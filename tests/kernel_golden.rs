@@ -4,12 +4,14 @@
 //! serving shards (`serve::engine`) all run one job-level event loop. The
 //! differential tests compare those drivers with each other, so they
 //! cannot see a change that moves all of them at once. These tests pin
-//! the loop's output on five fixed workloads — a plain DES run, a DES run
+//! the loop's output on fixed workloads — a plain DES run, a DES run
 //! under crash churn, a bursty DES run with hyperexponential elastic
-//! sizes under crash churn, two coupled work trajectories, and an engine
-//! run under churn with admission shedding — as `f64::to_bits` values, so any
-//! change to float-operation order, tie-breaking, preempt-restart or
-//! shedding shows up here. The three DES runs also pin their response-time
+//! sizes under crash churn, two coupled work trajectories, an engine run
+//! under churn with admission shedding, and the same engine and a DES
+//! decision log on a bursty trace whose arrivals come several at one
+//! instant — as `f64::to_bits` values, so any change to float-operation
+//! order, tie-breaking, preempt-restart, shedding or the steps taken at
+//! an arrival that is already due shows up here. The three DES runs also pin their response-time
 //! tails (histogram quantiles), so a change to how departures reach the
 //! class histograms shows up too.
 
@@ -17,8 +19,10 @@ use eirs_core::policy::parse_policy;
 use eirs_core::scenario::parse_workload;
 use eirs_core::SystemParams;
 use eirs_queueing::Exponential;
+use eirs_serve::engine::digest_decisions;
+use eirs_serve::replay::des_decision_log;
 use eirs_serve::{ChurnConfig, CompiledTable, EngineConfig, ServeEngine};
-use eirs_sim::arrivals::{ArrivalTrace, PoissonStream};
+use eirs_sim::arrivals::{ArrivalTrace, BurstyStream, PoissonStream};
 use eirs_sim::availability::FaultSpec;
 use eirs_sim::coupling::WorkTrajectory;
 use eirs_sim::des::{self, DesConfig, SimReport, Simulation, StopRule};
@@ -167,4 +171,50 @@ fn engine_with_churn_and_shedding_is_pinned() {
     assert_eq!(m.preemptions, 17);
     assert_eq!(m.decisions, 523);
     assert_eq!(m.total_response.to_bits(), 0x409f5f019f8ee997);
+}
+
+/// Bursts at rate 0.3 of geometric size (mean 10/3), half of the jobs
+/// inelastic: 150 time units of arrivals that mostly share their epoch
+/// with another one.
+fn bursty_trace() -> ArrivalTrace {
+    let mut source = BurstyStream::new(0.3, 0.7, 0.5, exp(1.0), exp(0.8), 31);
+    ArrivalTrace::record(&mut source, 150.0)
+}
+
+#[test]
+fn engine_on_simultaneous_arrivals_is_pinned() {
+    let trace = bursty_trace();
+    let mut epochs: Vec<f64> = trace.arrivals().iter().map(|a| a.time).collect();
+    epochs.dedup();
+    assert_eq!(trace.arrivals().len(), 100);
+    assert_eq!(epochs.len(), 35);
+    let churn = ChurnConfig {
+        spec: FaultSpec::parse("mmpp:r01=0.2,r10=0.3,a0=0.05,a1=0.8,mttr=8").unwrap(),
+        seed: 17,
+        horizon: 600.0,
+    };
+    let table = CompiledTable::compile(Box::new(FairShare), 2, 24, 24);
+    // Two route shards, so that most bursts put several arrivals due at
+    // one instant on the same shard.
+    let config = EngineConfig::new(2)
+        .route_shards(2)
+        .batch(32)
+        .shed_limit(4)
+        .churn(churn);
+    let mut engine = ServeEngine::new(table, config);
+    engine.run(&mut trace.stream(), f64::INFINITY);
+    let m = engine.metrics_total();
+    assert_eq!(engine.decision_digest(), 0x302de2a1c25c5aa0);
+    assert_eq!(m.arrivals, 100);
+    assert_eq!(m.rejections, 32);
+    assert_eq!(m.preemptions, 8);
+    assert_eq!(m.decisions, 228);
+    assert_eq!(m.total_response.to_bits(), 0x408619897dbfc545);
+}
+
+#[test]
+fn des_decision_log_on_simultaneous_arrivals_is_pinned() {
+    let log = des_decision_log(&InelasticFirst, 2, &bursty_trace());
+    assert_eq!(log.len(), 200);
+    assert_eq!(digest_decisions(&log), 0x05bb8ca2cbf45a68);
 }
