@@ -10,10 +10,11 @@
 //! each request into an [`LatencyHistogram`] (published as
 //! `net.request_latency`).
 
-use crate::protocol::{read_frame, read_magic, write_frame, write_magic, Frame};
+use crate::protocol::{read_frame_with, read_magic, write_frame, write_magic, Frame};
 use eirs_obs::{publish_histogram, LatencyHistogram};
 use eirs_sim::Arrival;
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -97,7 +98,7 @@ fn drive_connection(
     send_swap_before_bye: bool,
 ) -> Result<ConnStats, String> {
     let err = |what: &str, e: &dyn std::fmt::Display| format!("{what} ({addr}): {e}");
-    let (mut writer, mut reader) = conn;
+    let (mut writer, reader) = conn;
 
     let sent: Mutex<HashMap<u64, Instant>> = Mutex::new(HashMap::new());
     let mut stats = ConnStats::default();
@@ -105,8 +106,10 @@ fn drive_connection(
         let sent = &sent;
         let receiver = scope.spawn(move || -> Result<ConnStats, String> {
             let mut s = ConnStats::default();
+            let mut reader = BufReader::new(reader);
+            let mut payload = Vec::new();
             loop {
-                match read_frame(&mut reader) {
+                match read_frame_with(&mut reader, &mut payload) {
                     Ok(None) | Ok(Some(Frame::Bye)) => break,
                     Ok(Some(Frame::Decision {
                         req_id,
@@ -271,6 +274,7 @@ pub fn run_client(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::read_frame;
     use eirs_sim::JobClass;
     use std::net::TcpListener;
 

@@ -225,11 +225,21 @@ fn decode_payload(ty: u8, aux: u8, payload: &[u8]) -> Result<Frame, ProtocolErro
 /// Reads one frame. `Ok(None)` is a clean EOF **at a frame boundary**;
 /// any EOF inside a frame is [`ProtocolError::Truncated`], and any
 /// validation failure is terminal — the caller must close the
-/// connection rather than resynchronize.
+/// connection rather than resynchronize. Allocates a payload buffer per
+/// frame: a reader of many frames keeps one for [`read_frame_with`].
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, ProtocolError> {
-    let mut payload = Vec::new();
-    match record::read(r, CAPS, &mut payload)? {
-        Some((ty, aux)) => decode_payload(ty, aux, &payload).map(Some),
+    read_frame_with(r, &mut Vec::new())
+}
+
+/// [`read_frame`] with the caller's payload buffer, which it clears and
+/// refills, so a reader that keeps one buffer allocates nothing per
+/// frame (text frames still allocate their `String`).
+pub fn read_frame_with<R: Read>(
+    r: &mut R,
+    payload: &mut Vec<u8>,
+) -> Result<Option<Frame>, ProtocolError> {
+    match record::read(r, CAPS, payload)? {
+        Some((ty, aux)) => decode_payload(ty, aux, payload).map(Some),
         None => Ok(None),
     }
 }
@@ -249,27 +259,45 @@ mod tests {
 
     #[test]
     fn frames_round_trip_bit_exactly() {
-        round_trip(Frame::Arrival {
-            req_id: 42,
-            class: JobClass::Elastic,
-            time: 1.25,
-            size: 3.5,
-        });
-        round_trip(Frame::Decision {
-            req_id: 42,
-            seq: 7,
-            shard: 3,
-            i: 2,
-            j: 5,
-            generation: 1,
-            alloc_inelastic: 2.0,
-            alloc_elastic: 1.5,
-            admitted: true,
-        });
-        round_trip(Frame::Control("swap threshold:3".into()));
-        round_trip(Frame::ControlOk("generation 1".into()));
-        round_trip(Frame::Error("boom".into()));
-        round_trip(Frame::Bye);
+        let frames = [
+            Frame::Arrival {
+                req_id: 42,
+                class: JobClass::Elastic,
+                time: 1.25,
+                size: 3.5,
+            },
+            Frame::Decision {
+                req_id: 42,
+                seq: 7,
+                shard: 3,
+                i: 2,
+                j: 5,
+                generation: 1,
+                alloc_inelastic: 2.0,
+                alloc_elastic: 1.5,
+                admitted: true,
+            },
+            Frame::Control("swap threshold:3".into()),
+            Frame::ControlOk("generation 1".into()),
+            Frame::Error("boom".into()),
+            Frame::Bye,
+        ];
+        for frame in &frames {
+            round_trip(frame.clone());
+        }
+        // Back to back through one payload buffer, a shorter payload
+        // after a longer one included.
+        let mut wire = Vec::new();
+        for frame in &frames {
+            encode_frame_into(&mut wire, frame);
+        }
+        let mut cursor = &wire[..];
+        let mut payload = Vec::new();
+        for frame in frames {
+            let got = read_frame_with(&mut cursor, &mut payload).unwrap();
+            assert_eq!(got, Some(frame));
+        }
+        assert_eq!(read_frame_with(&mut cursor, &mut payload).unwrap(), None);
     }
 
     /// One frame of every type, pinned to the bytes `eirsnp01` has put on

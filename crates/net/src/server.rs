@@ -68,7 +68,7 @@
 //! to itself.
 
 use crate::protocol::{
-    encode_frame, encode_frame_into, read_frame, read_magic, write_magic, Frame,
+    encode_frame, encode_frame_into, read_frame_with, read_magic, write_magic, Frame,
 };
 use crate::queue::BoundedQueue;
 use eirs_obs::{publish_histogram, LatencyHistogram, LazyCounter};
@@ -332,8 +332,9 @@ fn read_frames(
     tally: &mut Tally,
 ) -> Result<(), String> {
     let mut reply = Vec::new();
+    let mut payload = Vec::new();
     loop {
-        let frame = match read_frame(stream) {
+        let frame = match read_frame_with(stream, &mut payload) {
             Ok(Some(frame)) => frame,
             Ok(None) => return Ok(()),
             Err(e) => return Err(e.to_string()),

@@ -203,8 +203,8 @@ impl Objective for DesObjective {
 /// workers: the count that leaves the busiest worker the least work,
 /// fewer and larger groups winning ties. A group of `m` lockstep runs is
 /// weighed as `(1 + 4m) / 5` runs, because the arrival stream and fault
-/// schedule its runs share are about a fifth of a replication on bursty,
-/// churned workloads. `groups = n` is one run per item, as scoring each
+/// schedule its runs share are a fifth to a quarter of a replication on
+/// bursty, churned workloads (docs/ARCHITECTURE.md). `groups = n` is one run per item, as scoring each
 /// (candidate, seed) pair on its own would be.
 fn group_count(n: usize, seeds: usize, threads: usize) -> usize {
     (1..=n.max(1))

@@ -35,7 +35,8 @@ use crate::availability::FaultSchedule;
 use crate::job::{Job, JobClass};
 use crate::kernel::{Cluster, Hooks, Step};
 use crate::policy::{AllocationPolicy, ClassAllocation};
-use crate::stats::{tail_quantiles, TimeAverage, Welford};
+use crate::stats::{tail_quantiles, Welford};
+use eirs_numerics::NeumaierSum;
 use eirs_obs::LatencyHistogram;
 
 /// When a simulation run ends.
@@ -280,12 +281,17 @@ struct Measure<'p> {
     hists: [LatencyHistogram; 2],
     total_response: f64,
     completed: [u64; 2],
-    num_jobs: TimeAverage,
-    num_i: TimeAverage,
-    num_e: TimeAverage,
-    work: TimeAverage,
-    work_i: TimeAverage,
-    busy: TimeAverage,
+    // Time integrals over the measured window, which all six share:
+    // jobs present (all, inelastic, elastic), work (all, inelastic) and
+    // busy servers per server.
+    num_jobs: NeumaierSum,
+    num_i: NeumaierSum,
+    num_e: NeumaierSum,
+    work: NeumaierSum,
+    work_i: NeumaierSum,
+    busy: NeumaierSum,
+    /// Length of the measured window.
+    measured: f64,
 }
 
 impl<'p> Measure<'p> {
@@ -304,17 +310,25 @@ impl<'p> Measure<'p> {
             hists: Default::default(),
             total_response: 0.0,
             completed: [0, 0],
-            num_jobs: TimeAverage::new(),
-            num_i: TimeAverage::new(),
-            num_e: TimeAverage::new(),
-            work: TimeAverage::new(),
-            work_i: TimeAverage::new(),
-            busy: TimeAverage::new(),
+            num_jobs: NeumaierSum::new(),
+            num_i: NeumaierSum::new(),
+            num_e: NeumaierSum::new(),
+            work: NeumaierSum::new(),
+            work_i: NeumaierSum::new(),
+            busy: NeumaierSum::new(),
+            measured: 0.0,
         }
     }
 
     fn report(self, end_time: f64) -> SimReport {
         let mean = |w: &Welford| if w.count() > 0 { w.mean() } else { f64::NAN };
+        let average = |integral: NeumaierSum| {
+            if self.measured > 0.0 {
+                integral.value() / self.measured
+            } else {
+                0.0
+            }
+        };
         let [hist_i, hist_e] = &self.hists;
         let mut hist_all = hist_i.clone();
         hist_all.merge(hist_e);
@@ -324,16 +338,16 @@ impl<'p> Measure<'p> {
             mean_response_inelastic: mean(&self.resp[0]),
             mean_response_elastic: mean(&self.resp[1]),
             total_response: self.total_response,
-            mean_num_in_system: self.num_jobs.average(),
-            mean_num_inelastic: self.num_i.average(),
-            mean_num_elastic: self.num_e.average(),
-            mean_work: self.work.average(),
-            mean_work_inelastic: self.work_i.average(),
-            utilization: self.busy.average(),
+            mean_num_in_system: average(self.num_jobs),
+            mean_num_inelastic: average(self.num_i),
+            mean_num_elastic: average(self.num_e),
+            mean_work: average(self.work),
+            mean_work_inelastic: average(self.work_i),
+            utilization: average(self.busy),
             tail_response: tail_quantiles(&hist_all),
             tail_response_inelastic: tail_quantiles(hist_i),
             tail_response_elastic: tail_quantiles(hist_e),
-            measured_time: self.num_jobs.elapsed(),
+            measured_time: self.measured,
             end_time,
             preemptions: self.preemptions,
         }
@@ -358,12 +372,13 @@ impl Hooks for Measure<'_> {
             let total_rate = alloc.total();
             // Work decreases linearly at the service rate:
             // ∫ W dt = W₀·dt − rate·dt²/2.
-            self.num_jobs.add((i + j) as f64, dt);
-            self.num_i.add(i as f64, dt);
-            self.num_e.add(j as f64, dt);
-            self.work.add(w_i + w_e - 0.5 * total_rate * dt, dt);
-            self.work_i.add(w_i - 0.5 * alloc.inelastic * dt, dt);
-            self.busy.add(total_rate / cluster.k() as f64, dt);
+            self.num_jobs.add((i + j) as f64 * dt);
+            self.num_i.add(i as f64 * dt);
+            self.num_e.add(j as f64 * dt);
+            self.work.add((w_i + w_e - 0.5 * total_rate * dt) * dt);
+            self.work_i.add((w_i - 0.5 * alloc.inelastic * dt) * dt);
+            self.busy.add(total_rate / cluster.k() as f64 * dt);
+            self.measured += dt;
         }
         self.work_total[0] -= served[0];
         self.work_total[1] -= served[1];

@@ -60,6 +60,19 @@
 //! already unfinished at the last sweep and has not been served since.
 //! Jobs that enter without a sweep (preloaded or restored) make the next
 //! sweep visit the whole queue.
+//!
+//! # Arrivals due now
+//!
+//! A step whose pending arrival is already due (its epoch is not after
+//! the clock, as for every arrival of a burst after the first, or a late
+//! network arrival clamped to the stream clock) still applies the due
+//! capacity changes and makes its decision, but then returns
+//! [`Step::ArrivalDue`] at once. No time passes, so no job is served and
+//! none can have finished since the last sweep: the completion scan, the
+//! advance and the served-prefix sweep would change nothing, and are
+//! skipped. Only jobs that entered unswept are swept. Every hook sees what
+//! it saw when such a step ran the whole loop, so digests and reports keep
+//! their bits.
 
 use crate::arrivals::Arrival;
 use crate::availability::{CapacityEvent, FaultSchedule};
@@ -255,8 +268,9 @@ impl Cluster {
     /// One event-loop step toward the pending arrival at epoch `arrival`
     /// (`None` when there is none), never past the time `until`: applies
     /// due capacity changes, decides, advances to the next event and
-    /// sweeps departures. Panics when the policy idles forever with jobs
-    /// present.
+    /// sweeps departures. When the arrival is already due, the step ends
+    /// at the decision (see the [module docs](self)). Panics when the
+    /// policy idles forever with jobs present.
     pub fn step<H: Hooks>(&mut self, hooks: &mut H, arrival: Option<f64>, until: f64) -> Step {
         while let Some(&e) = self.faults.get(self.fault_cursor) {
             if e.time > self.time + 1e-12 {
@@ -268,6 +282,16 @@ impl Cluster {
         let (i, j, alloc) = self.decision(|i, j, servers| hooks.allocate(i, j, servers));
         assert_feasible(alloc, i, j, self.avail, hooks.name());
         hooks.on_decision(self, alloc);
+        let dt_arrival = arrival.map_or(f64::INFINITY, |t| t - self.time);
+        debug_assert!(dt_arrival >= -1e-9, "arrival in the past");
+        if dt_arrival <= 0.0 {
+            // Due now: no time passes, so nothing is served and no job can
+            // have finished since the last sweep.
+            if self.unswept {
+                self.sweep(hooks, 0..0);
+            }
+            return Step::ArrivalDue;
+        }
 
         // FCFS rates: one server each for the first `whole` inelastic
         // jobs, the fractional rest for the next one.
@@ -285,8 +309,6 @@ impl Cluster {
                 dt_completion = dt_completion.min(head.remaining / alloc.elastic);
             }
         }
-        let dt_arrival = arrival.map_or(f64::INFINITY, |t| t - self.time);
-        debug_assert!(dt_arrival >= -1e-9, "arrival in the past");
         let dt_fault = self
             .faults
             .get(self.fault_cursor)
@@ -456,6 +478,7 @@ mod tests {
         policy: P,
         decisions: Vec<Seen>,
         preemptions: u64,
+        advances: u64,
         total_response: f64,
         departed: Vec<u64>,
     }
@@ -466,9 +489,39 @@ mod tests {
                 policy,
                 decisions: Vec::new(),
                 preemptions: 0,
+                advances: 0,
                 total_response: 0.0,
                 departed: Vec::new(),
             }
+        }
+    }
+
+    /// Steps toward each of `arrivals` in turn and admits it, then
+    /// drains when `drain`; returns the steps taken.
+    fn feed<P: AllocationPolicy>(
+        cluster: &mut Cluster,
+        watch: &mut Watch<P>,
+        arrivals: &[Arrival],
+        drain: bool,
+    ) -> usize {
+        let mut steps = 0;
+        let mut pending = arrivals.iter().peekable();
+        while pending.peek().is_some() || (drain && !cluster.is_empty()) {
+            steps += 1;
+            let next = pending.peek().map(|a| a.time);
+            if cluster.step(watch, next, f64::INFINITY) == Step::ArrivalDue {
+                let a = pending.next().expect("a due arrival is pending");
+                assert!(cluster.admit(watch, a));
+            }
+        }
+        steps
+    }
+
+    fn inelastic(time: f64, size: f64) -> Arrival {
+        Arrival {
+            time,
+            class: JobClass::Inelastic,
+            size,
         }
     }
 
@@ -487,6 +540,9 @@ mod tests {
         fn on_departure(&mut self, job: &Job, response: f64) {
             self.total_response += response;
             self.departed.push(job.id);
+        }
+        fn on_advance(&mut self, _: &Cluster, _: ClassAllocation, _: f64, _: [f64; 2]) {
+            self.advances += 1;
         }
         fn on_preempt(&mut self, _: &Job) {
             self.preemptions += 1;
@@ -540,14 +596,7 @@ mod tests {
                     size: 0.0,
                 },
             ];
-            let mut pending = arrivals.iter().peekable();
-            while pending.peek().is_some() || !cluster.is_empty() {
-                let next = pending.peek().map(|a| a.time);
-                if cluster.step(&mut watch, next, f64::INFINITY) == Step::ArrivalDue {
-                    let a = pending.next().expect("a due arrival is pending");
-                    assert!(cluster.admit(&mut watch, a));
-                }
-            }
+            feed(&mut cluster, &mut watch, &arrivals, true);
             watch.total_response
         };
         // Elastic: the size-0 job sits behind the head until t = 2.
@@ -587,5 +636,82 @@ mod tests {
             assert_eq!(watch.departed, [0, 1, 3]);
             assert_eq!(cluster.occupancy(), (1, 0));
         }
+    }
+
+    #[test]
+    fn a_burst_of_m_arrivals_costs_m_decisions_and_no_advance() {
+        // Five jobs at t = 2 onto an empty cluster whose clock is already
+        // there: one decision each, at occupancy 0..5, and the clock
+        // never moves.
+        let mut cluster = Cluster::new(2);
+        cluster.restore(2.0, 0, 2, 0, []).unwrap();
+        let mut watch = Watch::new(InelasticFirst);
+        let burst = [1.0, 2.0, 0.5, 3.0, 1.5].map(|size| inelastic(2.0, size));
+        assert_eq!(feed(&mut cluster, &mut watch, &burst, false), 5);
+        assert_eq!(watch.advances, 0);
+        assert_eq!(cluster.now(), 2.0);
+        let seen: Vec<(f64, usize)> = watch.decisions.iter().map(|d| (d.0, d.2.len())).collect();
+        assert_eq!(seen, [(2.0, 0), (2.0, 1), (2.0, 2), (2.0, 3), (2.0, 4)]);
+        assert_eq!(cluster.occupancy(), (5, 0));
+    }
+
+    #[test]
+    fn a_done_job_that_entered_without_a_sweep_departs_when_an_arrival_is_due() {
+        // As below, plus a size-0 elastic job (id 4) behind the inelastic
+        // ones, with an arrival due at the first step's instant: the
+        // step ends at its decision, yet both done jobs leave.
+        let sizes = [5.0, 5.0, 5.0, 0.0];
+        let preloaded = {
+            let mut cluster = Cluster::new(2);
+            for size in sizes {
+                cluster.enqueue(JobClass::Inelastic, size, 0.0);
+            }
+            cluster.enqueue(JobClass::Elastic, 0.0, 0.0);
+            cluster
+        };
+        let restored = {
+            let mut cluster = Cluster::new(2);
+            let jobs = (0..)
+                .zip(sizes)
+                .map(|(id, size)| Job::new(id, JobClass::Inelastic, size, 0.0))
+                .chain([Job::new(4, JobClass::Elastic, 0.0, 0.0)]);
+            cluster.restore(0.0, 5, 2, 0, jobs).unwrap();
+            cluster
+        };
+        for mut cluster in [preloaded, restored] {
+            let mut watch = Watch::new(InelasticFirst);
+            assert_eq!(
+                cluster.step(&mut watch, Some(0.0), f64::INFINITY),
+                Step::ArrivalDue
+            );
+            assert_eq!(cluster.now(), 0.0);
+            assert_eq!(watch.departed, [3, 4]);
+            assert_eq!(cluster.occupancy(), (3, 0));
+        }
+    }
+
+    #[test]
+    fn a_capacity_drop_at_a_burst_is_applied_before_its_first_decision() {
+        // k = 3 under IF: A and B (ids 0, 1, size 5) arrive together at
+        // t = 0, C and D (ids 2, 3) together at t = 1, when capacity drops
+        // to 1. C's admission ends the step that reached t = 1; the next
+        // decision, the first one made at t = 1, already sees one server
+        // and B preempt-restarted behind C.
+        let events = [CapacityEvent {
+            time: 1.0,
+            available: 1,
+        }];
+        let mut cluster =
+            Cluster::new(3).with_faults(&FaultSchedule::from_events(3, events.into()));
+        let mut watch = Watch::new(InelasticFirst);
+        let arrivals = [0.0, 0.0, 1.0, 1.0].map(|time| inelastic(time, 5.0));
+        assert_eq!(feed(&mut cluster, &mut watch, &arrivals, false), 4);
+        assert_eq!(watch.advances, 1);
+        assert_eq!(watch.preemptions, 1);
+        let d = &watch.decisions;
+        assert_eq!(d[0], (0.0, 3, vec![]));
+        assert_eq!(d[1], (0.0, 3, vec![(0, 5.0)]));
+        assert_eq!(d[2], (0.0, 3, vec![(0, 5.0), (1, 5.0)]));
+        assert_eq!(d[3], (1.0, 1, vec![(0, 4.0), (2, 5.0), (1, 5.0)]));
     }
 }
