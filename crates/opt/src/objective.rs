@@ -204,8 +204,9 @@ impl Objective for DesObjective {
 /// fewer and larger groups winning ties. A group of `m` lockstep runs is
 /// weighed as `(1 + 4m) / 5` runs, because the arrival stream and fault
 /// schedule its runs share are a fifth to a quarter of a replication on
-/// bursty, churned workloads (docs/ARCHITECTURE.md). `groups = n` is one run per item, as scoring each
-/// (candidate, seed) pair on its own would be.
+/// bursty, churned workloads (docs/ARCHITECTURE.md). `groups = n` is one
+/// run per item, as scoring each (candidate, seed) pair on its own would
+/// be.
 fn group_count(n: usize, seeds: usize, threads: usize) -> usize {
     (1..=n.max(1))
         .min_by_key(|&g| sweep::busiest_worker_items(seeds * g, threads) * (1 + 4 * n.div_ceil(g)))

@@ -290,7 +290,7 @@ struct Measure<'p> {
     work: NeumaierSum,
     work_i: NeumaierSum,
     busy: NeumaierSum,
-    /// Length of the measured window.
+    // Length of the measured window.
     measured: f64,
 }
 

@@ -609,7 +609,9 @@ mod tests {
     fn a_done_job_that_entered_without_a_sweep_departs_at_the_first_step() {
         // k = 2 under IF: jobs 0 and 1 (size 5) are served, job 2 waits,
         // and job 3 (size 0) sits behind it, outside the served prefix.
-        // Preloaded or restored, job 3 leaves with the first departures.
+        // Preloaded or restored, job 3 leaves with the first departures,
+        // also when an arrival is due at once and the first step ends at
+        // its decision.
         let sizes = [5.0, 5.0, 5.0, 0.0];
         let preloaded = {
             let mut cluster = Cluster::new(2);
@@ -626,15 +628,18 @@ mod tests {
             cluster.restore(0.0, 4, 2, 0, jobs).unwrap();
             cluster
         };
-        for mut cluster in [preloaded, restored] {
-            let mut watch = Watch::new(InelasticFirst);
-            assert_eq!(
-                cluster.step(&mut watch, None, f64::INFINITY),
-                Step::Advanced
-            );
-            assert_eq!(cluster.now(), 5.0);
-            assert_eq!(watch.departed, [0, 1, 3]);
-            assert_eq!(cluster.occupancy(), (1, 0));
+        let cases: [(Option<f64>, Step, f64, &[u64]); 2] = [
+            (None, Step::Advanced, 5.0, &[0, 1, 3]),
+            (Some(0.0), Step::ArrivalDue, 0.0, &[3]),
+        ];
+        for (arrival, reached, now, departed) in cases {
+            for mut cluster in [preloaded.clone(), restored.clone()] {
+                let mut watch = Watch::new(InelasticFirst);
+                assert_eq!(cluster.step(&mut watch, arrival, f64::INFINITY), reached);
+                assert_eq!(cluster.now(), now);
+                assert_eq!(watch.departed, departed);
+                assert_eq!(cluster.occupancy(), (4 - departed.len(), 0));
+            }
         }
     }
 
@@ -656,47 +661,12 @@ mod tests {
     }
 
     #[test]
-    fn a_done_job_that_entered_without_a_sweep_departs_when_an_arrival_is_due() {
-        // As below, plus a size-0 elastic job (id 4) behind the inelastic
-        // ones, with an arrival due at the first step's instant: the
-        // step ends at its decision, yet both done jobs leave.
-        let sizes = [5.0, 5.0, 5.0, 0.0];
-        let preloaded = {
-            let mut cluster = Cluster::new(2);
-            for size in sizes {
-                cluster.enqueue(JobClass::Inelastic, size, 0.0);
-            }
-            cluster.enqueue(JobClass::Elastic, 0.0, 0.0);
-            cluster
-        };
-        let restored = {
-            let mut cluster = Cluster::new(2);
-            let jobs = (0..)
-                .zip(sizes)
-                .map(|(id, size)| Job::new(id, JobClass::Inelastic, size, 0.0))
-                .chain([Job::new(4, JobClass::Elastic, 0.0, 0.0)]);
-            cluster.restore(0.0, 5, 2, 0, jobs).unwrap();
-            cluster
-        };
-        for mut cluster in [preloaded, restored] {
-            let mut watch = Watch::new(InelasticFirst);
-            assert_eq!(
-                cluster.step(&mut watch, Some(0.0), f64::INFINITY),
-                Step::ArrivalDue
-            );
-            assert_eq!(cluster.now(), 0.0);
-            assert_eq!(watch.departed, [3, 4]);
-            assert_eq!(cluster.occupancy(), (3, 0));
-        }
-    }
-
-    #[test]
     fn a_capacity_drop_at_a_burst_is_applied_before_its_first_decision() {
         // k = 3 under IF: A and B (ids 0, 1, size 5) arrive together at
         // t = 0, C and D (ids 2, 3) together at t = 1, when capacity drops
-        // to 1. C's admission ends the step that reached t = 1; the next
-        // decision, the first one made at t = 1, already sees one server
-        // and B preempt-restarted behind C.
+        // to 1. The step that reaches t = 1 finds C due; the next decision,
+        // the first one made at t = 1, already sees one server and B
+        // preempt-restarted behind C.
         let events = [CapacityEvent {
             time: 1.0,
             available: 1,
