@@ -11,9 +11,9 @@
 //! decision log on a bursty trace whose arrivals come several at one
 //! instant — as `f64::to_bits` values, so any change to float-operation
 //! order, tie-breaking, preempt-restart, shedding or the steps taken at
-//! an arrival that is already due shows up here. The three DES runs also pin their response-time
-//! tails (histogram quantiles), so a change to how departures reach the
-//! class histograms shows up too.
+//! an arrival that is already due shows up here. The three DES runs also
+//! pin their response-time tails (histogram quantiles), so a change to
+//! how departures reach the class histograms shows up too.
 
 use eirs_core::policy::parse_policy;
 use eirs_core::scenario::parse_workload;
@@ -194,8 +194,8 @@ fn engine_on_simultaneous_arrivals_is_pinned() {
         horizon: 600.0,
     };
     let table = CompiledTable::compile(Box::new(FairShare), 2, 24, 24);
-    // Two route shards, so that most bursts put several arrivals due at
-    // one instant on the same shard.
+    // Two route shards, so that a burst often puts several arrivals due
+    // at one instant on one shard.
     let config = EngineConfig::new(2)
         .route_shards(2)
         .batch(32)
